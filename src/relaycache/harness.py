@@ -7,7 +7,7 @@ only in the entropy-based subpacketization approximation.
 
 R1 is the worst server->relay edge load divided by the file size F; R2 the
 worst relay->user edge load.  All schemes here load their edges uniformly,
-and :func:`run_scheme` asserts that symmetry instead of assuming it.
+and :func:`run_scheme` checks that symmetry instead of assuming it.
 """
 
 from __future__ import annotations
@@ -370,8 +370,10 @@ def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
         for i in range(1, net.h + 1)
         for u in net._neighbors[i - 1]
     ]
-    assert len(set(server)) == 1, f"server edges are not symmetric: {server}"
-    assert len(set(relay)) == 1, f"relay edges are not symmetric: {relay}"
+    if len(set(server)) != 1:
+        raise RuntimeError(f"server edges are not symmetric: {server}")
+    if len(set(relay)) != 1:
+        raise RuntimeError(f"relay edges are not symmetric: {relay}")
     return Fraction(max(server), file_bits), Fraction(max(relay), file_bits)
 
 

@@ -8,16 +8,21 @@ member of S is missing — then splits it into r equal parts, expands them
 with an (h, r) MDS code, and ships piece i over server edge i.  Relays
 forward every piece to all of their neighbors; any user sees r distinct
 piece indices (its own relay subset) and can rebuild every signal.
+
+Both ends work on all signals of one delivery at once.  XOR and GF(256)
+coding act byte by byte, so the concatenation of every signal's j-th term
+(or part, or piece) is coded in one call and sliced back per signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets, subset_rank
-from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode, xor_bytes
+from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
     FileLibrary,
@@ -27,7 +32,6 @@ from .common import (
     SubpacketizationError,
     TransmissionLog,
     fmt_subset,
-    parse_subset,
     validate_demand,
 )
 
@@ -41,19 +45,25 @@ def cmcnc_grid_t(net: Network, n_files: int, M) -> int:
     return int(t)
 
 
+@lru_cache(maxsize=32)
+def _held(K: int, t: int, k: int) -> frozenset[int]:
+    """Ranks of the t-subsets of [K] that contain user k (1-based)."""
+    return frozenset(q for q, S in enumerate(enumerate_subsets(K, t)) if k in S)
+
+
 @dataclass(frozen=True)
 class SubsetCache:
-    """Uncoded placement over (n, S)-indexed subfiles, S a t'-subset of [K]."""
+    """Uncoded placement over (n, S)-indexed subfiles, S a t'-subset of [K].
+
+    Subfile (n, S) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)``
+    of file n, where q is the rank of S in enumerate_subsets(K, t').
+    """
 
     net: Network
     lib: FileLibrary
     storage: Fraction
     t: int
     subfile_bytes: int
-
-    def subfile(self, n: int, S: tuple[int, ...]) -> bytes:
-        offset = subset_rank(self.net.K, S) * self.subfile_bytes
-        return self.lib.file(n)[offset : offset + self.subfile_bytes]
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
@@ -63,7 +73,24 @@ class SubsetCache:
         if not self.has(user, key):
             raise KeyError(f"user {user} does not cache {key}")
         n, S = key
-        return self.subfile(n, S)
+        return self.read(user, (n,), (subset_rank(self.net.K, S),))
+
+    def read(self, user: int, files: Sequence[int], ranks: Sequence[int]) -> bytes:
+        """Concatenated subfiles (files[j], rank ranks[j]) for every j.
+
+        Raises KeyError, naming the first such key, unless the user caches
+        all of them.
+        """
+        held = _held(self.net.K, self.t, user + 1)
+        if not held.issuperset(ranks):
+            subsets = enumerate_subsets(self.net.K, self.t)
+            n, q = next((n, q) for n, q in zip(files, ranks) if q not in held)
+            raise KeyError(f"user {user} does not cache {(n, subsets[q])}")
+        size = self.subfile_bytes
+        source = {n: self.lib.file(n) for n in set(files)}
+        return b"".join(
+            [source[n][q * size : (q + 1) * size] for n, q in zip(files, ranks)]
+        )
 
     def keys(self, user: int) -> Iterator[tuple]:
         k = user + 1
@@ -101,8 +128,35 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     )
 
 
-def _label(S: tuple[int, ...], piece: int) -> str:
-    return f"cm:S={fmt_subset(S)}:p={piece}"
+class _Plan(NamedTuple):
+    """Every signal of one delivery at t' = t, by index s in delivery order.
+
+    Term position j of signal S is the subfile (d_k, S minus k), k = S[j].
+    """
+
+    subsets: list[tuple[int, ...]]  # the (t'+1)-subsets S
+    labels: list[list[str]]  # labels[i - 1][s]: the label of piece i
+    member: list[list[int]]  # member[j][s]: S[j] - 1, a 0-based user
+    rest: list[list[int]]  # rest[j][s]: rank of S minus S[j] among t'-subsets
+    at: list[list[list[int]]]  # at[j][u]: every s with S[j] - 1 == u
+
+
+@lru_cache(maxsize=2)
+def _plan(K: int, t: int, h: int) -> _Plan:
+    subsets = enumerate_subsets(K, t + 1)
+    rank = {S: q for q, S in enumerate(enumerate_subsets(K, t))}
+    stems = [f"cm:S={fmt_subset(S)}:p=" for S in subsets]
+    at: list[list[list[int]]] = [[[] for _ in range(K)] for _ in range(t + 1)]
+    for s, S in enumerate(subsets):
+        for j, k in enumerate(S):
+            at[j][k - 1].append(s)
+    return _Plan(
+        subsets=subsets,
+        labels=[[stem + str(i) for stem in stems] for i in range(1, h + 1)],
+        member=[[S[j] - 1 for S in subsets] for j in range(t + 1)],
+        rest=[[rank[S[:j] + S[j + 1 :]] for S in subsets] for j in range(t + 1)],
+        at=at,
+    )
 
 
 def cmcnc_deliver(
@@ -120,20 +174,53 @@ def cmcnc_deliver(
     K, t = net.K, cache.t
     if t + 1 > K:
         return log
-    part_bytes = cache.subfile_bytes // net.r
-    for S in enumerate_subsets(K, t + 1):
-        signal = bytes(cache.subfile_bytes)
-        for k in S:
-            rest = tuple(x for x in S if x != k)
-            signal = xor_bytes(signal, cache.subfile(demand[k - 1], rest))
-        parts = [signal[j * part_bytes : (j + 1) * part_bytes] for j in range(net.r)]
-        pieces = mds_encode(code, parts)
-        for i in range(1, net.h + 1):
-            rec = Record(_label(S, i), pieces[i - 1])
-            log.add_server(i, rec)
-            for u in net._neighbors[i - 1]:
-                log.forward(i, u, rec)
+    plan = _plan(K, t, net.h)
+    size = cache.subfile_bytes
+    part = size // net.r
+    total = len(plan.subsets) * size
+    wanted = [cache.lib.file(n) for n in demand]
+
+    coded = 0
+    for users, ranks in zip(plan.member, plan.rest):
+        terms = b"".join(
+            [wanted[u][q * size : (q + 1) * size] for u, q in zip(users, ranks)]
+        )
+        coded ^= int.from_bytes(terms, "big")
+    signals = coded.to_bytes(total, "big")
+
+    parts = [
+        b"".join([signals[o : o + part] for o in range(j * part, total, size)])
+        for j in range(net.r)
+    ]
+    for i, piece in enumerate(mds_encode(code, parts), 1):
+        payloads = [piece[o : o + part] for o in range(0, len(piece), part)]
+        records = list(map(Record, plan.labels[i - 1], payloads))
+        log.add_server_batch(i, records)
+        for u in net._neighbors[i - 1]:
+            log.forward_batch(i, u, records)
     return log
+
+
+def _pieces(
+    user: int,
+    V: tuple[int, ...],
+    received: Mapping[int, Sequence[Record]],
+    plan: _Plan,
+    mine: Sequence[int],
+) -> list[tuple[int, bytes]]:
+    """Each relay's pieces of signals ``mine``, concatenated, as MDS input."""
+    got = {i: dict(received.get(i, ())) for i in V}
+    try:
+        return [(i, b"".join([got[i][plan.labels[i - 1][s]] for s in mine])) for i in V]
+    except KeyError:
+        for s in mine:
+            missing = [i for i in V if plan.labels[i - 1][s] not in got[i]]
+            if missing:
+                S = fmt_subset(plan.subsets[s])
+                raise IncompleteReceptionError(
+                    f"user {user} lacks piece(s) of signal S={S} from relay(s) {missing}"
+                ) from None
+        raise
 
 
 def cmcnc_decode(
@@ -144,40 +231,41 @@ def cmcnc_decode(
     received: Mapping[int, Sequence[Record]],
     code: ErasureCode,
 ) -> bytes:
-    V = net.users[user]
-    me = user + 1
     K, t = net.K, cache.t
+    size = cache.subfile_bytes
+    own = sorted(_held(K, t, user + 1))
+    if t == K:
+        return cache.read(user, [demand[user]] * len(own), own)
 
-    by_signal: dict[tuple[int, ...], dict[int, bytes]] = {}
-    for i in V:
-        for rec in received.get(i, ()):
-            f = rec.fields()
-            by_signal.setdefault(parse_subset(f["S"]), {})[int(f["p"])] = rec.payload
+    # My signals, grouped by my position p in S.
+    plan = _plan(K, t, net.h)
+    groups = [plan.at[p][user] for p in range(t + 1)]
+    mine = [s for group in groups for s in group]
+    pieces = _pieces(user, net.users[user], received, plan, mine)
+    data = mds_decode(code, pieces)
+    part = size // net.r
+    signals = b"".join([d[o : o + part] for o in range(0, len(data[0]), part) for d in data])
 
-    extracted: dict[tuple[int, ...], bytes] = {}
-    if t + 1 <= K:
-        for S in enumerate_subsets(K, t + 1):
-            if me not in S:
-                continue
-            pieces = by_signal.get(S, {})
-            missing = [i for i in V if i not in pieces]
-            if missing:
-                raise IncompleteReceptionError(
-                    f"user {user} lacks piece(s) of signal S={fmt_subset(S)} "
-                    f"from relay(s) {missing}"
-                )
-            signal = b"".join(mds_decode(code, [(i, pieces[i]) for i in V]))
-            for k in S:
-                if k == me:
-                    continue
-                rest = tuple(x for x in S if x != k)
-                signal = xor_bytes(signal, cache.get(user, (demand[k - 1], rest)))
-            extracted[tuple(x for x in S if x != me)] = signal
+    # Block x holds the term of each signal's x-th other member; my own
+    # cached subfiles follow the t blocks.
+    users: list[int] = []
+    ranks: list[int] = []
+    for x in range(t):
+        for p, group in enumerate(groups):
+            j = x + (x >= p)
+            users += map(plan.member[j].__getitem__, group)
+            ranks += map(plan.rest[j].__getitem__, group)
+    files = [*map(demand.__getitem__, users), *[demand[user]] * len(own)]
+    cached = cache.read(user, files, ranks + own)
+    block = len(mine) * size
+    coded = int.from_bytes(signals, "big")
+    for x in range(t):
+        coded ^= int.from_bytes(cached[x * block : (x + 1) * block], "big")
+    both = cached[t * block :] + coded.to_bytes(block, "big")
 
-    parts = []
-    for S in enumerate_subsets(K, t):
-        if me in S:
-            parts.append(cache.get(user, (demand[user], S)))
-        else:
-            parts.append(extracted[S])
-    return b"".join(parts)
+    # Subfile q of the file is slot where[q] of ``both``.
+    extracted = [plan.rest[p][s] for p, group in enumerate(groups) for s in group]
+    where = [0] * binomial(K, t)
+    for j, q in enumerate(own + extracted):
+        where[q] = j
+    return b"".join([both[w * size : (w + 1) * size] for w in where])

@@ -9,7 +9,8 @@ Conventions used by every scheme:
 * Every transmitted signal is a :class:`Record` with a canonical label, so
   two runs of the same experiment produce byte-identical logs.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
-  rejects a record that is not already on that relay's server edge.
+  and :meth:`TransmissionLog.forward_batch` reject a record that is not
+  already on that relay's server edge.
 
 Cache objects are lazy views over the library: they answer membership and
 content queries per user without materializing every subfile.  They all
@@ -25,7 +26,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from ..topology import Network
 
@@ -142,6 +145,28 @@ class Record(NamedTuple):
         return dict(p.split("=", 1) for p in parts[1:])
 
 
+_label_of = attrgetter("label")
+_payload_of = attrgetter("payload")
+
+
+def _bits(records: Sequence[Record]) -> int:
+    return 8 * sum(map(len, map(_payload_of, records)))
+
+
+class _Fragments(dict):
+    """Record -> its compact JSON object as bytes, rendered on first use."""
+
+    def __missing__(self, rec: Record) -> bytes:
+        label, payload = rec
+        text = '{"bits":%d,"label":%s,"payload":"%s"}' % (
+            8 * len(payload),
+            encode_basestring_ascii(label),
+            payload.hex(),
+        )
+        out = self[rec] = text.encode()
+        return out
+
+
 @dataclass
 class TransmissionLog:
     """Every signal on every server->relay and relay->user edge.
@@ -158,6 +183,10 @@ class TransmissionLog:
         self.server_edges.setdefault(relay, []).append(rec)
         self._seen.setdefault(relay, set()).add(rec.label)
 
+    def add_server_batch(self, relay: int, records: Sequence[Record]) -> None:
+        self.server_edges.setdefault(relay, []).extend(records)
+        self._seen.setdefault(relay, set()).update(map(_label_of, records))
+
     def forward(self, relay: int, user: int, rec: Record) -> None:
         if rec.label not in self._seen.get(relay, ()):
             raise ValueError(
@@ -165,11 +194,18 @@ class TransmissionLog:
             )
         self.relay_edges.setdefault((relay, user), []).append(rec)
 
+    def forward_batch(self, relay: int, user: int, records: Sequence[Record]) -> None:
+        seen = self._seen.get(relay, set())
+        if not seen.issuperset(map(_label_of, records)):
+            # forward() raises for the first record the relay never received.
+            self.forward(relay, user, next(r for r in records if r.label not in seen))
+        self.relay_edges.setdefault((relay, user), []).extend(records)
+
     def server_bits(self, relay: int) -> int:
-        return sum(r.bits for r in self.server_edges.get(relay, ()))
+        return _bits(self.server_edges.get(relay, ()))
 
     def relay_bits(self, relay: int, user: int) -> int:
-        return sum(r.bits for r in self.relay_edges.get((relay, user), ()))
+        return _bits(self.relay_edges.get((relay, user), ()))
 
     def to_user(self, user: int) -> dict[int, list[Record]]:
         return {
@@ -207,5 +243,25 @@ class TransmissionLog:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """sha256 of ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, streamed one edge at a time.
+
+        Each distinct record is rendered once and reused on every edge that
+        carries it.
+        """
+        fragment = _Fragments().__getitem__
+        sha = hashlib.sha256(b'{"relay_edges":[')
+        sep = b""
+        for (relay, user), records in sorted(self.relay_edges.items()):
+            signals = b",".join(map(fragment, records))
+            edge = b'{"relay":%d,"signals":[%s],"user":%d}' % (relay, signals, user)
+            sha.update(sep + edge)
+            sep = b","
+        sha.update(b'],"server_edges":[')
+        sep = b""
+        for relay, records in sorted(self.server_edges.items()):
+            signals = b",".join(map(fragment, records))
+            sha.update(sep + b'{"relay":%d,"signals":[%s]}' % (relay, signals))
+            sep = b","
+        sha.update(b"]}")
+        return sha.hexdigest()

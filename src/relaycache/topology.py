@@ -109,13 +109,12 @@ class Network:
         object.__setattr__(self, "classes", tuple(canon_classes))
 
         # Each relay must see every class exactly once (the per-relay
-        # restatement of resolvability; implied by the above, asserted
+        # restatement of resolvability; implied by the above, checked
         # anyway as a construction self-check).
         for i in range(1, self.h + 1):
             labels = sorted(self.class_of[u] for u in self._neighbors[i - 1])
-            assert labels == list(range(1, self.num_classes + 1)), (
-                f"relay {i} sees classes {labels}"
-            )
+            if labels != list(range(1, self.num_classes + 1)):
+                raise NotResolvableError(f"relay {i} sees classes {labels}")
 
     @property
     def K(self) -> int:
@@ -238,9 +237,10 @@ def _flow_step(
         (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(sink + 1, sink + 1)
     )
     result = maximum_flow(graph, 0, sink)
-    assert result.flow_value == s, (
-        f"augmentation infeasible at stage {placed}: flow {result.flow_value} < {s}"
-    )
+    if result.flow_value != s:
+        raise RuntimeError(
+            f"augmentation infeasible at stage {placed}: flow {result.flow_value} < {s}"
+        )
     flow = result.flow
     choice = []
     for c in range(s):
@@ -250,7 +250,8 @@ def _flow_step(
             if units >= 1 and node != 0:
                 picked = types[node - s - 1]
                 break
-        assert picked is not None
+        if picked is None:
+            raise RuntimeError(f"class {c} absorbs no element at stage {placed}")
         choice.append(picked)
     return choice
 
@@ -287,7 +288,8 @@ def baranyai_partition(h: int, r: int) -> list[list[tuple[int, ...]]]:
 
     canon = sorted([sorted(cls) for cls in classes], key=lambda c: c[0])
     flat = [m for cls in canon for m in cls]
-    assert sorted(flat) == enumerate_subsets(h, r), "partition does not cover"
+    if sorted(flat) != enumerate_subsets(h, r):
+        raise RuntimeError(f"partition of the {r}-subsets of [{h}] does not cover")
     return canon
 
 

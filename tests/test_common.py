@@ -117,3 +117,24 @@ class TestTransmissionLog:
         log.forward(2, 1, r2)
         assert log.to_user(0) == {1: [r1], 2: [r2]}
         assert log.to_user(1) == {2: [r2]}
+
+    def test_batches_match_single_records(self):
+        recs = [Record("a:i=1", b"1"), Record("b:i=1", b"22")]
+        single, batch = TransmissionLog(), TransmissionLog()
+        for rec in recs:
+            single.add_server(1, rec)
+        for rec in recs:
+            single.forward(1, 3, rec)
+        batch.add_server_batch(1, recs)
+        batch.forward_batch(1, 3, recs)
+        assert batch.to_dict() == single.to_dict()
+        assert batch.digest() == single.digest()
+
+    def test_batch_forward_checks_every_record(self):
+        log = TransmissionLog()
+        log.add_server_batch(1, [Record("a:i=1", b"1")])
+        with pytest.raises(ValueError, match="cannot forward 'z:i=1'"):
+            log.forward_batch(1, 0, [Record("a:i=1", b"1"), Record("z:i=1", b"9")])
+        with pytest.raises(ValueError, match="cannot forward"):
+            log.forward_batch(2, 0, [Record("a:i=1", b"1")])
+        assert log.relay_edges == {}

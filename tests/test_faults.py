@@ -1,0 +1,123 @@
+"""Fault injection: every decoder against a dropped or corrupted record.
+
+Each scheme runs on comb(4,2) at M=2 with distinct demands.  A relay edge
+that loses a record the user needs must end in IncompleteReceptionError
+naming the signal and the relay; a flipped payload byte must show up as a
+decode failure in run_scheme and verify_all_demands.
+"""
+
+import re
+
+import pytest
+
+from relaycache import harness
+from relaycache.combinatorics import position_in
+from relaycache.harness import SCHEME_IDS, run_scheme, verify_all_demands
+from relaycache.schemes import (
+    IncompleteReceptionError,
+    Record,
+    distinct_demand,
+    random_library,
+)
+from relaycache.schemes.common import fmt_subset, parse_subset
+
+M = 2
+LIB = random_library(6, 30, seed=11)
+
+DELIVER = {
+    "proposed": "proposed_deliver",
+    "routing": "routing_deliver",
+    "cmcnc": "cmcnc_deliver",
+    "broadcast-mds": "broadcast_mds_deliver",
+}
+
+
+def signal_name(scheme, net, user, relay, rec):
+    """How the decoder's error message names the signal behind ``rec``."""
+    f = rec.fields()
+    if scheme == "cmcnc":
+        return f"S={f['S']}"
+    if scheme == "routing":
+        return f"T={f['T']}, l={f['l']}"
+    if scheme == "proposed":
+        T = tuple(c for c in parse_subset(f["C"]) if c != net.class_of[user])
+        return f"T={fmt_subset(T)}, l={position_in(net.users[user], relay)}"
+    return f"file {f['n']}"
+
+
+def drop_each(net, scheme, user, relay):
+    """Decode ``user`` once per record of edge (relay, user), that record
+    dropped; yields (record, error or None)."""
+    demand = distinct_demand(net, 6)
+    _, deliver, decode = harness._pipeline(net, LIB, M, scheme, None)
+    log = deliver(demand)
+    edge = log.relay_edges[(relay, user)]
+    for k, rec in enumerate(edge):
+        received = log.to_user(user)
+        received[relay] = edge[:k] + edge[k + 1 :]
+        try:
+            out = decode(user, demand, received)
+        except IncompleteReceptionError as exc:
+            yield rec, exc
+        else:
+            assert out == LIB.file(demand[user]), "an unused record changed the output"
+            yield rec, None
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_dropped_record_names_signal_and_relay(comb42, scheme):
+    failures = 0
+    for user in range(comb42.K):
+        for relay in comb42.users[user]:
+            for rec, exc in drop_each(comb42, scheme, user, relay):
+                if exc is None:
+                    continue
+                failures += 1
+                msg = str(exc)
+                assert re.search(rf"relay(\(s\))? \[?{relay}\b", msg), msg
+                assert signal_name(scheme, comb42, user, relay, rec) in msg, msg
+    assert failures
+
+
+def corrupting(deliver, relay, user, index):
+    """``deliver`` with one payload byte flipped on edge (relay, user)."""
+
+    def wrapped(*args, **kwargs):
+        log = deliver(*args, **kwargs)
+        edge = log.relay_edges[(relay, user)]
+        label, payload = edge[index]
+        edge[index] = Record(label, bytes([payload[0] ^ 0x40]) + payload[1:])
+        return log
+
+    return wrapped
+
+
+def needed_record(net, scheme):
+    """(relay, user, index) of the first record whose loss stops its user."""
+    user = 0
+    relay = net.users[user][0]
+    for k, (_, exc) in enumerate(drop_each(net, scheme, user, relay)):
+        if exc is not None:
+            return relay, user, k
+    raise AssertionError(f"no record on edge ({relay}, {user}) is needed")
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_flipped_byte_fails_run_scheme(comb42, scheme, monkeypatch):
+    relay, user, k = needed_record(comb42, scheme)
+    name = DELIVER[scheme]
+    monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
+    report = run_scheme(comb42, LIB, M, distinct_demand(comb42, 6), scheme)
+    assert not report.decode_ok
+    assert report.formula_match
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_flipped_byte_fails_verify(comb42, scheme, monkeypatch):
+    relay, user, k = needed_record(comb42, scheme)
+    name = DELIVER[scheme]
+    monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
+    report = verify_all_demands(comb42, 6, M, scheme, mode="sampled", seed=3, count=4)
+    assert not report.passed
+    assert {(u, why) for _, u, why in report.failures} == {(user, "decoded bytes differ")}
+    assert len(report.failures) == report.runs == 4

@@ -1,0 +1,112 @@
+"""Golden wire format: pinned log digests and log JSON for every scheme.
+
+The pins were recorded from the per-signal implementation on comb(4,2)
+with N=6, F=30 bytes and library seed 2016.  A change to any label,
+payload, edge order or serialization detail shows up here first.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from relaycache.harness import SCHEME_IDS, run_scheme_with_log
+from relaycache.schemes import Record, TransmissionLog, distinct_demand, random_library
+
+DIGESTS = {
+    "proposed": "ca111e0a7f54ea42beac104e06b98c07a94d2b076f0c68627375b7575e1c9613",
+    "routing": "01566bcd2f167f0d7eefa1660953d6e6029b7a99bf134adbf48bec785a80f0f3",
+    "cmcnc": "f10368eb8a05c8c567c63396d9e5c58266fea46d08c1a1b3a40ab1a50bae6e09",
+    "broadcast-mds": "705d868821aaa724f875e8d4d5e1cc110ce62852d877a55bc8227e29c8b366c2",
+}
+
+JSON_SHA256 = {
+    "proposed": "a7b837ac34229a4489e1ffb5d1cd814c592754a46c60d11c6811d74dea729ca1",
+    "routing": "7a4d8541f8dd499b6df6fbe23d2e1374665713fa1d771bb899b319c610ae2bb6",
+    "cmcnc": "637a2ae831929dcf3936f502051e6700e31ded9e7061c240408cf2270173c229",
+    "broadcast-mds": "d73c793494a7461ba1969c7ce6bf8e392261eb4a42778d6b7988a6e432e75d9f",
+}
+
+# cmcnc at the ends of its memory grid, with repeated demands.
+CMCNC_EXTRA = {
+    0: "0089da63740370fb8a4242a4e3dce0e264cc78a3971a5bfc7b13d9518924565f",
+    4: "94aa2d678537dabcb9b371587019c404a4a1a6e80ea3ea2d82d42a562de0cd4f",
+}
+
+
+@pytest.fixture(scope="module")
+def lib():
+    return random_library(6, 30, seed=2016)
+
+
+@pytest.fixture(scope="module")
+def logs(comb42, lib):
+    out = {}
+    demand = distinct_demand(comb42, 6)
+    for scheme in SCHEME_IDS:
+        report, log = run_scheme_with_log(comb42, lib, 2, demand, scheme)
+        assert report.decode_ok and report.formula_match
+        out[scheme] = (report, log)
+    return out
+
+
+def reference_digest(log: TransmissionLog) -> str:
+    """The digest's definition: sha256 of the compact, key-sorted log JSON."""
+    blob = json.dumps(log.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_log_digest_pinned(logs, scheme):
+    report, log = logs[scheme]
+    assert report.log_digest == log.digest() == DIGESTS[scheme]
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_log_json_pinned(logs, scheme):
+    _, log = logs[scheme]
+    assert hashlib.sha256(log.to_json().encode()).hexdigest() == JSON_SHA256[scheme]
+
+
+@pytest.mark.parametrize("M", sorted(CMCNC_EXTRA))
+def test_cmcnc_grid_ends_pinned(comb42, lib, M):
+    report, _ = run_scheme_with_log(comb42, lib, M, (1, 1, 2, 2, 3, 3), "cmcnc")
+    assert report.decode_ok
+    assert report.log_digest == CMCNC_EXTRA[M]
+
+
+class TestStreamedDigest:
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_matches_reference_for_every_scheme(self, logs, scheme):
+        _, log = logs[scheme]
+        assert log.digest() == reference_digest(log)
+
+    def test_matches_reference_on_awkward_labels(self):
+        log = TransmissionLog()
+        recs = [
+            Record('q:"quoted"', b"\x00\xff"),
+            Record("b:back\\slash", b""),
+            Record("u:café:Σ:\U0001f600", b"\x10\x20\x30"),
+            Record("c:ctrl\n\t\x01", b"\x7f"),
+        ]
+        for relay in (2, 1):
+            for rec in recs:
+                log.add_server(relay, rec)
+        for relay, user in ((1, 3), (1, 0), (2, 0)):
+            for rec in recs[::-1]:
+                log.forward(relay, user, rec)
+        assert log.digest() == reference_digest(log)
+
+    def test_distinct_payload_under_a_shared_label(self):
+        # A relay edge may carry a record equal in label but not in payload
+        # to its server copy; the digest must render each one on its own.
+        log = TransmissionLog()
+        rec = Record("x:i=1", b"\x01\x02")
+        log.add_server(1, rec)
+        log.forward(1, 0, rec)
+        log.relay_edges[(1, 0)].append(Record("x:i=1", b"\x01\x03"))
+        assert log.digest() == reference_digest(log)
+
+    def test_empty_log(self):
+        log = TransmissionLog()
+        assert log.digest() == reference_digest(log)

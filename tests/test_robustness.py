@@ -1,0 +1,103 @@
+"""Checks that hold however the package is run: under ``python -O``, and
+without pulling the heavy numeric stack into a plain import."""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from relaycache.cli import main as cli_main
+from relaycache.harness import _measure
+from relaycache.schemes import Record, TransmissionLog
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def symmetric_log(net) -> TransmissionLog:
+    """One 2-byte record on every server edge and every relay edge."""
+    log = TransmissionLog()
+    for i in range(1, net.h + 1):
+        rec = Record(f"x:i={i}", b"\x00\x01")
+        log.add_server(i, rec)
+        for u in net._neighbors[i - 1]:
+            log.forward(i, u, rec)
+    return log
+
+
+def test_no_assert_statements_in_src():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"python -O strips these checks: {found}"
+
+
+def test_sweep_under_python_O(capsys):
+    args = ["sweep", "--topology", "comb:4,2", "--N", "6"]
+    proc = run_python("-O", "-m", "relaycache.cli", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert cli_main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.count("\n") == 13  # header + 3 schemes x 4 points
+
+
+class TestMeasureSymmetry:
+    def test_symmetric_log_measures(self, comb42):
+        half = Fraction(1, 2)
+        assert _measure(comb42, symmetric_log(comb42), 32) == (half, half)
+
+    def test_asymmetric_server_edges_raise(self, comb42):
+        log = symmetric_log(comb42)
+        log.add_server(3, Record("extra", b"\x07"))
+        with pytest.raises(RuntimeError, match="server edges are not symmetric"):
+            _measure(comb42, log, 32)
+
+    def test_asymmetric_relay_edges_raise(self, comb42):
+        log = symmetric_log(comb42)
+        log.relay_edges[(1, 0)].pop()
+        with pytest.raises(RuntimeError, match="relay edges are not symmetric"):
+            _measure(comb42, log, 32)
+
+    def test_raises_under_python_O(self):
+        code = (
+            "from relaycache.harness import _measure\n"
+            "from relaycache.schemes import Record, TransmissionLog\n"
+            "from relaycache.topology import combination_network\n"
+            "net = combination_network(4, 2)\n"
+            "log = TransmissionLog()\n"
+            "log.add_server(1, Record('x', b'12'))\n"
+            "try:\n"
+            "    _measure(net, log, 16)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = run_python("-O", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert "server edges are not symmetric" in proc.stdout
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys, relaycache\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaycache.combinatorics import binomial
+from relaycache.combinatorics import binomial, subset_rank
 from relaycache.erasure import make_code
 from relaycache.schemes import (
     GridError,
@@ -47,6 +47,22 @@ class TestPlacement:
     def test_m_zero_empty(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 0)
         assert cache.signature(0) == frozenset()
+
+    def test_batched_read_matches_get(self, comb42, lib30):
+        cache = cmcnc_place(comb42, lib30, 2)
+        keys = [(3, (1, 4)), (1, (1, 2)), (6, (1, 4)), (3, (1, 4))]
+        ranks = [subset_rank(comb42.K, S) for _, S in keys]
+        data = cache.read(0, [n for n, _ in keys], ranks)
+        assert data == b"".join(cache.get(0, key) for key in keys)
+        assert cache.read(0, [], []) == b""
+
+    def test_batched_read_refuses_uncached_keys(self, comb42, lib30):
+        cache = cmcnc_place(comb42, lib30, 2)
+        cached, foreign = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (2, 3))
+        with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\)\)"):
+            cache.read(0, [1, 5], [cached, foreign])
+        with pytest.raises(KeyError):
+            cache.get(0, (5, (2, 3)))
 
     def test_subpacketization_on_larger_network(self, comb62):
         # t' = 3 at M=10, N=50: r*C(15,3) units
