@@ -28,6 +28,7 @@ from .harness import (
     verify_all_demands,
 )
 from .schemes import (
+    BudgetError,
     FileLibrary,
     GridError,
     GroupedCache,

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .harness import (
     SCHEME_IDS,
+    SCHEMES,
     auto_file_bytes,
     comparison_ratios,
     run_scheme,
@@ -35,6 +36,7 @@ from .harness import (
     verify_all_demands,
 )
 from .schemes.common import (
+    BudgetError,
     GridError,
     SubpacketizationError,
     distinct_demand,
@@ -51,7 +53,6 @@ from .topology import (
     save_network,
 )
 
-DEFAULT_SCHEMES = ("proposed", "routing", "cmcnc")
 DEMAND_MODES = ("distinct", "all-same", "seeded-random", "exhaustive")
 
 
@@ -112,7 +113,9 @@ def _parse_m_values(text: str, net: Network, n_files: int) -> list[Fraction]:
 
 
 def _parse_schemes(text: str) -> list[str]:
-    names = list(DEFAULT_SCHEMES) if text == "all" else text.split(",")
+    if text == "all":
+        return [name for name, spec in SCHEMES.items() if spec.in_all]
+    names = text.split(",")
     for name in names:
         if name not in SCHEME_IDS:
             raise ConfigError(
@@ -270,6 +273,24 @@ def _ensure_out(cfg: ExperimentConfig) -> Path | None:
     return cfg.out
 
 
+def _write_table(
+    cfg: ExperimentConfig, name: str, header: str, rows: list[list], records: list
+) -> Path | None:
+    """Write ``rows`` as CSV, or ``records`` as JSON with --format structured,
+    to ``<--out>/<name>.csv|json`` or to stdout; returns the --out directory."""
+    if cfg.fmt == "structured":
+        suffix, text = "json", json.dumps(records, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [header, *(",".join(map(str, row)) for row in rows)]
+        suffix, text = "csv", "\n".join(lines) + "\n"
+    out = _ensure_out(cfg)
+    if out is None:
+        print(text, end="")
+    else:
+        (out / f"{name}.{suffix}").write_text(text)
+    return out
+
+
 def _cmd_topology(cfg: ExperimentConfig) -> int:
     net = cfg.net
     print(
@@ -357,37 +378,24 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
             reports.append(report)
             ok = ok and report.decode_ok and report.formula_match
             rows.append(
-                ",".join(
-                    [
-                        scheme,
-                        str(report.h),
-                        str(report.r),
-                        str(report.K),
-                        str(report.num_classes),
-                        str(report.n_files),
-                        str(M),
-                        str(report.formula.r1),
-                        str(report.measured.r1),
-                        str(report.formula.r2),
-                        str(report.measured.r2),
-                        str(report.formula.subpacketization),
-                        "true" if report.decode_ok else "false",
-                    ]
-                )
+                [
+                    scheme,
+                    report.h,
+                    report.r,
+                    report.K,
+                    report.num_classes,
+                    report.n_files,
+                    M,
+                    report.formula.r1,
+                    report.measured.r1,
+                    report.formula.r2,
+                    report.measured.r2,
+                    report.formula.subpacketization,
+                    "true" if report.decode_ok else "false",
+                ]
             )
-    csv_text = SWEEP_COLUMNS + "\n" + "\n".join(rows) + "\n"
-    out = _ensure_out(cfg)
-    if cfg.fmt == "structured":
-        text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-        if out is not None:
-            (out / "sweep.json").write_text(text)
-        else:
-            print(text, end="")
-    else:
-        if out is not None:
-            (out / "sweep.csv").write_text(csv_text)
-        else:
-            print(csv_text, end="")
+    records = [r.to_dict() for r in reports]
+    out = _write_table(cfg, "sweep", SWEEP_COLUMNS, rows, records)
     if out is not None:
         print(f"sweep {'ok' if ok else 'FAILED'}: {len(rows)} cells -> {out}")
     return 0 if ok else 1
@@ -405,37 +413,22 @@ def _cmd_compare(cfg: ExperimentConfig) -> int:
     for M in sorted(cfg.m_values):
         ratios = comparison_ratios(net.K, net.h, net.r, cfg.n_files, M)
         records.append({"M": str(M), **ratios.to_dict()})
+        exact = ratios.subpack_ratio_exact
         rows.append(
-            ",".join(
-                [
-                    str(net.h),
-                    str(net.r),
-                    str(net.K),
-                    str(net.num_classes),
-                    str(cfg.n_files),
-                    str(M),
-                    str(ratios.r1_ratio),
-                    str(ratios.r2_ratio),
-                    str(ratios.subpack_ratio_exact)
-                    if ratios.subpack_ratio_exact is not None
-                    else "",
-                    repr(ratios.subpack_ratio_approx),
-                ]
-            )
+            [
+                net.h,
+                net.r,
+                net.K,
+                net.num_classes,
+                cfg.n_files,
+                M,
+                ratios.r1_ratio,
+                ratios.r2_ratio,
+                "" if exact is None else exact,
+                repr(ratios.subpack_ratio_approx),
+            ]
         )
-    out = _ensure_out(cfg)
-    if cfg.fmt == "structured":
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-        if out is not None:
-            (out / "compare.json").write_text(text)
-        else:
-            print(text, end="")
-    else:
-        text = COMPARE_COLUMNS + "\n" + "\n".join(rows) + "\n"
-        if out is not None:
-            (out / "compare.csv").write_text(text)
-        else:
-            print(text, end="")
+    _write_table(cfg, "compare", COMPARE_COLUMNS, rows, records)
     return 0
 
 
@@ -450,7 +443,9 @@ def execute(cfg: ExperimentConfig) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
-    except (ConfigError, NotResolvableError, GridError, SubpacketizationError) as exc:
+    except (
+        ConfigError, NotResolvableError, GridError, SubpacketizationError, BudgetError
+    ) as exc:
         _error_record(exc)
         return 2
 

@@ -17,23 +17,23 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combinatorics import binomial
 from .erasure import ErasureCode, make_code
 from .schemes.broadcast import broadcast_decode, broadcast_mds_deliver, broadcast_place
-from .schemes.cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_grid_t, cmcnc_place
-from .schemes.common import FileLibrary, all_demands, random_demand, random_library
-from .schemes.proposed import (
-    proposed_decode,
-    proposed_deliver,
-    proposed_place,
-    storage_grid_t,
+from .schemes.cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
+from .schemes.common import (
+    BudgetError,
+    FileLibrary,
+    all_demands,
+    grid_t,
+    random_demand,
+    random_library,
 )
+from .schemes.proposed import proposed_decode, proposed_deliver, proposed_place
 from .schemes.routing import routing_decode, routing_deliver
 from .topology import Network
-
-SCHEME_IDS = ("proposed", "routing", "cmcnc", "broadcast-mds")
 
 EXHAUSTIVE_CAP = 4096
 
@@ -77,6 +77,83 @@ def _closed_form_r1(users: int, m: Fraction, r: int) -> Fraction:
     return Fraction(users) * (1 - m) / (r * (1 + users * m))
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the harness and the CLI know about one scheme id.
+
+    ``grid`` names the sharing candidates its memory grid runs over: "Kt"
+    parallel classes or "K" users, with t = n*M/N a whole number at a grid
+    point; None means any M in [0, N].  At a grid point of n candidates a
+    file splits into ``subfiles(r, n, t)`` parts and ``rates(n, N, r, m)``
+    is the closed-form (R1, R2), m = M/N.  ``place``, ``deliver`` and
+    ``decode`` name the layer functions in this module; they are looked up
+    on every call, so a replaced module attribute takes effect.  Schemes
+    with ``needs_code`` take the (h, r) MDS code as a last argument to
+    deliver and decode.  ``in_all`` puts the scheme in ``--schemes all``.
+    """
+
+    grid: str | None
+    rates: Callable[[int, int, int, Fraction], tuple[Fraction, Fraction]]
+    place: str
+    deliver: str
+    decode: str
+    subfiles: Callable[[int, int, int], int] = lambda r, n, t: r * binomial(n, t)
+    needs_code: bool = False
+    in_all: bool = True
+
+
+SCHEMES = {
+    "proposed": Scheme(
+        grid="Kt",
+        rates=lambda n, N, r, m: (_closed_form_r1(n, m, r), (1 - m) / r),
+        place="proposed_place",
+        deliver="proposed_deliver",
+        decode="proposed_decode",
+    ),
+    "routing": Scheme(
+        grid="Kt",
+        rates=lambda n, N, r, m: (n * (1 - m) / r, (1 - m) / r),
+        place="proposed_place",
+        deliver="routing_deliver",
+        decode="routing_decode",
+    ),
+    "cmcnc": Scheme(
+        grid="K",
+        rates=lambda n, N, r, m: (_closed_form_r1(n, m, r),) * 2,
+        place="cmcnc_place",
+        deliver="cmcnc_deliver",
+        decode="cmcnc_decode",
+        needs_code=True,
+    ),
+    "broadcast-mds": Scheme(
+        grid=None,
+        rates=lambda n, N, r, m: (N * (1 - m) / r, (1 - m) / r),
+        place="broadcast_place",
+        deliver="broadcast_mds_deliver",
+        decode="broadcast_decode",
+        subfiles=lambda r, n, t: r,
+        needs_code=True,
+        in_all=False,
+    ),
+}
+
+SCHEME_IDS = tuple(SCHEMES)
+
+
+def scheme_spec(scheme: str) -> Scheme:
+    """The registry entry of ``scheme``; ValueError for an unknown id."""
+    try:
+        return SCHEMES[scheme]
+    except KeyError:
+        raise ValueError(
+            f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}"
+        ) from None
+
+
+def _grid_size(spec: Scheme, K: int, kt: int) -> int:
+    return kt if spec.grid == "Kt" else K
+
+
 def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     """Closed-form rate point for one scheme.
 
@@ -84,64 +161,26 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     points, rates come from memory sharing (the lower convex envelope of
     the grid points).  Subpacketization is only defined on the grid.
     """
+    spec = scheme_spec(scheme)
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
     m = M / N
     if not 0 <= m <= 1:
         raise ValueError(f"M={M} outside 0..{N}")
-
-    if scheme == "routing":
-        t = _grid_int(kt * m)
-        return RatePoint(
-            M=M,
-            r1=Fraction(K, h) * (1 - m),
-            r2=(1 - m) / r,
-            subpacketization=r * binomial(kt, t) if t is not None else None,
-            source="formula",
-        )
-    if scheme == "proposed":
-        t = _grid_int(kt * m)
-        if t is not None:
-            r1 = _closed_form_r1(kt, m, r)
-        else:
-            r1 = _scheme_envelope(kt, kt, N, r).value(M)
-        return RatePoint(
-            M=M,
-            r1=r1,
-            r2=(1 - m) / r,
-            subpacketization=r * binomial(kt, t) if t is not None else None,
-            source="formula",
-        )
-    if scheme == "cmcnc":
-        t = _grid_int(K * m)
-        if t is not None:
-            r1 = _closed_form_r1(K, m, r)
-        else:
-            r1 = _scheme_envelope(K, K, N, r).value(M)
-        return RatePoint(
-            M=M,
-            r1=r1,
-            r2=r1,
-            subpacketization=r * binomial(K, t) if t is not None else None,
-            source="formula",
-        )
-    if scheme == "broadcast-mds":
-        return RatePoint(
-            M=M,
-            r1=Fraction(N, r) * (1 - m),
-            r2=(1 - m) / r,
-            subpacketization=r,
-            source="formula",
-        )
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
-
-
-def _scheme_envelope(users: int, steps: int, N: int, r: int) -> "Envelope":
-    points = []
-    for j in range(steps + 1):
-        M = Fraction(j * N, steps)
-        points.append((M, _closed_form_r1(users, M / N, r)))
-    return memory_sharing_envelope(points)
+    n = t = None
+    if spec.grid is not None:
+        n = _grid_size(spec, K, kt)
+        t = _grid_int(n * m)
+        if t is None:
+            corners = [Fraction(j * N, n) for j in range(n + 1)]
+            pairs = [spec.rates(n, N, r, Mj / N) for Mj in corners]
+            r1, r2 = (
+                memory_sharing_envelope(zip(corners, rates)).value(M)
+                for rates in zip(*pairs)
+            )
+            return RatePoint(M, r1, r2, None, "formula")
+    r1, r2 = spec.rates(n, N, r, m)
+    return RatePoint(M, r1, r2, spec.subfiles(r, n, t), "formula")
 
 
 def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
@@ -302,18 +341,15 @@ def comparison_ratios(K: int, h: int, r: int, N: int, M) -> ComparisonRatios:
 
 def scheme_file_divisor(net: Network, n_files: int, M, scheme: str) -> int:
     """Byte divisor that makes every split in ``scheme`` exact at this M."""
-    if scheme in ("proposed", "routing"):
-        t = storage_grid_t(net, n_files, M)
-        return net.r * binomial(net.num_classes, t)
-    if scheme == "cmcnc":
-        t = cmcnc_grid_t(net, n_files, M)
-        return net.r * binomial(net.K, t)
-    if scheme == "broadcast-mds":
+    spec = scheme_spec(scheme)
+    if spec.grid is None:
+        # The cached M/N of each file and the r parts of the rest are whole bytes.
         m = Fraction(M) / n_files
         if not 0 <= m <= 1:
             raise ValueError(f"M={M} outside 0..{n_files}")
-        return net.r * m.denominator
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
+        return spec.subfiles(net.r, None, None) * m.denominator
+    n = _grid_size(spec, net.K, net.num_classes)
+    return spec.subfiles(net.r, n, grid_t(n, n_files, M, spec.grid))
 
 
 def auto_file_bytes(
@@ -363,13 +399,19 @@ class SchemeReport:
         }
 
 
-def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
+def _edge_bits(net: Network, log) -> tuple[list[int], list[int]]:
+    """Bits on every server edge and on every relay edge."""
     server = [log.server_bits(i) for i in range(1, net.h + 1)]
     relay = [
         log.relay_bits(i, u)
         for i in range(1, net.h + 1)
         for u in net._neighbors[i - 1]
     ]
+    return server, relay
+
+
+def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
+    server, relay = _edge_bits(net, log)
     if len(set(server)) != 1:
         raise RuntimeError(f"server edges are not symmetric: {server}")
     if len(set(relay)) != 1:
@@ -379,43 +421,17 @@ def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
 
 def _pipeline(net: Network, lib: FileLibrary, M, scheme: str, code: ErasureCode | None):
     """Returns (cache, deliver(demand) -> log, decode(user, demand, received))."""
-    if scheme == "proposed":
-        cache = proposed_place(net, lib, M)
-        return (
-            cache,
-            lambda d: proposed_deliver(net, cache, d),
-            lambda u, d, rx: proposed_decode(net, u, cache, d, rx),
-        )
-    if scheme == "routing":
-        cache = proposed_place(net, lib, M)
-        return (
-            cache,
-            lambda d: routing_deliver(net, cache, d),
-            lambda u, d, rx: routing_decode(net, u, cache, d, rx),
-        )
-    if scheme == "cmcnc":
-        cache = cmcnc_place(net, lib, M)
-        mds = code if code is not None else make_code(net.h, net.r)
-        return (
-            cache,
-            lambda d: cmcnc_deliver(net, cache, d, mds),
-            lambda u, d, rx: cmcnc_decode(net, u, cache, d, rx, mds),
-        )
-    if scheme == "broadcast-mds":
-        cache = broadcast_place(net, lib, M)
-        mds = code if code is not None else make_code(net.h, net.r)
-        return (
-            cache,
-            lambda d: broadcast_mds_deliver(net, lib, M, d, mds),
-            lambda u, d, rx: broadcast_decode(net, u, cache, d, rx, mds),
-        )
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
-
-
-def _subpack(net: Network, n_files: int, M, scheme: str) -> int:
-    if scheme == "broadcast-mds":
-        return net.r
-    return scheme_file_divisor(net, n_files, M, scheme)
+    spec = scheme_spec(scheme)
+    layer = globals()
+    cache = layer[spec.place](net, lib, M)
+    extra = ()
+    if spec.needs_code:
+        extra = (code if code is not None else make_code(net.h, net.r),)
+    return (
+        cache,
+        lambda d: layer[spec.deliver](net, cache, d, *extra),
+        lambda u, d, rx: layer[spec.decode](net, u, cache, d, rx, *extra),
+    )
 
 
 def run_scheme(
@@ -448,14 +464,8 @@ def run_scheme_with_log(
         decode_user(u, demand, log.to_user(u)) == lib.file(demand[u])
         for u in range(net.K)
     )
-    measured = RatePoint(
-        M=M,
-        r1=r1,
-        r2=r2,
-        subpacketization=_subpack(net, lib.n_files, M, scheme),
-        source="measured",
-    )
     formula = formula_rates(scheme, net.K, net.h, net.r, lib.n_files, M)
+    measured = RatePoint(M, r1, r2, formula.subpacketization, "measured")
     report = SchemeReport(
         scheme=scheme,
         h=net.h,
@@ -536,7 +546,7 @@ def verify_all_demands(
     if mode == "exhaustive":
         total = n_files**net.K
         if total > EXHAUSTIVE_CAP:
-            raise ValueError(
+            raise BudgetError(
                 f"exhaustive verification needs N^K <= {EXHAUSTIVE_CAP}, "
                 f"got {total}; use sampled mode"
             )
@@ -562,15 +572,7 @@ def verify_all_demands(
     for demand in demands:
         runs += 1
         log = deliver(demand)
-        server = max(log.server_bits(i) for i in range(1, net.h + 1))
-        relay = max(
-            (
-                log.relay_bits(i, u)
-                for i in range(1, net.h + 1)
-                for u in net._neighbors[i - 1]
-            ),
-            default=0,
-        )
+        server, relay = map(max, _edge_bits(net, log))
         worst_server = max(worst_server, server)
         worst_relay = max(worst_relay, relay)
         pair = (Fraction(server, lib.file_bits), Fraction(relay, lib.file_bits))

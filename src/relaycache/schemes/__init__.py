@@ -7,8 +7,9 @@ from .broadcast import (
     broadcast_place,
     prefix_bytes_for,
 )
-from .cmcnc import SubsetCache, cmcnc_decode, cmcnc_deliver, cmcnc_grid_t, cmcnc_place
+from .cmcnc import SubsetCache, cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
+    BudgetError,
     FileLibrary,
     GridError,
     IncompleteReceptionError,
@@ -27,11 +28,11 @@ from .proposed import (
     proposed_decode,
     proposed_deliver,
     proposed_place,
-    storage_grid_t,
 )
 from .routing import routing_decode, routing_deliver
 
 __all__ = [
+    "BudgetError",
     "FileLibrary",
     "GridError",
     "GroupedCache",
@@ -47,7 +48,6 @@ __all__ = [
     "broadcast_place",
     "cmcnc_decode",
     "cmcnc_deliver",
-    "cmcnc_grid_t",
     "cmcnc_place",
     "distinct_demand",
     "prefix_bytes_for",
@@ -58,7 +58,6 @@ __all__ = [
     "random_library",
     "routing_decode",
     "routing_deliver",
-    "storage_grid_t",
     "uniform_demand",
     "validate_demand",
 ]

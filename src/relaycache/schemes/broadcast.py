@@ -21,6 +21,7 @@ from typing import Iterator, Mapping, Sequence
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
+    CacheView,
     FileLibrary,
     IncompleteReceptionError,
     Record,
@@ -45,7 +46,7 @@ def prefix_bytes_for(lib: FileLibrary, n_files_declared: int, M) -> int:
 
 
 @dataclass(frozen=True)
-class PrefixCache:
+class PrefixCache(CacheView):
     """Every user caches the first ``prefix_bytes`` of every file."""
 
     net: Network
@@ -68,12 +69,6 @@ class PrefixCache:
     def cached_bits(self, user: int) -> int:
         return self.lib.n_files * self.prefix_bytes * 8
 
-    def signature(self, user: int) -> frozenset:
-        return frozenset(self.keys(user))
-
-    def materialize(self, user: int) -> dict:
-        return {n: self.get(user, n) for n in self.keys(user)}
-
 
 def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
     return PrefixCache(
@@ -90,30 +85,32 @@ def _label(n: int, piece: int, octets: int) -> str:
 
 def broadcast_mds_deliver(
     net: Network,
-    lib: FileLibrary,
-    M,
+    cache: PrefixCache,
     demand: tuple[int, ...],
     code: ErasureCode,
 ) -> TransmissionLog:
+    lib = cache.lib
     validate_demand(net, lib.n_files, demand)
     if (code.n, code.k) != (net.h, net.r):
         raise ValueError(f"need an ({net.h}, {net.r}) code, got ({code.n}, {code.k})")
     log = TransmissionLog()
-    prefix = prefix_bytes_for(lib, lib.n_files, M)
+    prefix = cache.prefix_bytes
     suffix = lib.file_bytes - prefix
     if suffix == 0:
         return log
     part_bytes = -(-suffix // net.r)  # ceil; zero-pad the tail part
+    by_file = []  # by_file[n - 1][i - 1]: the record of file n on server edge i
     for n in range(1, lib.n_files + 1):
         data = lib.file(n)[prefix:] + bytes(part_bytes * net.r - suffix)
         parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(net.r)]
         pieces = mds_encode(code, parts)
-        for i in range(1, net.h + 1):
-            log.add_server(i, Record(_label(n, i, suffix), pieces[i - 1]))
+        records = [Record(_label(n, i, suffix), pieces[i - 1]) for i in range(1, net.h + 1)]
+        for i, rec in enumerate(records, start=1):
+            log.add_server(i, rec)
+        by_file.append(records)
     for i in range(1, net.h + 1):
-        by_file = {rec.fields()["n"]: rec for rec in log.server_edges[i]}
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, by_file[str(demand[u])])
+            log.forward(i, u, by_file[demand[u] - 1][i - 1])
     return log
 
 

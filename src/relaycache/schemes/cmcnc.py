@@ -25,24 +25,16 @@ from ..combinatorics import binomial, enumerate_subsets, subset_rank
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
+    CacheView,
     FileLibrary,
-    GridError,
     IncompleteReceptionError,
     Record,
     SubpacketizationError,
     TransmissionLog,
     fmt_subset,
+    grid_t,
     validate_demand,
 )
-
-
-def cmcnc_grid_t(net: Network, n_files: int, M) -> int:
-    """Replication degree t' = K*M/N; GridError if M is off the grid."""
-    t = Fraction(M) * net.K / n_files
-    if t.denominator != 1 or not 0 <= t <= net.K:
-        step = Fraction(n_files, net.K)
-        raise GridError(f"M={M} is not a multiple of N/K = {step} within [0, {n_files}]")
-    return int(t)
 
 
 @lru_cache(maxsize=32)
@@ -52,7 +44,7 @@ def _held(K: int, t: int, k: int) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class SubsetCache:
+class SubsetCache(CacheView):
     """Uncoded placement over (n, S)-indexed subfiles, S a t'-subset of [K].
 
     Subfile (n, S) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)``
@@ -103,16 +95,10 @@ class SubsetCache:
         per_file = binomial(self.net.K - 1, self.t - 1)
         return self.lib.n_files * per_file * self.subfile_bytes * 8
 
-    def signature(self, user: int) -> frozenset:
-        return frozenset(self.keys(user))
-
-    def materialize(self, user: int) -> dict:
-        return {key: self.get(user, key) for key in self.keys(user)}
-
 
 def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     """Split files over user subsets; file size must allow the r-way split too."""
-    t = cmcnc_grid_t(net, lib.n_files, M)
+    t = grid_t(net.K, lib.n_files, M, "K")
     nsub = net.r * binomial(net.K, t)
     if lib.file_bytes % nsub != 0:
         raise SubpacketizationError(

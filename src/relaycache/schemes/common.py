@@ -13,11 +13,12 @@ Conventions used by every scheme:
   already on that relay's server edge.
 
 Cache objects are lazy views over the library: they answer membership and
-content queries per user without materializing every subfile.  They all
-expose ``has(user, key)``, ``get(user, key)``, ``keys(user)``,
-``cached_bits(user)``, ``signature(user)`` and ``materialize(user)``; the
-key shape is scheme-specific.  ``get`` raises ``KeyError`` for anything the
-user did not cache, which keeps decoders honest about what they may read.
+content queries per user without materializing every subfile.  Each scheme's
+cache defines ``has(user, key)``, ``get(user, key)``, ``keys(user)`` and
+``cached_bits(user)``; the key shape is scheme-specific.  ``get`` raises
+``KeyError`` for anything the user did not cache, which keeps decoders
+honest about what they may read.  :class:`CacheView` derives
+``signature(user)`` and ``materialize(user)`` from ``keys`` and ``get``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -43,6 +45,36 @@ class SubpacketizationError(ValueError):
 
 class IncompleteReceptionError(RuntimeError):
     """A decoder is missing signals from one of its relays."""
+
+
+class BudgetError(ValueError):
+    """A run would exceed a fixed size budget (library bytes, demand vectors)."""
+
+
+# Largest library random_library builds: 1 GiB, refused before allocating.
+LIBRARY_BYTES_CAP = 2**30
+
+
+def grid_t(n: int, n_files: int, M, symbol: str) -> int:
+    """Replication degree t = n*M/N over ``n`` sharing candidates (Kt classes
+    or K users, named ``symbol`` in the message); GridError off the grid."""
+    t = Fraction(M) * n / n_files
+    if t.denominator != 1 or not 0 <= t <= n:
+        step = Fraction(n_files, n)
+        raise GridError(
+            f"M={M} is not a multiple of N/{symbol} = {step} within [0, {n_files}]"
+        )
+    return int(t)
+
+
+class CacheView:
+    """``signature`` and ``materialize`` for caches that define ``keys`` and ``get``."""
+
+    def signature(self, user: int) -> frozenset:
+        return frozenset(self.keys(user))
+
+    def materialize(self, user: int) -> dict:
+        return {key: self.get(user, key) for key in self.keys(user)}
 
 
 @dataclass(frozen=True)
@@ -79,6 +111,12 @@ class FileLibrary:
 
 
 def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
+    """N seeded random files; BudgetError above LIBRARY_BYTES_CAP in total."""
+    if n_files * file_bytes > LIBRARY_BYTES_CAP:
+        raise BudgetError(
+            f"library of {n_files} files x {file_bytes} bytes = "
+            f"{n_files * file_bytes} bytes exceeds the cap of {LIBRARY_BYTES_CAP}"
+        )
     rng = random.Random(seed)
     return FileLibrary(tuple(rng.randbytes(file_bytes) for _ in range(n_files)))
 
@@ -153,6 +191,12 @@ def _bits(records: Sequence[Record]) -> int:
     return 8 * sum(map(len, map(_payload_of, records)))
 
 
+def _signals(records: Sequence[Record]) -> list[dict]:
+    return [
+        {"label": r.label, "bits": r.bits, "payload": r.payload.hex()} for r in records
+    ]
+
+
 class _Fragments(dict):
     """Record -> its compact JSON object as bytes, rendered on first use."""
 
@@ -217,24 +261,11 @@ class TransmissionLog:
     def to_dict(self) -> dict:
         return {
             "server_edges": [
-                {
-                    "relay": relay,
-                    "signals": [
-                        {"label": r.label, "bits": r.bits, "payload": r.payload.hex()}
-                        for r in records
-                    ],
-                }
+                {"relay": relay, "signals": _signals(records)}
                 for relay, records in sorted(self.server_edges.items())
             ],
             "relay_edges": [
-                {
-                    "relay": relay,
-                    "user": user,
-                    "signals": [
-                        {"label": r.label, "bits": r.bits, "payload": r.payload.hex()}
-                        for r in records
-                    ],
-                }
+                {"relay": relay, "user": user, "signals": _signals(records)}
                 for (relay, user), records in sorted(self.relay_edges.items())
             ],
         }

@@ -29,31 +29,21 @@ from ..combinatorics import binomial, enumerate_subsets, position_in, subset_ran
 from ..erasure import xor_bytes
 from ..topology import Network
 from .common import (
+    CacheView,
     FileLibrary,
-    GridError,
     IncompleteReceptionError,
     Record,
     SubpacketizationError,
     TransmissionLog,
     fmt_subset,
+    grid_t,
     parse_subset,
     validate_demand,
 )
 
 
-def storage_grid_t(net: Network, n_files: int, M) -> int:
-    """Replication degree t = Kt*M/N; GridError if M is off the grid."""
-    t = Fraction(M) * net.num_classes / n_files
-    if t.denominator != 1 or not 0 <= t <= net.num_classes:
-        step = Fraction(n_files, net.num_classes)
-        raise GridError(
-            f"M={M} is not a multiple of N/Kt = {step} within [0, {n_files}]"
-        )
-    return int(t)
-
-
 @dataclass(frozen=True)
-class GroupedCache:
+class GroupedCache(CacheView):
     """Per-class uncoded placement over (n, T, l)-indexed subfiles."""
 
     net: Network
@@ -94,12 +84,6 @@ class GroupedCache:
         per_file = self.net.r * binomial(self.net.num_classes - 1, self.t - 1)
         return self.lib.n_files * per_file * self.subfile_bytes * 8
 
-    def signature(self, user: int) -> frozenset:
-        return frozenset(self.keys(user))
-
-    def materialize(self, user: int) -> dict:
-        return {key: self.get(user, key) for key in self.keys(user)}
-
 
 def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
     """Split files and populate caches by parallel class.
@@ -107,7 +91,7 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
     M must lie on the grid {0, N/Kt, 2N/Kt, ..., N} and the file size must
     split into r * C(Kt, t) whole-byte subfiles.
     """
-    t = storage_grid_t(net, lib.n_files, M)
+    t = grid_t(net.num_classes, lib.n_files, M, "Kt")
     nsub = net.r * binomial(net.num_classes, t)
     if lib.file_bytes % nsub != 0:
         raise SubpacketizationError(

@@ -1,5 +1,6 @@
 """Command-line parsing, subcommand behavior, and output determinism."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "64/64" in capsys.readouterr().out
+
+    def test_exhaustive_over_cap_is_config_error(self, capsys):
+        # 6^6 = 46,656 demand vectors, over EXHAUSTIVE_CAP.
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
+             "--schemes", "proposed", "--demands", "exhaustive"]
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "BudgetError"
+        assert "46656" in record["message"]
 
     def test_needs_verification_mode(self):
         with pytest.raises(ConfigError, match="verify needs"):

@@ -24,14 +24,6 @@ from relaycache.schemes.common import fmt_subset, parse_subset
 M = 2
 LIB = random_library(6, 30, seed=11)
 
-DELIVER = {
-    "proposed": "proposed_deliver",
-    "routing": "routing_deliver",
-    "cmcnc": "cmcnc_deliver",
-    "broadcast-mds": "broadcast_mds_deliver",
-}
-
-
 def signal_name(scheme, net, user, relay, rec):
     """How the decoder's error message names the signal behind ``rec``."""
     f = rec.fields()
@@ -105,7 +97,7 @@ def needed_record(net, scheme):
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_flipped_byte_fails_run_scheme(comb42, scheme, monkeypatch):
     relay, user, k = needed_record(comb42, scheme)
-    name = DELIVER[scheme]
+    name = harness.SCHEMES[scheme].deliver
     monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
     report = run_scheme(comb42, LIB, M, distinct_demand(comb42, 6), scheme)
     assert not report.decode_ok
@@ -115,7 +107,7 @@ def test_flipped_byte_fails_run_scheme(comb42, scheme, monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_flipped_byte_fails_verify(comb42, scheme, monkeypatch):
     relay, user, k = needed_record(comb42, scheme)
-    name = DELIVER[scheme]
+    name = harness.SCHEMES[scheme].deliver
     monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
     report = verify_all_demands(comb42, 6, M, scheme, mode="sampled", seed=3, count=4)
     assert not report.passed

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from relaycache.cli import main
 from relaycache.harness import SCHEME_IDS, run_scheme_with_log
 from relaycache.schemes import Record, TransmissionLog, distinct_demand, random_library
 
@@ -110,3 +111,65 @@ class TestStreamedDigest:
     def test_empty_log(self):
         log = TransmissionLog()
         assert log.digest() == reference_digest(log)
+
+
+# CLI output files on comb(4,2), N=6, seed 7, every scheme where the command
+# takes schemes (run takes one at a time).  Recorded before the scheme
+# registry replaced the per-scheme dispatch in the harness and the CLI.
+CLI_BASE = ["--topology", "comb:4,2", "--N", "6", "--seed", "7"]
+ALL_FOUR = ["--schemes", "proposed,routing,cmcnc,broadcast-mds"]
+STRUCTURED = ["--format", "structured"]
+RUN_PINS = {
+    "proposed": "5fa54d73c142435102721d666f2aaaecf77bbe23a6f179ceff74448faaef4ec9",
+    "routing": "c9913fc3e2d1eb8fbc6d3cda2fecb1c7e258f5501cae870067ef72fc1b38c047",
+    "cmcnc": "1840407726cdd7da51057a89f9a7a8778e1f5199e4ee4eac41ea04821c06def1",
+    "broadcast-mds": "994dff4f44a687d9d3f879624ca0abe2e141d568190d6c3cef52771e0d682a7c",
+}
+
+# output file -> (argv, sha256 of its bytes)
+CLI_OUTPUTS = {
+    "sweep.csv": (
+        ["sweep", "--M", "grid", *ALL_FOUR],
+        "e9ff2917181e4921ad1eb9c60b192f2aae64dea5bb75fb97210b374256ef6464",
+    ),
+    "sweep.json": (
+        ["sweep", "--M", "grid", *ALL_FOUR, *STRUCTURED],
+        "e88d53e1d1ed4ab60f33e0e7bf00aee70babf44c8deb51d63de1a7116a478773",
+    ),
+    "compare.csv": (
+        ["compare", "--M", "grid"],
+        "e43a6adfac356c9f065154dd14b9510e5c1a6f837a75fa0fc234aae27bffdcdf",
+    ),
+    "compare.json": (
+        ["compare", "--M", "grid", *STRUCTURED],
+        "d468907f5767ba1169f606d15ec042048032ca6324e2e9e7adf8fe2586cf0c27",
+    ),
+    "verify.json": (
+        ["verify", "--M", "grid", *ALL_FOUR, "--demands", "seeded-random",
+         "--count", "5"],
+        "56f4f7ec49ef35598ecc30ba06e96628fe7fbfb77db2d990fe382b3c4f2e9d56",
+    ),
+    **{
+        f"run_{s}_report.json": (["run", "--M", "2", "--schemes", s], pin)
+        for s, pin in RUN_PINS.items()
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("filename", sorted(CLI_OUTPUTS))
+def test_cli_output_pinned(tmp_path, capsys, filename):
+    argv, pin = CLI_OUTPUTS[filename]
+    assert main([*argv, *CLI_BASE, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sha256((tmp_path / filename).read_bytes()) == pin
+
+
+@pytest.mark.parametrize("filename", ["sweep.csv", "sweep.json", "compare.csv", "compare.json"])
+def test_table_on_stdout_pinned(capsys, filename):
+    argv, pin = CLI_OUTPUTS[filename]
+    assert main([*argv, *CLI_BASE]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == pin

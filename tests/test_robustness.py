@@ -2,7 +2,9 @@
 without pulling the heavy numeric stack into a plain import."""
 
 import ast
+import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,14 +19,17 @@ from relaycache.schemes import Record, TransmissionLog
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` on this checkout's sources, with one BLAS thread."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
         capture_output=True,
         text=True,
         timeout=120,
+        **kwargs,
     )
 
 
@@ -101,3 +106,19 @@ def test_import_loads_neither_numpy_nor_scipy():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _cap_address_space():
+    limit = 2**31  # 2 GiB: a library that does get allocated ends in MemoryError
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_oversized_library_is_refused_before_allocating():
+    # r * C(28, 14) subfiles per file: 84 files of 120,349,800 bytes.
+    args = ["run", "--topology", "comb:9,3", "--N", "84", "--M", "42",
+            "--schemes", "proposed"]
+    proc = run_python("-m", "relaycache.cli", *args, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    record = json.loads(proc.stderr)
+    assert record["error"] == "BudgetError"
+    assert "10109383200 bytes" in record["message"]

@@ -25,7 +25,8 @@ class TestRates:
     def test_full_broadcast_rate_at_m_zero(self, comb42, code42):
         lib = random_library(2, 8, seed=21)
         demand = (1, 2, 1, 2, 1, 2)
-        log = broadcast_mds_deliver(comb42, lib, 0, demand, code42)
+        cache = broadcast_place(comb42, lib, 0)
+        log = broadcast_mds_deliver(comb42, cache, demand, code42)
         for relay in range(1, 5):
             assert Fraction(log.server_bits(relay), lib.file_bits) == 1
         for (relay, user), _ in log.relay_edges.items():
@@ -35,7 +36,8 @@ class TestRates:
 
     def test_m_equals_n_sends_nothing(self, comb42, code42):
         lib = random_library(2, 8, seed=22)
-        log = broadcast_mds_deliver(comb42, lib, 2, uniform_demand(comb42), code42)
+        cache = broadcast_place(comb42, lib, 2)
+        log = broadcast_mds_deliver(comb42, cache, uniform_demand(comb42), code42)
         assert not log.server_edges and not log.relay_edges
 
 
@@ -58,7 +60,7 @@ class TestDecode:
         lib = random_library(2, 8, seed=25)
         cache = broadcast_place(comb42, lib, 0)
         for demand in all_demands(comb42, 2):
-            log = broadcast_mds_deliver(comb42, lib, 0, demand, code42)
+            log = broadcast_mds_deliver(comb42, cache, demand, code42)
             for u in range(comb42.K):
                 out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
                 assert out == lib.file(demand[u])
@@ -67,7 +69,7 @@ class TestDecode:
         lib = random_library(2, 8, seed=26)
         cache = broadcast_place(comb42, lib, 1)
         demand = (2, 2, 1, 1, 2, 1)
-        log = broadcast_mds_deliver(comb42, lib, 1, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand, code42)
         for u in range(comb42.K):
             out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
             assert out == lib.file(demand[u])
@@ -77,7 +79,7 @@ class TestDecode:
         lib = random_library(3, 5, seed=27)
         cache = broadcast_place(comb42, lib, 0)
         demand = (3, 1, 2, 3, 1, 2)
-        log = broadcast_mds_deliver(comb42, lib, 0, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand, code42)
         assert log.server_edges[1][0].fields()["octets"] == "5"
         for u in range(comb42.K):
             out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
