@@ -183,6 +183,8 @@ def _merge_config_file(ns: argparse.Namespace) -> argparse.Namespace:
         value = getattr(ns, key)
         if value is not None and not isinstance(value, int):
             raise ConfigError(f"config field {key!r} must be an integer")
+    if ns.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {ns.count}")
     return ns
 
 

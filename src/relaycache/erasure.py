@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .combinatorics import enumerate_subsets
 
@@ -144,6 +145,18 @@ def _check_mds(code: ErasureCode) -> None:
             ) from None
 
 
+def _combine(rows: Iterable[Sequence[int]], buffers: list[bytes]) -> list[bytes]:
+    """One buffer per row: the GF(256) sum of ``buffers`` scaled by the row."""
+    out = []
+    for row in rows:
+        acc = bytes(len(buffers[0]))
+        for coeff, buf in zip(row, buffers):
+            if coeff:
+                acc = xor_bytes(acc, gf_scale(buf, coeff))
+        out.append(acc)
+    return out
+
+
 def encode(code: ErasureCode, data: list[bytes]) -> list[bytes]:
     """Encode k equal-length data pieces into n pieces of the same length.
 
@@ -154,14 +167,7 @@ def encode(code: ErasureCode, data: list[bytes]) -> list[bytes]:
     size = len(data[0])
     if any(len(d) != size for d in data):
         raise ValueError("data pieces must all have the same length")
-    pieces = list(data[: code.k])
-    for row in code.generator[code.k :]:
-        acc = bytes(size)
-        for coeff, piece in zip(row, data):
-            if coeff:
-                acc = xor_bytes(acc, gf_scale(piece, coeff))
-        pieces.append(acc)
-    return pieces
+    return list(data) + _combine(code.generator[code.k :], data)
 
 
 def decode(code: ErasureCode, pieces: list[tuple[int, bytes]]) -> list[bytes]:
@@ -176,12 +182,4 @@ def decode(code: ErasureCode, pieces: list[tuple[int, bytes]]) -> list[bytes]:
     size = len(pieces[0][1])
     if any(len(p) != size for _, p in pieces):
         raise ValueError("pieces must all have the same length")
-    inverse = code.inverse_for(indices)
-    out = []
-    for row in inverse:
-        acc = bytes(size)
-        for coeff, (_, payload) in zip(row, pieces):
-            if coeff:
-                acc = xor_bytes(acc, gf_scale(payload, coeff))
-        out.append(acc)
-    return out
+    return _combine(code.inverse_for(indices), [payload for _, payload in pieces])

@@ -8,8 +8,9 @@ piece i goes over server edge i.  A relay forwards to each neighbor only
 the piece of the one file that neighbor asked for, so each user collects r
 distinct pieces of its file's suffix and erasure-decodes it.
 
-When the suffix does not split evenly into r parts it is zero-padded; the
-true byte length rides in the label (``octets=``) and is trimmed on decode.
+When the suffix does not split evenly into r parts it is zero-padded.  The
+label's ``octets=`` field records the true suffix length; the decoder knows
+that length from its own cache and trims the padding with it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from ..topology import Network
 from .common import (
     CacheView,
     FileLibrary,
-    IncompleteReceptionError,
     Record,
     SubpacketizationError,
     TransmissionLog,
+    payloads,
     validate_demand,
 )
 
@@ -104,13 +105,13 @@ def broadcast_mds_deliver(
         data = lib.file(n)[prefix:] + bytes(part_bytes * net.r - suffix)
         parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(net.r)]
         pieces = mds_encode(code, parts)
-        records = [Record(_label(n, i, suffix), pieces[i - 1]) for i in range(1, net.h + 1)]
-        for i, rec in enumerate(records, start=1):
-            log.add_server(i, rec)
-        by_file.append(records)
+        by_file.append(
+            [Record(_label(n, i, suffix), piece) for i, piece in enumerate(pieces, 1)]
+        )
     for i in range(1, net.h + 1):
+        log.add_server(i, [records[i - 1] for records in by_file])
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, by_file[demand[u] - 1][i - 1])
+            log.forward(i, u, [by_file[demand[u] - 1][i - 1]])
     return log
 
 
@@ -128,20 +129,9 @@ def broadcast_decode(
     if suffix_len == 0:
         return prefix
 
-    V = net.users[user]
-    pieces = []
-    octets = suffix_len
-    for i in V:
-        match = None
-        for rec in received.get(i, ()):
-            f = rec.fields()
-            if int(f["n"]) == want:
-                match = (i, rec.payload)
-                octets = int(f["octets"])
-        if match is None:
-            raise IncompleteReceptionError(
-                f"user {user} received no piece of file {want} from relay {i}"
-            )
-        pieces.append(match)
-    suffix = b"".join(mds_decode(code, pieces))[:octets]
+    pieces = [
+        (i, payloads(user, i, received, [_label(want, i, suffix_len)])[0])
+        for i in net.users[user]
+    ]
+    suffix = b"".join(mds_decode(code, pieces))[:suffix_len]
     return prefix + suffix

@@ -27,12 +27,12 @@ from ..topology import Network
 from .common import (
     CacheView,
     FileLibrary,
-    IncompleteReceptionError,
     Record,
     SubpacketizationError,
     TransmissionLog,
     fmt_subset,
     grid_t,
+    payloads,
     validate_demand,
 )
 
@@ -179,34 +179,12 @@ def cmcnc_deliver(
         for j in range(net.r)
     ]
     for i, piece in enumerate(mds_encode(code, parts), 1):
-        payloads = [piece[o : o + part] for o in range(0, len(piece), part)]
-        records = list(map(Record, plan.labels[i - 1], payloads))
-        log.add_server_batch(i, records)
+        chunks = [piece[o : o + part] for o in range(0, len(piece), part)]
+        records = list(map(Record, plan.labels[i - 1], chunks))
+        log.add_server(i, records)
         for u in net._neighbors[i - 1]:
-            log.forward_batch(i, u, records)
+            log.forward(i, u, records)
     return log
-
-
-def _pieces(
-    user: int,
-    V: tuple[int, ...],
-    received: Mapping[int, Sequence[Record]],
-    plan: _Plan,
-    mine: Sequence[int],
-) -> list[tuple[int, bytes]]:
-    """Each relay's pieces of signals ``mine``, concatenated, as MDS input."""
-    got = {i: dict(received.get(i, ())) for i in V}
-    try:
-        return [(i, b"".join([got[i][plan.labels[i - 1][s]] for s in mine])) for i in V]
-    except KeyError:
-        for s in mine:
-            missing = [i for i in V if plan.labels[i - 1][s] not in got[i]]
-            if missing:
-                S = fmt_subset(plan.subsets[s])
-                raise IncompleteReceptionError(
-                    f"user {user} lacks piece(s) of signal S={S} from relay(s) {missing}"
-                ) from None
-        raise
 
 
 def cmcnc_decode(
@@ -227,7 +205,10 @@ def cmcnc_decode(
     plan = _plan(K, t, net.h)
     groups = [plan.at[p][user] for p in range(t + 1)]
     mine = [s for group in groups for s in group]
-    pieces = _pieces(user, net.users[user], received, plan, mine)
+    pieces = []
+    for i in net.users[user]:
+        labels = map(plan.labels[i - 1].__getitem__, mine)
+        pieces.append((i, b"".join(payloads(user, i, received, labels))))
     data = mds_decode(code, pieces)
     part = size // net.r
     signals = b"".join([d[o : o + part] for o in range(0, len(data[0]), part) for d in data])

@@ -7,10 +7,12 @@ Conventions used by every scheme:
 * A demand vector is a tuple of length K mapping user index (0-based
   position in ``net.users``) to a requested file id in 1..N.
 * Every transmitted signal is a :class:`Record` with a canonical label, so
-  two runs of the same experiment produce byte-identical logs.
+  two runs of the same experiment produce byte-identical logs.  The label
+  is the signal's only identity: each scheme builds it with one function,
+  which delivery and decoding both call, and no code parses it back.
+  Decoders look records up by label with :func:`payloads`.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
-  and :meth:`TransmissionLog.forward_batch` reject a record that is not
-  already on that relay's server edge.
+  rejects a record that is not already on that relay's server edge.
 
 Cache objects are lazy views over the library: they answer membership and
 content queries per user without materializing every subfile.  Each scheme's
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..topology import Network
 
@@ -162,12 +164,6 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
 
 
-def parse_subset(text: str) -> tuple[int, ...]:
-    if text == "-":
-        return ()
-    return tuple(int(x) for x in text.split("."))
-
-
 class Record(NamedTuple):
     """One signal on one edge: canonical label plus payload bytes."""
 
@@ -178,9 +174,22 @@ class Record(NamedTuple):
     def bits(self) -> int:
         return 8 * len(self.payload)
 
-    def fields(self) -> dict[str, str]:
-        parts = self.label.split(":")
-        return dict(p.split("=", 1) for p in parts[1:])
+
+def payloads(
+    user: int, relay: int, received: Mapping[int, Sequence[Record]], labels: Iterable[str]
+) -> list[bytes]:
+    """The payloads of ``labels`` in ``relay``'s feed to ``user``, in order.
+
+    Raises IncompleteReceptionError naming the first label the relay did not
+    deliver.
+    """
+    feed = dict(received.get(relay, ()))
+    try:
+        return [feed[label] for label in labels]
+    except KeyError as exc:
+        raise IncompleteReceptionError(
+            f"user {user} did not receive {exc.args[0]!r} from relay {relay}"
+        ) from None
 
 
 _label_of = attrgetter("label")
@@ -223,27 +232,23 @@ class TransmissionLog:
     relay_edges: dict[tuple[int, int], list[Record]] = field(default_factory=dict)
     _seen: dict[int, set[str]] = field(default_factory=dict, repr=False)
 
-    def add_server(self, relay: int, rec: Record) -> None:
-        self.server_edges.setdefault(relay, []).append(rec)
-        self._seen.setdefault(relay, set()).add(rec.label)
+    def add_server(self, relay: int, records: Sequence[Record]) -> None:
+        """Append ``records`` to server edge ``relay``; none adds no edge."""
+        if records:
+            self._seen.setdefault(relay, set()).update(map(_label_of, records))
+            self.server_edges.setdefault(relay, []).extend(records)
 
-    def add_server_batch(self, relay: int, records: Sequence[Record]) -> None:
-        self.server_edges.setdefault(relay, []).extend(records)
-        self._seen.setdefault(relay, set()).update(map(_label_of, records))
-
-    def forward(self, relay: int, user: int, rec: Record) -> None:
-        if rec.label not in self._seen.get(relay, ()):
-            raise ValueError(
-                f"relay {relay} cannot forward {rec.label!r}: not on its server edge"
-            )
-        self.relay_edges.setdefault((relay, user), []).append(rec)
-
-    def forward_batch(self, relay: int, user: int, records: Sequence[Record]) -> None:
+    def forward(self, relay: int, user: int, records: Sequence[Record]) -> None:
+        """Append ``records`` to edge (relay, user); each must already be on
+        the relay's server edge.  None adds no edge."""
         seen = self._seen.get(relay, set())
         if not seen.issuperset(map(_label_of, records)):
-            # forward() raises for the first record the relay never received.
-            self.forward(relay, user, next(r for r in records if r.label not in seen))
-        self.relay_edges.setdefault((relay, user), []).extend(records)
+            label = next(r.label for r in records if r.label not in seen)
+            raise ValueError(
+                f"relay {relay} cannot forward {label!r}: not on its server edge"
+            )
+        if records:
+            self.relay_edges.setdefault((relay, user), []).extend(records)
 
     def server_bits(self, relay: int) -> int:
         return _bits(self.server_edges.get(relay, ()))

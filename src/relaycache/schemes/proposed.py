@@ -31,13 +31,12 @@ from ..topology import Network
 from .common import (
     CacheView,
     FileLibrary,
-    IncompleteReceptionError,
     Record,
     SubpacketizationError,
     TransmissionLog,
     fmt_subset,
     grid_t,
-    parse_subset,
+    payloads,
     validate_demand,
 )
 
@@ -116,18 +115,21 @@ def proposed_deliver(
     kt, t = net.num_classes, cache.t
     if t + 1 > kt:
         return log
+    signals = enumerate_subsets(kt, t + 1)
     for i in range(1, net.h + 1):
-        for C in enumerate_subsets(kt, t + 1):
+        records = []
+        for C in signals:
             payload = bytes(cache.subfile_bytes)
             for c in C:
                 u = net._class_rep[(i, c)]
                 T = tuple(x for x in C if x != c)
                 l = position_in(net.users[u], i)
                 payload = xor_bytes(payload, cache.subfile(demand[u], T, l))
-            rec = Record(_server_label(i, C), payload)
-            log.add_server(i, rec)
-            for c in C:
-                log.forward(i, net._class_rep[(i, c)], rec)
+            records.append(Record(_server_label(i, C), payload))
+        log.add_server(i, records)
+        for u in net._neighbors[i - 1]:
+            mine = net.class_of[u]
+            log.forward(i, u, [rec for C, rec in zip(signals, records) if mine in C])
     return log
 
 
@@ -138,41 +140,32 @@ def proposed_decode(
     demand: tuple[int, ...],
     received: Mapping[int, Sequence[Record]],
 ) -> bytes:
-    """Reassemble the demanded file from the cache and the r relay feeds."""
+    """Reassemble the demanded file from the cache and the r relay feeds.
+
+    Subfile (T, l) with the user's class outside T comes from relay V[l] in
+    the signal for C = T + {class}; the user cancels the other t terms.
+    """
     V = net.users[user]
     mine = net.class_of[user]
-    kt, t = net.num_classes, cache.t
-
-    recovered: dict[tuple[tuple[int, ...], int], bytes] = {}
-    for i in V:
-        l = position_in(V, i)
-        for rec in received.get(i, ()):
-            C = parse_subset(rec.fields()["C"])
-            if mine not in C:
-                continue
-            payload = rec.payload
-            for c in C:
-                if c == mine:
-                    continue
+    subsets = enumerate_subsets(net.num_classes, cache.t)
+    signals = [tuple(sorted((*T, mine))) for T in subsets if mine not in T]
+    # feeds[l - 1] yields relay V[l]'s payload of each signal, in order.
+    feeds = [
+        iter(payloads(user, i, received, [_server_label(i, C) for C in signals]))
+        for i in V
+    ]
+    parts = []
+    for T in subsets:
+        if mine in T:
+            parts += [cache.get(user, (demand[user], T, l)) for l in range(1, net.r + 1)]
+            continue
+        C = tuple(sorted((*T, mine)))
+        for i, feed in zip(V, feeds):
+            piece = next(feed)
+            for c in T:
                 other = net._class_rep[(i, c)]
                 T_other = tuple(x for x in C if x != c)
                 l_other = position_in(net.users[other], i)
-                payload = xor_bytes(
-                    payload, cache.get(user, (demand[other], T_other, l_other))
-                )
-            recovered[(tuple(x for x in C if x != mine), l)] = payload
-
-    parts = []
-    for T in enumerate_subsets(kt, t):
-        for l in range(1, net.r + 1):
-            if mine in T:
-                parts.append(cache.get(user, (demand[user], T, l)))
-            else:
-                piece = recovered.get((T, l))
-                if piece is None:
-                    raise IncompleteReceptionError(
-                        f"user {user} is missing subfile (T={fmt_subset(T)}, l={l}); "
-                        f"no usable signal from relay {V[l - 1]}"
-                    )
-                parts.append(piece)
+                piece = xor_bytes(piece, cache.get(user, (demand[other], T_other, l_other)))
+            parts.append(piece)
     return b"".join(parts)

@@ -13,14 +13,7 @@ from typing import Mapping, Sequence
 
 from ..combinatorics import enumerate_subsets, position_in
 from ..topology import Network
-from .common import (
-    IncompleteReceptionError,
-    Record,
-    TransmissionLog,
-    fmt_subset,
-    parse_subset,
-    validate_demand,
-)
+from .common import Record, TransmissionLog, fmt_subset, payloads, validate_demand
 from .proposed import GroupedCache
 
 
@@ -33,18 +26,19 @@ def routing_deliver(
 ) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    kt, t = net.num_classes, cache.t
+    subsets = enumerate_subsets(net.num_classes, cache.t)
     for i in range(1, net.h + 1):
         for u in net._neighbors[i - 1]:
             V = net.users[u]
             l = position_in(V, i)
             label = net.class_of[u]
-            for T in enumerate_subsets(kt, t):
-                if label in T:
-                    continue
-                rec = Record(_label(i, V, T, l), cache.subfile(demand[u], T, l))
-                log.add_server(i, rec)
-                log.forward(i, u, rec)
+            records = [
+                Record(_label(i, V, T, l), cache.subfile(demand[u], T, l))
+                for T in subsets
+                if label not in T
+            ]
+            log.add_server(i, records)
+            log.forward(i, u, records)
     return log
 
 
@@ -57,27 +51,17 @@ def routing_decode(
 ) -> bytes:
     V = net.users[user]
     mine = net.class_of[user]
-    kt, t = net.num_classes, cache.t
-
-    delivered: dict[tuple[tuple[int, ...], int], bytes] = {}
-    for i in V:
-        for rec in received.get(i, ()):
-            f = rec.fields()
-            if parse_subset(f["V"]) != V:
-                continue
-            delivered[(parse_subset(f["T"]), int(f["l"]))] = rec.payload
-
-    parts = []
-    for T in enumerate_subsets(kt, t):
-        for l in range(1, net.r + 1):
-            if mine in T:
-                parts.append(cache.get(user, (demand[user], T, l)))
-            else:
-                piece = delivered.get((T, l))
-                if piece is None:
-                    raise IncompleteReceptionError(
-                        f"user {user} is missing subfile (T={fmt_subset(T)}, l={l}); "
-                        f"nothing received from relay {V[l - 1]}"
-                    )
-                parts.append(piece)
-    return b"".join(parts)
+    subsets = enumerate_subsets(net.num_classes, cache.t)
+    missing = [T for T in subsets if mine not in T]
+    # feeds[l - 1] yields relay V[l]'s copy-l subfile of each missing T, in order.
+    feeds = [
+        iter(payloads(user, i, received, [_label(i, V, T, l) for T in missing]))
+        for l, i in enumerate(V, 1)
+    ]
+    return b"".join(
+        [
+            cache.get(user, (demand[user], T, l)) if mine in T else next(feeds[l - 1])
+            for T in subsets
+            for l in range(1, net.r + 1)
+        ]
+    )

@@ -177,6 +177,40 @@ class TestVerifyCommand:
         assert record["error"] == "BudgetError"
         assert "46656" in record["message"]
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_config_error(self, count, capsys):
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
+             "--schemes", "proposed", "--demands", "seeded-random",
+             "--count", str(count)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "demand vectors decode" not in captured.out
+        record = json.loads(captured.err)
+        assert record["error"] == "ConfigError"
+        assert f"--count must be at least 1, got {count}" in record["message"]
+
+    def test_count_below_one_from_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"topology": "comb:4,2", "N": 6, "count": 0}))
+        code = main(
+            ["verify", "--config", str(config), "--M", "2", "--schemes", "proposed",
+             "--demands", "seeded-random"]
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "--count must be at least 1, got 0" in record["message"]
+
+    def test_count_of_one_verifies_one_vector(self, capsys):
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
+             "--schemes", "proposed", "--demands", "seeded-random", "--count", "1"]
+        )
+        assert code == 0
+        assert "1/1 demand vectors decode" in capsys.readouterr().out
+
     def test_needs_verification_mode(self):
         with pytest.raises(ConfigError, match="verify needs"):
             parse_config(

@@ -9,7 +9,6 @@ from relaycache.schemes.common import (
     all_demands,
     distinct_demand,
     fmt_subset,
-    parse_subset,
     random_library,
     uniform_demand,
     validate_demand,
@@ -61,10 +60,6 @@ class TestDemands:
 
 
 class TestSubsetLabels:
-    @pytest.mark.parametrize("subset", [(), (3,), (1, 2, 5)])
-    def test_round_trip(self, subset):
-        assert parse_subset(fmt_subset(subset)) == subset
-
     def test_empty_renders_as_dash(self):
         assert fmt_subset(()) == "-"
 
@@ -73,29 +68,30 @@ class TestTransmissionLog:
     def test_relays_forward_only_what_they_received(self):
         log = TransmissionLog()
         rec = Record("x:i=1:C=1", b"\x01")
-        log.add_server(1, rec)
-        log.forward(1, 0, rec)
+        log.add_server(1, [rec])
+        log.forward(1, 0, [rec])
         with pytest.raises(ValueError, match="cannot forward"):
-            log.forward(2, 0, rec)
+            log.forward(2, 0, [rec])
 
     def test_bit_accounting(self):
         log = TransmissionLog()
-        log.add_server(1, Record("a", b"xy"))
-        log.add_server(1, Record("b", b"z"))
+        log.add_server(1, [Record("a", b"xy")])
+        log.add_server(1, [Record("b", b"z")])
         assert log.server_bits(1) == 24
         assert log.server_bits(2) == 0
         assert log.relay_bits(1, 0) == 0
 
     def test_record_fields(self):
         rec = Record("prop:i=2:C=1.3", b"")
-        assert rec.fields() == {"i": "2", "C": "1.3"}
+        assert rec._fields == ("label", "payload")
+        assert (rec.label, rec.payload) == ("prop:i=2:C=1.3", b"")
         assert rec.bits == 0
 
     def test_serialization_shape_and_digest(self):
         log = TransmissionLog()
         rec = Record("a:i=1:C=1", b"\xab")
-        log.add_server(1, rec)
-        log.forward(1, 4, rec)
+        log.add_server(1, [rec])
+        log.forward(1, 4, [rec])
         data = log.to_dict()
         assert data["server_edges"] == [
             {
@@ -110,31 +106,32 @@ class TestTransmissionLog:
     def test_to_user_groups_by_relay(self):
         log = TransmissionLog()
         r1, r2 = Record("a:i=1", b"1"), Record("b:i=2", b"2")
-        log.add_server(1, r1)
-        log.add_server(2, r2)
-        log.forward(1, 0, r1)
-        log.forward(2, 0, r2)
-        log.forward(2, 1, r2)
+        log.add_server(1, [r1])
+        log.add_server(2, [r2])
+        log.forward(1, 0, [r1])
+        log.forward(2, 0, [r2])
+        log.forward(2, 1, [r2])
         assert log.to_user(0) == {1: [r1], 2: [r2]}
         assert log.to_user(1) == {2: [r2]}
 
-    def test_batches_match_single_records(self):
-        recs = [Record("a:i=1", b"1"), Record("b:i=1", b"22")]
-        single, batch = TransmissionLog(), TransmissionLog()
-        for rec in recs:
-            single.add_server(1, rec)
-        for rec in recs:
-            single.forward(1, 3, rec)
-        batch.add_server_batch(1, recs)
-        batch.forward_batch(1, 3, recs)
-        assert batch.to_dict() == single.to_dict()
-        assert batch.digest() == single.digest()
+    def test_empty_sequences_add_no_edge(self):
+        log = TransmissionLog()
+        log.add_server(1, [])
+        log.forward(1, 0, [])
+        assert (log.server_edges, log.relay_edges) == ({}, {})
+        assert log.to_dict() == TransmissionLog().to_dict()
+        assert log.digest() == TransmissionLog().digest()
+        rec = Record("a:i=1", b"1")
+        log.add_server(1, [rec])
+        log.forward(1, 0, ())
+        log.forward(1, 2, [rec])
+        assert log.relay_edges == {(1, 2): [rec]}
 
     def test_batch_forward_checks_every_record(self):
         log = TransmissionLog()
-        log.add_server_batch(1, [Record("a:i=1", b"1")])
+        log.add_server(1, [Record("a:i=1", b"1")])
         with pytest.raises(ValueError, match="cannot forward 'z:i=1'"):
-            log.forward_batch(1, 0, [Record("a:i=1", b"1"), Record("z:i=1", b"9")])
+            log.forward(1, 0, [Record("a:i=1", b"1"), Record("z:i=1", b"9")])
         with pytest.raises(ValueError, match="cannot forward"):
-            log.forward_batch(2, 0, [Record("a:i=1", b"1")])
+            log.forward(2, 0, [Record("a:i=1", b"1")])
         assert log.relay_edges == {}

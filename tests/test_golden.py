@@ -91,11 +91,9 @@ class TestStreamedDigest:
             Record("c:ctrl\n\t\x01", b"\x7f"),
         ]
         for relay in (2, 1):
-            for rec in recs:
-                log.add_server(relay, rec)
+            log.add_server(relay, recs)
         for relay, user in ((1, 3), (1, 0), (2, 0)):
-            for rec in recs[::-1]:
-                log.forward(relay, user, rec)
+            log.forward(relay, user, recs[::-1])
         assert log.digest() == reference_digest(log)
 
     def test_distinct_payload_under_a_shared_label(self):
@@ -103,8 +101,8 @@ class TestStreamedDigest:
         # to its server copy; the digest must render each one on its own.
         log = TransmissionLog()
         rec = Record("x:i=1", b"\x01\x02")
-        log.add_server(1, rec)
-        log.forward(1, 0, rec)
+        log.add_server(1, [rec])
+        log.forward(1, 0, [rec])
         log.relay_edges[(1, 0)].append(Record("x:i=1", b"\x01\x03"))
         assert log.digest() == reference_digest(log)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from relaycache.harness import (
     EXHAUSTIVE_CAP,
+    SCHEMES,
     achievable_rate,
     auto_file_bytes,
     binary_entropy_nats,
@@ -22,6 +23,9 @@ from relaycache.schemes import distinct_demand, random_library, uniform_demand
 from relaycache.topology import affine_plane, combination_network, custom_network
 
 F = Fraction
+
+# Two parallel classes of three users over nine relays.
+TWO_CLASS_USERS = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)]
 
 
 class TestFormulaRates:
@@ -244,11 +248,7 @@ class TestCrossTopology:
         "make_net",
         [
             lambda: affine_plane(3),
-            lambda: custom_network(
-                9,
-                3,
-                [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)],
-            ),
+            lambda: custom_network(9, 3, TWO_CLASS_USERS),
             lambda: combination_network(6, 3),
         ],
         ids=["affine3", "two-class-design", "comb63"],
@@ -262,6 +262,28 @@ class TestCrossTopology:
         lib = random_library(n_files, size, seed=606)
         rep = run_scheme(net, lib, M, distinct_demand(net, n_files), scheme)
         assert rep.decode_ok and rep.formula_match, (scheme, net)
+
+    @given(st.sampled_from(["comb42", "affine3", "two-class-design"]), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_relay_relabeling(self, design, data):
+        """Renaming the relays by any permutation of [h] keeps every scheme
+        decoding and on its closed form at every grid point."""
+        net = {
+            "comb42": lambda: combination_network(4, 2),
+            "affine3": lambda: affine_plane(3),
+            "two-class-design": lambda: custom_network(9, 3, TWO_CLASS_USERS),
+        }[design]()
+        perm = data.draw(st.permutations(range(1, net.h + 1)), label="relay map")
+        net = custom_network(net.h, net.r, [[perm[i - 1] for i in V] for V in net.users])
+        n_files = net.K
+        for scheme, spec in SCHEMES.items():
+            steps = net.K if spec.grid == "K" else net.num_classes
+            for j in range(steps + 1):
+                M = F(j * n_files, steps)
+                size = auto_file_bytes(net, n_files, [M], [scheme])
+                lib = random_library(n_files, size, seed=j)
+                rep = run_scheme(net, lib, M, distinct_demand(net, n_files), scheme)
+                assert rep.decode_ok and rep.formula_match, (scheme, M, perm)
 
 
 class TestVerifyAllDemands:

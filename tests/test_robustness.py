@@ -37,10 +37,10 @@ def symmetric_log(net) -> TransmissionLog:
     """One 2-byte record on every server edge and every relay edge."""
     log = TransmissionLog()
     for i in range(1, net.h + 1):
-        rec = Record(f"x:i={i}", b"\x00\x01")
-        log.add_server(i, rec)
+        records = [Record(f"x:i={i}", b"\x00\x01")]
+        log.add_server(i, records)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, rec)
+            log.forward(i, u, records)
     return log
 
 
@@ -70,7 +70,7 @@ class TestMeasureSymmetry:
 
     def test_asymmetric_server_edges_raise(self, comb42):
         log = symmetric_log(comb42)
-        log.add_server(3, Record("extra", b"\x07"))
+        log.add_server(3, [Record("extra", b"\x07")])
         with pytest.raises(RuntimeError, match="server edges are not symmetric"):
             _measure(comb42, log, 32)
 
@@ -87,7 +87,7 @@ class TestMeasureSymmetry:
             "from relaycache.topology import combination_network\n"
             "net = combination_network(4, 2)\n"
             "log = TransmissionLog()\n"
-            "log.add_server(1, Record('x', b'12'))\n"
+            "log.add_server(1, [Record('x', b'12')])\n"
             "try:\n"
             "    _measure(net, log, 16)\n"
             "except RuntimeError as exc:\n"

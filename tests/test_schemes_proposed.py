@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -219,11 +220,12 @@ class TestRouting:
     def test_copy_index_follows_relay_position(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         log = routing_deliver(comb42, cache, distinct_demand(comb42, 6))
+        label = re.compile(r"rt:i=(\d+):V=([\d.]+):T=[\d.-]+:l=(\d+)")
         for relay, records in log.server_edges.items():
             for rec in records:
-                f = rec.fields()
-                V = tuple(int(x) for x in f["V"].split("."))
-                assert V[int(f["l"]) - 1] == relay
+                i, V, l = label.fullmatch(rec.label).groups()
+                assert int(i) == relay
+                assert tuple(int(x) for x in V.split("."))[int(l) - 1] == relay
 
     @pytest.mark.parametrize("M", [0, Fraction(2, 3), Fraction(4, 3), 2])
     def test_all_demands_recover_exactly(self, comb42, M):
