@@ -146,14 +146,18 @@ def _check_mds(code: ErasureCode) -> None:
 
 
 def _combine(rows: Iterable[Sequence[int]], buffers: list[bytes]) -> list[bytes]:
-    """One buffer per row: the GF(256) sum of ``buffers`` scaled by the row."""
+    """One buffer per row: the GF(256) sum of ``buffers`` scaled by the row.
+
+    Each row is summed as one integer XOR over the scaled buffers.
+    """
+    size = len(buffers[0])
     out = []
     for row in rows:
-        acc = bytes(len(buffers[0]))
+        acc = 0
         for coeff, buf in zip(row, buffers):
             if coeff:
-                acc = xor_bytes(acc, gf_scale(buf, coeff))
-        out.append(acc)
+                acc ^= int.from_bytes(gf_scale(buf, coeff), "big")
+        out.append(acc.to_bytes(size, "big"))
     return out
 
 

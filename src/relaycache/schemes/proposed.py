@@ -15,6 +15,18 @@ signal to exactly those t+1 neighbors.  Each receiver caches every term of
 the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
+Both ends work on all signals of a relay at once, from tables that the
+placement builds once and keeps for its lifetime: ``subset_plan`` (the
+t-subsets by rank and which of them each class holds, shared with the
+``routing`` scheme) and ``signal_plan`` (for every signal C and term
+position j, the class C[j] and the rank of C minus C[j]).  XOR acts byte by
+byte, so a relay joins the j-th term of every signal into one buffer, XORs
+the t+1 buffers as integers and slices the signals back out.  A decoder
+reads every term it cancels, on all r relays, in one membership-checked
+:meth:`GroupedCache.read`, XORs them away from its joined relay feeds the
+same way, and slices its file back together from the decoded and the
+cached subfiles.
+
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
 """
@@ -23,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets, position_in, subset_rank
-from ..erasure import xor_bytes
 from ..topology import Network
 from .common import (
     CacheView,
@@ -39,6 +52,56 @@ from .common import (
     payloads,
     validate_demand,
 )
+
+
+class _Subsets(NamedTuple):
+    """The t-subsets T of the Kt class labels, by rank; classes are 0-based."""
+
+    names: list[str]  # names[q]: the T of rank q, as written in labels
+    held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
+    missing: list[list[int]]  # missing[c]: ranks of the T without c, increasing
+
+
+class _Signals(NamedTuple):
+    """The (t+1)-subsets C of the Kt class labels, by rank s.
+
+    Classes are 0-based.  Term j of signal C is the subfile (d, C minus C[j],
+    l) demanded by the relay's neighbor in class C[j].
+    """
+
+    names: list[str]  # names[s]: the C of rank s, as written in labels
+    member: list[list[int]]  # member[j][s]: C[j]
+    rest: list[list[int]]  # rest[j][s]: rank of C minus C[j] among the T
+    at: list[list[list[int]]]  # at[j][c]: every s with C[j] == c, increasing
+
+
+def _index_subsets(kt: int, t: int) -> _Subsets:
+    subsets = enumerate_subsets(kt, t)
+    held: list[list[int]] = [[] for _ in range(kt)]
+    missing: list[list[int]] = [[] for _ in range(kt)]
+    for q, T in enumerate(subsets):
+        for c in range(kt):
+            (held if c + 1 in T else missing)[c].append(q)
+    return _Subsets(names=list(map(fmt_subset, subsets)), held=held, missing=missing)
+
+
+def _index_signals(kt: int, t: int) -> _Signals:
+    rank = {T: q for q, T in enumerate(enumerate_subsets(kt, t))}
+    signals = enumerate_subsets(kt, t + 1) if t < kt else []
+    at: list[list[list[int]]] = [[[] for _ in range(kt)] for _ in range(t + 1)]
+    for s, C in enumerate(signals):
+        for j, c in enumerate(C):
+            at[j][c - 1].append(s)
+    return _Signals(
+        names=list(map(fmt_subset, signals)),
+        member=[[C[j] - 1 for C in signals] for j in range(t + 1)],
+        rest=[[rank[C[:j] + C[j + 1 :]] for C in signals] for j in range(t + 1)],
+        at=at,
+    )
+
+
+def _in_range(values: Sequence[int], top: int) -> bool:
+    return not values or (1 <= min(values) and max(values) <= top)
 
 
 @dataclass(frozen=True)
@@ -55,21 +118,66 @@ class GroupedCache(CacheView):
     def subfiles_per_file(self) -> int:
         return self.net.r * binomial(self.net.num_classes, self.t)
 
-    def subfile(self, n: int, T: tuple[int, ...], l: int) -> bytes:
-        """Library-side subfile access (the server may read everything)."""
-        rank = subset_rank(self.net.num_classes, T)
-        offset = (rank * self.net.r + (l - 1)) * self.subfile_bytes
-        return self.lib.file(n)[offset : offset + self.subfile_bytes]
+    # The plan lives as long as the placement: one run of a scheme at one
+    # memory point, over every demand it serves.
+    @cached_property
+    def subset_plan(self) -> _Subsets:
+        return _index_subsets(self.net.num_classes, self.t)
+
+    @cached_property
+    def signal_plan(self) -> _Signals:
+        return _index_signals(self.net.num_classes, self.t)
+
+    def subfiles(
+        self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
+    ) -> bytes:
+        """Library-side access (the server may read everything): subfile
+        (files[j], T of rank ranks[j], copies[j]) for every j, concatenated."""
+        r, size = self.net.r, self.subfile_bytes
+        source = {n: self.lib.file(n) for n in set(files)}
+        return b"".join(
+            [
+                source[n][(q * r + l - 1) * size : (q * r + l) * size]
+                for n, q, l in zip(files, ranks, copies, strict=True)
+            ]
+        )
+
+    def read(
+        self, user: int, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
+    ) -> bytes:
+        """What ``user`` caches of :meth:`subfiles` (files, ranks, copies).
+
+        Raises KeyError, naming the first such (n, T, l), unless the user
+        caches all of them: T must contain the user's class, n lie in 1..N
+        and l in 1..r.
+        """
+        kt, N, r = self.net.num_classes, self.lib.n_files, self.net.r
+        held = frozenset(self.subset_plan.held[self.net.class_of[user] - 1])
+        if not (held.issuperset(ranks) and _in_range(files, N) and _in_range(copies, r)):
+            n, q, l = next(
+                (n, q, l)
+                for n, q, l in zip(files, ranks, copies, strict=True)
+                if not (q in held and 1 <= n <= N and 1 <= l <= r)
+            )
+            subsets = enumerate_subsets(kt, self.t)
+            T = subsets[q] if 0 <= q < len(subsets) else q
+            raise KeyError(f"user {user} does not cache {(n, T, l)}")
+        return self.subfiles(files, ranks, copies)
 
     def has(self, user: int, key: tuple) -> bool:
         n, T, l = key
-        return self.net.class_of[user] in T
+        return (
+            1 <= n <= self.lib.n_files
+            and 1 <= l <= self.net.r
+            and len(T) == self.t
+            and self.net.class_of[user] in T
+        )
 
     def get(self, user: int, key: tuple) -> bytes:
         if not self.has(user, key):
             raise KeyError(f"user {user} does not cache {key}")
         n, T, l = key
-        return self.subfile(n, T, l)
+        return self.subfiles((n,), (subset_rank(self.net.num_classes, T),), (l,))
 
     def keys(self, user: int) -> Iterator[tuple]:
         label = self.net.class_of[user]
@@ -102,8 +210,43 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
     )
 
 
-def _server_label(relay: int, C: tuple[int, ...]) -> str:
-    return f"prop:i={relay}:C={fmt_subset(C)}"
+def _labels(relay: int, signals: Iterable[str]) -> list[str]:
+    """Labels of ``relay``'s signals, each C given as written in labels."""
+    return list(map(f"prop:i={relay}:C=".__add__, signals))
+
+
+def _neighbors_of(
+    net: Network, demand: tuple[int, ...], relay: int
+) -> tuple[list[int], list[int]]:
+    """By 0-based class: the file that ``relay``'s neighbor in that class
+    demands, and that neighbor's copy index for the relay."""
+    users = [net._class_rep[(relay, c)] for c in range(1, net.num_classes + 1)]
+    return [demand[u] for u in users], [position_in(net.users[u], relay) for u in users]
+
+
+def _reassemble(
+    cache: GroupedCache, user: int, n: int, order: Sequence[int], decoded: Sequence[bytes]
+) -> bytes:
+    """File n from ``decoded`` and the subfiles of it that ``user`` caches.
+
+    ``decoded`` holds the subfiles (n, T, l) for l = 1, ..., r in turn and,
+    within each l, for the T of rank order[0], order[1], ...
+    """
+    r, size = cache.net.r, cache.subfile_bytes
+    own = cache.subset_plan.held[cache.net.class_of[user] - 1]
+    cached = cache.read(
+        user, [n] * (len(own) * r), [q for q in own for _ in range(r)], [*range(1, r + 1)] * len(own)
+    )
+    # parts[q * r + l - 1] is slot (T, l) of the file, T of rank q.  The r
+    # copies of a cached T are adjacent in the file and in ``cached``, so
+    # they move as one part.
+    m = len(order)
+    parts = [b""] * ((len(own) + m) * r)
+    for w, q in enumerate(own):
+        parts[q * r] = cached[w * r * size : (w + 1) * r * size]
+    for k, q in enumerate(order):
+        parts[q * r : (q + 1) * r] = decoded[k::m]
+    return b"".join(parts)
 
 
 def proposed_deliver(
@@ -115,21 +258,24 @@ def proposed_deliver(
     kt, t = net.num_classes, cache.t
     if t + 1 > kt:
         return log
-    signals = enumerate_subsets(kt, t + 1)
+    plan = cache.signal_plan
+    size = cache.subfile_bytes
+    total = len(plan.names) * size
     for i in range(1, net.h + 1):
-        records = []
-        for C in signals:
-            payload = bytes(cache.subfile_bytes)
-            for c in C:
-                u = net._class_rep[(i, c)]
-                T = tuple(x for x in C if x != c)
-                l = position_in(net.users[u], i)
-                payload = xor_bytes(payload, cache.subfile(demand[u], T, l))
-            records.append(Record(_server_label(i, C), payload))
+        file_of, copy_of = _neighbors_of(net, demand, i)
+        coded = 0
+        for classes, ranks in zip(plan.member, plan.rest):
+            files = list(map(file_of.__getitem__, classes))
+            copies = list(map(copy_of.__getitem__, classes))
+            coded ^= int.from_bytes(cache.subfiles(files, ranks, copies), "big")
+        signals = coded.to_bytes(total, "big")
+        chunks = [signals[o : o + size] for o in range(0, total, size)]
+        records = list(map(Record, _labels(i, plan.names), chunks))
         log.add_server(i, records)
         for u in net._neighbors[i - 1]:
-            mine = net.class_of[u]
-            log.forward(i, u, [rec for C, rec in zip(signals, records) if mine in C])
+            c = net.class_of[u] - 1
+            mine = sorted(chain.from_iterable(at[c] for at in plan.at))
+            log.forward(i, u, list(map(records.__getitem__, mine)))
     return log
 
 
@@ -145,27 +291,41 @@ def proposed_decode(
     Subfile (T, l) with the user's class outside T comes from relay V[l] in
     the signal for C = T + {class}; the user cancels the other t terms.
     """
+    t = cache.t
+    plan = cache.signal_plan
     V = net.users[user]
-    mine = net.class_of[user]
-    subsets = enumerate_subsets(net.num_classes, cache.t)
-    signals = [tuple(sorted((*T, mine))) for T in subsets if mine not in T]
-    # feeds[l - 1] yields relay V[l]'s payload of each signal, in order.
-    feeds = [
-        iter(payloads(user, i, received, [_server_label(i, C) for C in signals]))
-        for i in V
-    ]
-    parts = []
-    for T in subsets:
-        if mine in T:
-            parts += [cache.get(user, (demand[user], T, l)) for l in range(1, net.r + 1)]
-            continue
-        C = tuple(sorted((*T, mine)))
-        for i, feed in zip(V, feeds):
-            piece = next(feed)
-            for c in T:
-                other = net._class_rep[(i, c)]
-                T_other = tuple(x for x in C if x != c)
-                l_other = position_in(net.users[other], i)
-                piece = xor_bytes(piece, cache.get(user, (demand[other], T_other, l_other)))
-            parts.append(piece)
-    return b"".join(parts)
+    c = net.class_of[user] - 1
+    # My signals, grouped by my position p in C; each relay's feed in this order.
+    groups = [at[c] for at in plan.at]
+    names = [plan.names[s] for group in groups for s in group]
+    feeds = b"".join([b"".join(payloads(user, i, received, _labels(i, names))) for i in V])
+    block = len(names) * len(V) * cache.subfile_bytes
+    if len(feeds) != block:
+        raise ValueError(f"user {user} received {len(feeds)} signal bytes, expected {block}")
+
+    # Block x of the cancelled terms holds, relay by relay, the term of each
+    # signal's x-th other member.
+    neighbors = [_neighbors_of(net, demand, i) for i in V]
+    files: list[int] = []
+    ranks: list[int] = []
+    copies: list[int] = []
+    for x in range(t):
+        classes: list[int] = []
+        rest: list[int] = []
+        for p, group in enumerate(groups):
+            j = x + (x >= p)
+            classes += map(plan.member[j].__getitem__, group)
+            rest += map(plan.rest[j].__getitem__, group)
+        for file_of, copy_of in neighbors:
+            files += map(file_of.__getitem__, classes)
+            copies += map(copy_of.__getitem__, classes)
+            ranks += rest
+    cancelled = cache.read(user, files, ranks, copies)
+    coded = int.from_bytes(feeds, "big")
+    for x in range(t):
+        coded ^= int.from_bytes(cancelled[x * block : (x + 1) * block], "big")
+    decoded = coded.to_bytes(block, "big")
+    size = cache.subfile_bytes
+    order = [plan.rest[p][s] for p, group in enumerate(groups) for s in group]
+    pieces = [decoded[o : o + size] for o in range(0, block, size)]
+    return _reassemble(cache, user, demand[user], order, pieces)

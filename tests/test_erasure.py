@@ -79,6 +79,22 @@ class TestMakeCode:
             )
             assert pieces[2][byte] == expected
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parity_bytes_match_per_byte_sum(self, data):
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, min(n, 4)))
+        size = data.draw(st.integers(0, 24))
+        pieces = [data.draw(st.binary(min_size=size, max_size=size)) for _ in range(k)]
+        code = make_code(n, k)
+        out = encode(code, pieces)
+        for row, parity in zip(code.generator[k:], out[k:]):
+            expected = bytearray(size)
+            for coeff, piece in zip(row, pieces):
+                for j, byte in enumerate(piece):
+                    expected[j] ^= gf_mul_oracle(coeff, byte)
+            assert parity == expected
+
     @pytest.mark.parametrize("n,k", [(256, 2), (3, 0), (2, 3)])
     def test_invalid_shapes(self, n, k):
         with pytest.raises(ValueError):

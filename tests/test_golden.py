@@ -35,6 +35,38 @@ CMCNC_EXTRA = {
 }
 
 
+# proposed and routing at M=0, 4 and 6 (t=0, 2, 3) with distinct demands:
+# (log_digest, sha256 of to_json()).  At t=2 every proposed signal cancels
+# two cached terms; at t=3 nothing is sent.  Recorded from the per-term
+# implementation, before per-relay batching.
+CLASS_EXTRA = {
+    ("proposed", 0): (
+        "b5d08df3262e9692b47645895065bf4c1c9ecde635ae4a3a570e760e8cea9dc2",
+        "acbca35bba544626a713906aedc6685124662af27b0eda5fbb8f92442d2b59b3",
+    ),
+    ("proposed", 4): (
+        "0d5e0038041666391afde34994d6e6d630394969d2ba1e1fdd08897a017fb293",
+        "8b60af2c707b4a9cb6f67ae1b2cb3b2f320beada28bddec962c1174072d3ec59",
+    ),
+    ("proposed", 6): (
+        "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+        "8dcfa0fedef0d7eeed7178e7e8ec924817480cd8399c06055347aeb9a1c2cceb",
+    ),
+    ("routing", 0): (
+        "bfd496b54b1194ecfa6310517ac3713aaa78023be9359ea6fe1d5a326fd744ac",
+        "e3009bc92a6fa7602130236f6a9e399fb6f85047032f32b09dbcedbce53fe4d3",
+    ),
+    ("routing", 4): (
+        "c5331960f7abe92001fce0d9c138c2afb8513b6559d2d27e4df063e67b75dada",
+        "53bbd5858f20d2fe92261f241ca4b1dc4a1101cab072f2f57c38a7ec75d992af",
+    ),
+    ("routing", 6): (
+        "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+        "8dcfa0fedef0d7eeed7178e7e8ec924817480cd8399c06055347aeb9a1c2cceb",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def lib():
     return random_library(6, 30, seed=2016)
@@ -74,6 +106,16 @@ def test_cmcnc_grid_ends_pinned(comb42, lib, M):
     report, _ = run_scheme_with_log(comb42, lib, M, (1, 1, 2, 2, 3, 3), "cmcnc")
     assert report.decode_ok
     assert report.log_digest == CMCNC_EXTRA[M]
+
+
+@pytest.mark.parametrize("scheme,M", sorted(CLASS_EXTRA))
+def test_class_schemes_off_t1_pinned(comb42, lib, scheme, M):
+    demand = distinct_demand(comb42, 6)
+    report, log = run_scheme_with_log(comb42, lib, M, demand, scheme)
+    assert report.decode_ok and report.formula_match
+    digest, json_pin = CLASS_EXTRA[scheme, M]
+    assert report.log_digest == log.digest() == digest
+    assert sha256(log.to_json().encode()) == json_pin
 
 
 class TestStreamedDigest:

@@ -83,6 +83,43 @@ class TestPlacement:
                 M * lib6.file_bits
             )
 
+    def test_has_and_get_check_file_and_copy_bounds(self, comb42, lib6):
+        # N = 6, r = 2, t = 1: the user's class is in T, but file 0 or 7,
+        # copy 0 or 3, or a T of the wrong size is not a subfile it caches.
+        cache = proposed_place(comb42, lib6, 2)
+        u = comb42.user_index((1, 2))
+        assert cache.has(u, (6, (1,), 2))
+        for key in [(1, (1,), 3), (3, (1,), 0), (7, (1,), 1), (0, (1,), 1), (1, (1, 2), 1)]:
+            assert not cache.has(u, key)
+            with pytest.raises(KeyError):
+                cache.get(u, key)
+
+    def test_read_matches_get(self, comb42, lib6):
+        cache = proposed_place(comb42, lib6, 4)
+        u = comb42.user_index((1, 3))
+        ranks = {T: q for q, T in enumerate(itertools.combinations(range(1, 4), 2))}
+        keys = sorted(cache.keys(u), key=lambda key: (key[2], key[1], -key[0]))
+        files, subsets, copies = zip(*keys)
+        got = cache.read(u, files, [ranks[T] for T in subsets], copies)
+        assert got == b"".join(cache.get(u, key) for key in keys)
+        assert cache.read(u, [], [], []) == b""
+
+    @pytest.mark.parametrize(
+        "files,ranks,copies,named",
+        [
+            ([1, 2], [0, 1], [1, 1], "(2, (2,), 1)"),
+            ([1, 7, 1], [0, 0, 1], [2, 1, 1], "(7, (1,), 1)"),
+            ([1, 1], [0, 0], [2, 3], "(1, (1,), 3)"),
+            ([5], [0], [0], "(5, (1,), 0)"),
+            ([0, 1], [0, 2], [1, 1], "(0, (1,), 1)"),
+        ],
+    )
+    def test_read_names_first_uncached_key(self, comb42, lib6, files, ranks, copies, named):
+        cache = proposed_place(comb42, lib6, 2)
+        u = comb42.user_index((1, 2))
+        with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
+            cache.read(u, files, ranks, copies)
+
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
         assert cache.signature(0) == frozenset()
