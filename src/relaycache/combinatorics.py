@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -21,11 +20,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@lru_cache(maxsize=None)
-def _subsets(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(1, m + 1), k))
 
 
 def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
@@ -38,7 +32,7 @@ def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
         raise ValueError(f"ground-set size must be nonnegative, got {m}")
     if k < 0 or k > m:
         raise ValueError(f"subset size {k} outside 0..{m}")
-    return list(_subsets(m, k))
+    return list(itertools.combinations(range(1, m + 1), k))
 
 
 def position_in(subset: tuple[int, ...], element: int) -> int:
@@ -52,25 +46,12 @@ def position_in(subset: tuple[int, ...], element: int) -> int:
         raise ValueError(f"{element} is not a member of {subset}") from None
 
 
-@lru_cache(maxsize=None)
-def _rank_table(m: int, k: int) -> dict[tuple[int, ...], int]:
-    return {s: i for i, s in enumerate(_subsets(m, k))}
-
-
 def subset_rank(m: int, subset: tuple[int, ...]) -> int:
-    """0-based index of ``subset`` within enumerate_subsets(m, len(subset)).
-
-    Backed by a memoized lookup table when the enumeration is small enough
-    to hold; computed combinatorially otherwise.
-    """
+    """0-based index of ``subset`` within enumerate_subsets(m, len(subset)),
+    computed combinatorially."""
     k = len(subset)
     if k > m:
         raise ValueError(f"subset size {k} exceeds ground-set size {m}")
-    if binomial(m, k) <= 1 << 20:
-        rank = _rank_table(m, k).get(tuple(subset))
-        if rank is None:
-            raise ValueError(f"{subset} is not a sorted subset of [{m}]")
-        return rank
     rank = 0
     prev = 0
     for j, v in enumerate(subset):

@@ -9,6 +9,8 @@ with an (h, r) MDS code, and ships piece i over server edge i.  Relays
 forward every piece to all of their neighbors; any user sees r distinct
 piece indices (its own relay subset) and can rebuild every signal.
 
+The signals are the coded multicast that ``proposed`` runs per relay, here
+over the K users, indexed by the one plan of :class:`.common.PlannedCache`.
 Both ends work on all signals of one delivery at once.  XOR and GF(256)
 coding act byte by byte, so the concatenation of every signal's j-th term
 (or part, or piece) is coded in one call and sliced back per signal.
@@ -18,48 +20,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets, subset_rank
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
-    CacheView,
     FileLibrary,
+    PlannedCache,
     Record,
     SubpacketizationError,
     TransmissionLog,
-    fmt_subset,
     grid_t,
+    in_range,
     payloads,
     validate_demand,
 )
 
 
-@lru_cache(maxsize=32)
-def _held(K: int, t: int, k: int) -> frozenset[int]:
-    """Ranks of the t-subsets of [K] that contain user k (1-based)."""
-    return frozenset(q for q, S in enumerate(enumerate_subsets(K, t)) if k in S)
-
-
 @dataclass(frozen=True)
-class SubsetCache(CacheView):
+class SubsetCache(PlannedCache):
     """Uncoded placement over (n, S)-indexed subfiles, S a t'-subset of [K].
 
     Subfile (n, S) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)``
     of file n, where q is the rank of S in enumerate_subsets(K, t').
     """
 
-    net: Network
-    lib: FileLibrary
-    storage: Fraction
-    t: int
-    subfile_bytes: int
+    @property
+    def candidates(self) -> int:
+        return self.net.K
+
+    @cached_property
+    def labels(self) -> list[list[str]]:
+        """labels[i - 1][s]: the label of piece i of signal s."""
+        stems = [f"cm:S={name}:p=" for name in self.signal_plan.names]
+        return [[stem + str(i) for stem in stems] for i in range(1, self.net.h + 1)]
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
-        return (user + 1) in S
+        return 1 <= n <= self.lib.n_files and len(S) == self.t and (user + 1) in S
 
     def get(self, user: int, key: tuple) -> bytes:
         if not self.has(user, key):
@@ -70,16 +70,23 @@ class SubsetCache(CacheView):
     def read(self, user: int, files: Sequence[int], ranks: Sequence[int]) -> bytes:
         """Concatenated subfiles (files[j], rank ranks[j]) for every j.
 
-        Raises KeyError, naming the first such key, unless the user caches
-        all of them.
+        Raises KeyError, naming the first such (n, S), unless the user
+        caches all of them: S must contain the user and n lie in 1..N.
         """
-        held = _held(self.net.K, self.t, user + 1)
-        if not held.issuperset(ranks):
+        N = self.lib.n_files
+        held = self.subset_plan.holds[user]
+        ids = set(files)
+        if not (held.issuperset(ranks) and in_range(ids, N)):
+            n, q = next(
+                (n, q)
+                for n, q in zip(files, ranks, strict=True)
+                if not (q in held and 1 <= n <= N)
+            )
             subsets = enumerate_subsets(self.net.K, self.t)
-            n, q = next((n, q) for n, q in zip(files, ranks) if q not in held)
-            raise KeyError(f"user {user} does not cache {(n, subsets[q])}")
+            S = subsets[q] if 0 <= q < len(subsets) else q
+            raise KeyError(f"user {user} does not cache {(n, S)}")
         size = self.subfile_bytes
-        source = {n: self.lib.file(n) for n in set(files)}
+        source = {n: self.lib.file(n) for n in ids}
         return b"".join(
             [source[n][q * size : (q + 1) * size] for n, q in zip(files, ranks)]
         )
@@ -114,37 +121,6 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     )
 
 
-class _Plan(NamedTuple):
-    """Every signal of one delivery at t' = t, by index s in delivery order.
-
-    Term position j of signal S is the subfile (d_k, S minus k), k = S[j].
-    """
-
-    subsets: list[tuple[int, ...]]  # the (t'+1)-subsets S
-    labels: list[list[str]]  # labels[i - 1][s]: the label of piece i
-    member: list[list[int]]  # member[j][s]: S[j] - 1, a 0-based user
-    rest: list[list[int]]  # rest[j][s]: rank of S minus S[j] among t'-subsets
-    at: list[list[list[int]]]  # at[j][u]: every s with S[j] - 1 == u
-
-
-@lru_cache(maxsize=2)
-def _plan(K: int, t: int, h: int) -> _Plan:
-    subsets = enumerate_subsets(K, t + 1)
-    rank = {S: q for q, S in enumerate(enumerate_subsets(K, t))}
-    stems = [f"cm:S={fmt_subset(S)}:p=" for S in subsets]
-    at: list[list[list[int]]] = [[[] for _ in range(K)] for _ in range(t + 1)]
-    for s, S in enumerate(subsets):
-        for j, k in enumerate(S):
-            at[j][k - 1].append(s)
-    return _Plan(
-        subsets=subsets,
-        labels=[[stem + str(i) for stem in stems] for i in range(1, h + 1)],
-        member=[[S[j] - 1 for S in subsets] for j in range(t + 1)],
-        rest=[[rank[S[:j] + S[j + 1 :]] for S in subsets] for j in range(t + 1)],
-        at=at,
-    )
-
-
 def cmcnc_deliver(
     net: Network,
     cache: SubsetCache,
@@ -157,13 +133,12 @@ def cmcnc_deliver(
             f"need an ({net.h}, {net.r}) code, got ({code.n}, {code.k})"
         )
     log = TransmissionLog()
-    K, t = net.K, cache.t
-    if t + 1 > K:
+    if cache.t + 1 > net.K:
         return log
-    plan = _plan(K, t, net.h)
+    plan = cache.signal_plan
     size = cache.subfile_bytes
     part = size // net.r
-    total = len(plan.subsets) * size
+    total = len(plan.names) * size
     wanted = [cache.lib.file(n) for n in demand]
 
     coded = 0
@@ -180,7 +155,7 @@ def cmcnc_deliver(
     ]
     for i, piece in enumerate(mds_encode(code, parts), 1):
         chunks = [piece[o : o + part] for o in range(0, len(piece), part)]
-        records = list(map(Record, plan.labels[i - 1], chunks))
+        records = list(map(Record, cache.labels[i - 1], chunks))
         log.add_server(i, records)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, records)
@@ -197,17 +172,14 @@ def cmcnc_decode(
 ) -> bytes:
     K, t = net.K, cache.t
     size = cache.subfile_bytes
-    own = sorted(_held(K, t, user + 1))
+    own = cache.subset_plan.held[user]
     if t == K:
         return cache.read(user, [demand[user]] * len(own), own)
 
-    # My signals, grouped by my position p in S.
-    plan = _plan(K, t, net.h)
-    groups = [plan.at[p][user] for p in range(t + 1)]
-    mine = [s for group in groups for s in group]
+    mine, blocks, extracted = cache.signal_plan.decoding(user)
     pieces = []
     for i in net.users[user]:
-        labels = map(plan.labels[i - 1].__getitem__, mine)
+        labels = map(cache.labels[i - 1].__getitem__, mine)
         pieces.append((i, b"".join(payloads(user, i, received, labels))))
     data = mds_decode(code, pieces)
     part = size // net.r
@@ -217,11 +189,9 @@ def cmcnc_decode(
     # cached subfiles follow the t blocks.
     users: list[int] = []
     ranks: list[int] = []
-    for x in range(t):
-        for p, group in enumerate(groups):
-            j = x + (x >= p)
-            users += map(plan.member[j].__getitem__, group)
-            ranks += map(plan.rest[j].__getitem__, group)
+    for member, rest in blocks:
+        users += member
+        ranks += rest
     files = [*map(demand.__getitem__, users), *[demand[user]] * len(own)]
     cached = cache.read(user, files, ranks + own)
     block = len(mine) * size
@@ -231,7 +201,6 @@ def cmcnc_decode(
     both = cached[t * block :] + coded.to_bytes(block, "big")
 
     # Subfile q of the file is slot where[q] of ``both``.
-    extracted = [plan.rest[p][s] for p, group in enumerate(groups) for s in group]
     where = [0] * binomial(K, t)
     for j, q in enumerate(own + extracted):
         where[q] = j

@@ -21,6 +21,13 @@ cache defines ``has(user, key)``, ``get(user, key)``, ``keys(user)`` and
 ``KeyError`` for anything the user did not cache, which keeps decoders
 honest about what they may read.  :class:`CacheView` derives
 ``signature(user)`` and ``materialize(user)`` from ``keys`` and ``get``.
+
+Both coded schemes run the coded multicast of Maddah-Ali and Niesen
+("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
+candidates: ``proposed`` per relay over the Kt parallel classes, ``cmcnc``
+over the K users.  The one index plan of that multicast lives here, in
+:class:`PlannedCache`, which both schemes' caches extend: a
+:class:`SubsetPlan` and a :class:`SignalPlan`, built once per placement.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ..combinatorics import enumerate_subsets
 from ..topology import Network
 
 
@@ -67,6 +76,11 @@ def grid_t(n: int, n_files: int, M, symbol: str) -> int:
             f"M={M} is not a multiple of N/{symbol} = {step} within [0, {n_files}]"
         )
     return int(t)
+
+
+def in_range(values: Collection[int], top: int) -> bool:
+    """Every value lies in 1..top."""
+    return not values or (1 <= min(values) and max(values) <= top)
 
 
 class CacheView:
@@ -157,11 +171,115 @@ def all_demands(net: Network, n_files: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Signals and logs
+# The XOR-multicast plan
 
 
 def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
+
+
+class SubsetPlan(NamedTuple):
+    """The t-subsets T of n sharing candidates, by rank; candidates are 0-based."""
+
+    names: list[str]  # names[q]: the T of rank q, 1-based, as written in labels
+    held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
+    missing: list[list[int]]  # missing[c]: ranks of the T without c, increasing
+    holds: list[frozenset[int]]  # holds[c]: held[c] as a set, for membership checks
+
+
+class SignalPlan(NamedTuple):
+    """The (t+1)-subsets C of n sharing candidates, by rank s; candidates are
+    0-based.
+
+    Signal C is the XOR of t+1 terms.  Term j is the subfile indexed by C
+    minus C[j] of the file that candidate C[j] demands.
+    """
+
+    names: list[str]  # names[s]: the C of rank s, 1-based, as written in labels
+    member: list[list[int]]  # member[j][s]: C[j]
+    rest: list[list[int]]  # rest[j][s]: rank of C minus C[j] among the T
+    at: list[list[list[int]]]  # at[j][c]: every s with C[j] == c, increasing
+
+    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
+        """(signals, blocks, delivered) for candidate c.
+
+        ``signals``: every s with c in C, grouped by the position of c in C
+        and increasing within each group.
+        ``blocks[x]``: (member, rest) lists giving, per signal, its x-th
+        member other than c and the rank of C minus that member, the term c
+        cancels.  ``delivered``: per signal, the rank of C minus c.
+        """
+        groups = [at[c] for at in self.at]
+        blocks = []
+        for x in range(len(groups) - 1):
+            member: list[int] = []
+            rest: list[int] = []
+            for p, group in enumerate(groups):
+                j = x + (x >= p)
+                member += map(self.member[j].__getitem__, group)
+                rest += map(self.rest[j].__getitem__, group)
+            blocks.append((member, rest))
+        signals = [s for group in groups for s in group]
+        delivered = [self.rest[p][s] for p, group in enumerate(groups) for s in group]
+        return signals, blocks, delivered
+
+
+def plan_subsets(n: int, t: int) -> SubsetPlan:
+    subsets = enumerate_subsets(n, t)
+    held: list[list[int]] = [[] for _ in range(n)]
+    for q, T in enumerate(subsets):
+        for c in T:
+            held[c - 1].append(q)
+    holds = list(map(frozenset, held))
+    everything = frozenset(range(len(subsets)))
+    missing = [sorted(everything - hold) for hold in holds]
+    return SubsetPlan(list(map(fmt_subset, subsets)), held, missing, holds)
+
+
+def plan_signals(n: int, t: int) -> SignalPlan:
+    rank = {T: q for q, T in enumerate(enumerate_subsets(n, t))}
+    signals = enumerate_subsets(n, t + 1) if t < n else []
+    at: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(t + 1)]
+    for s, C in enumerate(signals):
+        for j, c in enumerate(C):
+            at[j][c - 1].append(s)
+    return SignalPlan(
+        names=list(map(fmt_subset, signals)),
+        member=[[C[j] - 1 for C in signals] for j in range(t + 1)],
+        rest=[[rank[C[:j] + C[j + 1 :]] for C in signals] for j in range(t + 1)],
+        at=at,
+    )
+
+
+@dataclass(frozen=True)
+class PlannedCache(CacheView):
+    """Uncoded placement over the t-subsets of ``candidates``, with its plan.
+
+    The plan lives as long as the placement: one run of a scheme at one
+    memory point, over every demand it serves.
+    """
+
+    net: Network
+    lib: FileLibrary
+    storage: Fraction
+    t: int
+    subfile_bytes: int
+
+    @property
+    def candidates(self) -> int:
+        raise NotImplementedError
+
+    @cached_property
+    def subset_plan(self) -> SubsetPlan:
+        return plan_subsets(self.candidates, self.t)
+
+    @cached_property
+    def signal_plan(self) -> SignalPlan:
+        return plan_signals(self.candidates, self.t)
+
+
+# ---------------------------------------------------------------------------
+# Signals and logs
 
 
 class Record(NamedTuple):

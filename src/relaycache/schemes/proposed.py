@@ -15,17 +15,16 @@ signal to exactly those t+1 neighbors.  Each receiver caches every term of
 the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
-Both ends work on all signals of a relay at once, from tables that the
-placement builds once and keeps for its lifetime: ``subset_plan`` (the
-t-subsets by rank and which of them each class holds, shared with the
-``routing`` scheme) and ``signal_plan`` (for every signal C and term
-position j, the class C[j] and the rank of C minus C[j]).  XOR acts byte by
-byte, so a relay joins the j-th term of every signal into one buffer, XORs
-the t+1 buffers as integers and slices the signals back out.  A decoder
-reads every term it cancels, on all r relays, in one membership-checked
-:meth:`GroupedCache.read`, XORs them away from its joined relay feeds the
-same way, and slices its file back together from the decoded and the
-cached subfiles.
+Both ends work on all signals of a relay at once, indexed by the plan over
+the Kt classes that :class:`.common.PlannedCache` builds once per placement
+(``cmcnc`` uses the same plan over the K users; ``routing`` uses its
+``subset_plan``).  XOR acts byte by byte, so a relay joins the j-th term of
+every signal into one buffer, XORs the t+1 buffers as integers and slices
+the signals back out.  A decoder takes what it cancels from
+:meth:`.common.SignalPlan.decoding`, reads it on all r relays in one
+membership-checked :meth:`GroupedCache.read`, XORs it away from its joined
+relay feeds the same way, and slices its file back together from the
+decoded and the cached subfiles.
 
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
@@ -35,98 +34,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets, position_in, subset_rank
 from ..topology import Network
 from .common import (
-    CacheView,
     FileLibrary,
+    PlannedCache,
     Record,
     SubpacketizationError,
     TransmissionLog,
-    fmt_subset,
     grid_t,
+    in_range,
     payloads,
     validate_demand,
 )
 
 
-class _Subsets(NamedTuple):
-    """The t-subsets T of the Kt class labels, by rank; classes are 0-based."""
-
-    names: list[str]  # names[q]: the T of rank q, as written in labels
-    held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
-    missing: list[list[int]]  # missing[c]: ranks of the T without c, increasing
-
-
-class _Signals(NamedTuple):
-    """The (t+1)-subsets C of the Kt class labels, by rank s.
-
-    Classes are 0-based.  Term j of signal C is the subfile (d, C minus C[j],
-    l) demanded by the relay's neighbor in class C[j].
-    """
-
-    names: list[str]  # names[s]: the C of rank s, as written in labels
-    member: list[list[int]]  # member[j][s]: C[j]
-    rest: list[list[int]]  # rest[j][s]: rank of C minus C[j] among the T
-    at: list[list[list[int]]]  # at[j][c]: every s with C[j] == c, increasing
-
-
-def _index_subsets(kt: int, t: int) -> _Subsets:
-    subsets = enumerate_subsets(kt, t)
-    held: list[list[int]] = [[] for _ in range(kt)]
-    missing: list[list[int]] = [[] for _ in range(kt)]
-    for q, T in enumerate(subsets):
-        for c in range(kt):
-            (held if c + 1 in T else missing)[c].append(q)
-    return _Subsets(names=list(map(fmt_subset, subsets)), held=held, missing=missing)
-
-
-def _index_signals(kt: int, t: int) -> _Signals:
-    rank = {T: q for q, T in enumerate(enumerate_subsets(kt, t))}
-    signals = enumerate_subsets(kt, t + 1) if t < kt else []
-    at: list[list[list[int]]] = [[[] for _ in range(kt)] for _ in range(t + 1)]
-    for s, C in enumerate(signals):
-        for j, c in enumerate(C):
-            at[j][c - 1].append(s)
-    return _Signals(
-        names=list(map(fmt_subset, signals)),
-        member=[[C[j] - 1 for C in signals] for j in range(t + 1)],
-        rest=[[rank[C[:j] + C[j + 1 :]] for C in signals] for j in range(t + 1)],
-        at=at,
-    )
-
-
-def _in_range(values: Sequence[int], top: int) -> bool:
-    return not values or (1 <= min(values) and max(values) <= top)
-
-
 @dataclass(frozen=True)
-class GroupedCache(CacheView):
+class GroupedCache(PlannedCache):
     """Per-class uncoded placement over (n, T, l)-indexed subfiles."""
 
-    net: Network
-    lib: FileLibrary
-    storage: Fraction
-    t: int
-    subfile_bytes: int
+    @property
+    def candidates(self) -> int:
+        return self.net.num_classes
 
     @property
     def subfiles_per_file(self) -> int:
         return self.net.r * binomial(self.net.num_classes, self.t)
-
-    # The plan lives as long as the placement: one run of a scheme at one
-    # memory point, over every demand it serves.
-    @cached_property
-    def subset_plan(self) -> _Subsets:
-        return _index_subsets(self.net.num_classes, self.t)
-
-    @cached_property
-    def signal_plan(self) -> _Signals:
-        return _index_signals(self.net.num_classes, self.t)
 
     def subfiles(
         self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
@@ -152,8 +88,8 @@ class GroupedCache(CacheView):
         and l in 1..r.
         """
         kt, N, r = self.net.num_classes, self.lib.n_files, self.net.r
-        held = frozenset(self.subset_plan.held[self.net.class_of[user] - 1])
-        if not (held.issuperset(ranks) and _in_range(files, N) and _in_range(copies, r)):
+        held = self.subset_plan.holds[self.net.class_of[user] - 1]
+        if not (held.issuperset(ranks) and in_range(files, N) and in_range(copies, r)):
             n, q, l = next(
                 (n, q, l)
                 for n, q, l in zip(files, ranks, copies, strict=True)
@@ -294,12 +230,11 @@ def proposed_decode(
     t = cache.t
     plan = cache.signal_plan
     V = net.users[user]
-    c = net.class_of[user] - 1
-    # My signals, grouped by my position p in C; each relay's feed in this order.
-    groups = [at[c] for at in plan.at]
-    names = [plan.names[s] for group in groups for s in group]
+    mine, blocks, order = plan.decoding(net.class_of[user] - 1)
+    names = list(map(plan.names.__getitem__, mine))
     feeds = b"".join([b"".join(payloads(user, i, received, _labels(i, names))) for i in V])
-    block = len(names) * len(V) * cache.subfile_bytes
+    size = cache.subfile_bytes
+    block = len(names) * len(V) * size
     if len(feeds) != block:
         raise ValueError(f"user {user} received {len(feeds)} signal bytes, expected {block}")
 
@@ -309,13 +244,7 @@ def proposed_decode(
     files: list[int] = []
     ranks: list[int] = []
     copies: list[int] = []
-    for x in range(t):
-        classes: list[int] = []
-        rest: list[int] = []
-        for p, group in enumerate(groups):
-            j = x + (x >= p)
-            classes += map(plan.member[j].__getitem__, group)
-            rest += map(plan.rest[j].__getitem__, group)
+    for classes, rest in blocks:
         for file_of, copy_of in neighbors:
             files += map(file_of.__getitem__, classes)
             copies += map(copy_of.__getitem__, classes)
@@ -325,7 +254,5 @@ def proposed_decode(
     for x in range(t):
         coded ^= int.from_bytes(cancelled[x * block : (x + 1) * block], "big")
     decoded = coded.to_bytes(block, "big")
-    size = cache.subfile_bytes
-    order = [plan.rest[p][s] for p, group in enumerate(groups) for s in group]
     pieces = [decoded[o : o + size] for o in range(0, block, size)]
     return _reassemble(cache, user, demand[user], order, pieces)

@@ -1,6 +1,10 @@
-"""Shared plumbing: libraries, demand vectors, records, and logs."""
+"""Shared plumbing: libraries, demand vectors, records, logs, and the plan."""
+
+import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relaycache.schemes.common import (
     FileLibrary,
@@ -9,6 +13,7 @@ from relaycache.schemes.common import (
     all_demands,
     distinct_demand,
     fmt_subset,
+    plan_signals,
     random_library,
     uniform_demand,
     validate_demand,
@@ -62,6 +67,32 @@ class TestDemands:
 class TestSubsetLabels:
     def test_empty_renders_as_dash(self):
         assert fmt_subset(()) == "-"
+
+
+@st.composite
+def plan_case(draw):
+    n = draw(st.integers(1, 8))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+class TestSignalPlan:
+    @given(plan_case())
+    def test_decoding_matches_definition(self, case):
+        n, t, c = case
+        subsets = list(itertools.combinations(range(n), t))
+        signals = list(itertools.combinations(range(n), t + 1))
+        rank = {T: q for q, T in enumerate(subsets)}
+        mine, blocks, delivered = plan_signals(n, t).decoding(c)
+
+        assert sorted(mine) == [s for s, C in enumerate(signals) if c in C]
+        assert len(blocks) == t and len(delivered) == len(mine)
+        for k, s in enumerate(mine):
+            C = signals[s]
+            others = [y for y in C if y != c]
+            assert delivered[k] == rank[tuple(others)]
+            for x, (member, rest) in enumerate(blocks):
+                assert member[k] == others[x]
+                assert rest[k] == rank[tuple(y for y in C if y != others[x])]
 
 
 class TestTransmissionLog:

@@ -5,14 +5,24 @@ with N=6, F=30 bytes and library seed 2016.  A change to any label,
 payload, edge order or serialization detail shows up here first.
 """
 
+import functools
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from relaycache.cli import main
-from relaycache.harness import SCHEME_IDS, run_scheme_with_log
-from relaycache.schemes import Record, TransmissionLog, distinct_demand, random_library
+from relaycache.harness import SCHEME_IDS, run_scheme_with_log, scheme_file_divisor
+from relaycache.schemes import (
+    Record,
+    TransmissionLog,
+    distinct_demand,
+    random_demand,
+    random_library,
+)
+from relaycache.topology import affine_plane, combination_network, custom_network
 
 DIGESTS = {
     "proposed": "ca111e0a7f54ea42beac104e06b98c07a94d2b076f0c68627375b7575e1c9613",
@@ -116,6 +126,133 @@ def test_class_schemes_off_t1_pinned(comb42, lib, scheme, M):
     digest, json_pin = CLASS_EXTRA[scheme, M]
     assert report.log_digest == log.digest() == digest
     assert sha256(log.to_json().encode()) == json_pin
+
+
+# Every grid point of proposed and routing (t) and of cmcnc (t') on five
+# topologies with N=4: each cell at its own smallest file size
+# (scheme_file_divisor), library seed 2016, and the demand drawn by
+# random.Random(t).  cmcnc is pinned where that file size is at most 3,000
+# bytes.  Recorded on the separate per-scheme plan tables, before both coded
+# schemes shared one.
+TWO_CLASS_USERS = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)]
+GRID_NETS = {
+    "comb:4,2": lambda: combination_network(4, 2),
+    "comb:6,2": lambda: combination_network(6, 2),
+    "comb:6,3": lambda: combination_network(6, 3),
+    "affine:3": lambda: affine_plane(3),
+    "two-class": lambda: custom_network(9, 3, TWO_CLASS_USERS),
+}
+GRID_PINS = {
+    ('comb:4,2', 'cmcnc', 0): "280744fe6150789f447e8b5c8f53647171d7cc1a268cd5ac369800319959503a",
+    ('comb:4,2', 'cmcnc', 1): "3ca37e81ee5958784cda1385cd9e7c622b18bd526738ba61338098bb4c23e5ef",
+    ('comb:4,2', 'cmcnc', 2): "cba7c23a757b2b93fad4af2334efe22800dbd9514c5a5d992008720786c19fab",
+    ('comb:4,2', 'cmcnc', 3): "539e9c44ea1df107284f8804aa621fb276ae5d519bf0336b0627bac561c0d7cf",
+    ('comb:4,2', 'cmcnc', 4): "338c62f996cbf0f6d55716ef5fd52ab30354bd3bd6991c84f6556291f65f2ea5",
+    ('comb:4,2', 'cmcnc', 5): "49ffcdc963d3ae1de02597635d5fb78c59ffee4c8e2ce575e173948c8985e8c5",
+    ('comb:4,2', 'cmcnc', 6): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,2', 'proposed', 0): "1d88df73b8f9ac8a048679cf51d249ba8f3540eec1d65a12b0bb6ecbc48925d0",
+    ('comb:6,2', 'proposed', 1): "c780ad20e97a506daede41ac8ed1302e77fcd5caaa88bfd656248339d73cbf27",
+    ('comb:6,2', 'proposed', 2): "3be2eb3d4f1b8ec15636494cf3374eec0780b7fd9fd78376f632b02288447ffe",
+    ('comb:6,2', 'proposed', 3): "5382fa2e81ba663cc7ba2add91531bd749bc853958b2099365f92462b9b69ef3",
+    ('comb:6,2', 'proposed', 4): "a24c88b766cf0a5c1f711e49aca3fd76a8da72f34c3f2fc4e89ed6212fce96fc",
+    ('comb:6,2', 'proposed', 5): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,2', 'routing', 0): "667ef404176dc6e48490d4da8100f5af45d6bbeab92e68afaa7362c72ae0ac60",
+    ('comb:6,2', 'routing', 1): "8b35ea0aea1feae38926f3d24feeafa9f27c0047e02401640047d1a4ada5bab2",
+    ('comb:6,2', 'routing', 2): "7a989117dc2233338dfab572d7da0900957bbba98d3ceef646aed14b63b4c689",
+    ('comb:6,2', 'routing', 3): "ddf71d3e9bd5f376b75a305984950fb320ecc398947c1d4d0a60ab875f8951b7",
+    ('comb:6,2', 'routing', 4): "0331cebcb095321d9dc062a1f4a1f1caefc8fbf1a45fb0811a6e14e1f5e9c8ca",
+    ('comb:6,2', 'routing', 5): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,2', 'cmcnc', 0): "72715aad8862069bde2b63d57549329e2561ea387f2968514fb2ed60664416b6",
+    ('comb:6,2', 'cmcnc', 1): "88a1ceb7bb79f5aa45f551103850b6e177d490a3cdbdc8df3ad3ddd0a7086927",
+    ('comb:6,2', 'cmcnc', 2): "79c66b74591e8c96a87292eea5ab3c53b498e333a749e3e1460c5f35a2c4c78c",
+    ('comb:6,2', 'cmcnc', 3): "1196c24e2d4312e979a6a528022d87fbfe7aed6cdcf817a8175858e46328b03a",
+    ('comb:6,2', 'cmcnc', 4): "fcedd3670e7db2e05470028d71487a85139c4a0489126a17570d22549e831d82",
+    ('comb:6,2', 'cmcnc', 11): "4fca2bc3cf9e28a940b037a54ae34684294e8eb6f539536b83aec9263c3b8dbf",
+    ('comb:6,2', 'cmcnc', 12): "ba864337e924e997a0ccf15042c598bc34cbe99cfe4c1e1eb5ccbc04b4d39f73",
+    ('comb:6,2', 'cmcnc', 13): "542a83a9de7ee9cc65d4fa23614b89a8a7c57b10b716caf298fad58fe33a2360",
+    ('comb:6,2', 'cmcnc', 14): "fc55c0d983a20fc3865ed028577efd46cdab22b294234d7300aabb3a48a5217d",
+    ('comb:6,2', 'cmcnc', 15): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,3', 'proposed', 0): "f9b6644ed60cfd20d6c81ef61efe54d2037ebb029dbe88475ab4411899e7befa",
+    ('comb:6,3', 'proposed', 1): "0f2ac556807f2b2b0f4a69eba5c770eedda276a161fda02a19d771ca7c41bd8f",
+    ('comb:6,3', 'proposed', 2): "ccf7b2ec9b6f843ce6f4bcd5cf233e56c747d83a2240aa258c8035254b45adc8",
+    ('comb:6,3', 'proposed', 3): "6e52e671f12e102933a01aa31efd17afa0f27ca6aeeff6b5d02c4de252ff6294",
+    ('comb:6,3', 'proposed', 4): "ff1397e185b514bf2735ac6555abc3fa69a0753e6d995556e5e58ee6fde0a9a8",
+    ('comb:6,3', 'proposed', 5): "f8311d689fabce739c2a7a011c219bd8ec5f17a878d09de2bd506cc997bce6c6",
+    ('comb:6,3', 'proposed', 6): "34847f791af8e63c0a6b161fd70fde044f947ed5a9b060b7aa371dafc2a45296",
+    ('comb:6,3', 'proposed', 7): "203f54ef4e79e8fda856978d504ad9a3c7a3b7c60a3cafd3467de1c612ef90d0",
+    ('comb:6,3', 'proposed', 8): "d7b3cc198d59bb01446e8a8587fa3a6c3a5aa721bd7a1414ab3925ffe2a312aa",
+    ('comb:6,3', 'proposed', 9): "e3d0eb05e8071d3c0c176c2af439d5af6290c176d541217ca0735874a4f28f45",
+    ('comb:6,3', 'proposed', 10): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,3', 'routing', 0): "4a53bd545f55766ee83d6c0fd66b136ef06b413645f8df860f17ca265cc1c081",
+    ('comb:6,3', 'routing', 1): "6dce3107238efd58d12e7ea254027e065e89e9fc5219a7c4e08e6dbd332e8c8a",
+    ('comb:6,3', 'routing', 2): "264f624f4e3d8d5e7793f50e4a115476bb533ffce0ded6beebc287877c48856a",
+    ('comb:6,3', 'routing', 3): "2965eee22bb1066e13e3750d7c0f55ff246654b13d0424e1a54e43fe18540a63",
+    ('comb:6,3', 'routing', 4): "5c6184e2db0945ea347a03a5408c6fdefe603af0074f5f1369c1c50b4da51464",
+    ('comb:6,3', 'routing', 5): "db15a401ebeb890d60f354eb1f4345acf774d25d31c1f655f40a93853a0258f5",
+    ('comb:6,3', 'routing', 6): "7d9b7fcd5840208d36d584959c75e2f12deb621afe05f250a8d84f8e042a2011",
+    ('comb:6,3', 'routing', 7): "c4ffc38368112010c293ba86d9968c4b6ad7599bac1a8f3f1e32e12e719507fb",
+    ('comb:6,3', 'routing', 8): "f689a9e1d1d9d80c701cfb97bc6c04efa163cbc2d9919c7fc9f74215ada543a8",
+    ('comb:6,3', 'routing', 9): "7d7628620d10c2dfa9c300df5d8676671374ae42613b0e55ed24804a36ee5083",
+    ('comb:6,3', 'routing', 10): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('comb:6,3', 'cmcnc', 0): "c37747291482d74a93d84e38a4c1a1fe962919b632f5418f9988d9c0b2435489",
+    ('comb:6,3', 'cmcnc', 1): "a0efa699de6e5ad96bdd11d42f19da60182215a3357dcdc5c1540a554ee46984",
+    ('comb:6,3', 'cmcnc', 2): "36d73232c62943c036d663c6d78095db280ae86009d90d8e910cf7635e8790a7",
+    ('comb:6,3', 'cmcnc', 18): "dca0852b5c62f1ec0b8fecfe76fc4cd552201eca69482733aa785a615d1e23d7",
+    ('comb:6,3', 'cmcnc', 19): "ace7363afb08155aaf8d198591b954a727234f6f9af1e60785a1f9ef416468b0",
+    ('comb:6,3', 'cmcnc', 20): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('affine:3', 'proposed', 0): "f99be6ae2d8f39456f334c354b858a30d87041dd9fd174c858a64173f1872464",
+    ('affine:3', 'proposed', 1): "94a4490cf8f9114bf2328a9747b760a22aa323d7a9047b73a45d5cbea2e1d36d",
+    ('affine:3', 'proposed', 2): "c1a496e9947130fd1875e67379b73ab1661e8e1fd43c8347c981fb2ea63defb1",
+    ('affine:3', 'proposed', 3): "ca9e0eb5690c0a427c0b2cd62953955602f36afedf52dbf6f9a26a5aa8762e95",
+    ('affine:3', 'proposed', 4): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('affine:3', 'routing', 0): "3ac267d21fadcc0ace52674e589a6e2da23b9c9af464d0d54000c4b97594a79f",
+    ('affine:3', 'routing', 1): "63627e3a1c3000fd8303ae49dc048bb57deadda448e904bc35c7b507ed56a8e5",
+    ('affine:3', 'routing', 2): "902dd8c96b7fb3579a2695ccd9fc50e1e9faa9a526a3959c1507fe2840af03e6",
+    ('affine:3', 'routing', 3): "7f65d4f863f298537b3a0a26ffed578aa83a5ad3db08fb80e9df0e86688fae22",
+    ('affine:3', 'routing', 4): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('affine:3', 'cmcnc', 0): "47457da3262055d31038919a46bc8b4afe602fa0a53aff1a3450e5168b1527d0",
+    ('affine:3', 'cmcnc', 1): "df4a06040bf354fcdca2f2f50787f2f1b4d9ee1d8cd29075279929661681fa8f",
+    ('affine:3', 'cmcnc', 2): "9cb710b2a84dba38d158a411617521af019c6aeefa535e3af3fd9bff10a25bf5",
+    ('affine:3', 'cmcnc', 3): "e3ee606b1f8efb2bd35c986d44ac381ec8c14a394c87d071251fc9acff94a64a",
+    ('affine:3', 'cmcnc', 4): "6803b4cecdd07e28198a3e123a680e14362402e2f898938f1d33f5842f3e7baa",
+    ('affine:3', 'cmcnc', 5): "56f95b83251dd49224af75750c82dc608bdb6393fdf7fca9c5ac9b85281748dc",
+    ('affine:3', 'cmcnc', 6): "ee8890b42ecf646bfc6437ab9451eec7a55c69c0400299e14d5a6771e9602ff6",
+    ('affine:3', 'cmcnc', 7): "b2e113280b0fa5f9433651d5b8170f431b8f04bfd63b8591f52a96c25fb3ac90",
+    ('affine:3', 'cmcnc', 8): "ce48d28c1b1e0b18a5f084c9a0b637d901d71d5a84ea2f696cb481dca9d7ee5d",
+    ('affine:3', 'cmcnc', 9): "8bac4126f0eb3b221cd0add151501582ea49427d58eea107c857c2d331d830cc",
+    ('affine:3', 'cmcnc', 10): "e6a259afd0e595ff6d4104e0ce60009fc3fe472cbe5e0c21fd3b759341645716",
+    ('affine:3', 'cmcnc', 11): "2d7b06a03e9157e878007d7d2150fc3c2d00db39d6174122a8609ffef92b50e4",
+    ('affine:3', 'cmcnc', 12): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('two-class', 'proposed', 0): "44e1dc806aab59507d58d90b8acb72fc2199490ea8710b2d68c58857f28d5a94",
+    ('two-class', 'proposed', 1): "5b2e8b02a5ac1bde2a5c42eb060565ea4dc846d86a4c4706febda3e339b12f50",
+    ('two-class', 'proposed', 2): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('two-class', 'routing', 0): "bc5daec64c1e14640a8a32633d38b2eda00a2675a8114dfd95869cc02de0d9fd",
+    ('two-class', 'routing', 1): "722b5809dc05b747c084918f788e9c6d17bfc077144589ffeaf5a73164419314",
+    ('two-class', 'routing', 2): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+    ('two-class', 'cmcnc', 0): "25a9135483f4b12c9076a9a857cdb967f23128bf29ab163dd6cab08dca2a44e9",
+    ('two-class', 'cmcnc', 1): "d0f0569e26f253b28a4ccabc1ffc13b3c225e99729150d83287cd7505a9c9466",
+    ('two-class', 'cmcnc', 2): "c7f00ba218ed867d6d341e63e1decd134a862ed2e5906de97c462e83d5a22da6",
+    ('two-class', 'cmcnc', 3): "5ca39bc3a654b8e42c189629f8396035e47e057ee48e482d78d9c92e4ffd15f3",
+    ('two-class', 'cmcnc', 4): "ea7e63c78bb8bee35b577bb8ca3aff35cd53c185b6144e53cd80a66c4778406c",
+    ('two-class', 'cmcnc', 5): "7ea7d5a47db0e7ec59a174194c2edb66e38539efc9f4fd974ae72d59395dbd8d",
+    ('two-class', 'cmcnc', 6): "6507f4f6742a9a258c397dadcc7a846d5bdb6be7f4ee936374cd643fa3a04ec3",
+}
+
+
+@functools.cache
+def grid_net(name):
+    return GRID_NETS[name]()
+
+
+@pytest.mark.parametrize("topology,scheme,t", sorted(GRID_PINS))
+def test_grid_digest_pinned(topology, scheme, t):
+    net, N = grid_net(topology), 4
+    M = Fraction(N * t, net.K if scheme == "cmcnc" else net.num_classes)
+    lib = random_library(N, scheme_file_divisor(net, N, M, scheme), seed=2016)
+    demand = random_demand(net, N, random.Random(t))
+    report, _ = run_scheme_with_log(net, lib, M, demand, scheme)
+    assert report.decode_ok and report.formula_match
+    assert report.log_digest == GRID_PINS[topology, scheme, t]
 
 
 class TestStreamedDigest:

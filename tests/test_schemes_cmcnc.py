@@ -1,6 +1,7 @@
 """CM-CNC baseline: global-subset placement plus MDS piece delivery."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,30 @@ class TestPlacement:
             cache.read(0, [1, 5], [cached, foreign])
         with pytest.raises(KeyError):
             cache.get(0, (5, (2, 3)))
+
+    def test_has_and_get_check_file_and_subset_size(self, comb42, lib30):
+        # N = 6, t' = 2: user 0 is in S, but file 0 or 99, or an S of the
+        # wrong size, is not a subfile it caches.
+        cache = cmcnc_place(comb42, lib30, 2)
+        assert cache.has(0, (6, (1, 2)))
+        for key in [(1, (1,)), (99, (1, 2)), (0, (1, 2)), (1, (1, 2, 3))]:
+            assert not cache.has(0, key)
+            with pytest.raises(KeyError):
+                cache.get(0, key)
+
+    @pytest.mark.parametrize(
+        "files,ranks,named",
+        [
+            ([1], [99], "(1, 99)"),
+            ([1], [-1], "(1, -1)"),
+            ([7], [0], "(7, (1, 2))"),
+            ([1, 0], [0, 1], "(0, (1, 3))"),
+        ],
+    )
+    def test_read_names_out_of_range_key(self, comb42, lib30, files, ranks, named):
+        cache = cmcnc_place(comb42, lib30, 2)
+        with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {named}")):
+            cache.read(0, files, ranks)
 
     def test_subpacketization_on_larger_network(self, comb62):
         # t' = 3 at M=10, N=50: r*C(15,3) units
