@@ -8,6 +8,12 @@ The generator matrix is systematic: the first k rows are the identity, the
 remaining n-k rows form a Cauchy matrix.  Every square submatrix of a
 Cauchy matrix is nonsingular, which makes every k-subset of rows
 invertible, i.e. any k of the n output pieces recover the data.
+
+Encoding and decoding both compute rows of a matrix times the pieces.  A
+row with several nonzero coefficients is summed as one integer XOR; a row
+with one, such as every inverse row for a systematic piece, is a single
+byte translation (or the piece itself when the coefficient is 1) and skips
+the round trip through ``int``.
 """
 
 from __future__ import annotations
@@ -148,11 +154,16 @@ def _check_mds(code: ErasureCode) -> None:
 def _combine(rows: Iterable[Sequence[int]], buffers: list[bytes]) -> list[bytes]:
     """One buffer per row: the GF(256) sum of ``buffers`` scaled by the row.
 
-    Each row is summed as one integer XOR over the scaled buffers.
+    A row with one nonzero coefficient is that buffer scaled, with no sum.
+    Any other row is summed as one integer XOR over the scaled buffers.
     """
     size = len(buffers[0])
     out = []
     for row in rows:
+        if row.count(0) == len(row) - 1:
+            coeff = max(row)
+            out.append(gf_scale(buffers[row.index(coeff)], coeff))
+            continue
         acc = 0
         for coeff, buf in zip(row, buffers):
             if coeff:

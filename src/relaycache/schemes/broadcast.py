@@ -11,11 +11,16 @@ distinct pieces of its file's suffix and erasure-decodes it.
 When the suffix does not split evenly into r parts it is zero-padded.  The
 label's ``octets=`` field records the true suffix length; the decoder knows
 that length from its own cache and trims the padding with it.
+
+The server signal depends on the library and the cached prefix, never on
+the demand.  So each file's h pieces are encoded once per placement, by the
+first delivery with a given code, and kept on the :class:`PrefixCache`;
+every delivery then only assembles its per-edge records from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -48,12 +53,17 @@ def prefix_bytes_for(lib: FileLibrary, n_files_declared: int, M) -> int:
 
 @dataclass(frozen=True)
 class PrefixCache(CacheView):
-    """Every user caches the first ``prefix_bytes`` of every file."""
+    """Every user caches the first ``prefix_bytes`` of every file.
+
+    ``_encoded`` maps an erasure code to the server records that the first
+    delivery with it built, by edge; it lives as long as the placement.
+    """
 
     net: Network
     lib: FileLibrary
     storage: Fraction
     prefix_bytes: int
+    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def has(self, user: int, key: int) -> bool:
         return 1 <= key <= self.lib.n_files and self.prefix_bytes > 0
@@ -84,34 +94,43 @@ def _label(n: int, piece: int, octets: int) -> str:
     return f"bc:n={n}:p={piece}:octets={octets}"
 
 
+def _server_records(cache: PrefixCache, code: ErasureCode) -> list[list[Record]]:
+    """by_edge[i - 1][n - 1]: the record of file n on server edge i.
+
+    Encoded on the first call with ``code`` and kept on the placement.
+    """
+    by_edge = cache._encoded.get(code)
+    if by_edge is None:
+        lib, r = cache.lib, cache.net.r
+        prefix = cache.prefix_bytes
+        suffix = lib.file_bytes - prefix
+        part_bytes = -(-suffix // r)  # ceil; zero-pad the tail part
+        by_edge = [[] for _ in range(code.n)]
+        for n in range(1, lib.n_files + 1):
+            data = lib.file(n)[prefix:] + bytes(part_bytes * r - suffix)
+            parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(r)]
+            for i, piece in enumerate(mds_encode(code, parts), 1):
+                by_edge[i - 1].append(Record(_label(n, i, suffix), piece))
+        cache._encoded[code] = by_edge
+    return by_edge
+
+
 def broadcast_mds_deliver(
     net: Network,
     cache: PrefixCache,
     demand: tuple[int, ...],
     code: ErasureCode,
 ) -> TransmissionLog:
-    lib = cache.lib
-    validate_demand(net, lib.n_files, demand)
+    validate_demand(net, cache.lib.n_files, demand)
     if (code.n, code.k) != (net.h, net.r):
         raise ValueError(f"need an ({net.h}, {net.r}) code, got ({code.n}, {code.k})")
     log = TransmissionLog()
-    prefix = cache.prefix_bytes
-    suffix = lib.file_bytes - prefix
-    if suffix == 0:
+    if cache.prefix_bytes == cache.lib.file_bytes:
         return log
-    part_bytes = -(-suffix // net.r)  # ceil; zero-pad the tail part
-    by_file = []  # by_file[n - 1][i - 1]: the record of file n on server edge i
-    for n in range(1, lib.n_files + 1):
-        data = lib.file(n)[prefix:] + bytes(part_bytes * net.r - suffix)
-        parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(net.r)]
-        pieces = mds_encode(code, parts)
-        by_file.append(
-            [Record(_label(n, i, suffix), piece) for i, piece in enumerate(pieces, 1)]
-        )
-    for i in range(1, net.h + 1):
-        log.add_server(i, [records[i - 1] for records in by_file])
+    for i, records in enumerate(_server_records(cache, code), 1):
+        log.add_server(i, records)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, [by_file[demand[u] - 1][i - 1]])
+            log.forward(i, u, [records[demand[u] - 1]])
     return log
 
 
@@ -124,7 +143,7 @@ def broadcast_decode(
     code: ErasureCode,
 ) -> bytes:
     want = demand[user]
-    prefix = cache.lib.file(want)[: cache.prefix_bytes] if cache.prefix_bytes else b""
+    prefix = cache.get(user, want) if cache.prefix_bytes else b""
     suffix_len = cache.lib.file_bytes - cache.prefix_bytes
     if suffix_len == 0:
         return prefix

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from ..combinatorics import binomial, enumerate_subsets, subset_rank
+from ..combinatorics import binomial, subset_rank
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
@@ -34,6 +35,7 @@ from .common import (
     TransmissionLog,
     grid_t,
     in_range,
+    is_subset,
     payloads,
     validate_demand,
 )
@@ -59,7 +61,11 @@ class SubsetCache(PlannedCache):
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
-        return 1 <= n <= self.lib.n_files and len(S) == self.t and (user + 1) in S
+        return (
+            1 <= n <= self.lib.n_files
+            and (user + 1) in S
+            and is_subset(S, self.net.K, self.t)
+        )
 
     def get(self, user: int, key: tuple) -> bytes:
         if not self.has(user, key):
@@ -82,7 +88,7 @@ class SubsetCache(PlannedCache):
                 for n, q in zip(files, ranks, strict=True)
                 if not (q in held and 1 <= n <= N)
             )
-            subsets = enumerate_subsets(self.net.K, self.t)
+            subsets = self.subset_plan.subsets
             S = subsets[q] if 0 <= q < len(subsets) else q
             raise KeyError(f"user {user} does not cache {(n, S)}")
         size = self.subfile_bytes
@@ -92,11 +98,9 @@ class SubsetCache(PlannedCache):
         )
 
     def keys(self, user: int) -> Iterator[tuple]:
-        k = user + 1
-        for n in range(1, self.lib.n_files + 1):
-            for S in enumerate_subsets(self.net.K, self.t):
-                if k in S:
-                    yield (n, S)
+        plan = self.subset_plan
+        held = map(plan.subsets.__getitem__, plan.held[user])
+        return product(range(1, self.lib.n_files + 1), held)
 
     def cached_bits(self, user: int) -> int:
         per_file = binomial(self.net.K - 1, self.t - 1)

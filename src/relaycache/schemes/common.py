@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import enumerate_subsets
@@ -81,6 +81,15 @@ def grid_t(n: int, n_files: int, M, symbol: str) -> int:
 def in_range(values: Collection[int], top: int) -> bool:
     """Every value lies in 1..top."""
     return not values or (1 <= min(values) and max(values) <= top)
+
+
+def is_subset(S: Sequence[int], top: int, size: int) -> bool:
+    """S is a ``size``-subset of 1..top, strictly increasing."""
+    return (
+        len(S) == size
+        and (not S or (1 <= S[0] and S[-1] <= top))
+        and all(map(lt, S, S[1:]))
+    )
 
 
 class CacheView:
@@ -178,13 +187,28 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
 
 
-class SubsetPlan(NamedTuple):
-    """The t-subsets T of n sharing candidates, by rank; candidates are 0-based."""
+@dataclass(frozen=True)
+class SubsetPlan:
+    """The t-subsets T of n sharing candidates, by rank; candidates are 0-based.
 
-    names: list[str]  # names[q]: the T of rank q, 1-based, as written in labels
+    ``names`` and ``missing`` are built on first use: of the schemes, only
+    ``routing`` reads them.
+    """
+
+    subsets: list[tuple[int, ...]]  # subsets[q]: the T of rank q, 1-based
     held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
-    missing: list[list[int]]  # missing[c]: ranks of the T without c, increasing
     holds: list[frozenset[int]]  # holds[c]: held[c] as a set, for membership checks
+
+    @cached_property
+    def names(self) -> list[str]:
+        """names[q]: the T of rank q as written in labels."""
+        return list(map(fmt_subset, self.subsets))
+
+    @cached_property
+    def missing(self) -> list[list[int]]:
+        """missing[c]: ranks of the T without c, increasing."""
+        everything = frozenset(range(len(self.subsets)))
+        return [sorted(everything - hold) for hold in self.holds]
 
 
 class SignalPlan(NamedTuple):
@@ -230,10 +254,7 @@ def plan_subsets(n: int, t: int) -> SubsetPlan:
     for q, T in enumerate(subsets):
         for c in T:
             held[c - 1].append(q)
-    holds = list(map(frozenset, held))
-    everything = frozenset(range(len(subsets)))
-    missing = [sorted(everything - hold) for hold in holds]
-    return SubsetPlan(list(map(fmt_subset, subsets)), held, missing, holds)
+    return SubsetPlan(subsets, held, list(map(frozenset, held)))
 
 
 def plan_signals(n: int, t: int) -> SignalPlan:

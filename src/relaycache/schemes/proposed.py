@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..combinatorics import binomial, enumerate_subsets, position_in, subset_rank
+from ..combinatorics import binomial, position_in, subset_rank
 from ..topology import Network
 from .common import (
     FileLibrary,
@@ -47,6 +47,7 @@ from .common import (
     TransmissionLog,
     grid_t,
     in_range,
+    is_subset,
     payloads,
     validate_demand,
 )
@@ -87,7 +88,7 @@ class GroupedCache(PlannedCache):
         caches all of them: T must contain the user's class, n lie in 1..N
         and l in 1..r.
         """
-        kt, N, r = self.net.num_classes, self.lib.n_files, self.net.r
+        N, r = self.lib.n_files, self.net.r
         held = self.subset_plan.holds[self.net.class_of[user] - 1]
         if not (held.issuperset(ranks) and in_range(files, N) and in_range(copies, r)):
             n, q, l = next(
@@ -95,7 +96,7 @@ class GroupedCache(PlannedCache):
                 for n, q, l in zip(files, ranks, copies, strict=True)
                 if not (q in held and 1 <= n <= N and 1 <= l <= r)
             )
-            subsets = enumerate_subsets(kt, self.t)
+            subsets = self.subset_plan.subsets
             T = subsets[q] if 0 <= q < len(subsets) else q
             raise KeyError(f"user {user} does not cache {(n, T, l)}")
         return self.subfiles(files, ranks, copies)
@@ -103,10 +104,10 @@ class GroupedCache(PlannedCache):
     def has(self, user: int, key: tuple) -> bool:
         n, T, l = key
         return (
-            1 <= n <= self.lib.n_files
+            self.net.class_of[user] in T
+            and 1 <= n <= self.lib.n_files
             and 1 <= l <= self.net.r
-            and len(T) == self.t
-            and self.net.class_of[user] in T
+            and is_subset(T, self.net.num_classes, self.t)
         )
 
     def get(self, user: int, key: tuple) -> bytes:
@@ -116,12 +117,9 @@ class GroupedCache(PlannedCache):
         return self.subfiles((n,), (subset_rank(self.net.num_classes, T),), (l,))
 
     def keys(self, user: int) -> Iterator[tuple]:
-        label = self.net.class_of[user]
-        for n in range(1, self.lib.n_files + 1):
-            for T in enumerate_subsets(self.net.num_classes, self.t):
-                if label in T:
-                    for l in range(1, self.net.r + 1):
-                        yield (n, T, l)
+        plan = self.subset_plan
+        held = map(plan.subsets.__getitem__, plan.held[self.net.class_of[user] - 1])
+        return product(range(1, self.lib.n_files + 1), held, range(1, self.net.r + 1))
 
     def cached_bits(self, user: int) -> int:
         per_file = self.net.r * binomial(self.net.num_classes - 1, self.t - 1)

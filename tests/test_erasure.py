@@ -1,6 +1,8 @@
 """MDS erasure code: field arithmetic, round trips, and error paths."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -154,6 +156,47 @@ class TestRoundTrip:
         enc_sum = encode(code, summed)
         sum_enc = [xor_bytes(p, q) for p, q in zip(encode(code, a), encode(code, b))]
         assert enc_sum == sum_enc
+
+
+def oracle_pieces(code, data: list[bytes]) -> list[bytes]:
+    """Every piece of ``data``, each byte summed from gf_mul_oracle products."""
+    return [
+        bytes(
+            functools.reduce(
+                operator.xor, (gf_mul_oracle(c, piece[j]) for c, piece in zip(row, data))
+            )
+            for j in range(len(data[0]))
+        )
+        for row in code.generator
+    ]
+
+
+class TestSingleTermRows:
+    """Index sets whose inverse rows have one nonzero coefficient.
+
+    Systematic pieces give rows with one coefficient 1.  A parity piece of a
+    k=1 code gives a row with one coefficient other than 1, as does every
+    parity row of its generator.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_decode_matches_oracle(self, k, data):
+        n = data.draw(st.integers(k + 1, 8))
+        size = data.draw(st.integers(1, 16))
+        blocks = [data.draw(st.binary(min_size=size, max_size=size)) for _ in range(k)]
+        code = make_code(n, k)
+        pieces = oracle_pieces(code, blocks)
+        assert encode(code, blocks) == pieces
+        systematic = data.draw(st.permutations(range(1, k + 1)))
+        out = decode(code, [(i, pieces[i - 1]) for i in systematic])
+        assert out == blocks
+        # At least one parity piece; the rest systematic (none when k = 1).
+        own = data.draw(st.integers(max(0, 2 * k - n), k - 1))
+        parity = data.draw(st.permutations(range(k + 1, n + 1)))[: k - own]
+        mixed = data.draw(st.permutations(systematic[:own] + parity))
+        assert decode(code, [(i, pieces[i - 1]) for i in mixed]) == blocks
 
 
 class TestDecodeErrors:

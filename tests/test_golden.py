@@ -9,15 +9,27 @@ import functools
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from relaycache import harness
 from relaycache.cli import main
-from relaycache.harness import SCHEME_IDS, run_scheme_with_log, scheme_file_divisor
+from relaycache.erasure import make_code
+from relaycache.harness import (
+    SCHEME_IDS,
+    run_scheme_with_log,
+    scheme_file_divisor,
+    verify_all_demands,
+)
 from relaycache.schemes import (
+    IncompleteReceptionError,
     Record,
     TransmissionLog,
+    broadcast_decode,
+    broadcast_mds_deliver,
+    broadcast_place,
     distinct_demand,
     random_demand,
     random_library,
@@ -350,3 +362,115 @@ def test_table_on_stdout_pinned(capsys, filename):
     argv, pin = CLI_OUTPUTS[filename]
     assert main([*argv, *CLI_BASE]) == 0
     assert sha256(capsys.readouterr().out.encode()) == pin
+
+
+# verify_all_demands on comb(6,2), mode="sampled", seed=5, 20 demands, one
+# placement each: (sha256 of the report's to_dict() JSON, sha256 of the 20
+# log digests joined by newlines).  broadcast-mds uses N=4 and 28-byte files,
+# so on the integer M grid the uncached suffix (28, 21, 14 or 7 bytes) needs
+# zero padding to split into r=2 parts at M=1 and 3, and none at M=2.  cmcnc
+# uses N=3 at t' = 0, 1, 2, 13 and 14 (M = t'/5) with the smallest exact
+# file size.  Recorded while broadcast-mds encoded on every delivery.
+VERIFY_SEED, VERIFY_COUNT = 5, 20
+VERIFY_CELLS = {
+    ("broadcast-mds", 4, Fraction(1), 28): (
+        "51179ba0b0231f91b952c7d04fda124e420f56ee900ccea3f9602007581e937e",
+        "5d3dd28eefc2459daf7d0f7cb2e68481bdd3f3a88f7d55418853629db4bf51e1",
+    ),
+    ("broadcast-mds", 4, Fraction(2), 28): (
+        "b0e2fdb57285f388cd2e24b34404fce72df56995fcacfe088027e6a4db490f30",
+        "e368d659abadf1eeac3571b907f09a8d6abefd243ceb85872a89d85ccc01ff72",
+    ),
+    ("broadcast-mds", 4, Fraction(3), 28): (
+        "9ae0d52b5c3991b0766d588a1130e6d92ce60e65478aa3ae84cd40113ad2407f",
+        "c427ff1d49924a1cc9400f8dc5f539003f128019e7e4973d4ea15d80dc2a3864",
+    ),
+    ("cmcnc", 3, Fraction(0, 5), None): (
+        "a1bb765d52af7a2f1ca064a05be021b8ba9a5573c333e633f69a5a1e19935637",
+        "cef0d5d7f0d5bf916ef9a71005c87c893067eaf91eb31161b68a1a54afc82938",
+    ),
+    ("cmcnc", 3, Fraction(1, 5), None): (
+        "485fbfb3758f179370a273b79e06544078aa40391382ccfbe11cc8dd17ddc6e7",
+        "8ebc32fe9397e9f2658ca35c5efb370188548c78b08ee8aed5409200ad519c96",
+    ),
+    ("cmcnc", 3, Fraction(2, 5), None): (
+        "db9bb21f4dfed5894de7ea35912cd49121e149eb62f9188cd33ac52b1bf3e31a",
+        "3af606c44dc5f997f346da5361618ada5540b470a772743b3f2dd62c379998b2",
+    ),
+    ("cmcnc", 3, Fraction(13, 5), None): (
+        "85a888731ae1f0c4b43d6ff12b41ae955313436e32d0d2b9998bfda7c2f7c7d3",
+        "65c6bae4cebfa8e9240e52411c58fca76de55a18f0d9953daf0dd292d4211d67",
+    ),
+    ("cmcnc", 3, Fraction(14, 5), None): (
+        "c2cae70103a6372f84751ed53d1b0ec2db05ab3b1ab2efb342892a3be6c16f3f",
+        "cd3cdfbeccb40ebe73d83ba1c8813b158f14de5f399e472e3a8bfd52e2d6f6c6",
+    ),
+}
+
+
+def verified_logs(net, scheme, N, M, file_bytes):
+    """(report, log digests) of one sampled verify_all_demands cell; the logs
+    come from one more placement of the same library, over the same demands."""
+    report = verify_all_demands(
+        net, N, M, scheme, mode="sampled", seed=VERIFY_SEED, count=VERIFY_COUNT,
+        file_bytes=file_bytes,
+    )
+    lib = random_library(N, report.file_bytes, seed=report.library_seed)
+    _, deliver, _ = harness._pipeline(net, lib, M, scheme, None)
+    rng = random.Random(VERIFY_SEED)
+    demands = [random_demand(net, N, rng) for _ in range(VERIFY_COUNT)]
+    return report, [deliver(d).digest() for d in demands]
+
+
+@pytest.mark.parametrize(
+    "scheme,N,M,file_bytes",
+    sorted(VERIFY_CELLS, key=str),
+    ids=lambda v: str(v) if isinstance(v, Fraction) else None,
+)
+def test_verify_cell_pinned(comb62, scheme, N, M, file_bytes):
+    report, digests = verified_logs(comb62, scheme, N, M, file_bytes)
+    assert report.passed and report.runs == VERIFY_COUNT
+    blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+    pins = (sha256(blob), sha256("\n".join(digests).encode()))
+    assert pins == VERIFY_CELLS[scheme, N, M, file_bytes]
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
+    """Every delivery from one broadcast-mds placement logs what a fresh
+    placement's first delivery logs, also with two placements over different
+    libraries sharing one code; a damaged log still fails to decode."""
+    N = 4
+    code = make_code(comb62.h, comb62.r)
+    libs = [random_library(N, 28, seed=seed) for seed in (1, 2)]
+    caches = [broadcast_place(comb62, lib, M) for lib in libs]
+    rng = random.Random(M)
+    for _ in range(5):
+        demand = random_demand(comb62, N, rng)
+        logs = []
+        for lib, cache in zip(libs, caches):
+            log = broadcast_mds_deliver(comb62, cache, demand, code)
+            fresh = broadcast_mds_deliver(
+                comb62, broadcast_place(comb62, lib, M), demand, make_code(comb62.h, comb62.r)
+            )
+            assert log.digest() == fresh.digest()
+            logs.append(log)
+        payloads = [{rec.payload for rec in log.server_edges[1]} for log in logs]
+        assert not payloads[0] & payloads[1]
+
+    lib, cache = libs[0], caches[0]
+    demand = random_demand(comb62, N, rng)
+    user = 0
+    relay = comb62.users[user][0]
+    log = broadcast_mds_deliver(comb62, cache, demand, code)
+    received = log.to_user(user)
+    (record,) = received[relay]
+    with pytest.raises(IncompleteReceptionError, match=re.escape(repr(record.label))):
+        broadcast_decode(comb62, user, cache, demand, {**received, relay: []}, code)
+    flipped = Record(record.label, bytes([record.payload[0] ^ 0x40]) + record.payload[1:])
+    out = broadcast_decode(comb62, user, cache, demand, {**received, relay: [flipped]}, code)
+    assert out != lib.file(demand[user])
+    # The damage stays in that log: the next delivery decodes again.
+    log = broadcast_mds_deliver(comb62, cache, demand, code)
+    for u in range(comb62.K):
+        assert broadcast_decode(comb62, u, cache, demand, log.to_user(u), code) == lib.file(demand[u])

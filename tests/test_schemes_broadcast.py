@@ -6,6 +6,7 @@ import pytest
 
 from relaycache.erasure import make_code
 from relaycache.schemes import (
+    PrefixCache,
     SubpacketizationError,
     all_demands,
     broadcast_decode,
@@ -89,3 +90,28 @@ class TestDecode:
         lib = random_library(2, 8, seed=28)
         cache = broadcast_place(comb42, lib, 2)
         assert broadcast_decode(comb42, 0, cache, (1,) * 6, {}, code42) == lib.file(1)
+
+    def test_no_prefix_cached_still_decodes(self, comb42, code42):
+        lib = random_library(2, 8, seed=29)
+        cache = broadcast_place(comb42, lib, 0)
+        assert cache.prefix_bytes == 0 and not list(cache.keys(0))
+        with pytest.raises(KeyError):
+            cache.get(0, 1)
+        demand = (2, 1, 2, 1, 2, 1)
+        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        for u in range(comb42.K):
+            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
+            assert out == lib.file(demand[u])
+
+    def test_prefix_comes_through_the_cache(self, comb42, code42, monkeypatch):
+        lib = random_library(2, 8, seed=30)
+        cache = broadcast_place(comb42, lib, 1)
+        demand = (1, 2, 1, 2, 1, 2)
+        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+
+        def refuse(self, user, key):
+            raise KeyError(f"user {user} does not cache a prefix of file {key}")
+
+        monkeypatch.setattr(PrefixCache, "get", refuse)
+        with pytest.raises(KeyError, match="does not cache a prefix of file 2"):
+            broadcast_decode(comb42, 1, cache, demand, log.to_user(1), code42)

@@ -75,6 +75,15 @@ class TestPlacement:
             with pytest.raises(KeyError):
                 cache.get(0, key)
 
+    @pytest.mark.parametrize("S", [(2, 1), (1, 1), (0, 1), (1, 7)])
+    def test_has_and_get_refuse_malformed_subsets(self, comb42, lib30, S):
+        # K = 6, t' = 2: S holds user 0 (label 1) and has size t', but is not
+        # an increasing subset of 1..6.
+        cache = cmcnc_place(comb42, lib30, 2)
+        assert not cache.has(0, (1, S))
+        with pytest.raises(KeyError):
+            cache.get(0, (1, S))
+
     @pytest.mark.parametrize(
         "files,ranks,named",
         [

@@ -94,6 +94,17 @@ class TestPlacement:
             with pytest.raises(KeyError):
                 cache.get(u, key)
 
+    @pytest.mark.parametrize("T", [(2, 1), (1, 1), (0, 1), (1, 4)])
+    def test_has_and_get_refuse_malformed_subsets(self, comb42, lib6, T):
+        # Kt = 3, t = 2: T holds the user's class 1 and has size t, but is
+        # not an increasing subset of 1..3.
+        cache = proposed_place(comb42, lib6, 4)
+        u = comb42.user_index((1, 2))
+        assert comb42.class_of[u] == 1
+        assert not cache.has(u, (1, T, 1))
+        with pytest.raises(KeyError):
+            cache.get(u, (1, T, 1))
+
     def test_read_matches_get(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 4)
         u = comb42.user_index((1, 3))
