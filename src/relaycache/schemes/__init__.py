@@ -5,7 +5,6 @@ from .broadcast import (
     broadcast_decode,
     broadcast_mds_deliver,
     broadcast_place,
-    prefix_bytes_for,
 )
 from .cmcnc import SubsetCache, cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
@@ -50,7 +49,6 @@ __all__ = [
     "cmcnc_deliver",
     "cmcnc_place",
     "distinct_demand",
-    "prefix_bytes_for",
     "proposed_decode",
     "proposed_deliver",
     "proposed_place",

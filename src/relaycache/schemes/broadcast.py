@@ -37,20 +37,6 @@ from .common import (
 )
 
 
-def prefix_bytes_for(lib: FileLibrary, n_files_declared: int, M) -> int:
-    """Cached prefix length: M/N of the file, which must be whole bytes."""
-    m = Fraction(M, n_files_declared)
-    if not 0 <= m <= 1:
-        raise ValueError(f"M={M} outside 0..{n_files_declared}")
-    prefix = m * lib.file_bytes
-    if prefix.denominator != 1:
-        raise SubpacketizationError(
-            f"file size {lib.file_bytes} bytes times M/N = {m} is not a whole "
-            f"number of bytes; need a multiple of {m.denominator}"
-        )
-    return int(prefix)
-
-
 @dataclass(frozen=True)
 class PrefixCache(CacheView):
     """Every user caches the first ``prefix_bytes`` of every file.
@@ -82,12 +68,17 @@ class PrefixCache(CacheView):
 
 
 def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
-    return PrefixCache(
-        net=net,
-        lib=lib,
-        storage=Fraction(M),
-        prefix_bytes=prefix_bytes_for(lib, lib.n_files, M),
-    )
+    """Cache the first M/N of every file, which must be whole bytes."""
+    m = Fraction(M, lib.n_files)
+    if not 0 <= m <= 1:
+        raise ValueError(f"M={M} outside 0..{lib.n_files}")
+    prefix = m * lib.file_bytes
+    if prefix.denominator != 1:
+        raise SubpacketizationError(
+            f"file size {lib.file_bytes} bytes times M/N = {m} is not a whole "
+            f"number of bytes; need a multiple of {m.denominator}"
+        )
+    return PrefixCache(net=net, lib=lib, storage=Fraction(M), prefix_bytes=int(prefix))
 
 
 def _label(n: int, piece: int, octets: int) -> str:

@@ -24,6 +24,7 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -195,7 +196,7 @@ def _round_robin_pairs(h: int) -> list[list[tuple[int, ...]]]:
 
 def _flow_step(
     classes: list[list[tuple[int, ...]]], h: int, r: int, placed: int
-) -> list[int]:
+) -> list[tuple[int, ...]]:
     """Pick, per class, which member absorbs element placed+1.
 
     One augmentation stage of the integral-flow construction: a class may
@@ -203,61 +204,73 @@ def _flow_step(
     must absorb it in exactly C(h-placed-1, r-|S|-1) classes overall.  A
     fractional assignment with those totals always exists, so an integral
     max flow of value len(classes) does too.
-    """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
 
+    The flow is Dinic's (1970): BFS levels, then a DFS with a current-arc
+    pointer per node that augments one path at a time by its bottleneck.
+    Which of the maximum flows it finds, and so every r >= 3 class label,
+    depends on the order each node tries its arcs in: ascending head node,
+    always.
+    """
     s = len(classes)
     types = sorted({m for cls in classes for m in cls if len(m) < r})
     type_node = {t: s + 1 + j for j, t in enumerate(types)}
     sink = s + 1 + len(types)
 
-    rows, cols, caps = [], [], []
-    for c in range(s):
-        rows.append(0)
-        cols.append(c + 1)
-        caps.append(1)
-        counts: dict[tuple[int, ...], int] = {}
-        for m in _absorbable(classes[c], r):
-            counts[m] = counts.get(m, 0) + 1
-        for t, mult in sorted(counts.items()):
-            rows.append(c + 1)
-            cols.append(type_node[t])
-            caps.append(mult)
-    for t in types:
-        need = binomial(h - placed - 1, r - len(t) - 1)
-        if need > 2**31 - 1:
-            raise ValueError(f"instance too large for the flow construction: h={h}")
-        rows.append(type_node[t])
-        cols.append(sink)
-        caps.append(need)
+    # res[u][v]: residual capacity of arc u -> v.  Node 0 is the source, 1..s
+    # the classes, the types follow in sorted order and the sink is last.
+    # Adding the arcs in this order inserts each node's heads, reverse arcs
+    # included, in ascending order.
+    res: list[dict[int, int]] = [{} for _ in range(sink + 1)]
+    for c, cls in enumerate(classes, start=1):
+        res[0][c], res[c][0] = 1, 0
+        for t, mult in sorted(Counter(m for m in cls if len(m) < r).items()):
+            res[c][type_node[t]], res[type_node[t]][c] = mult, 0
+    for j, t in enumerate(types, start=s + 1):
+        res[j][sink], res[sink][j] = binomial(h - placed - 1, r - len(t) - 1), 0
 
-    graph = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(sink + 1, sink + 1)
-    )
-    result = maximum_flow(graph, 0, sink)
-    if result.flow_value != s:
+    heads = [list(arcs) for arcs in res]
+    value = 0
+    while True:
+        level, queue = [0] + [-1] * sink, [0]
+        for u in queue:
+            for v in heads[u]:
+                if res[u][v] and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            break
+        current, path = [0] * (sink + 1), [0]
+        while path:
+            u = path[-1]
+            if u == sink:
+                pushed = min(res[a][b] for a, b in zip(path, path[1:]))
+                for a, b in zip(path, path[1:]):
+                    res[a][b] -= pushed
+                    res[b][a] += pushed
+                value, path = value + pushed, [0]
+                continue
+            out, i, up = heads[u], current[u], level[u] + 1
+            while i < len(out) and not (res[u][out[i]] and level[out[i]] == up):
+                i += 1
+            current[u] = i
+            if i < len(out):
+                path.append(out[i])
+            else:  # a dead end: no arc out of u reaches the sink this phase
+                level[path.pop()] = -1
+
+    if value != s:
         raise RuntimeError(
-            f"augmentation infeasible at stage {placed}: flow {result.flow_value} < {s}"
+            f"augmentation infeasible at stage {placed}: flow {value} < {s}"
         )
-    flow = result.flow
-    choice = []
-    for c in range(s):
-        row = flow.getrow(c + 1)
-        picked = None
-        for node, units in zip(row.indices, row.data):
-            if units >= 1 and node != 0:
-                picked = types[node - s - 1]
-                break
-        if picked is None:
-            raise RuntimeError(f"class {c} absorbs no element at stage {placed}")
-        choice.append(picked)
+    # The flow on arc c -> v is the residual of its reverse arc v -> c.
+    choice = [
+        next((types[v - s - 1] for v in heads[c] if v and res[v][c]), None)
+        for c in range(1, s + 1)
+    ]
+    if None in choice:
+        c = choice.index(None)
+        raise RuntimeError(f"class {c} absorbs no element at stage {placed}")
     return choice
-
-
-def _absorbable(cls: list[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
-    return [m for m in cls if len(m) < r]
 
 
 def baranyai_partition(h: int, r: int) -> list[list[tuple[int, ...]]]:

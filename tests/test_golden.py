@@ -34,7 +34,12 @@ from relaycache.schemes import (
     random_demand,
     random_library,
 )
-from relaycache.topology import affine_plane, combination_network, custom_network
+from relaycache.topology import (
+    affine_plane,
+    combination_network,
+    custom_network,
+    network_to_dict,
+)
 
 DIGESTS = {
     "proposed": "ca111e0a7f54ea42beac104e06b98c07a94d2b076f0c68627375b7575e1c9613",
@@ -265,6 +270,33 @@ def test_grid_digest_pinned(topology, scheme, t):
     report, _ = run_scheme_with_log(net, lib, M, demand, scheme)
     assert report.decode_ok and report.formula_match
     assert report.log_digest == GRID_PINS[topology, scheme, t]
+
+
+# sha256 of the key-sorted network_to_dict JSON of comb(h, r) for r >= 3,
+# where the Baranyai classes come from one integral max flow per ground
+# element.  Which member each class grows depends on the flow's arc and
+# search order, so these pin the class labels that every r >= 3 log digest
+# carries.  Recorded from the scipy.sparse.csgraph.maximum_flow (Dinic)
+# construction, before the pure-Python flow replaced it.
+TOPOLOGY_PINS = {
+    (6, 3): "626fcf955a9037602ea3150aec634eafc0a3b0f6a03b380e05087a8e31ed30da",
+    (9, 3): "a8323327f2049a5935719e4714993d081ca8093843b6c3fc506cb44ab0fa04b4",
+    (8, 4): "ff9617cf55c8c0d22deb192a16724f85e23c771e438d797a01663480d03bb3fa",
+    (12, 3): "ac1ab54c2c6ad06f1eb00af6337ad3551b6c9dedb8ff59f8a26fcd247589432e",
+    (12, 4): "4248e987bd173ffe490c7d178e659b0450e82876d9a13cafeaec0c12d2abe412",
+    (10, 5): "9b5abdb6d45c52086448af7fdfb788ef23510f9b60d17fcb79efa0992ecbea95",
+    (12, 6): "a9a81203e34a0434b56c3373d3e7ae6e5eec52ad23a5b459aa3e02f8f474adad",
+    (15, 3): "1c3743818f45c3de95261bcdffafebd508785aefbe2ab8dbea8e4fac987ee9c0",
+    (15, 5): "bff2dc611a2b5bfd5cd02e2c36fd49f7ac115adda249ca539bf3cddbe0177b29",
+    (14, 7): "bef8bfc721bf24347d82cb85fb1c2b8d37940dccabbba7cef6decabc19384c69",
+    (16, 4): "451fd97610776457df348df1c510876a5927dcc480857289e0bfad298e494a2c",
+}
+
+
+@pytest.mark.parametrize("h,r", sorted(TOPOLOGY_PINS))
+def test_combination_network_pinned(h, r):
+    blob = json.dumps(network_to_dict(combination_network(h, r)), sort_keys=True)
+    assert sha256(blob.encode()) == TOPOLOGY_PINS[h, r]
 
 
 class TestStreamedDigest:

@@ -55,6 +55,23 @@ class TestPlacement:
         with pytest.raises(SubpacketizationError):
             broadcast_place(comb42, lib, 1)
 
+    @pytest.mark.parametrize("M", [-1, Fraction(-1, 2), Fraction(5, 2), 3])
+    def test_memory_outside_zero_to_n_rejected(self, comb42, M):
+        lib = random_library(2, 8, seed=25)
+        with pytest.raises(ValueError) as exc:
+            broadcast_place(comb42, lib, M)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"M={M} outside 0..2"
+
+    def test_prefix_not_whole_bytes_message(self, comb42):
+        lib = random_library(3, 8, seed=26)
+        with pytest.raises(SubpacketizationError) as exc:
+            broadcast_place(comb42, lib, 1)
+        assert str(exc.value) == (
+            "file size 8 bytes times M/N = 1/3 is not a whole number of bytes; "
+            "need a multiple of 3"
+        )
+
 
 class TestDecode:
     def test_all_demands_recover_exactly(self, comb42, code42):

@@ -10,6 +10,7 @@ from relaycache.combinatorics import binomial, enumerate_subsets
 from relaycache.topology import (
     Network,
     NotResolvableError,
+    _flow_step,
     affine_plane,
     baranyai_partition,
     combination_network,
@@ -103,6 +104,12 @@ class TestBaranyai:
 
     def test_deterministic(self):
         assert baranyai_partition(9, 3) == baranyai_partition(9, 3)
+
+    def test_flow_short_of_one_unit_per_class_raises(self):
+        # Two classes may only grow their empty member, but C(1, 1) = 1 of
+        # them may take element 1: the max flow is 1, not 2.
+        with pytest.raises(RuntimeError, match="infeasible at stage 0: flow 1 < 2"):
+            _flow_step([[()], [()]], 2, 2, 0)
 
 
 class TestAffinePlane:
