@@ -14,8 +14,9 @@ that length from its own cache and trims the padding with it.
 
 The server signal depends on the library and the cached prefix, never on
 the demand.  So each file's h pieces are encoded once per placement, by the
-first delivery with a given code, and kept on the :class:`PrefixCache`;
-every delivery then only assembles its per-edge records from them.
+first delivery with a given code, and kept on the :class:`PrefixCache` as
+one batch per server edge; every delivery sends those batches and has each
+relay pick one record of its edge's batch per neighbor.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterator, Mapping, Sequence
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
+    Batch,
     CacheView,
     FileLibrary,
     Record,
@@ -41,7 +43,7 @@ from .common import (
 class PrefixCache(CacheView):
     """Every user caches the first ``prefix_bytes`` of every file.
 
-    ``_encoded`` maps an erasure code to the server records that the first
+    ``_encoded`` maps an erasure code to the server batches that the first
     delivery with it built, by edge; it lives as long as the placement.
     """
 
@@ -85,8 +87,8 @@ def _label(n: int, piece: int, octets: int) -> str:
     return f"bc:n={n}:p={piece}:octets={octets}"
 
 
-def _server_records(cache: PrefixCache, code: ErasureCode) -> list[list[Record]]:
-    """by_edge[i - 1][n - 1]: the record of file n on server edge i.
+def _server_batches(cache: PrefixCache, code: ErasureCode) -> list[Batch]:
+    """by_edge[i - 1]: server edge i, whose record n - 1 is file n's piece.
 
     Encoded on the first call with ``code`` and kept on the placement.
     """
@@ -96,12 +98,19 @@ def _server_records(cache: PrefixCache, code: ErasureCode) -> list[list[Record]]
         prefix = cache.prefix_bytes
         suffix = lib.file_bytes - prefix
         part_bytes = -(-suffix // r)  # ceil; zero-pad the tail part
-        by_edge = [[] for _ in range(code.n)]
+        # Each file's pieces go straight into their edge's buffer, so no
+        # piece outlives its file's encode.
+        joined = [bytearray(lib.n_files * part_bytes) for _ in range(code.n)]
         for n in range(1, lib.n_files + 1):
             data = lib.file(n)[prefix:] + bytes(part_bytes * r - suffix)
             parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(r)]
-            for i, piece in enumerate(mds_encode(code, parts), 1):
-                by_edge[i - 1].append(Record(_label(n, i, suffix), piece))
+            at = slice((n - 1) * part_bytes, n * part_bytes)
+            for buf, piece in zip(joined, mds_encode(code, parts)):
+                buf[at] = piece
+        by_edge = []
+        for i in range(1, code.n + 1):
+            labels = [_label(n, i, suffix) for n in range(1, lib.n_files + 1)]
+            by_edge.append(Batch(labels, joined.pop(0), part_bytes))
         cache._encoded[code] = by_edge
     return by_edge
 
@@ -118,10 +127,10 @@ def broadcast_mds_deliver(
     log = TransmissionLog()
     if cache.prefix_bytes == cache.lib.file_bytes:
         return log
-    for i, records in enumerate(_server_records(cache, code), 1):
-        log.add_server(i, records)
+    for i, batch in enumerate(_server_batches(cache, code), 1):
+        log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, [records[demand[u] - 1]])
+            log.forward(i, u, batch, [demand[u] - 1])
     return log
 
 

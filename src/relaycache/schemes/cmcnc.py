@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, subset_rank
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
+    Batch,
     FileLibrary,
     PlannedCache,
     Record,
@@ -54,10 +56,16 @@ class SubsetCache(PlannedCache):
         return self.net.K
 
     @cached_property
-    def labels(self) -> list[list[str]]:
+    def slices(self) -> list[slice]:
+        """slices[q]: where subfile q lies in its file."""
+        size = self.subfile_bytes
+        return [slice(q * size, (q + 1) * size) for q in range(binomial(self.net.K, self.t))]
+
+    @cached_property
+    def labels(self) -> list[tuple[str, ...]]:
         """labels[i - 1][s]: the label of piece i of signal s."""
         stems = [f"cm:S={name}:p=" for name in self.signal_plan.names]
-        return [[stem + str(i) for stem in stems] for i in range(1, self.net.h + 1)]
+        return [tuple([stem + str(i) for stem in stems]) for i in range(1, self.net.h + 1)]
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
@@ -91,10 +99,9 @@ class SubsetCache(PlannedCache):
             subsets = self.subset_plan.subsets
             S = subsets[q] if 0 <= q < len(subsets) else q
             raise KeyError(f"user {user} does not cache {(n, S)}")
-        size = self.subfile_bytes
         source = {n: self.lib.file(n) for n in ids}
         return b"".join(
-            [source[n][q * size : (q + 1) * size] for n, q in zip(files, ranks)]
+            map(getitem, map(source.__getitem__, files), map(self.slices.__getitem__, ranks))
         )
 
     def keys(self, user: int) -> Iterator[tuple]:
@@ -105,6 +112,49 @@ class SubsetCache(PlannedCache):
     def cached_bits(self, user: int) -> int:
         per_file = binomial(self.net.K - 1, self.t - 1)
         return self.lib.n_files * per_file * self.subfile_bytes * 8
+
+
+_STRIDE_PART = 32
+"""Parts shorter than this many bytes are split and merged by byte column.
+
+Both ways copy the same bytes; they differ in the Python-level steps.  A
+column takes one strided copy per byte of a part, a slice one step per
+signal.  Timed on CPython 3.11 with r = 2 and a few hundred signals or
+more, the columns take 0.05x the time of the slices at 4-byte parts,
+0.45x at 32 and 1x-2x at 48-64.
+"""
+
+
+def _split(signals: bytes, r: int, part: int) -> list[bytes]:
+    """Part j of every ``r * part``-byte signal, concatenated, for each j < r.
+
+    :func:`_merge` undoes it.
+    """
+    size = r * part
+    if part >= _STRIDE_PART:
+        return [
+            b"".join([signals[o : o + part] for o in range(j * part, len(signals), size)])
+            for j in range(r)
+        ]
+    parts = []
+    for j in range(r):
+        out = bytearray(len(signals) // r)
+        for b in range(part):
+            out[b::part] = signals[j * part + b :: size]
+        parts.append(bytes(out))
+    return parts
+
+
+def _merge(parts: Sequence[bytes], part: int) -> bytes:
+    """The signals that :func:`_split` cut into ``parts``."""
+    size = len(parts) * part
+    if part >= _STRIDE_PART:
+        return b"".join([p[o : o + part] for o in range(0, len(parts[0]), part) for p in parts])
+    out = bytearray(len(parts) * len(parts[0]))
+    for j, p in enumerate(parts):
+        for b in range(part):
+            out[j * part + b :: size] = p[b::part]
+    return bytes(out)
 
 
 def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
@@ -148,21 +198,16 @@ def cmcnc_deliver(
     coded = 0
     for users, ranks in zip(plan.member, plan.rest):
         terms = b"".join(
-            [wanted[u][q * size : (q + 1) * size] for u, q in zip(users, ranks)]
+            map(getitem, map(wanted.__getitem__, users), map(cache.slices.__getitem__, ranks))
         )
         coded ^= int.from_bytes(terms, "big")
     signals = coded.to_bytes(total, "big")
 
-    parts = [
-        b"".join([signals[o : o + part] for o in range(j * part, total, size)])
-        for j in range(net.r)
-    ]
-    for i, piece in enumerate(mds_encode(code, parts), 1):
-        chunks = [piece[o : o + part] for o in range(0, len(piece), part)]
-        records = list(map(Record, cache.labels[i - 1], chunks))
-        log.add_server(i, records)
+    for i, piece in enumerate(mds_encode(code, _split(signals, net.r, part)), 1):
+        batch = Batch(cache.labels[i - 1], piece, part)
+        log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, records)
+            log.forward(i, u, batch)
     return log
 
 
@@ -185,9 +230,7 @@ def cmcnc_decode(
     for i in net.users[user]:
         labels = map(cache.labels[i - 1].__getitem__, mine)
         pieces.append((i, b"".join(payloads(user, i, received, labels))))
-    data = mds_decode(code, pieces)
-    part = size // net.r
-    signals = b"".join([d[o : o + part] for o in range(0, len(data[0]), part) for d in data])
+    signals = _merge(mds_decode(code, pieces), size // net.r)
 
     # Block x holds the term of each signal's x-th other member; my own
     # cached subfiles follow the t blocks.
@@ -208,4 +251,4 @@ def cmcnc_decode(
     where = [0] * binomial(K, t)
     for j, q in enumerate(own + extracted):
         where[q] = j
-    return b"".join([both[w * size : (w + 1) * size] for w in where])
+    return b"".join(map(both.__getitem__, map(cache.slices.__getitem__, where)))

@@ -11,6 +11,14 @@ Conventions used by every scheme:
   is the signal's only identity: each scheme builds it with one function,
   which delivery and decoding both call, and no code parses it back.
   Decoders look records up by label with :func:`payloads`.
+* Records travel in batches.  A :class:`Batch` is a label tuple, one
+  payload buffer and a part size: the signals a scheme already builds as
+  one joined buffer.  Each edge of a :class:`TransmissionLog` is an
+  :class:`Edge` of batches that still reads as a sequence of records, and
+  a relay edge holds the very batch of its server edge, whole or at picked
+  positions.  So one buffer and one label -> position map serve every edge
+  that carries a batch, and the digest renders each batch once.  The wire
+  format is that of a plain list of records.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
   rejects a record that is not already on that relay's server edge.
 
@@ -35,9 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -243,8 +253,10 @@ class SignalPlan(NamedTuple):
                 member += map(self.member[j].__getitem__, group)
                 rest += map(self.rest[j].__getitem__, group)
             blocks.append((member, rest))
-        signals = [s for group in groups for s in group]
-        delivered = [self.rest[p][s] for p, group in enumerate(groups) for s in group]
+        signals = list(chain.from_iterable(groups))
+        delivered: list[int] = []
+        for p, group in enumerate(groups):
+            delivered += map(self.rest[p].__getitem__, group)
         return signals, blocks, delivered
 
 
@@ -314,88 +326,263 @@ class Record(NamedTuple):
         return 8 * len(self.payload)
 
 
-def payloads(
-    user: int, relay: int, received: Mapping[int, Sequence[Record]], labels: Iterable[str]
-) -> list[bytes]:
-    """The payloads of ``labels`` in ``relay``'s feed to ``user``, in order.
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Records that share one payload buffer; never changed once built.
 
-    Raises IncompleteReceptionError naming the first label the relay did not
-    deliver.
+    Record k is ``labels[k]`` with bytes ``[k * part, (k + 1) * part)`` of
+    ``data``.  Two batches are equal only if they are the same object.
     """
-    feed = dict(received.get(relay, ()))
-    try:
-        return [feed[label] for label in labels]
-    except KeyError as exc:
-        raise IncompleteReceptionError(
-            f"user {user} did not receive {exc.args[0]!r} from relay {relay}"
-        ) from None
+
+    labels: tuple[str, ...]
+    data: bytes
+    part: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        # bytes(b) is b itself; a mutable buffer is copied once, here.
+        object.__setattr__(self, "data", bytes(self.data))
+        if len(self.data) != len(self.labels) * self.part:
+            raise ValueError(
+                f"{len(self.labels)} records of {self.part} bytes need "
+                f"{len(self.labels) * self.part} bytes, got {len(self.data)}"
+            )
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """label -> position of its last record, built on the first lookup
+        and shared by every edge that carries the whole batch."""
+        return dict(zip(self.labels, range(len(self.labels))))
+
+    def payloads(self, positions: Iterable[int]) -> list[bytes]:
+        """The payloads of the records at ``positions``."""
+        data, part = self.data, self.part
+        return [data[k * part : (k + 1) * part] for k in positions]
 
 
 _label_of = attrgetter("label")
 _payload_of = attrgetter("payload")
 
 
-def _bits(records: Sequence[Record]) -> int:
-    return 8 * sum(map(len, map(_payload_of, records)))
+def _batches(records: Iterable[Record]) -> list[Batch]:
+    """``records`` as batches, one per run of equal-size payloads."""
+    out = []
+    for size, run in groupby(records, key=lambda rec: len(rec.payload)):
+        run = list(run)
+        out.append(Batch(tuple(map(_label_of, run)), b"".join(map(_payload_of, run)), size))
+    return out
 
 
-def _signals(records: Sequence[Record]) -> list[dict]:
+def _count(batch: Batch, picks: Sequence[int] | None) -> int:
+    """Records in a part of an edge."""
+    return len(batch.labels) if picks is None else len(picks)
+
+
+class Edge(MutableSequence):
+    """The records on one edge, read as a sequence of :class:`Record`.
+
+    Held as parts ``(batch, picks)``: the whole batch when ``picks`` is
+    None, else its records at the positions in ``picks``, in that order.
+    Batches are shared with other edges, so an edit never touches them: it
+    rebuilds this edge alone from its records.
+    """
+
+    __slots__ = ("parts",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        self.parts: list[tuple[Batch, Sequence[int] | None]] = []
+
+    def __len__(self) -> int:
+        return sum(_count(batch, picks) for batch, picks in self.parts)
+
+    def __iter__(self) -> Iterator[Record]:
+        for batch, picks in self.parts:
+            positions = range(len(batch.labels)) if picks is None else picks
+            yield from map(Record, map(batch.labels.__getitem__, positions), batch.payloads(positions))
+
+    def labels(self) -> Iterator[str]:
+        """The records' labels, in order, without slicing any payload."""
+        for batch, picks in self.parts:
+            yield from batch.labels if picks is None else map(batch.labels.__getitem__, picks)
+
+    def __getitem__(self, k):
+        return list(self)[k]
+
+    def _edit(self, edit, *args) -> None:
+        records = list(self)
+        edit(records, *args)
+        self.parts = [(batch, None) for batch in _batches(records)]
+
+    def __setitem__(self, k, value) -> None:
+        self._edit(list.__setitem__, k, value)
+
+    def __delitem__(self, k) -> None:
+        self._edit(list.__delitem__, k)
+
+    def insert(self, k: int, value: Record) -> None:
+        self._edit(list.insert, k, value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Edge, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Edge({list(self)!r})"
+
+    @property
+    def bits(self) -> int:
+        return 8 * sum(batch.part * _count(batch, picks) for batch, picks in self.parts)
+
+    def find(self, labels: Iterable[str]) -> list[bytes]:
+        """The payload of the last record with each label, in order.
+
+        Raises KeyError with the first label the edge does not carry.
+        """
+        if len(self.parts) == 1:
+            batch, picks = self.parts[0]
+            if picks is None:
+                index = batch.index
+            else:
+                index = dict(zip(map(batch.labels.__getitem__, picks), picks))
+            return batch.payloads(list(map(index.__getitem__, labels)))
+        feed = dict(self)
+        return [feed[label] for label in labels]
+
+
+def payloads(
+    user: int, relay: int, received: Mapping[int, Sequence[Record]], labels: Iterable[str]
+) -> list[bytes]:
+    """The payloads of ``labels`` in ``relay``'s feed to ``user``, in order.
+
+    The feed is an :class:`Edge` or any sequence of records.  Raises
+    IncompleteReceptionError naming the first label the relay did not
+    deliver.
+    """
+    feed = received.get(relay, ())
+    try:
+        if isinstance(feed, Edge):
+            return feed.find(labels)
+        found = dict(feed)
+        return [found[label] for label in labels]
+    except KeyError as exc:
+        raise IncompleteReceptionError(
+            f"user {user} did not receive {exc.args[0]!r} from relay {relay}"
+        ) from None
+
+
+def _signals(records: Iterable[Record]) -> list[dict]:
     return [
         {"label": r.label, "bits": r.bits, "payload": r.payload.hex()} for r in records
     ]
 
 
-class _Fragments(dict):
-    """Record -> its compact JSON object as bytes, rendered on first use."""
+def _render(batch: Batch) -> list[str]:
+    """Each record of ``batch`` as its compact JSON object."""
+    head = '{"bits":%d,"label":' % (8 * batch.part)
+    hexed = batch.data.hex(",", batch.part).split(",") if batch.part else [""] * len(batch.labels)
+    return [
+        f'{head}{encode_basestring_ascii(label)},"payload":"{x}"}}'
+        for label, x in zip(batch.labels, hexed)
+    ]
 
-    def __missing__(self, rec: Record) -> bytes:
-        label, payload = rec
-        text = '{"bits":%d,"label":%s,"payload":"%s"}' % (
-            8 * len(payload),
-            encode_basestring_ascii(label),
-            payload.hex(),
-        )
-        out = self[rec] = text.encode()
-        return out
+
+class _Rendered:
+    """Edges as the comma-joined JSON objects of their records.
+
+    Each batch is rendered once and reused on every edge that carries it:
+    as one buffer where an edge carries it whole, record by record where an
+    edge picks from it.  Keyed by batch identity, as the log holds every
+    batch while this lives.
+    """
+
+    def __init__(self) -> None:
+        self.whole: dict[int, bytes] = {}
+        self.records: dict[int, list[str]] = {}
+
+    def edge(self, edge: Edge) -> bytes:
+        out = []
+        for batch, picks in edge.parts:
+            key = id(batch)
+            if picks is not None:
+                if key not in self.records:
+                    self.records[key] = _render(batch)
+                out.append(",".join(map(self.records[key].__getitem__, picks)).encode())
+                continue
+            if key not in self.whole:
+                records = self.records.get(key) or _render(batch)
+                self.whole[key] = ",".join(records).encode()
+            out.append(self.whole[key])
+        return b",".join(out)
 
 
 @dataclass
 class TransmissionLog:
     """Every signal on every server->relay and relay->user edge.
 
-    Relay edges may only carry records already present on that relay's
-    server edge (relays have no other input).
+    Each edge is an :class:`Edge` of batches.  A scheme sends a batch per
+    server edge (or per relay-user pair) built from the buffer it already
+    joined, and a relay forwards that same batch, whole or at picked
+    positions, so one buffer serves every edge that carries it.  Relay
+    edges may only carry records already present on that relay's server
+    edge (relays have no other input).
     """
 
-    server_edges: dict[int, list[Record]] = field(default_factory=dict)
-    relay_edges: dict[tuple[int, int], list[Record]] = field(default_factory=dict)
-    _seen: dict[int, set[str]] = field(default_factory=dict, repr=False)
+    server_edges: dict[int, Edge] = field(default_factory=dict)
+    relay_edges: dict[tuple[int, int], Edge] = field(default_factory=dict)
 
-    def add_server(self, relay: int, records: Sequence[Record]) -> None:
-        """Append ``records`` to server edge ``relay``; none adds no edge."""
-        if records:
-            self._seen.setdefault(relay, set()).update(map(_label_of, records))
-            self.server_edges.setdefault(relay, []).extend(records)
+    def add_server(self, relay: int, signals: Batch | Sequence[Record]) -> None:
+        """Append ``signals`` to server edge ``relay``; none adds no edge."""
+        for batch in [signals] if isinstance(signals, Batch) else _batches(signals):
+            if batch.labels:
+                self.server_edges.setdefault(relay, Edge()).parts.append((batch, None))
 
-    def forward(self, relay: int, user: int, records: Sequence[Record]) -> None:
-        """Append ``records`` to edge (relay, user); each must already be on
-        the relay's server edge.  None adds no edge."""
-        seen = self._seen.get(relay, set())
-        if not seen.issuperset(map(_label_of, records)):
-            label = next(r.label for r in records if r.label not in seen)
-            raise ValueError(
-                f"relay {relay} cannot forward {label!r}: not on its server edge"
-            )
-        if records:
-            self.relay_edges.setdefault((relay, user), []).extend(records)
+    def forward(
+        self,
+        relay: int,
+        user: int,
+        signals: Batch | Sequence[Record],
+        picks: Sequence[int] | None = None,
+    ) -> None:
+        """Append ``signals`` to edge (relay, user): a batch, its records at
+        ``picks``, or records.  Each must already be on the relay's server
+        edge: the batch itself, or else a record with the same label.  None
+        adds no edge."""
+        if isinstance(signals, Batch):
+            n = len(signals.labels)
+            if picks and not (0 <= min(picks) and max(picks) < n):
+                raise IndexError(f"picks outside the {n} records of the batch")
+            parts = [(signals, picks)]
+        elif picks is None:
+            parts = [(batch, None) for batch in _batches(signals)]
+        else:
+            raise TypeError("picks need a Batch")
+        server = self.server_edges.get(relay, Edge())
+        seen = None
+        for batch, picks in parts:
+            if not any(batch is sent for sent, _ in reversed(server.parts)):
+                if seen is None:
+                    seen = set(server.labels())
+                positions = range(len(batch.labels)) if picks is None else picks
+                for label in map(batch.labels.__getitem__, positions):
+                    if label not in seen:
+                        raise ValueError(
+                            f"relay {relay} cannot forward {label!r}: not on its server edge"
+                        )
+        parts = [part for part in parts if _count(*part)]
+        if parts:
+            self.relay_edges.setdefault((relay, user), Edge()).parts += parts
 
     def server_bits(self, relay: int) -> int:
-        return _bits(self.server_edges.get(relay, ()))
+        edge = self.server_edges.get(relay)
+        return edge.bits if edge else 0
 
     def relay_bits(self, relay: int, user: int) -> int:
-        return _bits(self.relay_edges.get((relay, user), ()))
+        edge = self.relay_edges.get((relay, user))
+        return edge.bits if edge else 0
 
-    def to_user(self, user: int) -> dict[int, list[Record]]:
+    def to_user(self, user: int) -> dict[int, Edge]:
         return {
             relay: records
             for (relay, u), records in self.relay_edges.items()
@@ -421,22 +608,23 @@ class TransmissionLog:
         """sha256 of ``json.dumps(self.to_dict(), sort_keys=True,
         separators=(",", ":"))``, streamed one edge at a time.
 
-        Each distinct record is rendered once and reused on every edge that
-        carries it.
+        Each batch is rendered once and its bytes are reused on every edge
+        that carries it.
         """
-        fragment = _Fragments().__getitem__
+        render = _Rendered().edge
         sha = hashlib.sha256(b'{"relay_edges":[')
         sep = b""
-        for (relay, user), records in sorted(self.relay_edges.items()):
-            signals = b",".join(map(fragment, records))
-            edge = b'{"relay":%d,"signals":[%s],"user":%d}' % (relay, signals, user)
-            sha.update(sep + edge)
+        for (relay, user), edge in sorted(self.relay_edges.items()):
+            sha.update(sep + b'{"relay":%d,"signals":[' % relay)
+            sha.update(render(edge))
+            sha.update(b'],"user":%d}' % user)
             sep = b","
         sha.update(b'],"server_edges":[')
         sep = b""
-        for relay, records in sorted(self.server_edges.items()):
-            signals = b",".join(map(fragment, records))
-            sha.update(sep + b'{"relay":%d,"signals":[%s]}' % (relay, signals))
+        for relay, edge in sorted(self.server_edges.items()):
+            sha.update(sep + b'{"relay":%d,"signals":[' % relay)
+            sha.update(render(edge))
+            sha.update(b"]}")
             sep = b","
         sha.update(b"]}")
         return sha.hexdigest()

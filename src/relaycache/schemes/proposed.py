@@ -34,12 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
+from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
 from ..topology import Network
 from .common import (
+    Batch,
     FileLibrary,
     PlannedCache,
     Record,
@@ -65,19 +68,29 @@ class GroupedCache(PlannedCache):
     def subfiles_per_file(self) -> int:
         return self.net.r * binomial(self.net.num_classes, self.t)
 
+    @cached_property
+    def slices(self) -> list[list[slice]]:
+        """slices[l][q]: where subfile (T of rank q, copy l) lies in its
+        file, for l in 1..r; slices[0] is empty."""
+        r, size = self.net.r, self.subfile_bytes
+        count = binomial(self.net.num_classes, self.t)
+        return [[]] + [
+            [slice((q * r + l - 1) * size, (q * r + l) * size) for q in range(count)]
+            for l in range(1, r + 1)
+        ]
+
     def subfiles(
         self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
     ) -> bytes:
         """Library-side access (the server may read everything): subfile
         (files[j], T of rank ranks[j], copies[j]) for every j, concatenated."""
-        r, size = self.net.r, self.subfile_bytes
+        if not len(files) == len(ranks) == len(copies):
+            raise ValueError(
+                f"{len(files)} files, {len(ranks)} ranks and {len(copies)} copies differ in length"
+            )
         source = {n: self.lib.file(n) for n in set(files)}
-        return b"".join(
-            [
-                source[n][(q * r + l - 1) * size : (q * r + l) * size]
-                for n, q, l in zip(files, ranks, copies, strict=True)
-            ]
-        )
+        cuts = map(getitem, map(self.slices.__getitem__, copies), ranks)
+        return b"".join(map(getitem, map(source.__getitem__, files), cuts))
 
     def read(
         self, user: int, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
@@ -144,9 +157,9 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
     )
 
 
-def _labels(relay: int, signals: Iterable[str]) -> list[str]:
+def _labels(relay: int, signals: Iterable[str]) -> tuple[str, ...]:
     """Labels of ``relay``'s signals, each C given as written in labels."""
-    return list(map(f"prop:i={relay}:C=".__add__, signals))
+    return tuple(map(f"prop:i={relay}:C=".__add__, signals))
 
 
 def _neighbors_of(
@@ -195,6 +208,8 @@ def proposed_deliver(
     plan = cache.signal_plan
     size = cache.subfile_bytes
     total = len(plan.names) * size
+    # picks[c]: the signals whose C holds class c, which its users receive.
+    picks = [tuple(sorted(chain.from_iterable(at[c] for at in plan.at))) for c in range(kt)]
     for i in range(1, net.h + 1):
         file_of, copy_of = _neighbors_of(net, demand, i)
         coded = 0
@@ -203,13 +218,10 @@ def proposed_deliver(
             copies = list(map(copy_of.__getitem__, classes))
             coded ^= int.from_bytes(cache.subfiles(files, ranks, copies), "big")
         signals = coded.to_bytes(total, "big")
-        chunks = [signals[o : o + size] for o in range(0, total, size)]
-        records = list(map(Record, _labels(i, plan.names), chunks))
-        log.add_server(i, records)
+        batch = Batch(_labels(i, plan.names), signals, size)
+        log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            c = net.class_of[u] - 1
-            mine = sorted(chain.from_iterable(at[c] for at in plan.at))
-            log.forward(i, u, list(map(records.__getitem__, mine)))
+            log.forward(i, u, batch, picks[net.class_of[u] - 1])
     return log
 
 

@@ -21,16 +21,16 @@ from typing import Iterable, Mapping, Sequence
 
 from ..combinatorics import position_in
 from ..topology import Network
-from .common import Record, TransmissionLog, fmt_subset, payloads, validate_demand
+from .common import Batch, Record, TransmissionLog, fmt_subset, payloads, validate_demand
 from .proposed import GroupedCache, _reassemble
 
 
-def _labels(relay: int, V: tuple[int, ...], l: int, names: Iterable[str]) -> list[str]:
+def _labels(relay: int, V: tuple[int, ...], l: int, names: Iterable[str]) -> tuple[str, ...]:
     """Labels of the subfiles (T, l) for user V on ``relay``, each T given
     as written in labels."""
     stem = f"rt:i={relay}:V={fmt_subset(V)}:T="
     tail = f":l={l}"
-    return [stem + name + tail for name in names]
+    return tuple(stem + name + tail for name in names)
 
 
 def routing_deliver(
@@ -46,11 +46,9 @@ def routing_deliver(
             l = position_in(V, i)
             ranks = plan.missing[net.class_of[u] - 1]
             data = cache.subfiles([demand[u]] * len(ranks), ranks, [l] * len(ranks))
-            chunks = [data[o : o + size] for o in range(0, len(data), size)]
-            labels = _labels(i, V, l, map(plan.names.__getitem__, ranks))
-            records = list(map(Record, labels, chunks))
-            log.add_server(i, records)
-            log.forward(i, u, records)
+            batch = Batch(_labels(i, V, l, map(plan.names.__getitem__, ranks)), data, size)
+            log.add_server(i, batch)
+            log.forward(i, u, batch)
     return log
 
 

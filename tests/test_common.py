@@ -7,17 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relaycache.schemes.common import (
+    Batch,
     FileLibrary,
+    IncompleteReceptionError,
     Record,
     TransmissionLog,
+    _Rendered,
     all_demands,
     distinct_demand,
     fmt_subset,
+    payloads,
     plan_signals,
     random_library,
     uniform_demand,
     validate_demand,
 )
+from test_golden import reference_digest
 
 
 class TestFileLibrary:
@@ -166,3 +171,201 @@ class TestTransmissionLog:
         with pytest.raises(ValueError, match="cannot forward"):
             log.forward(2, 0, [Record("a:i=1", b"1")])
         assert log.relay_edges == {}
+
+
+def served_batch():
+    """A log with one 3-record batch on server edge 1, forwarded whole to
+    users 0 and 1 and picked (records 2 and 0) to user 2."""
+    log = TransmissionLog()
+    batch = Batch(("a:i=1", "b:i=1", "c:i=1"), b"\x01\x02\x03\x04\x05\x06", 2)
+    log.add_server(1, batch)
+    log.forward(1, 0, batch)
+    log.forward(1, 1, batch)
+    log.forward(1, 2, batch, [2, 0])
+    return log, batch
+
+
+def records(batch, positions):
+    return [Record(batch.labels[k], batch.data[2 * k : 2 * k + 2]) for k in positions]
+
+
+class TestBatchLog:
+    def test_whole_forward_shares_the_server_batch(self):
+        log, batch = served_batch()
+        assert log.server_edges[1].parts == [(batch, None)]
+        assert log.relay_edges[(1, 0)].parts[0][0] is batch
+        assert log.relay_edges[(1, 1)].parts[0][0] is batch
+        assert log.relay_edges[(1, 2)].parts == [(batch, [2, 0])]
+
+    def test_batch_with_a_label_off_the_server_edge_is_refused(self):
+        log, batch = served_batch()
+        stray = Batch(("a:i=1", "z:i=1"), b"\x01\x02\x09\x09", 2)
+        with pytest.raises(ValueError, match="cannot forward 'z:i=1'"):
+            log.forward(1, 3, stray)
+        with pytest.raises(ValueError, match="cannot forward 'z:i=1'"):
+            log.forward(1, 3, stray, [0, 1])
+        with pytest.raises(ValueError, match="cannot forward 'a:i=1'"):
+            log.forward(2, 3, batch)
+        # A copy of a served batch passes on its labels alone, as records do.
+        log.forward(1, 3, Batch(batch.labels, batch.data, batch.part), [1])
+        assert (1, 3) in log.relay_edges
+
+    def test_picks_must_lie_in_the_batch(self):
+        log, batch = served_batch()
+        with pytest.raises(IndexError):
+            log.forward(1, 3, batch, [3])
+        with pytest.raises(IndexError):
+            log.forward(1, 3, batch, [-1])
+        with pytest.raises(ValueError, match="need 6 bytes"):
+            Batch(("a", "b", "c"), b"\x00", 2)
+
+    def test_len_is_the_record_count(self):
+        log, batch = served_batch()
+        assert len(log.server_edges[1]) == len(log.relay_edges[(1, 0)]) == 3
+        assert len(log.relay_edges[(1, 2)]) == 2
+        log.add_server(1, [Record("d:i=1", b"\x07")])
+        assert len(log.server_edges[1]) == 4
+        assert log.server_bits(1) == 8 * 7 and log.relay_bits(1, 2) == 8 * 4
+
+    def test_edges_equal_plain_record_lists(self):
+        log, batch = served_batch()
+        assert log.server_edges[1] == records(batch, [0, 1, 2])
+        assert log.relay_edges[(1, 0)] == records(batch, [0, 1, 2])
+        assert log.relay_edges[(1, 2)] == records(batch, [2, 0])
+        assert log.relay_edges[(1, 2)] != records(batch, [0, 2])
+        assert log.relay_edges[(1, 2)][0] == records(batch, [2])[0]
+        assert log.relay_edges[(1, 2)][-1:] == records(batch, [0])
+        assert log.to_user(2) == {1: records(batch, [2, 0])}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda edge: edge.append(Record("a:i=1", b"\xff\xff")),
+            lambda edge: edge.__setitem__(0, Record("a:i=1", b"\x41\x02")),
+            lambda edge: edge.pop(),
+        ],
+        ids=["append", "setitem", "pop"],
+    )
+    @pytest.mark.parametrize("user", [0, 2])
+    def test_edit_of_one_relay_edge_leaves_the_rest(self, edit, user):
+        log, batch = served_batch()
+        others = [edge for key, edge in log.relay_edges.items() if key != (1, user)]
+        before = [list(edge) for edge in [log.server_edges[1], *others]]
+        rendered = [_Rendered().edge(edge) for edge in [log.server_edges[1], *others]]
+        edit(log.relay_edges[(1, user)])
+        assert batch.data == b"\x01\x02\x03\x04\x05\x06"
+        assert [list(edge) for edge in [log.server_edges[1], *others]] == before
+        render = _Rendered()
+        assert [render.edge(edge) for edge in [log.server_edges[1], *others]] == rendered
+        assert log.to_user(user)[1] is log.relay_edges[(1, user)]
+        assert log.digest() == reference_digest(log)
+
+    def test_to_user_follows_relay_edges_set_and_deleted(self):
+        log, batch = served_batch()
+        log.relay_edges[(2, 2)] = records(batch, [1])
+        del log.relay_edges[(1, 2)]
+        assert log.to_user(2) == {2: records(batch, [1])}
+        assert TransmissionLog(relay_edges={(1, 0): [Record("a", b"")]}).to_user(0) == {
+            1: [Record("a", b"")]
+        }
+
+    def test_payloads_read_batches_and_plain_lists(self):
+        log, batch = served_batch()
+        rx = log.to_user(2)
+        assert payloads(2, 1, rx, ["a:i=1", "c:i=1"]) == [b"\x01\x02", b"\x05\x06"]
+        with pytest.raises(IncompleteReceptionError, match="did not receive 'b:i=1' from relay 1"):
+            payloads(2, 1, rx, ["a:i=1", "b:i=1"])
+        rx[1] = records(batch, [1])
+        assert payloads(2, 1, rx, ["b:i=1"]) == [b"\x03\x04"]
+        with pytest.raises(IncompleteReceptionError, match="'a:i=1' from relay 2"):
+            payloads(2, 2, rx, ["a:i=1"])
+
+
+LABELS = st.sampled_from(["a", "b", 'q"', "c\\d", "é", "x:i=1"])
+
+
+@st.composite
+def batch_logs(draw):
+    """A log built from random batches, forwards and edits, with the same
+    log kept as plain record lists."""
+    log = TransmissionLog()
+    server: dict[int, list[Record]] = {}
+    relay: dict[tuple[int, int], list[Record]] = {}
+    batches: list[tuple[int, Batch]] = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["server", "whole", "picked", "records", "edit"]))
+        if op == "server" or not batches:
+            relay_id = draw(st.integers(1, 3))
+            part = draw(st.integers(0, 3))
+            labels = draw(st.lists(LABELS, max_size=5))
+            data = draw(st.binary(min_size=len(labels) * part, max_size=len(labels) * part))
+            batch = Batch(labels, data, part)
+            log.add_server(relay_id, batch)
+            if labels:
+                server.setdefault(relay_id, []).extend(records_of(batch, range(len(labels))))
+            batches.append((relay_id, batch))
+            continue
+        user = draw(st.integers(0, 3))
+        if op == "edit":
+            if not relay:
+                continue
+            key = draw(st.sampled_from(sorted(relay)))
+            edge, mirror = log.relay_edges[key], relay[key]
+            rec = Record(draw(LABELS), draw(st.binary(max_size=3)))
+            if mirror and draw(st.booleans()):
+                k = draw(st.integers(0, len(mirror) - 1))
+                edge[k] = mirror[k] = rec
+            else:
+                edge.append(rec)
+                mirror.append(rec)
+            continue
+        relay_id, batch = draw(st.sampled_from(batches))
+        n = len(batch.labels)
+        if op == "whole":
+            log.forward(relay_id, user, batch)
+            sent = records_of(batch, range(n))
+        elif op == "picked":
+            picks = draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+            log.forward(relay_id, user, batch, picks)
+            sent = records_of(batch, picks)
+        else:
+            sent = draw(st.lists(st.sampled_from(server[relay_id]), max_size=4)) if n else []
+            log.forward(relay_id, user, sent)
+        if sent:
+            relay.setdefault((relay_id, user), []).extend(sent)
+    return log, server, relay
+
+
+def records_of(batch, positions):
+    p = batch.part
+    return [Record(batch.labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
+
+
+def as_dict(server, relay):
+    def signals(recs):
+        return [{"label": r.label, "bits": r.bits, "payload": r.payload.hex()} for r in recs]
+
+    return {
+        "server_edges": [
+            {"relay": i, "signals": signals(recs)} for i, recs in sorted(server.items())
+        ],
+        "relay_edges": [
+            {"relay": i, "user": u, "signals": signals(recs)}
+            for (i, u), recs in sorted(relay.items())
+        ],
+    }
+
+
+class TestBatchLogAgainstRecordLists:
+    @given(batch_logs())
+    def test_digest_and_dict_match_the_record_list_form(self, case):
+        log, server, relay = case
+        assert log.to_dict() == as_dict(server, relay)
+        assert log.digest() == reference_digest(log)
+        assert log.server_edges == server and log.relay_edges == relay
+        for (i, u), recs in relay.items():
+            assert len(log.relay_edges[(i, u)]) == len(recs)
+            assert log.relay_bits(i, u) == 8 * sum(len(r.payload) for r in recs)
+            assert log.to_user(u)[i] == recs
+            found = dict(recs)
+            assert payloads(u, i, log.to_user(u), found) == list(found.values())

@@ -18,6 +18,7 @@ from relaycache.schemes import (
     random_demand,
     random_library,
 )
+from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,19 @@ class TestDecode:
         cache = cmcnc_place(comb42, lib30, 6)
         out = cmcnc_decode(comb42, 0, cache, distinct_demand(comb42, 6), {}, code42)
         assert out == lib30.file(1)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("part", [0, 1, 2, _STRIDE_PART - 1, _STRIDE_PART, _STRIDE_PART + 1, 100])
+@pytest.mark.parametrize("count", [0, 1, 5, 40])
+def test_split_cuts_each_signal_into_r_parts_and_merge_undoes_it(r, part, count):
+    # Byte columns below _STRIDE_PART, slices from it on: both must cut
+    # signal s into its r consecutive parts, part j of every signal in order.
+    signals = random.Random(r * 1000 + part * 50 + count).randbytes(count * r * part)
+    size = r * part
+    expected = [
+        b"".join(signals[s * size + j * part : s * size + (j + 1) * part] for s in range(count))
+        for j in range(r)
+    ]
+    assert _split(signals, r, part) == expected
+    assert _merge(expected, part) == signals
