@@ -67,12 +67,16 @@ def gf_scale(data: bytes, c: int) -> bytes:
     return data.translate(_scale_table(c))
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """Bytewise XOR (field addition) of two equal-length buffers."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+def xor_bytes(*buffers: bytes) -> bytes:
+    """Bytewise XOR (field addition) of one or more equal-length buffers,
+    summed as one integer."""
+    size = len(buffers[0])
+    acc = 0
+    for buf in buffers:
+        if len(buf) != size:
+            raise ValueError(f"length mismatch: {size} vs {len(buf)}")
+        acc ^= int.from_bytes(buf, "big")
+    return acc.to_bytes(size, "big")
 
 
 def _invert(rows: list[list[int]]) -> list[list[int]]:
@@ -155,20 +159,15 @@ def _combine(rows: Iterable[Sequence[int]], buffers: list[bytes]) -> list[bytes]
     """One buffer per row: the GF(256) sum of ``buffers`` scaled by the row.
 
     A row with one nonzero coefficient is that buffer scaled, with no sum.
-    Any other row is summed as one integer XOR over the scaled buffers.
+    Any other row is the :func:`xor_bytes` of the scaled buffers.
     """
-    size = len(buffers[0])
     out = []
     for row in rows:
         if row.count(0) == len(row) - 1:
             coeff = max(row)
             out.append(gf_scale(buffers[row.index(coeff)], coeff))
             continue
-        acc = 0
-        for coeff, buf in zip(row, buffers):
-            if coeff:
-                acc ^= int.from_bytes(gf_scale(buf, coeff), "big")
-        out.append(acc.to_bytes(size, "big"))
+        out.append(xor_bytes(*[gf_scale(buf, c) for c, buf in zip(row, buffers) if c]))
     return out
 
 

@@ -8,7 +8,9 @@ from .broadcast import (
 )
 from .cmcnc import SubsetCache, cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
+    Batch,
     BudgetError,
+    Edge,
     FileLibrary,
     GridError,
     IncompleteReceptionError,
@@ -31,7 +33,9 @@ from .proposed import (
 from .routing import routing_decode, routing_deliver
 
 __all__ = [
+    "Batch",
     "BudgetError",
+    "Edge",
     "FileLibrary",
     "GridError",
     "GroupedCache",

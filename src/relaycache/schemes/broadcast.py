@@ -23,15 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
     Batch,
     CacheView,
+    Edge,
     FileLibrary,
-    Record,
     SubpacketizationError,
     TransmissionLog,
     payloads,
@@ -139,7 +139,7 @@ def broadcast_decode(
     user: int,
     cache: PrefixCache,
     demand: tuple[int, ...],
-    received: Mapping[int, Sequence[Record]],
+    received: Mapping[int, Edge],
     code: ErasureCode,
 ) -> bytes:
     want = demand[user]

@@ -26,13 +26,13 @@ from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, subset_rank
-from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
+from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode, xor_bytes
 from ..topology import Network
 from .common import (
     Batch,
+    Edge,
     FileLibrary,
     PlannedCache,
-    Record,
     SubpacketizationError,
     TransmissionLog,
     grid_t,
@@ -192,16 +192,15 @@ def cmcnc_deliver(
     plan = cache.signal_plan
     size = cache.subfile_bytes
     part = size // net.r
-    total = len(plan.names) * size
     wanted = [cache.lib.file(n) for n in demand]
-
-    coded = 0
-    for users, ranks in zip(plan.member, plan.rest):
-        terms = b"".join(
-            map(getitem, map(wanted.__getitem__, users), map(cache.slices.__getitem__, ranks))
-        )
-        coded ^= int.from_bytes(terms, "big")
-    signals = coded.to_bytes(total, "big")
+    signals = xor_bytes(
+        *[
+            b"".join(
+                map(getitem, map(wanted.__getitem__, users), map(cache.slices.__getitem__, ranks))
+            )
+            for users, ranks in zip(plan.member, plan.rest)
+        ]
+    )
 
     for i, piece in enumerate(mds_encode(code, _split(signals, net.r, part)), 1):
         batch = Batch(cache.labels[i - 1], piece, part)
@@ -216,7 +215,7 @@ def cmcnc_decode(
     user: int,
     cache: SubsetCache,
     demand: tuple[int, ...],
-    received: Mapping[int, Sequence[Record]],
+    received: Mapping[int, Edge],
     code: ErasureCode,
 ) -> bytes:
     K, t = net.K, cache.t
@@ -242,10 +241,8 @@ def cmcnc_decode(
     files = [*map(demand.__getitem__, users), *[demand[user]] * len(own)]
     cached = cache.read(user, files, ranks + own)
     block = len(mine) * size
-    coded = int.from_bytes(signals, "big")
-    for x in range(t):
-        coded ^= int.from_bytes(cached[x * block : (x + 1) * block], "big")
-    both = cached[t * block :] + coded.to_bytes(block, "big")
+    coded = xor_bytes(signals, *[cached[x * block : (x + 1) * block] for x in range(t)])
+    both = cached[t * block :] + coded
 
     # Subfile q of the file is slot where[q] of ``both``.
     where = [0] * binomial(K, t)

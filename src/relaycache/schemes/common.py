@@ -11,16 +11,18 @@ Conventions used by every scheme:
   is the signal's only identity: each scheme builds it with one function,
   which delivery and decoding both call, and no code parses it back.
   Decoders look records up by label with :func:`payloads`.
-* Records travel in batches.  A :class:`Batch` is a label tuple, one
-  payload buffer and a part size: the signals a scheme already builds as
-  one joined buffer.  Each edge of a :class:`TransmissionLog` is an
-  :class:`Edge` of batches that still reads as a sequence of records, and
-  a relay edge holds the very batch of its server edge, whole or at picked
-  positions.  So one buffer and one label -> position map serve every edge
-  that carries a batch, and the digest renders each batch once.  The wire
-  format is that of a plain list of records.
+* Records travel in batches, and only in batches.  A :class:`Batch` is a
+  label tuple, one payload buffer and a part size: the signals a scheme
+  already builds as one joined buffer.  Each edge of a
+  :class:`TransmissionLog` is an :class:`Edge` of batches, and a relay edge
+  holds the very batch of its server edge, whole or at picked positions.
+  So one buffer and one label -> position map serve every edge that
+  carries a batch, and the digest renders each batch once.  An edge
+  iterates as its records, and the wire format is that of a plain list of
+  records.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
-  rejects a record that is not already on that relay's server edge.
+  rejects a batch that is not, as the same object, on that relay's server
+  edge.
 
 Cache objects are lazy views over the library: they answer membership and
 content queries per user without materializing every subfile.  Each scheme's
@@ -43,13 +45,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, lt
+from operator import lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import enumerate_subsets
@@ -360,35 +361,18 @@ class Batch:
         return [data[k * part : (k + 1) * part] for k in positions]
 
 
-_label_of = attrgetter("label")
-_payload_of = attrgetter("payload")
-
-
-def _batches(records: Iterable[Record]) -> list[Batch]:
-    """``records`` as batches, one per run of equal-size payloads."""
-    out = []
-    for size, run in groupby(records, key=lambda rec: len(rec.payload)):
-        run = list(run)
-        out.append(Batch(tuple(map(_label_of, run)), b"".join(map(_payload_of, run)), size))
-    return out
-
-
 def _count(batch: Batch, picks: Sequence[int] | None) -> int:
     """Records in a part of an edge."""
     return len(batch.labels) if picks is None else len(picks)
 
 
-class Edge(MutableSequence):
-    """The records on one edge, read as a sequence of :class:`Record`.
-
-    Held as parts ``(batch, picks)``: the whole batch when ``picks`` is
-    None, else its records at the positions in ``picks``, in that order.
-    Batches are shared with other edges, so an edit never touches them: it
-    rebuilds this edge alone from its records.
+class Edge:
+    """The records on one edge, held as parts ``(batch, picks)``: the whole
+    batch when ``picks`` is None, else its records at the positions in
+    ``picks``, in that order.  Iterating yields each :class:`Record`.
     """
 
     __slots__ = ("parts",)
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
         self.parts: list[tuple[Batch, Sequence[int] | None]] = []
@@ -401,70 +385,30 @@ class Edge(MutableSequence):
             positions = range(len(batch.labels)) if picks is None else picks
             yield from map(Record, map(batch.labels.__getitem__, positions), batch.payloads(positions))
 
-    def labels(self) -> Iterator[str]:
-        """The records' labels, in order, without slicing any payload."""
-        for batch, picks in self.parts:
-            yield from batch.labels if picks is None else map(batch.labels.__getitem__, picks)
-
-    def __getitem__(self, k):
-        return list(self)[k]
-
-    def _edit(self, edit, *args) -> None:
-        records = list(self)
-        edit(records, *args)
-        self.parts = [(batch, None) for batch in _batches(records)]
-
-    def __setitem__(self, k, value) -> None:
-        self._edit(list.__setitem__, k, value)
-
-    def __delitem__(self, k) -> None:
-        self._edit(list.__delitem__, k)
-
-    def insert(self, k: int, value: Record) -> None:
-        self._edit(list.insert, k, value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Edge, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Edge({list(self)!r})"
-
     @property
     def bits(self) -> int:
         return 8 * sum(batch.part * _count(batch, picks) for batch, picks in self.parts)
 
-    def find(self, labels: Iterable[str]) -> list[bytes]:
-        """The payload of the last record with each label, in order.
 
-        Raises KeyError with the first label the edge does not carry.
-        """
-        if len(self.parts) == 1:
-            batch, picks = self.parts[0]
+def payloads(
+    user: int, relay: int, received: Mapping[int, Edge], labels: Iterable[str]
+) -> list[bytes]:
+    """The payload of the last record with each label in ``relay``'s feed to
+    ``user``, in order.
+
+    Raises IncompleteReceptionError naming the first label the relay did not
+    deliver.
+    """
+    edge = received.get(relay, Edge())
+    try:
+        if len(edge.parts) == 1:
+            batch, picks = edge.parts[0]
             if picks is None:
                 index = batch.index
             else:
                 index = dict(zip(map(batch.labels.__getitem__, picks), picks))
             return batch.payloads(list(map(index.__getitem__, labels)))
-        feed = dict(self)
-        return [feed[label] for label in labels]
-
-
-def payloads(
-    user: int, relay: int, received: Mapping[int, Sequence[Record]], labels: Iterable[str]
-) -> list[bytes]:
-    """The payloads of ``labels`` in ``relay``'s feed to ``user``, in order.
-
-    The feed is an :class:`Edge` or any sequence of records.  Raises
-    IncompleteReceptionError naming the first label the relay did not
-    deliver.
-    """
-    feed = received.get(relay, ())
-    try:
-        if isinstance(feed, Edge):
-            return feed.find(labels)
-        found = dict(feed)
+        found = dict(edge)
         return [found[label] for label in labels]
     except KeyError as exc:
         raise IncompleteReceptionError(
@@ -523,56 +467,39 @@ class TransmissionLog:
 
     Each edge is an :class:`Edge` of batches.  A scheme sends a batch per
     server edge (or per relay-user pair) built from the buffer it already
-    joined, and a relay forwards that same batch, whole or at picked
-    positions, so one buffer serves every edge that carries it.  Relay
-    edges may only carry records already present on that relay's server
-    edge (relays have no other input).
+    joined, and a relay forwards that same batch object, whole or at picked
+    positions, so one buffer serves every edge that carries it.  A relay
+    edge may only carry a batch that is on that relay's server edge (relays
+    have no other input).
     """
 
     server_edges: dict[int, Edge] = field(default_factory=dict)
     relay_edges: dict[tuple[int, int], Edge] = field(default_factory=dict)
 
-    def add_server(self, relay: int, signals: Batch | Sequence[Record]) -> None:
-        """Append ``signals`` to server edge ``relay``; none adds no edge."""
-        for batch in [signals] if isinstance(signals, Batch) else _batches(signals):
-            if batch.labels:
-                self.server_edges.setdefault(relay, Edge()).parts.append((batch, None))
+    def add_server(self, relay: int, batch: Batch) -> None:
+        """Append ``batch`` to server edge ``relay``; an empty batch adds no edge."""
+        if batch.labels:
+            self.server_edges.setdefault(relay, Edge()).parts.append((batch, None))
 
     def forward(
-        self,
-        relay: int,
-        user: int,
-        signals: Batch | Sequence[Record],
-        picks: Sequence[int] | None = None,
+        self, relay: int, user: int, batch: Batch, picks: Sequence[int] | None = None
     ) -> None:
-        """Append ``signals`` to edge (relay, user): a batch, its records at
-        ``picks``, or records.  Each must already be on the relay's server
-        edge: the batch itself, or else a record with the same label.  None
-        adds no edge."""
-        if isinstance(signals, Batch):
-            n = len(signals.labels)
-            if picks and not (0 <= min(picks) and max(picks) < n):
-                raise IndexError(f"picks outside the {n} records of the batch")
-            parts = [(signals, picks)]
-        elif picks is None:
-            parts = [(batch, None) for batch in _batches(signals)]
-        else:
-            raise TypeError("picks need a Batch")
+        """Append ``batch`` to edge (relay, user): whole, or its records at
+        ``picks`` in that order.  The batch must be on the relay's server
+        edge, as the same object.  A batch or picks with no records adds no
+        edge and is not checked."""
+        n = len(batch.labels)
+        if not _count(batch, picks):
+            return
+        if picks is not None and not (0 <= min(picks) and max(picks) < n):
+            raise IndexError(f"picks outside the {n} records of the batch")
         server = self.server_edges.get(relay, Edge())
-        seen = None
-        for batch, picks in parts:
-            if not any(batch is sent for sent, _ in reversed(server.parts)):
-                if seen is None:
-                    seen = set(server.labels())
-                positions = range(len(batch.labels)) if picks is None else picks
-                for label in map(batch.labels.__getitem__, positions):
-                    if label not in seen:
-                        raise ValueError(
-                            f"relay {relay} cannot forward {label!r}: not on its server edge"
-                        )
-        parts = [part for part in parts if _count(*part)]
-        if parts:
-            self.relay_edges.setdefault((relay, user), Edge()).parts += parts
+        if not any(batch is sent for sent, _ in reversed(server.parts)):
+            first = batch.labels[0 if picks is None else picks[0]]
+            raise ValueError(
+                f"relay {relay} cannot forward {first!r}: its batch is not on the relay's server edge"
+            )
+        self.relay_edges.setdefault((relay, user), Edge()).parts.append((batch, picks))
 
     def server_bits(self, relay: int) -> int:
         edge = self.server_edges.get(relay)
@@ -583,21 +510,17 @@ class TransmissionLog:
         return edge.bits if edge else 0
 
     def to_user(self, user: int) -> dict[int, Edge]:
-        return {
-            relay: records
-            for (relay, u), records in self.relay_edges.items()
-            if u == user
-        }
+        return {relay: edge for (relay, u), edge in self.relay_edges.items() if u == user}
 
     def to_dict(self) -> dict:
         return {
             "server_edges": [
-                {"relay": relay, "signals": _signals(records)}
-                for relay, records in sorted(self.server_edges.items())
+                {"relay": relay, "signals": _signals(edge)}
+                for relay, edge in sorted(self.server_edges.items())
             ],
             "relay_edges": [
-                {"relay": relay, "user": user, "signals": _signals(records)}
-                for (relay, user), records in sorted(self.relay_edges.items())
+                {"relay": relay, "user": user, "signals": _signals(edge)}
+                for (relay, user), edge in sorted(self.relay_edges.items())
             ],
         }
 

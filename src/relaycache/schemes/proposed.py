@@ -40,12 +40,13 @@ from operator import getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
+from ..erasure import xor_bytes
 from ..topology import Network
 from .common import (
     Batch,
+    Edge,
     FileLibrary,
     PlannedCache,
-    Record,
     SubpacketizationError,
     TransmissionLog,
     grid_t,
@@ -206,19 +207,21 @@ def proposed_deliver(
     if t + 1 > kt:
         return log
     plan = cache.signal_plan
-    size = cache.subfile_bytes
-    total = len(plan.names) * size
     # picks[c]: the signals whose C holds class c, which its users receive.
     picks = [tuple(sorted(chain.from_iterable(at[c] for at in plan.at))) for c in range(kt)]
     for i in range(1, net.h + 1):
         file_of, copy_of = _neighbors_of(net, demand, i)
-        coded = 0
-        for classes, ranks in zip(plan.member, plan.rest):
-            files = list(map(file_of.__getitem__, classes))
-            copies = list(map(copy_of.__getitem__, classes))
-            coded ^= int.from_bytes(cache.subfiles(files, ranks, copies), "big")
-        signals = coded.to_bytes(total, "big")
-        batch = Batch(_labels(i, plan.names), signals, size)
+        signals = xor_bytes(
+            *[
+                cache.subfiles(
+                    list(map(file_of.__getitem__, classes)),
+                    ranks,
+                    list(map(copy_of.__getitem__, classes)),
+                )
+                for classes, ranks in zip(plan.member, plan.rest)
+            ]
+        )
+        batch = Batch(_labels(i, plan.names), signals, cache.subfile_bytes)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, batch, picks[net.class_of[u] - 1])
@@ -230,7 +233,7 @@ def proposed_decode(
     user: int,
     cache: GroupedCache,
     demand: tuple[int, ...],
-    received: Mapping[int, Sequence[Record]],
+    received: Mapping[int, Edge],
 ) -> bytes:
     """Reassemble the demanded file from the cache and the r relay feeds.
 
@@ -260,9 +263,6 @@ def proposed_decode(
             copies += map(copy_of.__getitem__, classes)
             ranks += rest
     cancelled = cache.read(user, files, ranks, copies)
-    coded = int.from_bytes(feeds, "big")
-    for x in range(t):
-        coded ^= int.from_bytes(cancelled[x * block : (x + 1) * block], "big")
-    decoded = coded.to_bytes(block, "big")
+    decoded = xor_bytes(feeds, *[cancelled[x * block : (x + 1) * block] for x in range(t)])
     pieces = [decoded[o : o + size] for o in range(0, block, size)]
     return _reassemble(cache, user, demand[user], order, pieces)

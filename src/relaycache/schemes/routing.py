@@ -17,11 +17,11 @@ what it reads from its cache in one membership-checked
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..combinatorics import position_in
 from ..topology import Network
-from .common import Batch, Record, TransmissionLog, fmt_subset, payloads, validate_demand
+from .common import Batch, Edge, TransmissionLog, fmt_subset, payloads, validate_demand
 from .proposed import GroupedCache, _reassemble
 
 
@@ -57,7 +57,7 @@ def routing_decode(
     user: int,
     cache: GroupedCache,
     demand: tuple[int, ...],
-    received: Mapping[int, Sequence[Record]],
+    received: Mapping[int, Edge],
 ) -> bytes:
     plan = cache.subset_plan
     V = net.users[user]

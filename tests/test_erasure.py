@@ -49,6 +49,12 @@ class TestField:
         with pytest.raises(ValueError):
             xor_bytes(b"a", b"ab")
 
+    def test_xor_bytes_of_one_or_many_buffers(self):
+        assert xor_bytes(b"\x0f\xf0") == b"\x0f\xf0"
+        assert xor_bytes(b"\x01\x02", b"\x04\x08", b"\x10\x20") == b"\x15\x2a"
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
+            xor_bytes(b"ab", b"cd", b"e")
+
     @given(st.binary(min_size=0, max_size=64), st.binary(min_size=0, max_size=64))
     @settings(max_examples=60)
     def test_xor_is_involutive(self, a, b):

@@ -13,8 +13,10 @@ import pytest
 from relaycache import harness
 from relaycache.harness import SCHEME_IDS, run_scheme, verify_all_demands
 from relaycache.schemes import (
+    Batch,
+    Edge,
     IncompleteReceptionError,
-    Record,
+    TransmissionLog,
     distinct_demand,
     random_library,
 )
@@ -25,14 +27,21 @@ LIB = random_library(6, 30, seed=11)
 
 def drop_each(net, scheme, user, relay):
     """Decode ``user`` once per record of edge (relay, user), that record
-    dropped; yields (record, error or None)."""
+    dropped; yields (record, error or None).
+
+    Every scheme's relay edge carries one batch; record k is dropped by
+    forwarding that batch again with every position but k.
+    """
     demand = distinct_demand(net, 6)
     _, deliver, decode = harness._pipeline(net, LIB, M, scheme, None)
     log = deliver(demand)
     edge = log.relay_edges[(relay, user)]
+    ((batch, picks),) = edge.parts
+    positions = range(len(batch.labels)) if picks is None else picks
     for k, rec in enumerate(edge):
-        received = log.to_user(user)
-        received[relay] = edge[:k] + edge[k + 1 :]
+        rest = TransmissionLog(server_edges=log.server_edges)
+        rest.forward(relay, user, batch, [*positions[:k], *positions[k + 1 :]])
+        received = {**log.to_user(user), relay: rest.relay_edges.get((relay, user), Edge())}
         try:
             out = decode(user, demand, received)
         except IncompleteReceptionError as exc:
@@ -58,13 +67,17 @@ def test_dropped_record_names_signal_and_relay(comb42, scheme):
 
 
 def corrupting(deliver, relay, user, index):
-    """``deliver`` with one payload byte flipped on edge (relay, user)."""
+    """``deliver`` with the first payload byte of record ``index`` flipped on
+    edge (relay, user): that edge carries a copy of its batch with the byte
+    flipped, and the server edge keeps the original."""
 
     def wrapped(*args, **kwargs):
         log = deliver(*args, **kwargs)
         edge = log.relay_edges[(relay, user)]
-        label, payload = edge[index]
-        edge[index] = Record(label, bytes([payload[0] ^ 0x40]) + payload[1:])
+        ((batch, picks),) = edge.parts
+        data = bytearray(batch.data)
+        data[(index if picks is None else picks[index]) * batch.part] ^= 0x40
+        edge.parts = [(Batch(batch.labels, data, batch.part), picks)]
         return log
 
     return wrapped

@@ -24,8 +24,9 @@ from relaycache.harness import (
     verify_all_demands,
 )
 from relaycache.schemes import (
+    Batch,
+    Edge,
     IncompleteReceptionError,
-    Record,
     TransmissionLog,
     broadcast_decode,
     broadcast_mds_deliver,
@@ -307,26 +308,28 @@ class TestStreamedDigest:
 
     def test_matches_reference_on_awkward_labels(self):
         log = TransmissionLog()
-        recs = [
-            Record('q:"quoted"', b"\x00\xff"),
-            Record("b:back\\slash", b""),
-            Record("u:café:Σ:\U0001f600", b"\x10\x20\x30"),
-            Record("c:ctrl\n\t\x01", b"\x7f"),
+        batches = [
+            Batch(['q:"quoted"'], b"\x00\xff", 2),
+            Batch(["b:back\\slash"], b"", 0),
+            Batch(["u:café:Σ:\U0001f600"], b"\x10\x20\x30", 3),
+            Batch(["c:ctrl\n\t\x01"], b"\x7f", 1),
         ]
         for relay in (2, 1):
-            log.add_server(relay, recs)
+            for batch in batches:
+                log.add_server(relay, batch)
         for relay, user in ((1, 3), (1, 0), (2, 0)):
-            log.forward(relay, user, recs[::-1])
+            for batch in batches[::-1]:
+                log.forward(relay, user, batch)
         assert log.digest() == reference_digest(log)
 
     def test_distinct_payload_under_a_shared_label(self):
         # A relay edge may carry a record equal in label but not in payload
         # to its server copy; the digest must render each one on its own.
         log = TransmissionLog()
-        rec = Record("x:i=1", b"\x01\x02")
-        log.add_server(1, [rec])
-        log.forward(1, 0, [rec])
-        log.relay_edges[(1, 0)].append(Record("x:i=1", b"\x01\x03"))
+        batch = Batch(["x:i=1"], b"\x01\x02", 2)
+        log.add_server(1, batch)
+        log.forward(1, 0, batch)
+        log.relay_edges[(1, 0)].parts.append((Batch(["x:i=1"], b"\x01\x03", 2), None))
         assert log.digest() == reference_digest(log)
 
     def test_empty_log(self):
@@ -498,9 +501,11 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
     received = log.to_user(user)
     (record,) = received[relay]
     with pytest.raises(IncompleteReceptionError, match=re.escape(repr(record.label))):
-        broadcast_decode(comb62, user, cache, demand, {**received, relay: []}, code)
-    flipped = Record(record.label, bytes([record.payload[0] ^ 0x40]) + record.payload[1:])
-    out = broadcast_decode(comb62, user, cache, demand, {**received, relay: [flipped]}, code)
+        broadcast_decode(comb62, user, cache, demand, {**received, relay: Edge()}, code)
+    flipped = Edge()
+    payload = bytes([record.payload[0] ^ 0x40]) + record.payload[1:]
+    flipped.parts.append((Batch([record.label], payload, len(payload)), None))
+    out = broadcast_decode(comb62, user, cache, demand, {**received, relay: flipped}, code)
     assert out != lib.file(demand[user])
     # The damage stays in that log: the next delivery decodes again.
     log = broadcast_mds_deliver(comb62, cache, demand, code)

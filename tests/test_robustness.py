@@ -14,7 +14,7 @@ import pytest
 
 from relaycache.cli import main as cli_main
 from relaycache.harness import _measure
-from relaycache.schemes import Record, TransmissionLog
+from relaycache.schemes import Batch, Edge, TransmissionLog
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,10 +36,10 @@ def symmetric_log(net) -> TransmissionLog:
     """One 2-byte record on every server edge and every relay edge."""
     log = TransmissionLog()
     for i in range(1, net.h + 1):
-        records = [Record(f"x:i={i}", b"\x00\x01")]
-        log.add_server(i, records)
+        batch = Batch([f"x:i={i}"], b"\x00\x01", 2)
+        log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, records)
+            log.forward(i, u, batch)
     return log
 
 
@@ -69,24 +69,24 @@ class TestMeasureSymmetry:
 
     def test_asymmetric_server_edges_raise(self, comb42):
         log = symmetric_log(comb42)
-        log.add_server(3, [Record("extra", b"\x07")])
+        log.add_server(3, Batch(["extra"], b"\x07", 1))
         with pytest.raises(RuntimeError, match="server edges are not symmetric"):
             _measure(comb42, log, 32)
 
     def test_asymmetric_relay_edges_raise(self, comb42):
         log = symmetric_log(comb42)
-        log.relay_edges[(1, 0)].pop()
+        log.relay_edges[(1, 0)] = Edge()  # the edge loses its one record
         with pytest.raises(RuntimeError, match="relay edges are not symmetric"):
             _measure(comb42, log, 32)
 
     def test_raises_under_python_O(self):
         code = (
             "from relaycache.harness import _measure\n"
-            "from relaycache.schemes import Record, TransmissionLog\n"
+            "from relaycache.schemes import Batch, TransmissionLog\n"
             "from relaycache.topology import combination_network\n"
             "net = combination_network(4, 2)\n"
             "log = TransmissionLog()\n"
-            "log.add_server(1, [Record('x', b'12')])\n"
+            "log.add_server(1, Batch(['x'], b'12', 2))\n"
             "try:\n"
             "    _measure(net, log, 16)\n"
             "except RuntimeError as exc:\n"
