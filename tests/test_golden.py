@@ -349,6 +349,14 @@ RUN_PINS = {
     "cmcnc": "1840407726cdd7da51057a89f9a7a8778e1f5199e4ee4eac41ea04821c06def1",
     "broadcast-mds": "994dff4f44a687d9d3f879624ca0abe2e141d568190d6c3cef52771e0d682a7c",
 }
+# The run_<scheme>_log.json files of the same runs.  Recorded while the log
+# file was built as one dict per record and rendered by json.dumps.
+RUN_LOG_PINS = {
+    "proposed": "32fd08c0be4ad57eaca156804691dad7bbf0f3e9b98687427ff3a12bbab1e6f4",
+    "routing": "928a147a38f77451c56e3acee2fda184d202f4f0dc0315be1a598a5350a25793",
+    "cmcnc": "927cb39d94031a8bad65edfe779db5e4fae19ff92331b93e477e72265d4cc0f2",
+    "broadcast-mds": "dcf341ce1675ee4400192d6caaef23a74e085239423fbdd845706b6ddce3a2dc",
+}
 
 # output file -> (argv, sha256 of its bytes)
 CLI_OUTPUTS = {
@@ -376,6 +384,10 @@ CLI_OUTPUTS = {
     **{
         f"run_{s}_report.json": (["run", "--M", "2", "--schemes", s], pin)
         for s, pin in RUN_PINS.items()
+    },
+    **{
+        f"run_{s}_log.json": (["run", "--M", "2", "--schemes", s], pin)
+        for s, pin in RUN_LOG_PINS.items()
     },
 }
 
