@@ -320,7 +320,9 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
 
     out = _ensure_out(cfg)
     if out is not None:
-        (out / f"run_{scheme}_log.json").write_text(log.to_json())
+        with open(out / f"run_{scheme}_log.json", "wb") as f:
+            log.write(f.write, indent=2)
+            f.write(b"\n")
         (out / f"run_{scheme}_report.json").write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )

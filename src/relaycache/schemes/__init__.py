@@ -14,7 +14,6 @@ from .common import (
     FileLibrary,
     GridError,
     IncompleteReceptionError,
-    Record,
     SubpacketizationError,
     TransmissionLog,
     all_demands,
@@ -41,7 +40,6 @@ __all__ = [
     "GroupedCache",
     "IncompleteReceptionError",
     "PrefixCache",
-    "Record",
     "SubpacketizationError",
     "SubsetCache",
     "TransmissionLog",

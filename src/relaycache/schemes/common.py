@@ -6,20 +6,20 @@ Conventions used by every scheme:
   all arithmetic on them is bit-exact (XOR, slicing, GF(256) scaling).
 * A demand vector is a tuple of length K mapping user index (0-based
   position in ``net.users``) to a requested file id in 1..N.
-* Every transmitted signal is a :class:`Record` with a canonical label, so
-  two runs of the same experiment produce byte-identical logs.  The label
-  is the signal's only identity: each scheme builds it with one function,
-  which delivery and decoding both call, and no code parses it back.
-  Decoders look records up by label with :func:`payloads`.
+* Every transmitted signal is a record: a canonical label and its payload,
+  so two runs of the same experiment produce byte-identical logs.  The
+  label is the signal's only identity: each scheme builds it with one
+  function, which delivery and decoding both call, and no code parses it
+  back.  Decoders look records up by label with :func:`payloads`.
 * Records travel in batches, and only in batches.  A :class:`Batch` is a
   label tuple, one payload buffer and a part size: the signals a scheme
   already builds as one joined buffer.  Each edge of a
   :class:`TransmissionLog` is an :class:`Edge` of batches, and a relay edge
   holds the very batch of its server edge, whole or at picked positions.
   So one buffer and one label -> position map serve every edge that
-  carries a batch, and the digest renders each batch once.  An edge
-  iterates as its records, and the wire format is that of a plain list of
-  records.
+  carries a batch.
+* :meth:`TransmissionLog.write` is the one serializer: the digest hashes
+  its compact JSON, and ``run --out`` streams its indented JSON to a file.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
   rejects a batch that is not, as the same object, on that relay's server
   edge.
@@ -43,7 +43,6 @@ over the K users.  The one index plan of that multicast lives here, in
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +50,7 @@ from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import lt
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import enumerate_subsets
 from ..topology import Network
@@ -316,17 +315,6 @@ class PlannedCache(CacheView):
 # Signals and logs
 
 
-class Record(NamedTuple):
-    """One signal on one edge: canonical label plus payload bytes."""
-
-    label: str
-    payload: bytes
-
-    @property
-    def bits(self) -> int:
-        return 8 * len(self.payload)
-
-
 @dataclass(frozen=True, eq=False)
 class Batch:
     """Records that share one payload buffer; never changed once built.
@@ -369,7 +357,7 @@ def _count(batch: Batch, picks: Sequence[int] | None) -> int:
 class Edge:
     """The records on one edge, held as parts ``(batch, picks)``: the whole
     batch when ``picks`` is None, else its records at the positions in
-    ``picks``, in that order.  Iterating yields each :class:`Record`.
+    ``picks``, in that order.  ``len`` is the record count.
     """
 
     __slots__ = ("parts",)
@@ -379,11 +367,6 @@ class Edge:
 
     def __len__(self) -> int:
         return sum(_count(batch, picks) for batch, picks in self.parts)
-
-    def __iter__(self) -> Iterator[Record]:
-        for batch, picks in self.parts:
-            positions = range(len(batch.labels)) if picks is None else picks
-            yield from map(Record, map(batch.labels.__getitem__, positions), batch.payloads(positions))
 
     @property
     def bits(self) -> int:
@@ -408,7 +391,10 @@ def payloads(
             else:
                 index = dict(zip(map(batch.labels.__getitem__, picks), picks))
             return batch.payloads(list(map(index.__getitem__, labels)))
-        found = dict(edge)
+        found = {}
+        for batch, picks in edge.parts:
+            positions = range(len(batch.labels)) if picks is None else picks
+            found.update(zip(map(batch.labels.__getitem__, positions), batch.payloads(positions)))
         return [found[label] for label in labels]
     except KeyError as exc:
         raise IncompleteReceptionError(
@@ -416,49 +402,17 @@ def payloads(
         ) from None
 
 
-def _signals(records: Iterable[Record]) -> list[dict]:
-    return [
-        {"label": r.label, "bits": r.bits, "payload": r.payload.hex()} for r in records
-    ]
-
-
-def _render(batch: Batch) -> list[str]:
-    """Each record of ``batch`` as its compact JSON object."""
-    head = '{"bits":%d,"label":' % (8 * batch.part)
+def _render(batch: Batch, form: tuple[str, str, str]) -> list[str]:
+    """Each record of ``batch`` as its JSON object: ``form`` is the text
+    before the label (with ``%d`` for the bits), between the label and the
+    payload hex, and after the hex."""
+    head, mid, tail = form
+    head %= 8 * batch.part
     hexed = batch.data.hex(",", batch.part).split(",") if batch.part else [""] * len(batch.labels)
     return [
-        f'{head}{encode_basestring_ascii(label)},"payload":"{x}"}}'
+        f"{head}{encode_basestring_ascii(label)}{mid}{x}{tail}"
         for label, x in zip(batch.labels, hexed)
     ]
-
-
-class _Rendered:
-    """Edges as the comma-joined JSON objects of their records.
-
-    Each batch is rendered once and reused on every edge that carries it:
-    as one buffer where an edge carries it whole, record by record where an
-    edge picks from it.  Keyed by batch identity, as the log holds every
-    batch while this lives.
-    """
-
-    def __init__(self) -> None:
-        self.whole: dict[int, bytes] = {}
-        self.records: dict[int, list[str]] = {}
-
-    def edge(self, edge: Edge) -> bytes:
-        out = []
-        for batch, picks in edge.parts:
-            key = id(batch)
-            if picks is not None:
-                if key not in self.records:
-                    self.records[key] = _render(batch)
-                out.append(",".join(map(self.records[key].__getitem__, picks)).encode())
-                continue
-            if key not in self.whole:
-                records = self.records.get(key) or _render(batch)
-                self.whole[key] = ",".join(records).encode()
-            out.append(self.whole[key])
-        return b",".join(out)
 
 
 @dataclass
@@ -470,7 +424,7 @@ class TransmissionLog:
     joined, and a relay forwards that same batch object, whole or at picked
     positions, so one buffer serves every edge that carries it.  A relay
     edge may only carry a batch that is on that relay's server edge (relays
-    have no other input).
+    have no other input).  :meth:`write` serializes it.
     """
 
     server_edges: dict[int, Edge] = field(default_factory=dict)
@@ -512,42 +466,58 @@ class TransmissionLog:
     def to_user(self, user: int) -> dict[int, Edge]:
         return {relay: edge for (relay, u), edge in self.relay_edges.items() if u == user}
 
-    def to_dict(self) -> dict:
-        return {
-            "server_edges": [
-                {"relay": relay, "signals": _signals(edge)}
-                for relay, edge in sorted(self.server_edges.items())
-            ],
-            "relay_edges": [
-                {"relay": relay, "user": user, "signals": _signals(edge)}
-                for (relay, user), edge in sorted(self.relay_edges.items())
-            ],
-        }
+    def write(self, write: Callable[[bytes], object], indent: int | None = None) -> None:
+        """Stream the log to the bytes sink ``write``, one edge at a time, as
+        ``json.dumps(..., sort_keys=True)`` of its record lists: compact when
+        ``indent`` is None, else indented.
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        A batch is rendered once and its text kept for the walk, so at most
+        the text of the server edges is held; its records, for edges that
+        pick from it, only while the walk is on its relay.
+        """
+        pad = ["" if indent is None else "\n" + " " * (indent * k) for k in range(6)]
+        c = ":" if indent is None else ": "
+        form = (
+            f'{{{pad[5]}"bits"{c}%d,{pad[5]}"label"{c}',
+            f',{pad[5]}"payload"{c}"',
+            f'"{pad[4]}}}',
+        )
+        sep = f",{pad[4]}"
+        whole: dict[int, bytes] = {}  # by batch identity: the log holds every batch
+        records: dict[int, list[str]] = {}
+        relay_edges = sorted(self.relay_edges.items())
+        server_edges = [((i,), edge) for i, edge in sorted(self.server_edges.items())]
+        for opening, name, edges, close in (
+            ("{", "relay_edges", relay_edges, f'],{pad[3]}"user"{c}%d{pad[2]}}}'),
+            (",", "server_edges", server_edges, f"]{pad[2]}}}"),
+        ):
+            write(f'{opening}{pad[1]}"{name}"{c}['.encode())
+            lead, current = pad[2], None
+            for (relay, *user), edge in edges:
+                if relay != current:
+                    records.clear()
+                    current = relay
+                chunks = []
+                for batch, picks in edge.parts:
+                    key = id(batch)
+                    if key not in whole or (picks is not None and key not in records):
+                        records[key] = _render(batch, form)
+                        whole[key] = sep.join(records[key]).encode()
+                    if picks is None:
+                        chunks.append(whole[key])
+                    else:
+                        chunks.append(sep.join(map(records[key].__getitem__, picks)).encode())
+                body = sep.encode().join(filter(None, chunks))
+                inner = (pad[4], pad[3]) if body else ("", "")
+                write(f'{lead}{{{pad[3]}"relay"{c}{relay},{pad[3]}"signals"{c}[{inner[0]}'.encode())
+                write(body)
+                write((inner[1] + close % tuple(user)).encode())
+                lead = f",{pad[2]}"
+            write(f"{pad[1] if edges else ''}]".encode())
+        write(f"{pad[0]}}}".encode())
 
     def digest(self) -> str:
-        """sha256 of ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":"))``, streamed one edge at a time.
-
-        Each batch is rendered once and its bytes are reused on every edge
-        that carries it.
-        """
-        render = _Rendered().edge
-        sha = hashlib.sha256(b'{"relay_edges":[')
-        sep = b""
-        for (relay, user), edge in sorted(self.relay_edges.items()):
-            sha.update(sep + b'{"relay":%d,"signals":[' % relay)
-            sha.update(render(edge))
-            sha.update(b'],"user":%d}' % user)
-            sep = b","
-        sha.update(b'],"server_edges":[')
-        sep = b""
-        for relay, edge in sorted(self.server_edges.items()):
-            sha.update(sep + b'{"relay":%d,"signals":[' % relay)
-            sha.update(render(edge))
-            sha.update(b"]}")
-            sep = b","
-        sha.update(b"]}")
+        """sha256 of the compact :meth:`write` text."""
+        sha = hashlib.sha256()
+        self.write(sha.update)
         return sha.hexdigest()

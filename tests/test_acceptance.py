@@ -34,6 +34,7 @@ from relaycache.topology import (
     custom_network,
     relay_neighborhood,
 )
+from test_golden import edge_records
 
 F = Fraction
 
@@ -91,8 +92,8 @@ def test_criterion_01_golden_signal_sets():
             "prop:i=2:C=1.3": _xor(sub(d[(1, 2)], (3,), 2), sub(d[(2, 3)], (1,), 1)),
             "prop:i=2:C=2.3": _xor(sub(d[(2, 4)], (3,), 1), sub(d[(2, 3)], (2,), 1)),
         }
-        assert {r.label: r.payload for r in log.server_edges[1]} == expected_g1
-        assert {r.label: r.payload for r in log.server_edges[2]} == expected_g2
+        assert dict(edge_records(log.server_edges[1])) == expected_g1
+        assert dict(edge_records(log.server_edges[2])) == expected_g2
         assert report.measured.r1 == F(1, 2)
         assert report.measured.r2 == F(1, 3)
         assert report.decode_ok and report.formula_match

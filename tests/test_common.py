@@ -1,6 +1,7 @@
 """Shared plumbing: libraries, demand vectors, records, logs, and the plan."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -12,9 +13,7 @@ from relaycache.schemes.common import (
     Edge,
     FileLibrary,
     IncompleteReceptionError,
-    Record,
     TransmissionLog,
-    _Rendered,
     all_demands,
     distinct_demand,
     fmt_subset,
@@ -24,7 +23,7 @@ from relaycache.schemes.common import (
     uniform_demand,
     validate_demand,
 )
-from test_golden import reference_digest
+from test_golden import assert_matches_reference, edge_records, signals, written
 
 
 class TestFileLibrary:
@@ -124,18 +123,12 @@ class TestTransmissionLog:
         assert log.server_bits(2) == 0
         assert log.relay_bits(1, 0) == 0
 
-    def test_record_fields(self):
-        rec = Record("prop:i=2:C=1.3", b"")
-        assert rec._fields == ("label", "payload")
-        assert (rec.label, rec.payload) == ("prop:i=2:C=1.3", b"")
-        assert rec.bits == 0
-
     def test_serialization_shape_and_digest(self):
         log = TransmissionLog()
         batch = batch_of("a:i=1:C=1", b"\xab")
         log.add_server(1, batch)
         log.forward(1, 4, batch)
-        data = log.to_dict()
+        data = json.loads(written(log, indent=2))
         assert data["server_edges"] == [
             {
                 "relay": 1,
@@ -144,7 +137,7 @@ class TestTransmissionLog:
         ]
         assert data["relay_edges"][0]["user"] == 4
         assert log.digest() == log.digest()
-        assert log.to_json().endswith("\n")
+        assert written(log, indent=2).startswith(b'{\n  "relay_edges": [\n    {\n      "relay": 1,')
 
     def test_to_user_groups_by_relay(self):
         log = TransmissionLog()
@@ -156,7 +149,7 @@ class TestTransmissionLog:
         log.forward(2, 1, b2)
         assert log.to_user(0) == {1: log.relay_edges[(1, 0)], 2: log.relay_edges[(2, 0)]}
         assert log.to_user(1) == {2: log.relay_edges[(2, 1)]}
-        assert list(log.to_user(0)[2]) == [Record("b:i=2", b"2")]
+        assert edge_records(log.to_user(0)[2]) == [("b:i=2", b"2")]
 
     def test_empty_sequences_add_no_edge(self):
         # Routing at t = Kt forwards an empty batch that add_server never
@@ -167,7 +160,7 @@ class TestTransmissionLog:
         log.forward(1, 0, empty)  # never stored on the server edge
         log.forward(2, 0, empty, [])
         assert (log.server_edges, log.relay_edges) == ({}, {})
-        assert log.to_dict() == TransmissionLog().to_dict()
+        assert written(log, indent=2) == written(TransmissionLog(), indent=2)
         assert log.digest() == TransmissionLog().digest()
         log, batch = served_batch()
         stray = Batch(("z:i=1",), b"\x09\x09", 2)
@@ -191,7 +184,7 @@ def served_batch():
 
 def records(batch, positions):
     p = batch.part
-    return [Record(batch.labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
+    return [(batch.labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
 
 
 def flipped(batch):
@@ -234,7 +227,7 @@ class TestBatchLog:
             log.forward(2, 3, batch)
         with pytest.raises(ValueError, match="relay 4 cannot forward"):
             log.forward(4, 3, batch, [0])
-        assert list(log.relay_edges[(2, 3)]) == records(other, [0])
+        assert edge_records(log.relay_edges[(2, 3)]) == records(other, [0])
         assert (1, 3) not in log.relay_edges
 
     def test_picks_must_lie_in_the_batch(self):
@@ -257,11 +250,13 @@ class TestBatchLog:
         assert len(log.server_edges[1]) == 4
         assert log.server_bits(1) == 8 * 7 and log.relay_bits(1, 2) == 8 * 4
 
-    def test_edges_iterate_as_records(self):
+    def test_edges_serialize_as_their_records(self):
         log, batch = served_batch()
-        assert list(log.server_edges[1]) == records(batch, [0, 1, 2])
-        assert list(log.relay_edges[(1, 0)]) == records(batch, [0, 1, 2])
-        assert list(log.relay_edges[(1, 2)]) == records(batch, [2, 0])
+        data = json.loads(written(log))
+        assert data["server_edges"][0]["signals"] == signals(records(batch, [0, 1, 2]))
+        assert [edge["signals"] for edge in data["relay_edges"]] == [
+            signals(records(batch, positions)) for positions in ([0, 1, 2], [0, 1, 2], [2, 0])
+        ]
 
     @pytest.mark.parametrize(
         "edit",
@@ -278,15 +273,12 @@ class TestBatchLog:
         # change no batch and no other edge, nor their rendered bytes.
         log, batch = served_batch()
         others = [edge for key, edge in log.relay_edges.items() if key != (1, user)]
-        before = [list(edge) for edge in [log.server_edges[1], *others]]
-        rendered = [_Rendered().edge(edge) for edge in [log.server_edges[1], *others]]
+        before = [edge_records(edge) for edge in [log.server_edges[1], *others]]
         edit(log.relay_edges[(1, user)].parts)
         assert batch.data == b"\x01\x02\x03\x04\x05\x06"
-        assert [list(edge) for edge in [log.server_edges[1], *others]] == before
-        render = _Rendered()
-        assert [render.edge(edge) for edge in [log.server_edges[1], *others]] == rendered
+        assert [edge_records(edge) for edge in [log.server_edges[1], *others]] == before
         assert log.to_user(user)[1] is log.relay_edges[(1, user)]
-        assert log.digest() == reference_digest(log)
+        assert_matches_reference(log)
 
     def test_to_user_follows_relay_edges_set_and_deleted(self):
         log, batch = served_batch()
@@ -333,7 +325,7 @@ class TestBatchLog:
         log = routing_deliver(comb42, cache, distinct_demand(comb42, 6))
         for relay, edge in log.server_edges.items():
             assert len(edge.parts) > 1
-            found = dict(edge)
+            found = dict(edge_records(edge))
             assert payloads(0, relay, log.server_edges, found) == list(found.values())
 
 
@@ -353,8 +345,8 @@ def batch_logs(draw):
     """A log built from random batches, forwards and part appends, with the
     same log kept as plain record lists."""
     log = TransmissionLog()
-    server: dict[int, list[Record]] = {}
-    relay: dict[tuple[int, int], list[Record]] = {}
+    server: dict[int, list[tuple[str, bytes]]] = {}
+    relay: dict[tuple[int, int], list[tuple[str, bytes]]] = {}
     batches: list[tuple[int, Batch]] = []
     for _ in range(draw(st.integers(1, 12))):
         op = draw(st.sampled_from(["server", "whole", "picked", "append"]))
@@ -391,9 +383,6 @@ def batch_logs(draw):
 
 
 def as_dict(server, relay):
-    def signals(recs):
-        return [{"label": r.label, "bits": r.bits, "payload": r.payload.hex()} for r in recs]
-
     return {
         "server_edges": [
             {"relay": i, "signals": signals(recs)} for i, recs in sorted(server.items())
@@ -409,13 +398,15 @@ class TestBatchLogAgainstRecordLists:
     @given(batch_logs())
     def test_digest_and_dict_match_the_record_list_form(self, case):
         log, server, relay = case
-        assert log.to_dict() == as_dict(server, relay)
-        assert log.digest() == reference_digest(log)
-        assert {i: list(edge) for i, edge in log.server_edges.items()} == server
-        assert {key: list(edge) for key, edge in log.relay_edges.items()} == relay
+        expected = as_dict(server, relay)
+        assert written(log) == json.dumps(expected, sort_keys=True, separators=(",", ":")).encode()
+        assert written(log, indent=2) == json.dumps(expected, indent=2, sort_keys=True).encode()
+        assert_matches_reference(log)
+        assert {i: edge_records(edge) for i, edge in log.server_edges.items()} == server
+        assert {key: edge_records(edge) for key, edge in log.relay_edges.items()} == relay
         for (i, u), recs in relay.items():
             assert len(log.relay_edges[(i, u)]) == len(recs)
-            assert log.relay_bits(i, u) == 8 * sum(len(r.payload) for r in recs)
+            assert log.relay_bits(i, u) == 8 * sum(len(payload) for _, payload in recs)
             assert log.to_user(u)[i] is log.relay_edges[(i, u)]
             found = dict(recs)
             assert payloads(u, i, log.to_user(u), found) == list(found.values())

@@ -20,6 +20,7 @@ from relaycache.schemes import (
     distinct_demand,
     random_library,
 )
+from test_golden import edge_records
 
 M = 2
 LIB = random_library(6, 30, seed=11)
@@ -27,7 +28,7 @@ LIB = random_library(6, 30, seed=11)
 
 def drop_each(net, scheme, user, relay):
     """Decode ``user`` once per record of edge (relay, user), that record
-    dropped; yields (record, error or None).
+    dropped; yields (its label, error or None).
 
     Every scheme's relay edge carries one batch; record k is dropped by
     forwarding that batch again with every position but k.
@@ -38,17 +39,17 @@ def drop_each(net, scheme, user, relay):
     edge = log.relay_edges[(relay, user)]
     ((batch, picks),) = edge.parts
     positions = range(len(batch.labels)) if picks is None else picks
-    for k, rec in enumerate(edge):
+    for k, (label, _) in enumerate(edge_records(edge)):
         rest = TransmissionLog(server_edges=log.server_edges)
         rest.forward(relay, user, batch, [*positions[:k], *positions[k + 1 :]])
         received = {**log.to_user(user), relay: rest.relay_edges.get((relay, user), Edge())}
         try:
             out = decode(user, demand, received)
         except IncompleteReceptionError as exc:
-            yield rec, exc
+            yield label, exc
         else:
             assert out == LIB.file(demand[user]), "an unused record changed the output"
-            yield rec, None
+            yield label, None
 
 
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
@@ -56,13 +57,13 @@ def test_dropped_record_names_signal_and_relay(comb42, scheme):
     failures = 0
     for user in range(comb42.K):
         for relay in comb42.users[user]:
-            for rec, exc in drop_each(comb42, scheme, user, relay):
+            for label, exc in drop_each(comb42, scheme, user, relay):
                 if exc is None:
                     continue
                 failures += 1
                 msg = str(exc)
                 assert re.search(rf"\bfrom relay {relay}\b", msg), msg
-                assert repr(rec.label) in msg, msg
+                assert repr(label) in msg, msg
     assert failures
 
 

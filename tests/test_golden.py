@@ -64,7 +64,7 @@ CMCNC_EXTRA = {
 
 
 # proposed and routing at M=0, 4 and 6 (t=0, 2, 3) with distinct demands:
-# (log_digest, sha256 of to_json()).  At t=2 every proposed signal cancels
+# (log_digest, sha256 of the indented log JSON).  At t=2 every proposed signal cancels
 # two cached terms; at t=3 nothing is sent.  Recorded from the per-term
 # implementation, before per-relay batching.
 CLASS_EXTRA = {
@@ -111,10 +111,57 @@ def logs(comb42, lib):
     return out
 
 
+def edge_records(edge: Edge) -> list[tuple[str, bytes]]:
+    """The (label, payload) records of ``edge``, in order."""
+    out = []
+    for batch, picks in edge.parts:
+        p = batch.part
+        positions = range(len(batch.labels)) if picks is None else picks
+        out += [(batch.labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
+    return out
+
+
+def signals(recs: list[tuple[str, bytes]]) -> list[dict]:
+    return [{"label": label, "bits": 8 * len(payload), "payload": payload.hex()} for label, payload in recs]
+
+
+def reference_dict(log: TransmissionLog) -> dict:
+    """The log as the dict its JSON serializes, built record by record."""
+    return {
+        "server_edges": [
+            {"relay": relay, "signals": signals(edge_records(edge))}
+            for relay, edge in sorted(log.server_edges.items())
+        ],
+        "relay_edges": [
+            {"relay": relay, "user": user, "signals": signals(edge_records(edge))}
+            for (relay, user), edge in sorted(log.relay_edges.items())
+        ],
+    }
+
+
 def reference_digest(log: TransmissionLog) -> str:
     """The digest's definition: sha256 of the compact, key-sorted log JSON."""
-    blob = json.dumps(log.to_dict(), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(reference_dict(log), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def reference_json(log: TransmissionLog) -> str:
+    """The log file ``run --out`` writes: indented, key-sorted log JSON."""
+    return json.dumps(reference_dict(log), indent=2, sort_keys=True) + "\n"
+
+
+def written(log: TransmissionLog, indent: int | None = None) -> bytes:
+    chunks: list[bytes] = []
+    log.write(chunks.append, indent)
+    return b"".join(chunks)
+
+
+def assert_matches_reference(log: TransmissionLog) -> None:
+    """Both layouts of the streamed log, and its digest, against the reference."""
+    compact = json.dumps(reference_dict(log), sort_keys=True, separators=(",", ":"))
+    assert written(log) == compact.encode()
+    assert written(log, indent=2) + b"\n" == reference_json(log).encode()
+    assert log.digest() == reference_digest(log)
 
 
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
@@ -126,7 +173,7 @@ def test_log_digest_pinned(logs, scheme):
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_log_json_pinned(logs, scheme):
     _, log = logs[scheme]
-    assert hashlib.sha256(log.to_json().encode()).hexdigest() == JSON_SHA256[scheme]
+    assert sha256(written(log, indent=2) + b"\n") == JSON_SHA256[scheme]
 
 
 @pytest.mark.parametrize("M", sorted(CMCNC_EXTRA))
@@ -143,7 +190,7 @@ def test_class_schemes_off_t1_pinned(comb42, lib, scheme, M):
     assert report.decode_ok and report.formula_match
     digest, json_pin = CLASS_EXTRA[scheme, M]
     assert report.log_digest == log.digest() == digest
-    assert sha256(log.to_json().encode()) == json_pin
+    assert sha256(written(log, indent=2) + b"\n") == json_pin
 
 
 # Every grid point of proposed and routing (t) and of cmcnc (t') on five
@@ -304,7 +351,7 @@ class TestStreamedDigest:
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_matches_reference_for_every_scheme(self, logs, scheme):
         _, log = logs[scheme]
-        assert log.digest() == reference_digest(log)
+        assert_matches_reference(log)
 
     def test_matches_reference_on_awkward_labels(self):
         log = TransmissionLog()
@@ -320,7 +367,9 @@ class TestStreamedDigest:
         for relay, user in ((1, 3), (1, 0), (2, 0)):
             for batch in batches[::-1]:
                 log.forward(relay, user, batch)
-        assert log.digest() == reference_digest(log)
+        # A record picked twice appears twice.
+        log.forward(2, 3, batches[0], [0, 0])
+        assert_matches_reference(log)
 
     def test_distinct_payload_under_a_shared_label(self):
         # A relay edge may carry a record equal in label but not in payload
@@ -330,11 +379,12 @@ class TestStreamedDigest:
         log.add_server(1, batch)
         log.forward(1, 0, batch)
         log.relay_edges[(1, 0)].parts.append((Batch(["x:i=1"], b"\x01\x03", 2), None))
-        assert log.digest() == reference_digest(log)
+        assert_matches_reference(log)
 
     def test_empty_log(self):
         log = TransmissionLog()
-        assert log.digest() == reference_digest(log)
+        assert_matches_reference(log)
+        assert written(log, indent=2) == b'{\n  "relay_edges": [],\n  "server_edges": []\n}'
 
 
 # CLI output files on comb(4,2), N=6, seed 7, every scheme where the command
@@ -502,7 +552,7 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
             )
             assert log.digest() == fresh.digest()
             logs.append(log)
-        payloads = [{rec.payload for rec in log.server_edges[1]} for log in logs]
+        payloads = [{payload for _, payload in edge_records(log.server_edges[1])} for log in logs]
         assert not payloads[0] & payloads[1]
 
     lib, cache = libs[0], caches[0]
@@ -511,12 +561,12 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
     relay = comb62.users[user][0]
     log = broadcast_mds_deliver(comb62, cache, demand, code)
     received = log.to_user(user)
-    (record,) = received[relay]
-    with pytest.raises(IncompleteReceptionError, match=re.escape(repr(record.label))):
+    ((label, payload),) = edge_records(received[relay])
+    with pytest.raises(IncompleteReceptionError, match=re.escape(repr(label))):
         broadcast_decode(comb62, user, cache, demand, {**received, relay: Edge()}, code)
     flipped = Edge()
-    payload = bytes([record.payload[0] ^ 0x40]) + record.payload[1:]
-    flipped.parts.append((Batch([record.label], payload, len(payload)), None))
+    payload = bytes([payload[0] ^ 0x40]) + payload[1:]
+    flipped.parts.append((Batch([label], payload, len(payload)), None))
     out = broadcast_decode(comb62, user, cache, demand, {**received, relay: flipped}, code)
     assert out != lib.file(demand[user])
     # The damage stays in that log: the next delivery decodes again.

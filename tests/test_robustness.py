@@ -2,12 +2,14 @@
 with numpy and scipy impossible to import."""
 
 import ast
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -114,8 +116,8 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert row.startswith("proposed,9,3,84,28,28,2,") and row.endswith(",true")
 
 
-def _cap_address_space():
-    limit = 2**31  # 2 GiB: a library that does get allocated ends in MemoryError
+def _cap_address_space(limit: int = 2**31):
+    # 2 GiB by default: a library that does get allocated ends in MemoryError
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -128,3 +130,18 @@ def test_oversized_library_is_refused_before_allocating():
     record = json.loads(proc.stderr)
     assert record["error"] == "BudgetError"
     assert "10109383200 bytes" in record["message"]
+
+
+def test_run_out_streams_the_log_in_bounded_memory(tmp_path):
+    # A 26.8 MB log, 178 times the 150 kB library: written edge by edge it
+    # fits under a 256 MiB address space, as a dict per record it does not.
+    args = ["run", "--topology", "comb:6,2", "--N", "15", "--M", "6",
+            "--schemes", "cmcnc", "--out", str(tmp_path)]
+    proc = run_python("-m", "relaycache.cli", *args,
+                      preexec_fn=partial(_cap_address_space, 2**28))
+    assert proc.returncode == 0, proc.stderr
+    log = (tmp_path / "run_cmcnc_log.json").read_bytes()
+    assert len(log) == 26_828_850
+    assert hashlib.sha256(log).hexdigest() == (
+        "7b416888f500422b619062a34a0a86852f4b40526f76ff1e864e59630098e21c"
+    )

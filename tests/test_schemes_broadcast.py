@@ -98,7 +98,7 @@ class TestDecode:
         cache = broadcast_place(comb42, lib, 0)
         demand = (3, 1, 2, 3, 1, 2)
         log = broadcast_mds_deliver(comb42, cache, demand, code42)
-        assert next(iter(log.server_edges[1])).label == "bc:n=1:p=1:octets=5"
+        assert log.server_edges[1].parts[0][0].labels[0] == "bc:n=1:p=1:octets=5"
         for u in range(comb42.K):
             out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
             assert out == lib.file(demand[u])

@@ -19,6 +19,7 @@ from relaycache.schemes import (
     random_library,
 )
 from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
+from test_golden import edge_records
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +122,10 @@ class TestDelivery:
         cache = cmcnc_place(comb42, lib30, 2)
         log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
         for relay in range(1, 5):
-            server_labels = [r.label for r in log.server_edges[relay]]
+            server_labels = [label for label, _ in edge_records(log.server_edges[relay])]
             for user in range(comb42.K):
                 if relay in comb42.users[user]:
-                    labels = [r.label for r in log.relay_edges[(relay, user)]]
+                    labels = [label for label, _ in edge_records(log.relay_edges[(relay, user)])]
                     assert labels == server_labels
 
     def test_code_shape_mismatch(self, comb42, lib30):

@@ -23,6 +23,7 @@ from relaycache.schemes import (
     routing_deliver,
 )
 from relaycache.topology import relay_neighborhood
+from test_golden import edge_records
 
 
 def subfile_oracle(lib, kt, r, t, n, T, l):
@@ -166,7 +167,7 @@ class TestDelivery:
             "prop:i=1:C=1.3": xor(sub(d[(1, 2)], (3,), 1), sub(d[(1, 4)], (1,), 1)),
             "prop:i=1:C=2.3": xor(sub(d[(1, 3)], (3,), 1), sub(d[(1, 4)], (2,), 1)),
         }
-        got = {rec.label: rec.payload for rec in log.server_edges[1]}
+        got = dict(edge_records(log.server_edges[1]))
         assert got == expected
 
     def test_example_signals_relay_two(self, comb42, lib6):
@@ -181,17 +182,17 @@ class TestDelivery:
             "prop:i=2:C=1.3": xor(sub(d[(1, 2)], (3,), 2), sub(d[(2, 3)], (1,), 1)),
             "prop:i=2:C=2.3": xor(sub(d[(2, 4)], (3,), 1), sub(d[(2, 3)], (2,), 1)),
         }
-        got = {rec.label: rec.payload for rec in log.server_edges[2]}
+        got = dict(edge_records(log.server_edges[2]))
         assert got == expected
 
     def test_forwarding_matches_example(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
         u12 = comb42.user_index((1, 2))
-        labels = [rec.label for rec in log.relay_edges[(1, u12)]]
+        labels = [label for label, _ in edge_records(log.relay_edges[(1, u12)])]
         assert labels == ["prop:i=1:C=1.2", "prop:i=1:C=1.3"]
         u23 = comb42.user_index((2, 3))
-        labels = [rec.label for rec in log.relay_edges[(2, u23)]]
+        labels = [label for label, _ in edge_records(log.relay_edges[(2, u23)])]
         assert labels == ["prop:i=2:C=1.3", "prop:i=2:C=2.3"]
 
     @pytest.mark.parametrize("M,t", [(0, 0), (2, 1), (4, 2)])
@@ -220,10 +221,10 @@ class TestDelivery:
     def test_relay_edges_subset_of_server_edges(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
-        for (relay, _), records in log.relay_edges.items():
-            server = {(r.label, r.payload) for r in log.server_edges[relay]}
-            for rec in records:
-                assert (rec.label, rec.payload) in server
+        for (relay, _), edge in log.relay_edges.items():
+            server = set(edge_records(log.server_edges[relay]))
+            for record in edge_records(edge):
+                assert record in server
 
 
 class TestDecode:
@@ -269,9 +270,9 @@ class TestRouting:
         cache = proposed_place(comb42, lib6, 2)
         log = routing_deliver(comb42, cache, distinct_demand(comb42, 6))
         label = re.compile(r"rt:i=(\d+):V=([\d.]+):T=[\d.-]+:l=(\d+)")
-        for relay, records in log.server_edges.items():
-            for rec in records:
-                i, V, l = label.fullmatch(rec.label).groups()
+        for relay, edge in log.server_edges.items():
+            for name, _ in edge_records(edge):
+                i, V, l = label.fullmatch(name).groups()
                 assert int(i) == relay
                 assert tuple(int(x) for x in V.split("."))[int(l) - 1] == relay
 
