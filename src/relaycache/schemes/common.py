@@ -471,9 +471,9 @@ class TransmissionLog:
         ``json.dumps(..., sort_keys=True)`` of its record lists: compact when
         ``indent`` is None, else indented.
 
-        A batch is rendered once and its text kept for the walk, so at most
-        the text of the server edges is held; its records, for edges that
-        pick from it, only while the walk is on its relay.
+        A batch is rendered once; its text is kept for the walk, at most the
+        server edges' text.  So are the records of the last batch picked
+        from, as every scheme picks from one batch per relay.
         """
         pad = ["" if indent is None else "\n" + " " * (indent * k) for k in range(6)]
         c = ":" if indent is None else ": "
@@ -484,7 +484,21 @@ class TransmissionLog:
         )
         sep = f",{pad[4]}"
         whole: dict[int, bytes] = {}  # by batch identity: the log holds every batch
-        records: dict[int, list[str]] = {}
+        picked: dict[int, list[str]] = {}  # the records of the last batch picked from
+
+        def text(part: tuple[Batch, Sequence[int] | None]) -> bytes:
+            batch, picks = part
+            key = id(batch)
+            if key not in whole or (picks is not None and key not in picked):
+                rendered = _render(batch, form)
+                whole[key] = sep.join(rendered).encode()
+                if picks is not None:
+                    picked.clear()
+                    picked[key] = rendered
+            if picks is None:
+                return whole[key]
+            return sep.join(map(picked[key].__getitem__, picks)).encode()
+
         relay_edges = sorted(self.relay_edges.items())
         server_edges = [((i,), edge) for i, edge in sorted(self.server_edges.items())]
         for opening, name, edges, close in (
@@ -492,25 +506,11 @@ class TransmissionLog:
             (",", "server_edges", server_edges, f"]{pad[2]}}}"),
         ):
             write(f'{opening}{pad[1]}"{name}"{c}['.encode())
-            lead, current = pad[2], None
+            lead = pad[2]
             for (relay, *user), edge in edges:
-                if relay != current:
-                    records.clear()
-                    current = relay
-                chunks = []
-                for batch, picks in edge.parts:
-                    key = id(batch)
-                    if key not in whole or (picks is not None and key not in records):
-                        records[key] = _render(batch, form)
-                        whole[key] = sep.join(records[key]).encode()
-                    if picks is None:
-                        chunks.append(whole[key])
-                    else:
-                        chunks.append(sep.join(map(records[key].__getitem__, picks)).encode())
-                body = sep.encode().join(filter(None, chunks))
-                inner = (pad[4], pad[3]) if body else ("", "")
+                inner = (pad[4], pad[3]) if len(edge) else ("", "")
                 write(f'{lead}{{{pad[3]}"relay"{c}{relay},{pad[3]}"signals"{c}[{inner[0]}'.encode())
-                write(body)
+                write(sep.encode().join(filter(None, map(text, edge.parts))))
                 write((inner[1] + close % tuple(user)).encode())
                 lead = f",{pad[2]}"
             write(f"{pad[1] if edges else ''}]".encode())

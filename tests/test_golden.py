@@ -64,9 +64,9 @@ CMCNC_EXTRA = {
 
 
 # proposed and routing at M=0, 4 and 6 (t=0, 2, 3) with distinct demands:
-# (log_digest, sha256 of the indented log JSON).  At t=2 every proposed signal cancels
-# two cached terms; at t=3 nothing is sent.  Recorded from the per-term
-# implementation, before per-relay batching.
+# (log_digest, sha256 of the indented log JSON).  At t=2 every proposed
+# signal cancels two cached terms; at t=3 nothing is sent.  Recorded from the
+# per-term implementation, before per-relay batching.
 CLASS_EXTRA = {
     ("proposed", 0): (
         "b5d08df3262e9692b47645895065bf4c1c9ecde635ae4a3a570e760e8cea9dc2",
@@ -122,7 +122,10 @@ def edge_records(edge: Edge) -> list[tuple[str, bytes]]:
 
 
 def signals(recs: list[tuple[str, bytes]]) -> list[dict]:
-    return [{"label": label, "bits": 8 * len(payload), "payload": payload.hex()} for label, payload in recs]
+    return [
+        {"label": label, "bits": 8 * len(payload), "payload": payload.hex()}
+        for label, payload in recs
+    ]
 
 
 def reference_dict(log: TransmissionLog) -> dict:
