@@ -384,6 +384,21 @@ class TestStreamedDigest:
         log.relay_edges[(1, 0)].parts.append((Batch(["x:i=1"], b"\x01\x03", 2), None))
         assert_matches_reference(log)
 
+    def test_parts_without_records(self):
+        # Parts put on an edge by hand may hold no records: they add no text,
+        # and an edge of such parts, or of none, has empty signals.
+        log = TransmissionLog()
+        batch = Batch(["x:i=1", "y:i=1"], b"\x01\x02", 1)
+        log.add_server(1, batch)
+        log.forward(1, 0, batch)
+        parts = log.relay_edges[(1, 0)].parts
+        parts.insert(0, (batch, []))
+        parts += [(Batch([], b"", 2), None), (batch, [1])]
+        log.relay_edges[(1, 1)] = Edge()
+        log.relay_edges[(1, 2)] = Edge()
+        log.relay_edges[(1, 2)].parts.append((batch, []))
+        assert_matches_reference(log)
+
     def test_empty_log(self):
         log = TransmissionLog()
         assert_matches_reference(log)
