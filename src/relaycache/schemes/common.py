@@ -319,8 +319,8 @@ class PlannedCache(CacheView):
 class Batch:
     """Records that share one payload buffer; never changed once built.
 
-    Record k is ``labels[k]`` with bytes ``[k * part, (k + 1) * part)`` of
-    ``data``.  Two batches are equal only if they are the same object.
+    The k-th record is ``labels[k]`` with bytes ``[k * part, (k + 1) * part)``
+    of ``data``.  Two batches are equal only if they are the same object.
     """
 
     labels: tuple[str, ...]
@@ -468,8 +468,8 @@ class TransmissionLog:
 
     def write(self, write: Callable[[bytes], object], indent: int | None = None) -> None:
         """Stream the log to the bytes sink ``write``, one edge at a time, as
-        ``json.dumps(..., sort_keys=True)`` of its record lists: compact when
-        ``indent`` is None, else indented.
+        the key-sorted JSON of its record lists that the ``json`` module
+        writes: compact when ``indent`` is None, else indented.
 
         A batch is rendered once; its text is kept for the walk, at most the
         server edges' text.  So are the records of the last batch picked
