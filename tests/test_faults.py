@@ -67,6 +67,34 @@ def test_dropped_record_names_signal_and_relay(comb42, scheme):
     assert failures
 
 
+# The first record relay 1 owes user 0, who sits on relays 1 and 2.
+FIRST_FROM_RELAY_1 = {
+    "proposed": "prop:i=1:C=1.2",
+    "routing": "rt:i=1:V=1.2:T=2:l=1",
+    "cmcnc": "cm:S=1.2.3:p=1",
+    "broadcast-mds": "bc:n=1:p=1:octets=20",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_foreign_batch_is_not_read_as_the_relays_own(comb42, scheme):
+    """Relay 2's server batch put by hand on relay 1's edge to user 0, with
+    the same picks, is not read as relay 1's records."""
+    user = 0
+    i, j = comb42.users[user]
+    demand = distinct_demand(comb42, 6)
+    _, deliver, decode = harness._pipeline(comb42, LIB, M, scheme, None)
+    log = deliver(demand)
+    ((_, picks),) = log.relay_edges[(i, user)].parts
+    ((foreign, _),) = log.relay_edges[(j, user)].parts  # on relay j's server edge
+    log.relay_edges[(i, user)].parts = [(foreign, picks)]
+    with pytest.raises(IncompleteReceptionError) as caught:
+        decode(user, demand, log.to_user(user))
+    msg = str(caught.value)
+    assert re.search(rf"\bfrom relay {i}\b", msg), msg
+    assert repr(FIRST_FROM_RELAY_1[scheme]) in msg, msg
+
+
 def corrupting(deliver, relay, user, index):
     """``deliver`` with the first payload byte of record ``index`` flipped on
     edge (relay, user): that edge carries a copy of its batch with the byte
