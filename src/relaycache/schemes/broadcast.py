@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
@@ -52,6 +53,11 @@ class PrefixCache(CacheView):
     storage: Fraction
     prefix_bytes: int
     _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def names(self) -> list[str]:
+        """names[n - 1]: file id n as written in labels."""
+        return list(map(str, range(1, self.lib.n_files + 1)))
 
     def has(self, user: int, key: int) -> bool:
         return 1 <= key <= self.lib.n_files and self.prefix_bytes > 0
@@ -83,8 +89,11 @@ def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
     return PrefixCache(net=net, lib=lib, storage=Fraction(M), prefix_bytes=int(prefix))
 
 
-def _label(n: int, piece: int, octets: int) -> str:
-    return f"bc:n={n}:p={piece}:octets={octets}"
+def _form(cache: PrefixCache, piece: int) -> tuple[str, list[str], str]:
+    """The label form of server edge ``piece``: record n - 1 is labelled by
+    file id n."""
+    octets = cache.lib.file_bytes - cache.prefix_bytes
+    return "bc:n=", cache.names, f":p={piece}:octets={octets}"
 
 
 def _server_batches(cache: PrefixCache, code: ErasureCode) -> list[Batch]:
@@ -109,8 +118,8 @@ def _server_batches(cache: PrefixCache, code: ErasureCode) -> list[Batch]:
                 buf[at] = piece
         by_edge = []
         for i in range(1, code.n + 1):
-            labels = [_label(n, i, suffix) for n in range(1, lib.n_files + 1)]
-            by_edge.append(Batch(labels, joined.pop(0), part_bytes))
+            head, names, tail = _form(cache, i)
+            by_edge.append(Batch(names, joined.pop(0), part_bytes, head, tail))
         cache._encoded[code] = by_edge
     return by_edge
 
@@ -149,8 +158,7 @@ def broadcast_decode(
         return prefix
 
     pieces = [
-        (i, payloads(user, i, received, [_label(want, i, suffix_len)])[0])
-        for i in net.users[user]
+        (i, payloads(user, i, received, [want - 1], _form(cache, i))[0]) for i in net.users[user]
     ]
     suffix = b"".join(mds_decode(code, pieces))[:suffix_len]
     return prefix + suffix

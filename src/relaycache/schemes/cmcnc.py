@@ -33,6 +33,7 @@ from .common import (
     Edge,
     FileLibrary,
     PlannedCache,
+    SignalPlan,
     SubpacketizationError,
     TransmissionLog,
     grid_t,
@@ -60,12 +61,6 @@ class SubsetCache(PlannedCache):
         """slices[q]: where subfile q lies in its file."""
         size = self.subfile_bytes
         return [slice(q * size, (q + 1) * size) for q in range(binomial(self.net.K, self.t))]
-
-    @cached_property
-    def labels(self) -> list[tuple[str, ...]]:
-        """labels[i - 1][s]: the label of piece i of signal s."""
-        stems = [f"cm:S={name}:p=" for name in self.signal_plan.names]
-        return [tuple([stem + str(i) for stem in stems]) for i in range(1, self.net.h + 1)]
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
@@ -157,6 +152,12 @@ def _merge(parts: Sequence[bytes], part: int) -> bytes:
     return bytes(out)
 
 
+def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
+    """The label form of piece ``relay`` of every signal: signal s is
+    labelled by its S."""
+    return "cm:S=", plan.names, f":p={relay}"
+
+
 def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     """Split files over user subsets; file size must allow the r-way split too."""
     t = grid_t(net.K, lib.n_files, M, "K")
@@ -203,7 +204,8 @@ def cmcnc_deliver(
     )
 
     for i, piece in enumerate(mds_encode(code, _split(signals, net.r, part)), 1):
-        batch = Batch(cache.labels[i - 1], piece, part)
+        prefix, names, suffix = _form(i, plan)
+        batch = Batch(names, piece, part, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, batch)
@@ -224,11 +226,12 @@ def cmcnc_decode(
     if t == K:
         return cache.read(user, [demand[user]] * len(own), own)
 
-    mine, blocks, extracted = cache.signal_plan.decoding(user)
-    pieces = []
-    for i in net.users[user]:
-        labels = map(cache.labels[i - 1].__getitem__, mine)
-        pieces.append((i, b"".join(payloads(user, i, received, labels))))
+    plan = cache.signal_plan
+    mine, blocks, extracted = plan.decoding(user)
+    pieces = [
+        (i, b"".join(payloads(user, i, received, mine, _form(i, plan))))
+        for i in net.users[user]
+    ]
     signals = _merge(mds_decode(code, pieces), size // net.r)
 
     # Block x holds the term of each signal's x-th other member; my own

@@ -44,12 +44,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import lt
+from math import comb
+from operator import add, lt, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import enumerate_subsets
@@ -201,8 +203,8 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
 class SubsetPlan:
     """The t-subsets T of n sharing candidates, by rank; candidates are 0-based.
 
-    ``names`` and ``missing`` are built on first use: of the schemes, only
-    ``routing`` reads them.
+    ``missing`` and ``missing_names`` are built on first use: of the
+    schemes, only ``routing`` reads them.
     """
 
     subsets: list[tuple[int, ...]]  # subsets[q]: the T of rank q, 1-based
@@ -210,15 +212,16 @@ class SubsetPlan:
     holds: list[frozenset[int]]  # holds[c]: held[c] as a set, for membership checks
 
     @cached_property
-    def names(self) -> list[str]:
-        """names[q]: the T of rank q as written in labels."""
-        return list(map(fmt_subset, self.subsets))
-
-    @cached_property
     def missing(self) -> list[list[int]]:
         """missing[c]: ranks of the T without c, increasing."""
         everything = frozenset(range(len(self.subsets)))
         return [sorted(everything - hold) for hold in self.holds]
+
+    @cached_property
+    def missing_names(self) -> list[list[str]]:
+        """missing_names[c][k]: the T of rank missing[c][k] as written in labels."""
+        names = list(map(fmt_subset, self.subsets))
+        return [list(map(names.__getitem__, ranks)) for ranks in self.missing]
 
 
 class SignalPlan(NamedTuple):
@@ -270,16 +273,38 @@ def plan_subsets(n: int, t: int) -> SubsetPlan:
 
 
 def plan_signals(n: int, t: int) -> SignalPlan:
-    rank = {T: q for q, T in enumerate(enumerate_subsets(n, t))}
     signals = enumerate_subsets(n, t + 1) if t < n else []
-    at: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(t + 1)]
-    for s, C in enumerate(signals):
-        for j, c in enumerate(C):
-            at[j][c - 1].append(s)
+    count = len(signals)
+    member = [[C[j] - 1 for C in signals] for j in range(t + 1)]
+
+    # The rank of a t-subset T, 0-based, is C(n, t) - 1 minus the sum over m
+    # of term[t - m][T[m]].  C minus C[0] holds C[m] at index m - 1; C minus
+    # C[j + 1] differs from C minus C[j] only at index j, C[j] for C[j + 1].
+    term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
+
+    def terms(k: int, j: int) -> Iterator[int]:
+        return map(term[k].__getitem__, member[j])
+
+    rest = [[comb(n, t) - 1] * count]
+    for m in range(1, t + 1):
+        rest[0] = list(map(sub, rest[0], terms(t + 1 - m, m)))
+    for j in range(t):
+        rest.append(list(map(add, map(sub, rest[j], terms(t - j, j)), terms(t - j, j + 1))))
+    # Every list holds each rank and each s as one shared int object.
+    ranks = list(range(comb(n, t)))
+    rest = [list(map(ranks.__getitem__, column)) for column in rest]
+
+    at: list[list[list[int]]] = []
+    everything = list(range(count))
+    for column in member:
+        # Sorting is stable: the s with C[j] == c stay increasing.
+        by = sorted(everything, key=column.__getitem__)
+        cuts = list(map(bisect_left, repeat(list(map(column.__getitem__, by))), range(n + 1)))
+        at.append([by[cuts[c] : cuts[c + 1]] for c in range(n)])
     return SignalPlan(
-        names=list(map(fmt_subset, signals)),
-        member=[[C[j] - 1 for C in signals] for j in range(t + 1)],
-        rest=[[rank[C[:j] + C[j + 1 :]] for C in signals] for j in range(t + 1)],
+        names=list(starmap(".".join(["{}"] * (t + 1)).format, signals)),
+        member=member,
+        rest=rest,
         at=at,
     )
 
@@ -319,29 +344,36 @@ class PlannedCache(CacheView):
 class Batch:
     """Records that share one payload buffer; never changed once built.
 
-    The k-th record is ``labels[k]`` with bytes ``[k * part, (k + 1) * part)``
-    of ``data``.  Two batches are equal only if they are the same object.
+    The k-th record is position k of the label form ``(prefix, names,
+    suffix)``, with bytes ``[k * part, (k + 1) * part)`` of ``data``.  Its
+    label ``prefix + names[k] + suffix`` is rendered only for output.  Two
+    batches are equal only if they are the same object.
     """
 
-    labels: tuple[str, ...]
+    names: Sequence[str]
     data: bytes
     part: int
+    prefix: str = ""
+    suffix: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
         # bytes(b) is b itself; a mutable buffer is copied once, here.
         object.__setattr__(self, "data", bytes(self.data))
-        if len(self.data) != len(self.labels) * self.part:
+        if len(self.data) != len(self.names) * self.part:
             raise ValueError(
-                f"{len(self.labels)} records of {self.part} bytes need "
-                f"{len(self.labels) * self.part} bytes, got {len(self.data)}"
+                f"{len(self.names)} records of {self.part} bytes need "
+                f"{len(self.names) * self.part} bytes, got {len(self.data)}"
             )
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """label -> position of its last record, built on the first lookup
-        and shared by every edge that carries the whole batch."""
-        return dict(zip(self.labels, range(len(self.labels))))
+    @property
+    def form(self) -> tuple[str, Sequence[str], str]:
+        return self.prefix, self.names, self.suffix
+
+    @property
+    def labels(self) -> list[str]:
+        """Every record's label, rendered anew on each read."""
+        prefix, suffix = self.prefix, self.suffix
+        return [prefix + name + suffix for name in self.names]
 
     def payloads(self, positions: Iterable[int]) -> list[bytes]:
         """The payloads of the records at ``positions``."""
@@ -351,7 +383,7 @@ class Batch:
 
 def _count(batch: Batch, picks: Sequence[int] | None) -> int:
     """Records in a part of an edge."""
-    return len(batch.labels) if picks is None else len(picks)
+    return len(batch.names) if picks is None else len(picks)
 
 
 class Edge:
@@ -374,32 +406,47 @@ class Edge:
 
 
 def payloads(
-    user: int, relay: int, received: Mapping[int, Edge], labels: Iterable[str]
+    user: int,
+    relay: int,
+    received: Mapping[int, Edge],
+    positions: Sequence[int],
+    form: tuple[str, Sequence[str], str],
 ) -> list[bytes]:
-    """The payload of the last record with each label in ``relay``'s feed to
-    ``user``, in order.
+    """The payload of the record at each of ``positions`` of the label form
+    ``form`` in ``relay``'s feed to ``user``, in order; the last one, if the
+    feed holds a position more than once.
 
-    Raises IncompleteReceptionError naming the first label the relay did not
-    deliver.
+    Only parts whose batch has that form answer, so a batch of another
+    form, such as another relay's, is never read as this one.  Raises
+    IncompleteReceptionError naming the label of the first position the
+    relay did not deliver.
     """
-    edge = received.get(relay, Edge())
-    try:
-        if len(edge.parts) == 1:
-            batch, picks = edge.parts[0]
-            if picks is None:
-                index = batch.index
-            else:
-                index = dict(zip(map(batch.labels.__getitem__, picks), picks))
-            return batch.payloads(list(map(index.__getitem__, labels)))
-        found = {}
-        for batch, picks in edge.parts:
-            positions = range(len(batch.labels)) if picks is None else picks
-            found.update(zip(map(batch.labels.__getitem__, positions), batch.payloads(positions)))
-        return [found[label] for label in labels]
-    except KeyError as exc:
-        raise IncompleteReceptionError(
-            f"user {user} did not receive {exc.args[0]!r} from relay {relay}"
-        ) from None
+    edge = received.get(relay)
+    parts = [part for part in edge.parts if part[0].form == form] if edge else []
+    held: Collection[int]
+    if len(parts) == 1:
+        batch, picks = parts[0]
+        if picks is None:
+            held = range(len(batch.names))
+            complete = not positions or (0 <= min(positions) and max(positions) < len(held))
+        else:
+            held = set(picks)
+            complete = held.issuperset(positions)
+        if complete:
+            return batch.payloads(positions)
+    else:
+        found: dict[int, bytes] = {}
+        for batch, picks in parts:
+            at = range(len(batch.names)) if picks is None else picks
+            found.update(zip(at, batch.payloads(at)))
+        if all(map(found.__contains__, positions)):
+            return list(map(found.__getitem__, positions))
+        held = found
+    prefix, names, suffix = form
+    k = next(k for k in positions if k not in held)
+    raise IncompleteReceptionError(
+        f"user {user} did not receive {prefix + names[k] + suffix!r} from relay {relay}"
+    )
 
 
 def _render(batch: Batch, form: tuple[str, str, str]) -> list[str]:
@@ -407,12 +454,17 @@ def _render(batch: Batch, form: tuple[str, str, str]) -> list[str]:
     before the label (with ``%d`` for the bits), between the label and the
     payload hex, and after the hex."""
     head, mid, tail = form
-    head %= 8 * batch.part
-    hexed = batch.data.hex(",", batch.part).split(",") if batch.part else [""] * len(batch.labels)
-    return [
-        f"{head}{encode_basestring_ascii(label)}{mid}{x}{tail}"
-        for label, x in zip(batch.labels, hexed)
-    ]
+    prefix, names, suffix = batch.form
+    # JSON escapes a string char by char, so a label's text is its escaped
+    # prefix, name and suffix in turn; names that need no escape (each
+    # escape lengthens the text) are used as they are.
+    head = head % (8 * batch.part) + encode_basestring_ascii(prefix)[:-1]
+    mid = encode_basestring_ascii(suffix)[1:] + mid
+    plain = "".join(names)
+    if len(encode_basestring_ascii(plain)) != len(plain) + 2:
+        names = [encode_basestring_ascii(name)[1:-1] for name in names]
+    hexed = batch.data.hex(",", batch.part).split(",") if batch.part else [""] * len(names)
+    return [f"{head}{name}{mid}{x}{tail}" for name, x in zip(names, hexed)]
 
 
 @dataclass
@@ -432,7 +484,7 @@ class TransmissionLog:
 
     def add_server(self, relay: int, batch: Batch) -> None:
         """Append ``batch`` to server edge ``relay``; an empty batch adds no edge."""
-        if batch.labels:
+        if batch.names:
             self.server_edges.setdefault(relay, Edge()).parts.append((batch, None))
 
     def forward(
@@ -442,7 +494,7 @@ class TransmissionLog:
         ``picks`` in that order.  The batch must be on the relay's server
         edge, as the same object.  A batch or picks with no records adds no
         edge and is not checked."""
-        n = len(batch.labels)
+        n = len(batch.names)
         if not _count(batch, picks):
             return
         if picks is not None and not (0 <= min(picks) and max(picks) < n):

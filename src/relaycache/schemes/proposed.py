@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from operator import getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
 from ..erasure import xor_bytes
@@ -47,6 +47,7 @@ from .common import (
     Edge,
     FileLibrary,
     PlannedCache,
+    SignalPlan,
     SubpacketizationError,
     TransmissionLog,
     grid_t,
@@ -158,9 +159,9 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
     )
 
 
-def _labels(relay: int, signals: Iterable[str]) -> tuple[str, ...]:
-    """Labels of ``relay``'s signals, each C given as written in labels."""
-    return tuple(map(f"prop:i={relay}:C=".__add__, signals))
+def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
+    """The label form of ``relay``'s signals: signal s is labelled by its C."""
+    return f"prop:i={relay}:C=", plan.names, ""
 
 
 def _neighbors_of(
@@ -221,7 +222,8 @@ def proposed_deliver(
                 for classes, ranks in zip(plan.member, plan.rest)
             ]
         )
-        batch = Batch(_labels(i, plan.names), signals, cache.subfile_bytes)
+        prefix, names, suffix = _form(i, plan)
+        batch = Batch(names, signals, cache.subfile_bytes, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, batch, picks[net.class_of[u] - 1])
@@ -244,10 +246,11 @@ def proposed_decode(
     plan = cache.signal_plan
     V = net.users[user]
     mine, blocks, order = plan.decoding(net.class_of[user] - 1)
-    names = list(map(plan.names.__getitem__, mine))
-    feeds = b"".join([b"".join(payloads(user, i, received, _labels(i, names))) for i in V])
+    feeds = b"".join(
+        [b"".join(payloads(user, i, received, mine, _form(i, plan))) for i in V]
+    )
     size = cache.subfile_bytes
-    block = len(names) * len(V) * size
+    block = len(mine) * len(V) * size
     if len(feeds) != block:
         raise ValueError(f"user {user} received {len(feeds)} signal bytes, expected {block}")
 

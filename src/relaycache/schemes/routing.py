@@ -17,7 +17,7 @@ what it reads from its cache in one membership-checked
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..combinatorics import position_in
 from ..topology import Network
@@ -25,12 +25,10 @@ from .common import Batch, Edge, TransmissionLog, fmt_subset, payloads, validate
 from .proposed import GroupedCache, _reassemble
 
 
-def _labels(relay: int, V: tuple[int, ...], l: int, names: Iterable[str]) -> tuple[str, ...]:
-    """Labels of the subfiles (T, l) for user V on ``relay``, each T given
-    as written in labels."""
-    stem = f"rt:i={relay}:V={fmt_subset(V)}:T="
-    tail = f":l={l}"
-    return tuple(stem + name + tail for name in names)
+def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str, list[str], str]:
+    """The label form of the subfiles (T, l) for user V on ``relay``: the
+    subfile at position k is labelled by names[k], its T."""
+    return f"rt:i={relay}:V={fmt_subset(V)}:T=", names, f":l={l}"
 
 
 def routing_deliver(
@@ -44,9 +42,11 @@ def routing_deliver(
         for u in net._neighbors[i - 1]:
             V = net.users[u]
             l = position_in(V, i)
-            ranks = plan.missing[net.class_of[u] - 1]
+            c = net.class_of[u] - 1
+            ranks = plan.missing[c]
             data = cache.subfiles([demand[u]] * len(ranks), ranks, [l] * len(ranks))
-            batch = Batch(_labels(i, V, l, map(plan.names.__getitem__, ranks)), data, size)
+            prefix, names, suffix = _form(i, V, l, plan.missing_names[c])
+            batch = Batch(names, data, size, prefix, suffix)
             log.add_server(i, batch)
             log.forward(i, u, batch)
     return log
@@ -61,8 +61,12 @@ def routing_decode(
 ) -> bytes:
     plan = cache.subset_plan
     V = net.users[user]
-    order = plan.missing[net.class_of[user] - 1]
-    names = list(map(plan.names.__getitem__, order))
+    c = net.class_of[user] - 1
+    order = plan.missing[c]
+    everything = range(len(order))
     # Relay V[l] sends the copy-l subfile of each missing T, in order.
-    feeds = [payloads(user, i, received, _labels(i, V, l, names)) for l, i in enumerate(V, 1)]
+    feeds = [
+        payloads(user, i, received, everything, _form(i, V, l, plan.missing_names[c]))
+        for l, i in enumerate(V, 1)
+    ]
     return _reassemble(cache, user, demand[user], order, list(chain.from_iterable(feeds)))

@@ -1,5 +1,6 @@
 """Shared plumbing: libraries, demand vectors, records, logs, and the plan."""
 
+import dataclasses
 import itertools
 import json
 
@@ -171,10 +172,11 @@ class TestTransmissionLog:
 
 
 def served_batch():
-    """A log with one 3-record batch on server edge 1, forwarded whole to
-    users 0 and 1 and picked (records 2 and 0) to user 2."""
+    """A log with one 3-record batch on server edge 1, labelled 'a:i=1',
+    'b:i=1' and 'c:i=1', forwarded whole to users 0 and 1 and picked
+    (records 2 and 0) to user 2."""
     log = TransmissionLog()
-    batch = Batch(("a:i=1", "b:i=1", "c:i=1"), b"\x01\x02\x03\x04\x05\x06", 2)
+    batch = Batch(("a", "b", "c"), b"\x01\x02\x03\x04\x05\x06", 2, suffix=":i=1")
     log.add_server(1, batch)
     log.forward(1, 0, batch)
     log.forward(1, 1, batch)
@@ -189,7 +191,7 @@ def records(batch, positions):
 
 def flipped(batch):
     """A copy of ``batch`` with its first byte flipped."""
-    return Batch(batch.labels, bytes([batch.data[0] ^ 0x40]) + batch.data[1:], batch.part)
+    return dataclasses.replace(batch, data=bytes([batch.data[0] ^ 0x40]) + batch.data[1:])
 
 
 class TestBatchLog:
@@ -209,7 +211,7 @@ class TestBatchLog:
             log.forward(1, 3, stray, [1, 0])
         # A copy of a served batch carries the same records, but a relay
         # forwards only the object it received.
-        copy = Batch(batch.labels, batch.data, batch.part)
+        copy = dataclasses.replace(batch)
         with pytest.raises(ValueError, match="cannot forward 'b:i=1'"):
             log.forward(1, 3, copy, [1])
         with pytest.raises(ValueError, match="cannot forward"):
@@ -292,41 +294,50 @@ class TestBatchLog:
     def test_payloads_on_whole_and_picked_edges(self):
         log, batch = served_batch()
         rx = log.to_user(2)
-        assert payloads(2, 1, rx, ["a:i=1", "c:i=1"]) == [b"\x01\x02", b"\x05\x06"]
+        assert payloads(2, 1, rx, [0, 2], batch.form) == [b"\x01\x02", b"\x05\x06"]
         with pytest.raises(IncompleteReceptionError, match="did not receive 'b:i=1' from relay 1"):
-            payloads(2, 1, rx, ["a:i=1", "b:i=1"])
-        assert payloads(0, 1, log.to_user(0), ["c:i=1", "b:i=1"]) == [b"\x05\x06", b"\x03\x04"]
+            payloads(2, 1, rx, [0, 1], batch.form)
+        assert payloads(0, 1, log.to_user(0), [2, 1], batch.form) == [b"\x05\x06", b"\x03\x04"]
+        # A form with equal names answers; another suffix does not.
+        assert payloads(0, 1, log.to_user(0), [1], ("", ("a", "b", "c"), ":i=1")) == [b"\x03\x04"]
+        with pytest.raises(IncompleteReceptionError, match="did not receive 'a:i=2' from relay 1"):
+            payloads(0, 1, log.to_user(0), [0], ("", batch.names, ":i=2"))
 
     def test_a_missing_relay_raises(self):
-        log, _ = served_batch()
+        log, batch = served_batch()
         rx = log.to_user(2)
         with pytest.raises(IncompleteReceptionError, match="user 2 did not receive 'a:i=1' from relay 2"):
-            payloads(2, 2, rx, ["a:i=1"])
+            payloads(2, 2, rx, [0], batch.form)
         with pytest.raises(IncompleteReceptionError, match="'a:i=1' from relay 1"):
-            payloads(2, 1, {}, ["a:i=1"])
-        assert payloads(2, 2, rx, []) == []
+            payloads(2, 1, {}, [0], batch.form)
+        assert payloads(2, 2, rx, [], batch.form) == []
 
     def test_payloads_on_multi_part_edges(self, comb42):
         log, batch = served_batch()
-        later = Batch(("d:i=1", "a:i=1"), b"\x07\x08\x09\x0a", 2)
+        later = dataclasses.replace(batch, data=b"\x07\x08\x09\x0a\x0b\x0c")
         log.add_server(1, later)
-        log.forward(1, 2, later, [1])
-        # The last record with a label wins, across parts as within one.
-        assert payloads(2, 1, log.to_user(2), ["a:i=1", "c:i=1"]) == [b"\x09\x0a", b"\x05\x06"]
-        assert payloads(0, 1, log.server_edges, ["d:i=1", "b:i=1", "a:i=1"]) == [
-            b"\x07\x08",
-            b"\x03\x04",
-            b"\x09\x0a",
-        ]
+        log.forward(1, 2, later, [0])
+        # The last record at a position wins, across parts as within one.
+        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == [b"\x07\x08", b"\x05\x06"]
+        # A part of another form answers only for its own form, even where
+        # it renders the same label.
+        other = Batch(("d", "a"), b"\x0d\x0e\x0f\x10", 2, suffix=":i=1")
+        log.add_server(1, other)
+        log.forward(1, 2, other, [1])
+        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == [b"\x07\x08", b"\x05\x06"]
+        assert payloads(2, 1, log.to_user(2), [1], other.form) == [b"\x0f\x10"]
+        assert payloads(0, 1, log.server_edges, [1, 0], batch.form) == [b"\x09\x0a", b"\x07\x08"]
         with pytest.raises(IncompleteReceptionError, match="'d:i=1' from relay 1"):
-            payloads(2, 1, log.to_user(2), ["d:i=1"])
+            payloads(2, 1, log.to_user(2), [0], other.form)
         # Routing sends one batch per neighbor over each server edge.
         cache = proposed_place(comb42, random_library(6, 12, seed=4), 2)
         log = routing_deliver(comb42, cache, distinct_demand(comb42, 6))
         for relay, edge in log.server_edges.items():
             assert len(edge.parts) > 1
-            found = dict(edge_records(edge))
-            assert payloads(0, relay, log.server_edges, found) == list(found.values())
+            for batch, _ in edge.parts:
+                positions = range(len(batch.names))
+                sent = [payload for _, payload in records(batch, positions)]
+                assert payloads(0, relay, log.server_edges, positions, batch.form) == sent
 
 
 LABELS = st.sampled_from(["a", "b", 'q"', "c\\d", "é", "x:i=1"])
@@ -335,9 +346,10 @@ LABELS = st.sampled_from(["a", "b", 'q"', "c\\d", "é", "x:i=1"])
 @st.composite
 def new_batches(draw, min_size=0):
     part = draw(st.integers(0, 3))
-    labels = draw(st.lists(LABELS, min_size=min_size, max_size=5))
-    data = draw(st.binary(min_size=len(labels) * part, max_size=len(labels) * part))
-    return Batch(labels, data, part)
+    names = draw(st.lists(LABELS, min_size=min_size, max_size=5))
+    data = draw(st.binary(min_size=len(names) * part, max_size=len(names) * part))
+    prefix, suffix = draw(st.sampled_from(["", "p:", 'q"'])), draw(st.sampled_from(["", ":é"]))
+    return Batch(names, data, part, prefix, suffix)
 
 
 @st.composite
@@ -354,13 +366,13 @@ def batch_logs(draw):
             relay_id = draw(st.integers(1, 3))
             batch = draw(new_batches())
             log.add_server(relay_id, batch)
-            if batch.labels:
-                server.setdefault(relay_id, []).extend(records(batch, range(len(batch.labels))))
+            if batch.names:
+                server.setdefault(relay_id, []).extend(records(batch, range(len(batch.names))))
             batches.append((relay_id, batch))
             continue
         user = draw(st.integers(0, 3))
         relay_id, batch = draw(st.sampled_from(batches))
-        n = len(batch.labels)
+        n = len(batch.names)
         picks = draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
         if op == "append":
             # A part put on a relay edge by hand, as a fault would: a batch
@@ -376,7 +388,7 @@ def batch_logs(draw):
             log.forward(relay_id, user, batch)
         else:
             log.forward(relay_id, user, batch, picks)
-        sent = records(batch, range(len(batch.labels)) if picks is None else picks)
+        sent = records(batch, range(len(batch.names)) if picks is None else picks)
         if sent:
             relay.setdefault((relay_id, user), []).extend(sent)
     return log, server, relay
@@ -408,5 +420,11 @@ class TestBatchLogAgainstRecordLists:
             assert len(log.relay_edges[(i, u)]) == len(recs)
             assert log.relay_bits(i, u) == 8 * sum(len(payload) for _, payload in recs)
             assert log.to_user(u)[i] is log.relay_edges[(i, u)]
-            found = dict(recs)
-            assert payloads(u, i, log.to_user(u), found) == list(found.values())
+            for batch, _ in log.relay_edges[(i, u)].parts:
+                # The last record at each position among the parts of this form.
+                found = {}
+                for other, picks in log.relay_edges[(i, u)].parts:
+                    if other.form == batch.form:
+                        at = range(len(other.names)) if picks is None else picks
+                        found.update((k, other.data[k * other.part : (k + 1) * other.part]) for k in at)
+                assert payloads(u, i, log.to_user(u), list(found), batch.form) == list(found.values())

@@ -6,6 +6,7 @@ naming that record's label and the relay; a flipped payload byte must show
 up as a decode failure in run_scheme and verify_all_demands.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -106,7 +107,7 @@ def corrupting(deliver, relay, user, index):
         ((batch, picks),) = edge.parts
         data = bytearray(batch.data)
         data[(index if picks is None else picks[index]) * batch.part] ^= 0x40
-        edge.parts = [(Batch(batch.labels, data, batch.part), picks)]
+        edge.parts = [(dataclasses.replace(batch, data=data), picks)]
         return log
 
     return wrapped

@@ -5,6 +5,7 @@ with N=6, F=30 bytes and library seed 2016.  A change to any label,
 payload, edge order or serialization detail shows up here first.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -579,12 +580,14 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
     relay = comb62.users[user][0]
     log = broadcast_mds_deliver(comb62, cache, demand, code)
     received = log.to_user(user)
-    ((label, payload),) = edge_records(received[relay])
+    ((label, _),) = edge_records(received[relay])
     with pytest.raises(IncompleteReceptionError, match=re.escape(repr(label))):
         broadcast_decode(comb62, user, cache, demand, {**received, relay: Edge()}, code)
+    ((batch, picks),) = received[relay].parts
+    data = bytearray(batch.data)
+    data[picks[0] * batch.part] ^= 0x40
     flipped = Edge()
-    payload = bytes([payload[0] ^ 0x40]) + payload[1:]
-    flipped.parts.append((Batch([label], payload, len(payload)), None))
+    flipped.parts.append((dataclasses.replace(batch, data=data), picks))
     out = broadcast_decode(comb62, user, cache, demand, {**received, relay: flipped}, code)
     assert out != lib.file(demand[user])
     # The damage stays in that log: the next delivery decodes again.

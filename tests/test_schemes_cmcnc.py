@@ -128,6 +128,15 @@ class TestDelivery:
                     labels = [label for label, _ in edge_records(log.relay_edges[(relay, user)])]
                     assert labels == server_labels
 
+    def test_batches_share_the_plan_names(self, comb42, lib30, code42):
+        cache = cmcnc_place(comb42, lib30, 2)
+        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
+        edges = [*log.server_edges.values(), *log.relay_edges.values()]
+        assert all(batch.names is cache.signal_plan.names for e in edges for batch, _ in e.parts)
+        assert {batch.suffix for e in log.server_edges.values() for batch, _ in e.parts} == {
+            f":p={i}" for i in range(1, 5)
+        }
+
     def test_code_shape_mismatch(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         with pytest.raises(ValueError, match="code"):

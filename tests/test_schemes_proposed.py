@@ -226,6 +226,18 @@ class TestDelivery:
             for record in edge_records(edge):
                 assert record in server
 
+    def test_batches_share_the_plan_names(self, comb42, lib6):
+        # Every relay's batch is labelled by the placement's one names list,
+        # and each class's neighbors share one picks tuple.
+        cache = proposed_place(comb42, lib6, 2)
+        log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
+        edges = [*log.server_edges.values(), *log.relay_edges.values()]
+        assert all(batch.names is cache.signal_plan.names for e in edges for batch, _ in e.parts)
+        picks = {}
+        for (_, u), edge in log.relay_edges.items():
+            ((_, p),) = edge.parts
+            assert picks.setdefault(comb42.class_of[u], p) is p
+
 
 class TestDecode:
     @pytest.mark.parametrize("M", [0, Fraction(2, 3), Fraction(4, 3), 2])
