@@ -124,17 +124,19 @@ def _parse_schemes(text: str) -> list[str]:
     return names
 
 
-_FLAG_DEFAULTS = {
-    "topology": None,
-    "N": None,
-    "F": "auto",
-    "M": "grid",
-    "schemes": "all",
-    "demands": None,
-    "count": 100,
-    "seed": 0,
-    "out": None,
-    "format": "csv",
+# Flag -> (value type, choices or None, default, help).  A --config field
+# must have its flag's type and lie in its choices, as the flag must.
+_FLAGS = {
+    "topology": (str, None, None, "comb:h,r | affine:q | file"),
+    "N": (int, None, None, "number of files"),
+    "F": (str, None, "auto", "file size in bits, or 'auto'"),
+    "M": (str, None, "grid", "comma list of sizes, or 'grid'"),
+    "schemes": (str, None, "all", "comma list, or 'all'"),
+    "demands": (str, DEMAND_MODES, None, None),
+    "count": (int, None, 100, "sampled demand count"),
+    "seed": (int, None, 0, None),
+    "out": (str, None, None, "output directory"),
+    "format": (str, ("csv", "structured"), "csv", None),
 }
 
 
@@ -147,16 +149,8 @@ def _argument_parser() -> argparse.ArgumentParser:
     for name in ("topology", "run", "verify", "sweep", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file with flag defaults")
-        p.add_argument("--topology", help="comb:h,r | affine:q | file")
-        p.add_argument("--N", type=int, help="number of files")
-        p.add_argument("--F", help="file size in bits, or 'auto'")
-        p.add_argument("--M", help="comma list of sizes, or 'grid'")
-        p.add_argument("--schemes", help="comma list, or 'all'")
-        p.add_argument("--demands", choices=DEMAND_MODES)
-        p.add_argument("--count", type=int, help="sampled demand count")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", dest="format", choices=("csv", "structured"))
+        for flag, (kind, choices, _, text) in _FLAGS.items():
+            p.add_argument(f"--{flag}", type=kind, choices=choices, help=text)
     return parser
 
 
@@ -173,16 +167,19 @@ def _merge_config_file(ns: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"malformed config file {ns.config!r}: {exc}") from None
         if not isinstance(from_file, dict):
             raise ConfigError("config file must contain a JSON object")
-        unknown = set(from_file) - set(_FLAG_DEFAULTS)
+        unknown = set(from_file) - set(_FLAGS)
         if unknown:
             raise ConfigError(f"unknown config file field(s): {sorted(unknown)}")
-    for key, default in _FLAG_DEFAULTS.items():
+    for key, (kind, choices, default, _) in _FLAGS.items():
+        value = from_file.get(key)
+        # JSON true and false are bools, which Python counts as ints.
+        if value is not None and type(value) is not kind:
+            article = "an integer" if kind is int else "a string"
+            raise ConfigError(f"config field {key!r} must be {article}, got {value!r}")
+        if value is not None and choices and value not in choices:
+            raise ConfigError(f"config field {key!r} must be one of {choices}, got {value!r}")
         if getattr(ns, key) is None:
-            setattr(ns, key, from_file.get(key, default))
-    for key in ("N", "count", "seed"):
-        value = getattr(ns, key)
-        if value is not None and not isinstance(value, int):
-            raise ConfigError(f"config field {key!r} must be an integer")
+            setattr(ns, key, default if value is None else value)
     if ns.count < 1:
         raise ConfigError(f"--count must be at least 1, got {ns.count}")
     return ns

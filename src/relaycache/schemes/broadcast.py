@@ -90,8 +90,7 @@ def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
 
 
 def _form(cache: PrefixCache, piece: int) -> tuple[str, list[str], str]:
-    """The label form of server edge ``piece``: record n - 1 is labelled by
-    file id n."""
+    """The label form of server edge ``piece``: record n - 1 is file n's."""
     octets = cache.lib.file_bytes - cache.prefix_bytes
     return "bc:n=", cache.names, f":p={piece}:octets={octets}"
 

@@ -153,8 +153,7 @@ def _merge(parts: Sequence[bytes], part: int) -> bytes:
 
 
 def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
-    """The label form of piece ``relay`` of every signal: signal s is
-    labelled by its S."""
+    """The label form of piece ``relay`` of every signal, labelled by its S."""
     return "cm:S=", plan.names, f":p={relay}"
 
 

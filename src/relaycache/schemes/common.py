@@ -6,18 +6,20 @@ Conventions used by every scheme:
   all arithmetic on them is bit-exact (XOR, slicing, GF(256) scaling).
 * A demand vector is a tuple of length K mapping user index (0-based
   position in ``net.users``) to a requested file id in 1..N.
-* Every transmitted signal is a record: a canonical label and its payload,
-  so two runs of the same experiment produce byte-identical logs.  The
-  label is the signal's only identity: each scheme builds it with one
-  function, which delivery and decoding both call, and no code parses it
-  back.  Decoders look records up by label with :func:`payloads`.
+* Every transmitted signal is a record: a position in its batch's label
+  form and a payload.  The position is the signal's identity, the rank the
+  placement's plan gives it; the canonical label, rendered from the form
+  only for output, makes two runs of one experiment byte-identical logs.
+  Each scheme builds its label form with one function, which delivery and
+  decoding both call, and no code parses a label back.  Decoders read
+  records by plan position with :func:`payloads`.
 * Records travel in batches, and only in batches.  A :class:`Batch` is a
-  label tuple, one payload buffer and a part size: the signals a scheme
+  label form, one payload buffer and a part size: the signals a scheme
   already builds as one joined buffer.  Each edge of a
   :class:`TransmissionLog` is an :class:`Edge` of batches, and a relay edge
   holds the very batch of its server edge, whole or at picked positions.
-  So one buffer and one label -> position map serve every edge that
-  carries a batch.
+  So one buffer, and one names sequence of the placement, serve every
+  edge that carries a batch.
 * :meth:`TransmissionLog.write` is the one serializer: the digest hashes
   its compact JSON, and ``run --out`` streams its indented JSON to a file.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
@@ -44,11 +46,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, lt, sub
@@ -274,37 +275,26 @@ def plan_subsets(n: int, t: int) -> SubsetPlan:
 
 def plan_signals(n: int, t: int) -> SignalPlan:
     signals = enumerate_subsets(n, t + 1) if t < n else []
-    count = len(signals)
     member = [[C[j] - 1 for C in signals] for j in range(t + 1)]
-
-    # The rank of a t-subset T, 0-based, is C(n, t) - 1 minus the sum over m
-    # of term[t - m][T[m]].  C minus C[0] holds C[m] at index m - 1; C minus
-    # C[j + 1] differs from C minus C[j] only at index j, C[j] for C[j + 1].
+    # rank(T) = C(n, t) - 1 - sum over m of term[t - m][T[m]], T 0-based.  C
+    # minus C[0] holds C[m] at index m - 1, and C minus C[j + 1] differs from
+    # C minus C[j] only at index j, which holds C[j] instead of C[j + 1].
     term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
-
-    def terms(k: int, j: int) -> Iterator[int]:
-        return map(term[k].__getitem__, member[j])
-
-    rest = [[comb(n, t) - 1] * count]
+    rest = [[comb(n, t) - 1] * len(signals)]
     for m in range(1, t + 1):
-        rest[0] = list(map(sub, rest[0], terms(t + 1 - m, m)))
+        rest[0] = list(map(sub, rest[0], map(term[t + 1 - m].__getitem__, member[m])))
     for j in range(t):
-        rest.append(list(map(add, map(sub, rest[j], terms(t - j, j)), terms(t - j, j + 1))))
-    # Every list holds each rank and each s as one shared int object.
-    ranks = list(range(comb(n, t)))
-    rest = [list(map(ranks.__getitem__, column)) for column in rest]
-
-    at: list[list[list[int]]] = []
-    everything = list(range(count))
-    for column in member:
-        # Sorting is stable: the s with C[j] == c stay increasing.
-        by = sorted(everything, key=column.__getitem__)
-        cuts = list(map(bisect_left, repeat(list(map(column.__getitem__, by))), range(n + 1)))
-        at.append([by[cuts[c] : cuts[c + 1]] for c in range(n)])
+        up, down = (map(term[t - j].__getitem__, member[x]) for x in (j + 1, j))
+        rest.append(list(map(sub, map(add, rest[j], up), down)))
+    ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
+    at: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(t + 1)]
+    for s, C in enumerate(signals):
+        for j, c in enumerate(C):
+            at[j][c - 1].append(s)
     return SignalPlan(
         names=list(starmap(".".join(["{}"] * (t + 1)).format, signals)),
         member=member,
-        rest=rest,
+        rest=[list(map(ranks.__getitem__, column)) for column in rest],
         at=at,
     )
 
@@ -340,14 +330,19 @@ class PlannedCache(CacheView):
 # Signals and logs
 
 
+# A label form (prefix, names, suffix): position k is labelled prefix + names[k] + suffix.
+Form = tuple[str, Sequence[str], str]
+
+
 @dataclass(frozen=True, eq=False)
 class Batch:
     """Records that share one payload buffer; never changed once built.
 
     The k-th record is position k of the label form ``(prefix, names,
     suffix)``, with bytes ``[k * part, (k + 1) * part)`` of ``data``.  Its
-    label ``prefix + names[k] + suffix`` is rendered only for output.  Two
-    batches are equal only if they are the same object.
+    label ``prefix + names[k] + suffix`` is rendered only for output; a
+    scheme passes one ``names`` sequence of its placement to all of its
+    batches.  Two batches are equal only if they are the same object.
     """
 
     names: Sequence[str]
@@ -366,7 +361,7 @@ class Batch:
             )
 
     @property
-    def form(self) -> tuple[str, Sequence[str], str]:
+    def form(self) -> Form:
         return self.prefix, self.names, self.suffix
 
     @property
@@ -406,11 +401,7 @@ class Edge:
 
 
 def payloads(
-    user: int,
-    relay: int,
-    received: Mapping[int, Edge],
-    positions: Sequence[int],
-    form: tuple[str, Sequence[str], str],
+    user: int, relay: int, received: Mapping[int, Edge], positions: Sequence[int], form: Form
 ) -> list[bytes]:
     """The payload of the record at each of ``positions`` of the label form
     ``form`` in ``relay``'s feed to ``user``, in order; the last one, if the
@@ -423,41 +414,30 @@ def payloads(
     """
     edge = received.get(relay)
     parts = [part for part in edge.parts if part[0].form == form] if edge else []
-    held: Collection[int]
-    if len(parts) == 1:
-        batch, picks = parts[0]
-        if picks is None:
-            held = range(len(batch.names))
-            complete = not positions or (0 <= min(positions) and max(positions) < len(held))
-        else:
-            held = set(picks)
-            complete = held.issuperset(positions)
-        if complete:
-            return batch.payloads(positions)
-    else:
-        found: dict[int, bytes] = {}
-        for batch, picks in parts:
-            at = range(len(batch.names)) if picks is None else picks
-            found.update(zip(at, batch.payloads(at)))
-        if all(map(found.__contains__, positions)):
-            return list(map(found.__getitem__, positions))
-        held = found
-    prefix, names, suffix = form
-    k = next(k for k in positions if k not in held)
-    raise IncompleteReceptionError(
-        f"user {user} did not receive {prefix + names[k] + suffix!r} from relay {relay}"
-    )
+    if len(parts) == 1 and (parts[0][1] is None or set(parts[0][1]).issuperset(positions)):
+        return parts[0][0].payloads(positions)
+    found: dict[int, bytes] = {}
+    for batch, picks in parts:
+        at = range(len(batch.names)) if picks is None else picks
+        found.update(zip(at, batch.payloads(at)))
+    try:
+        return list(map(found.__getitem__, positions))
+    except KeyError as exc:
+        prefix, names, suffix = form
+        label = prefix + names[exc.args[0]] + suffix
+        raise IncompleteReceptionError(
+            f"user {user} did not receive {label!r} from relay {relay}"
+        ) from None
 
 
-def _render(batch: Batch, form: tuple[str, str, str]) -> list[str]:
-    """Each record of ``batch`` as its JSON object: ``form`` is the text
+def _render(batch: Batch, layout: tuple[str, str, str]) -> list[str]:
+    """Each record of ``batch`` as its JSON object: ``layout`` is the text
     before the label (with ``%d`` for the bits), between the label and the
     payload hex, and after the hex."""
-    head, mid, tail = form
+    head, mid, tail = layout
     prefix, names, suffix = batch.form
-    # JSON escapes a string char by char, so a label's text is its escaped
-    # prefix, name and suffix in turn; names that need no escape (each
-    # escape lengthens the text) are used as they are.
+    # JSON escapes char by char, so a label's text is its escaped prefix, name
+    # and suffix.  Names that need no escape (none lengthens) go in as they are.
     head = head % (8 * batch.part) + encode_basestring_ascii(prefix)[:-1]
     mid = encode_basestring_ascii(suffix)[1:] + mid
     plain = "".join(names)
@@ -529,7 +509,7 @@ class TransmissionLog:
         """
         pad = ["" if indent is None else "\n" + " " * (indent * k) for k in range(6)]
         c = ":" if indent is None else ": "
-        form = (
+        layout = (
             f'{{{pad[5]}"bits"{c}%d,{pad[5]}"label"{c}',
             f',{pad[5]}"payload"{c}"',
             f'"{pad[4]}}}',
@@ -542,7 +522,7 @@ class TransmissionLog:
             batch, picks = part
             key = id(batch)
             if key not in whole or (picks is not None and key not in picked):
-                rendered = _render(batch, form)
+                rendered = _render(batch, layout)
                 whole[key] = sep.join(rendered).encode()
                 if picks is not None:
                     picked.clear()

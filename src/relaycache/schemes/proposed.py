@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import getitem
+from operator import getitem, lt
 from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
@@ -52,7 +52,6 @@ from .common import (
     TransmissionLog,
     grid_t,
     in_range,
-    is_subset,
     payloads,
     validate_demand,
 )
@@ -117,12 +116,17 @@ class GroupedCache(PlannedCache):
         return self.subfiles(files, ranks, copies)
 
     def has(self, user: int, key: tuple) -> bool:
+        # is_subset inlined, for the millions of calls of sampled symmetry checks.
         n, T, l = key
+        net = self.net
         return (
-            self.net.class_of[user] in T
-            and 1 <= n <= self.lib.n_files
-            and 1 <= l <= self.net.r
-            and is_subset(T, self.net.num_classes, self.t)
+            net.class_of[user] in T
+            and 1 <= n <= len(self.lib.files)
+            and 1 <= l <= net.r
+            and len(T) == self.t
+            and 1 <= T[0]
+            and T[-1] <= len(net.classes)
+            and all(map(lt, T, T[1:]))
         )
 
     def get(self, user: int, key: tuple) -> bytes:
@@ -246,9 +250,7 @@ def proposed_decode(
     plan = cache.signal_plan
     V = net.users[user]
     mine, blocks, order = plan.decoding(net.class_of[user] - 1)
-    feeds = b"".join(
-        [b"".join(payloads(user, i, received, mine, _form(i, plan))) for i in V]
-    )
+    feeds = b"".join(b"".join(payloads(user, i, received, mine, _form(i, plan))) for i in V)
     size = cache.subfile_bytes
     block = len(mine) * len(V) * size
     if len(feeds) != block:

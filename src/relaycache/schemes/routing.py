@@ -7,11 +7,12 @@ relay V[l], so each relay-to-user edge carries exactly the C(Kt-1, t)
 missing subfiles with that user's copy index for the relay.
 
 Both ends work per relay edge from the placement's ``subset_plan``: the
-ranks of the T without the user's class name the missing subfiles.  The
-server reads them in one call; a decoder looks them up on each of its r
-feeds in one :func:`payloads` call and slices its file back together with
-what it reads from its cache in one membership-checked
-:meth:`GroupedCache.read`.
+ranks of the T without the user's class are the missing subfiles, and
+their names, built once per placement, label them.  The server reads them
+in one call and sends them as one batch; a decoder reads every position of
+that batch on each of its r feeds in one :func:`payloads` call and slices
+its file back together with what it reads from its cache in one
+membership-checked :meth:`GroupedCache.read`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .proposed import GroupedCache, _reassemble
 
 
 def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str, list[str], str]:
-    """The label form of the subfiles (T, l) for user V on ``relay``: the
-    subfile at position k is labelled by names[k], its T."""
+    """The label form of the subfiles (T, l) for user V on ``relay``, each labelled by T."""
     return f"rt:i={relay}:V={fmt_subset(V)}:T=", names, f":l={l}"
 
 

@@ -105,6 +105,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="banana"):
             parse_config(["topology", "--config", str(cfg_file)])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("M", 5),
+            ("schemes", 3),
+            ("out", 5),
+            ("topology", 7),
+            ("N", True),
+            ("F", 800.5),
+            ("F", 800),
+            ("format", "xml"),
+            ("demands", "bogus"),
+            ("count", "3"),
+        ],
+    )
+    def test_config_field_needs_its_flags_type_and_choices(self, tmp_path, capsys, field, value):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        code = main(["sweep", "--topology", "comb:4,2", "--N", "6", "--config", str(cfg_file)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"config field {field!r} must be" in record["message"]
+
     def test_missing_topology_everywhere(self):
         with pytest.raises(ConfigError, match="--topology is required"):
             parse_config(["topology"])
