@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import getitem, lt
+from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
@@ -52,6 +52,7 @@ from .common import (
     TransmissionLog,
     grid_t,
     in_range,
+    is_subset,
     payloads,
     validate_demand,
 )
@@ -116,17 +117,15 @@ class GroupedCache(PlannedCache):
         return self.subfiles(files, ranks, copies)
 
     def has(self, user: int, key: tuple) -> bool:
-        # is_subset inlined, for the millions of calls of sampled symmetry checks.
+        # Sampled symmetry checks make millions of calls: read the sizes behind
+        # the n_files and num_classes properties directly.
         n, T, l = key
         net = self.net
         return (
             net.class_of[user] in T
             and 1 <= n <= len(self.lib.files)
             and 1 <= l <= net.r
-            and len(T) == self.t
-            and 1 <= T[0]
-            and T[-1] <= len(net.classes)
-            and all(map(lt, T, T[1:]))
+            and is_subset(T, len(net.classes), self.t)
         )
 
     def get(self, user: int, key: tuple) -> bytes:
