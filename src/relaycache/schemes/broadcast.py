@@ -157,7 +157,7 @@ def broadcast_decode(
         return prefix
 
     pieces = [
-        (i, payloads(user, i, received, [want - 1], _form(cache, i))[0]) for i in net.users[user]
+        (i, payloads(user, i, received, [want - 1], _form(cache, i))) for i in net.users[user]
     ]
     suffix = b"".join(mds_decode(code, pieces))[:suffix_len]
     return prefix + suffix

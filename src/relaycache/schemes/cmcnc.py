@@ -14,6 +14,12 @@ over the K users, indexed by the one plan of :class:`.common.PlannedCache`.
 Both ends work on all signals of one delivery at once.  XOR and GF(256)
 coding act byte by byte, so the concatenation of every signal's j-th term
 (or part, or piece) is coded in one call and sliced back per signal.
+
+Subfiles and pieces are a few bytes at the larger memory points, so each
+batch of reads by index is one :func:`.common.gather`: the server's t'+1
+terms, a decoder's pieces (through :func:`.common.payloads`), each block
+of terms it cancels (through the membership-checked
+:meth:`SubsetCache.gather`) and its file put back together.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from ..combinatorics import binomial, subset_rank
@@ -36,6 +41,8 @@ from .common import (
     SignalPlan,
     SubpacketizationError,
     TransmissionLog,
+    as_items,
+    gather,
     grid_t,
     in_range,
     is_subset,
@@ -57,10 +64,10 @@ class SubsetCache(PlannedCache):
         return self.net.K
 
     @cached_property
-    def slices(self) -> list[slice]:
-        """slices[q]: where subfile q lies in its file."""
-        size = self.subfile_bytes
-        return [slice(q * size, (q + 1) * size) for q in range(binomial(self.net.K, self.t))]
+    def views(self) -> list:
+        """views[n - 1]: file n as :func:`.common.gather` reads its subfiles,
+        without a copy."""
+        return [as_items(f, self.subfile_bytes) for f in self.lib.files]
 
     def has(self, user: int, key: tuple) -> bool:
         n, S = key
@@ -77,27 +84,34 @@ class SubsetCache(PlannedCache):
         return self.read(user, (n,), (subset_rank(self.net.K, S),))
 
     def read(self, user: int, files: Sequence[int], ranks: Sequence[int]) -> bytes:
-        """Concatenated subfiles (files[j], rank ranks[j]) for every j.
+        """Concatenated subfiles (files[j], rank ranks[j]) for every j; see
+        :meth:`gather`."""
+        return self.gather(user, files, range(len(files)), ranks)
 
-        Raises KeyError, naming the first such (n, S), unless the user
-        caches all of them: S must contain the user and n lie in 1..N.
+    def gather(
+        self, user: int, files: Sequence[int], which: Sequence[int], ranks: Sequence[int]
+    ) -> bytes:
+        """Concatenated subfiles (files[which[j]], rank ranks[j]) for every j.
+
+        Raises ValueError if ``which`` and ``ranks`` differ in length or a
+        file id lies outside 1..N, and KeyError, naming the first such
+        (n, S), unless the user caches all of them: S must contain the user.
         """
+        if len(which) != len(ranks):
+            raise ValueError(f"{len(which)} files and {len(ranks)} ranks differ in length")
         N = self.lib.n_files
         held = self.subset_plan.holds[user]
-        ids = set(files)
-        if not (held.issuperset(ranks) and in_range(ids, N)):
-            n, q = next(
-                (n, q)
-                for n, q in zip(files, ranks, strict=True)
-                if not (q in held and 1 <= n <= N)
-            )
-            subsets = self.subset_plan.subsets
-            S = subsets[q] if 0 <= q < len(subsets) else q
-            raise KeyError(f"user {user} does not cache {(n, S)}")
-        source = {n: self.lib.file(n) for n in ids}
-        return b"".join(
-            map(getitem, map(source.__getitem__, files), map(self.slices.__getitem__, ranks))
-        )
+        if not (held.issuperset(ranks) and in_range(files, N)):
+            for w, q in zip(which, ranks):
+                n = files[w]
+                if not (q in held and 1 <= n <= N):
+                    subsets = self.subset_plan.subsets
+                    S = subsets[q] if 0 <= q < len(subsets) else q
+                    raise KeyError(f"user {user} does not cache {(n, S)}")
+            bad = next(n for n in files if not 1 <= n <= N)
+            raise ValueError(f"file id {bad} outside 1..{N}")
+        views = self.views
+        return gather([views[n - 1] for n in files], which, ranks, self.subfile_bytes)
 
     def keys(self, user: int) -> Iterator[tuple]:
         plan = self.subset_plan
@@ -192,14 +206,9 @@ def cmcnc_deliver(
     plan = cache.signal_plan
     size = cache.subfile_bytes
     part = size // net.r
-    wanted = [cache.lib.file(n) for n in demand]
+    wanted = [cache.views[n - 1] for n in demand]
     signals = xor_bytes(
-        *[
-            b"".join(
-                map(getitem, map(wanted.__getitem__, users), map(cache.slices.__getitem__, ranks))
-            )
-            for users, ranks in zip(plan.member, plan.rest)
-        ]
+        *[gather(wanted, users, ranks, size) for users, ranks in zip(plan.member, plan.rest)]
     )
 
     for i, piece in enumerate(mds_encode(code, _split(signals, net.r, part)), 1):
@@ -222,32 +231,22 @@ def cmcnc_decode(
     K, t = net.K, cache.t
     size = cache.subfile_bytes
     own = cache.subset_plan.held[user]
+    wanted = (demand[user],)
     if t == K:
-        return cache.read(user, [demand[user]] * len(own), own)
+        return cache.gather(user, wanted, [0] * len(own), own)
 
     plan = cache.signal_plan
     mine, blocks, extracted = plan.decoding(user)
-    pieces = [
-        (i, b"".join(payloads(user, i, received, mine, _form(i, plan))))
-        for i in net.users[user]
-    ]
+    pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
     signals = _merge(mds_decode(code, pieces), size // net.r)
 
-    # Block x holds the term of each signal's x-th other member; my own
-    # cached subfiles follow the t blocks.
-    users: list[int] = []
-    ranks: list[int] = []
-    for member, rest in blocks:
-        users += member
-        ranks += rest
-    files = [*map(demand.__getitem__, users), *[demand[user]] * len(own)]
-    cached = cache.read(user, files, ranks + own)
-    block = len(mine) * size
-    coded = xor_bytes(signals, *[cached[x * block : (x + 1) * block] for x in range(t)])
-    both = cached[t * block :] + coded
+    # Block x holds the term of each signal's x-th other member, subfile
+    # rest[s] of the file that member[s] demands.
+    coded = xor_bytes(signals, *[cache.gather(user, demand, *block) for block in blocks])
+    both = cache.gather(user, wanted, [0] * len(own), own) + coded
 
-    # Subfile q of the file is slot where[q] of ``both``.
+    # Subfile q of the file is item where[q] of ``both``.
     where = [0] * binomial(K, t)
     for j, q in enumerate(own + extracted):
         where[q] = j
-    return b"".join(map(both.__getitem__, map(cache.slices.__getitem__, where)))
+    return gather([both], [0] * len(where), where, size)

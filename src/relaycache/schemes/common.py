@@ -12,7 +12,12 @@ Conventions used by every scheme:
   only for output, makes two runs of one experiment byte-identical logs.
   Each scheme builds its label form with one function, which delivery and
   decoding both call, and no code parses a label back.  Decoders read
-  records by plan position with :func:`payloads`.
+  records by plan position with :func:`payloads`, which joins them.
+* Subfiles and records of one size are items, and :func:`gather` is the one
+  kernel that reads items by index from one or more buffers.  At an array
+  item size (1, 2, 4 or 8 bytes) it reads them as ints through memoryviews,
+  one C-level step per item; other sizes are sliced and joined.  ``cmcnc``
+  reads through it at both ends, and so does :func:`payloads`.
 * Records travel in batches, and only in batches.  A :class:`Batch` is a
   label form, one payload buffer and a part size: the signals a scheme
   already builds as one joined buffer.  Each edge of a
@@ -46,14 +51,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import accumulate, chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, lt, sub
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, getitem, itemgetter, lt, sub
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import enumerate_subsets
 from ..topology import Network
@@ -160,6 +166,77 @@ def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
 
 
 # ---------------------------------------------------------------------------
+# Gathering items
+
+
+# The array type code of each array item size: 1, 2, 4 and 8 bytes.
+_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def as_items(buffer, size: int):
+    """``buffer`` as :func:`gather` reads its ``size``-byte items, without a
+    copy: a memoryview of them as ints at an array item size, otherwise the
+    buffer itself.  A trailing part shorter than an item is not an item."""
+    code = _CODES.get(size)
+    if code is None or (isinstance(buffer, memoryview) and buffer.format == code):
+        return buffer
+    view = memoryview(buffer)
+    return view[: len(view) - len(view) % size].cast(code)
+
+
+def _negative(values: Sequence[int]) -> bool:
+    """Whether some value is negative (or 2**64 or more).  An unsigned array
+    refuses such an int in one C-level pass, twice as fast as ``min``."""
+    try:
+        array("Q", values)
+    except OverflowError:
+        return True
+    return False
+
+
+def picker(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function from a sequence to its items at ``index``, as a tuple: one
+    C-level step per call once it is built."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda seq: tuple([seq[k] for k in index])
+
+
+def gather(sources: Sequence, which: Sequence[int], index: Sequence[int], size: int) -> bytes:
+    """Item ``index[j]`` of source ``which[j]`` for every j, concatenated.
+
+    Item k of a source is its bytes ``[k * size, (k + 1) * size)``; a source
+    is a buffer or what :func:`as_items` made of one.  At an array item size
+    (1, 2, 4 or 8 bytes) each item is read as an int, one C-level step per
+    item with no bytes object per item and no copy of the sources; any other
+    size slices and joins.  Raises ValueError if ``which`` and ``index``
+    differ in length, and IndexError for a source or an item that does not
+    exist; a negative index never wraps.  At size 0 every item is empty.
+    """
+    if len(which) != len(index):
+        raise ValueError(f"{len(which)} sources and {len(index)} indices differ in length")
+    views = [as_items(source, size) for source in sources]
+    # Items of one source are read without a lookup of their source.
+    one = len(views) == 1 and which.count(0) == len(which)
+    if (not one and _negative(which)) or _negative(index):
+        raise IndexError("a source or item index is negative or too large")
+    code = _CODES.get(size)
+    if one:
+        (view,) = views
+        if code:
+            return array(code, picker(index)(view)).tobytes()
+        out = b"".join([view[k * size : (k + 1) * size] for k in index])
+    elif code:
+        return array(code, list(map(getitem, picker(which)(views), index))).tobytes()
+    else:
+        pairs = zip(picker(which)(views), index)
+        out = b"".join([view[k * size : (k + 1) * size] for view, k in pairs])
+    if len(out) != len(index) * size:
+        raise IndexError(f"an item index lies outside its source of {size}-byte items")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Demand vectors
 
 
@@ -248,19 +325,20 @@ class SignalPlan(NamedTuple):
         cancels.  ``delivered``: per signal, the rank of C minus c.
         """
         groups = [at[c] for at in self.at]
+        picks = list(map(picker, groups))
         blocks = []
         for x in range(len(groups) - 1):
             member: list[int] = []
             rest: list[int] = []
-            for p, group in enumerate(groups):
+            for p, pick in enumerate(picks):
                 j = x + (x >= p)
-                member += map(self.member[j].__getitem__, group)
-                rest += map(self.rest[j].__getitem__, group)
+                member += pick(self.member[j])
+                rest += pick(self.rest[j])
             blocks.append((member, rest))
         signals = list(chain.from_iterable(groups))
         delivered: list[int] = []
-        for p, group in enumerate(groups):
-            delivered += map(self.rest[p].__getitem__, group)
+        for p, pick in enumerate(picks):
+            delivered += pick(self.rest[p])
         return signals, blocks, delivered
 
 
@@ -276,25 +354,31 @@ def plan_subsets(n: int, t: int) -> SubsetPlan:
 def plan_signals(n: int, t: int) -> SignalPlan:
     signals = enumerate_subsets(n, t + 1) if t < n else []
     member = [[C[j] - 1 for C in signals] for j in range(t + 1)]
-    # rank(T) = C(n, t) - 1 - sum over m of term[t - m][T[m]], T 0-based.  C
-    # minus C[0] holds C[m] at index m - 1, and C minus C[j + 1] differs from
-    # C minus C[j] only at index j, which holds C[j] instead of C[j + 1].
+    ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
+    # The C with first member a (0-based) come in order, and C minus C[0] runs
+    # through the t-subsets above a: the last C(n - 1 - a, t) ranks.  C minus
+    # C[j + 1] differs from C minus C[j] only at index j, which holds C[j]
+    # instead of C[j + 1], and rank(T) = C(n, t) - 1 - sum over m of
+    # term[t - m][T[m]], T 0-based.
+    first = chain.from_iterable(ranks[len(ranks) - comb(n - 1 - a, t) :] for a in range(n))
+    rest = [list(first)]
     term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
-    rest = [[comb(n, t) - 1] * len(signals)]
-    for m in range(1, t + 1):
-        rest[0] = list(map(sub, rest[0], map(term[t + 1 - m].__getitem__, member[m])))
     for j in range(t):
         up, down = (map(term[t - j].__getitem__, member[x]) for x in (j + 1, j))
         rest.append(list(map(sub, map(add, rest[j], up), down)))
-    ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
-    at: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(t + 1)]
-    for s, C in enumerate(signals):
-        for j, c in enumerate(C):
-            at[j][c - 1].append(s)
+    # at[j]: the signals stably sorted by C[j], cut where C[j] changes.  C[j]
+    # is c (0-based) in C(c, j) * C(n - 1 - c, t - j) signals: j members of C
+    # lie below c and t - j above.
+    ids = list(range(len(signals)))
+    at = []
+    for j, column in enumerate(member):
+        order = sorted(ids, key=column.__getitem__)
+        cuts = list(accumulate((comb(c, j) * comb(n - 1 - c, t - j) for c in range(n)), initial=0))
+        at.append(list(map(order.__getitem__, map(slice, cuts, cuts[1:]))))
     return SignalPlan(
         names=list(starmap(".".join(["{}"] * (t + 1)).format, signals)),
         member=member,
-        rest=[list(map(ranks.__getitem__, column)) for column in rest],
+        rest=rest[:1] + [list(map(ranks.__getitem__, column)) for column in rest[1:]],
         at=at,
     )
 
@@ -370,11 +454,6 @@ class Batch:
         prefix, suffix = self.prefix, self.suffix
         return [prefix + name + suffix for name in self.names]
 
-    def payloads(self, positions: Iterable[int]) -> list[bytes]:
-        """The payloads of the records at ``positions``."""
-        data, part = self.data, self.part
-        return [data[k * part : (k + 1) * part] for k in positions]
-
 
 def _count(batch: Batch, picks: Sequence[int] | None) -> int:
     """Records in a part of an edge."""
@@ -402,28 +481,42 @@ class Edge:
 
 def payloads(
     user: int, relay: int, received: Mapping[int, Edge], positions: Sequence[int], form: Form
-) -> list[bytes]:
-    """The payload of the record at each of ``positions`` of the label form
-    ``form`` in ``relay``'s feed to ``user``, in order; the last one, if the
-    feed holds a position more than once.
+) -> bytes:
+    """The payloads of the records at ``positions`` of the label form
+    ``form`` in ``relay``'s feed to ``user``, joined in order; the last one,
+    if the feed holds a position more than once.
 
     Only parts whose batch has that form answer, so a batch of another
-    form, such as another relay's, is never read as this one.  Raises
-    IncompleteReceptionError naming the label of the first position the
+    form, such as another relay's, is never read as this one.  A single
+    part answers with one :func:`gather`, or with its buffer itself when a
+    whole batch is read at all of its positions in order.  Raises
+    IndexError for a position outside the form before reading anything,
+    and IncompleteReceptionError naming the label of the first position the
     relay did not deliver.
     """
+    prefix, names, suffix = form
+    n = len(names)
+    if positions and (_negative(positions) or max(positions) >= n):
+        bad = next(k for k in positions if not 0 <= k < n)
+        raise IndexError(
+            f"position {bad} lies outside the {n} records of the form read from relay {relay}"
+        )
     edge = received.get(relay)
     parts = [part for part in edge.parts if part[0].form == form] if edge else []
-    if len(parts) == 1 and (parts[0][1] is None or set(parts[0][1]).issuperset(positions)):
-        return parts[0][0].payloads(positions)
+    if len(parts) == 1:
+        ((batch, picks),) = parts
+        if picks is None and len(positions) == n and list(positions) == list(range(n)):
+            return batch.data
+        if picks is None or set(picks).issuperset(positions):
+            return gather([batch.data], [0] * len(positions), positions, batch.part)
     found: dict[int, bytes] = {}
     for batch, picks in parts:
+        data, part = batch.data, batch.part
         at = range(len(batch.names)) if picks is None else picks
-        found.update(zip(at, batch.payloads(at)))
+        found.update((k, data[k * part : (k + 1) * part]) for k in at)
     try:
-        return list(map(found.__getitem__, positions))
+        return b"".join(map(found.__getitem__, positions))
     except KeyError as exc:
-        prefix, names, suffix = form
         label = prefix + names[exc.args[0]] + suffix
         raise IncompleteReceptionError(
             f"user {user} did not receive {label!r} from relay {relay}"

@@ -249,7 +249,7 @@ def proposed_decode(
     plan = cache.signal_plan
     V = net.users[user]
     mine, blocks, order = plan.decoding(net.class_of[user] - 1)
-    feeds = b"".join(b"".join(payloads(user, i, received, mine, _form(i, plan))) for i in V)
+    feeds = b"".join(payloads(user, i, received, mine, _form(i, plan)) for i in V)
     size = cache.subfile_bytes
     block = len(mine) * len(V) * size
     if len(feeds) != block:

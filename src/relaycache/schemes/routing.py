@@ -10,14 +10,14 @@ Both ends work per relay edge from the placement's ``subset_plan``: the
 ranks of the T without the user's class are the missing subfiles, and
 their names, built once per placement, label them.  The server reads them
 in one call and sends them as one batch; a decoder reads every position of
-that batch on each of its r feeds in one :func:`payloads` call and slices
-its file back together with what it reads from its cache in one
+that batch on each of its r feeds in one :func:`payloads` call, which
+returns the batch's buffer itself, splits each feed into its subfiles and
+slices its file back together with what it reads from its cache in one
 membership-checked :meth:`GroupedCache.read`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Mapping
 
 from ..combinatorics import position_in
@@ -64,9 +64,11 @@ def routing_decode(
     c = net.class_of[user] - 1
     order = plan.missing[c]
     everything = range(len(order))
+    size = cache.subfile_bytes
     # Relay V[l] sends the copy-l subfile of each missing T, in order.
     feeds = [
         payloads(user, i, received, everything, _form(i, V, l, plan.missing_names[c]))
         for l, i in enumerate(V, 1)
     ]
-    return _reassemble(cache, user, demand[user], order, list(chain.from_iterable(feeds)))
+    pieces = [feed[o : o + size] for feed in feeds for o in range(0, len(feed), size)]
+    return _reassemble(cache, user, demand[user], order, pieces)

@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from relaycache.schemes import proposed_place, routing_deliver
@@ -16,8 +16,10 @@ from relaycache.schemes.common import (
     IncompleteReceptionError,
     TransmissionLog,
     all_demands,
+    as_items,
     distinct_demand,
     fmt_subset,
+    gather,
     payloads,
     plan_signals,
     random_library,
@@ -100,6 +102,81 @@ class TestSignalPlan:
             for x, (member, rest) in enumerate(blocks):
                 assert member[k] == others[x]
                 assert rest[k] == rank[tuple(y for y in C if y != others[x])]
+
+
+    @given(plan_case())
+    def test_at_matches_definition(self, case):
+        n, t, _ = case
+        signals = list(itertools.combinations(range(n), t + 1))
+        at = plan_signals(n, t).at
+        assert at == [
+            [[s for s, C in enumerate(signals) if C[j] == c] for c in range(n)] for j in range(t + 1)
+        ]
+
+
+SIZES = [*range(10), 12, 16, 44]
+
+
+def slice_join(sources, which, index, size):
+    return b"".join(sources[w][k * size : (k + 1) * size] for w, k in zip(which, index))
+
+
+@st.composite
+def gather_cases(draw):
+    """(sources, which, index, size): one to three sources of whole items,
+    some with a trailing part shorter than an item, and indices into them."""
+    size = draw(st.sampled_from(SIZES))
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    sources = [
+        draw(st.binary(min_size=count * size, max_size=count * size + max(size - 1, 0)))
+        for count in counts
+    ]
+    # At size 0 every item is empty, so any index past 0 names one too.
+    items = [(w, k) for w, count in enumerate(counts) for k in range(count if size else 4)]
+    pairs = draw(st.lists(st.sampled_from(items), max_size=12)) if items else []
+    return sources, [w for w, _ in pairs], [k for _, k in pairs], size
+
+
+class TestGather:
+    @given(gather_cases(), st.booleans())
+    def test_matches_slice_join(self, case, as_views):
+        sources, which, index, size = case
+        expected = slice_join(sources, which, index, size)
+        if as_views:
+            sources = [as_items(source, size) for source in sources]
+        assert gather(sources, which, index, size) == expected
+
+    def test_empty_index_and_one_source(self):
+        assert gather([b"abcd"], [], [], 2) == b""
+        assert gather([b"abcdef"], [0, 0], [2, 0], 2) == b"efab"
+        assert gather([b"abcdef"], range(1), [1], 3) == b"def"
+
+    @given(gather_cases(), st.sampled_from(["past", "negative", "source", "negative source"]))
+    def test_refuses_an_item_that_does_not_exist(self, case, fault):
+        sources, which, index, size = case
+        assume(index)
+        j = len(index) // 2
+        w = which[j]
+        if fault == "past":
+            assume(size)
+            index[j] = len(sources[w]) // size
+        elif fault == "negative":
+            index[j] = -1 - index[j]
+        elif fault == "source":
+            which[j] = len(sources)
+        else:
+            which[j] = -1
+        with pytest.raises(IndexError):
+            gather(sources, which, index, size)
+        with pytest.raises(IndexError):
+            gather([as_items(source, size) for source in sources], which, index, size)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_refuses_lengths_that_differ(self, size):
+        with pytest.raises(ValueError, match="differ in length"):
+            gather([b"abcdef"], [0, 0], [0], size)
+        with pytest.raises(ValueError, match="differ in length"):
+            gather([b"abcdef"], [0], [0, 1], size)
 
 
 def batch_of(label, payload):
@@ -294,12 +371,12 @@ class TestBatchLog:
     def test_payloads_on_whole_and_picked_edges(self):
         log, batch = served_batch()
         rx = log.to_user(2)
-        assert payloads(2, 1, rx, [0, 2], batch.form) == [b"\x01\x02", b"\x05\x06"]
+        assert payloads(2, 1, rx, [0, 2], batch.form) == b"\x01\x02\x05\x06"
         with pytest.raises(IncompleteReceptionError, match="did not receive 'b:i=1' from relay 1"):
             payloads(2, 1, rx, [0, 1], batch.form)
-        assert payloads(0, 1, log.to_user(0), [2, 1], batch.form) == [b"\x05\x06", b"\x03\x04"]
+        assert payloads(0, 1, log.to_user(0), [2, 1], batch.form) == b"\x05\x06\x03\x04"
         # A form with equal names answers; another suffix does not.
-        assert payloads(0, 1, log.to_user(0), [1], ("", ("a", "b", "c"), ":i=1")) == [b"\x03\x04"]
+        assert payloads(0, 1, log.to_user(0), [1], ("", ("a", "b", "c"), ":i=1")) == b"\x03\x04"
         with pytest.raises(IncompleteReceptionError, match="did not receive 'a:i=2' from relay 1"):
             payloads(0, 1, log.to_user(0), [0], ("", batch.names, ":i=2"))
 
@@ -310,7 +387,20 @@ class TestBatchLog:
             payloads(2, 2, rx, [0], batch.form)
         with pytest.raises(IncompleteReceptionError, match="'a:i=1' from relay 1"):
             payloads(2, 1, {}, [0], batch.form)
-        assert payloads(2, 2, rx, [], batch.form) == []
+        assert payloads(2, 2, rx, [], batch.form) == b""
+
+    @pytest.mark.parametrize("positions", [[3], [-1], [-4], [0, 5]])
+    def test_payloads_refuse_positions_outside_the_form(self, positions):
+        log, batch = served_batch()
+        later = dataclasses.replace(batch, data=b"\x07\x08\x09\x0a\x0b\x0c")
+        log.add_server(1, later)
+        log.forward(1, 1, later, [1])
+        bad = next(k for k in positions if not 0 <= k < 3)
+        # Whole, picked, multi-part and missing feeds alike.
+        for user in range(3):
+            for rx in (log.to_user(user), {}):
+                with pytest.raises(IndexError, match=rf"position {bad} lies outside the 3 records"):
+                    payloads(user, 1, rx, positions, batch.form)
 
     def test_payloads_on_multi_part_edges(self, comb42):
         log, batch = served_batch()
@@ -318,15 +408,15 @@ class TestBatchLog:
         log.add_server(1, later)
         log.forward(1, 2, later, [0])
         # The last record at a position wins, across parts as within one.
-        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == [b"\x07\x08", b"\x05\x06"]
+        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == b"\x07\x08\x05\x06"
         # A part of another form answers only for its own form, even where
         # it renders the same label.
         other = Batch(("d", "a"), b"\x0d\x0e\x0f\x10", 2, suffix=":i=1")
         log.add_server(1, other)
         log.forward(1, 2, other, [1])
-        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == [b"\x07\x08", b"\x05\x06"]
-        assert payloads(2, 1, log.to_user(2), [1], other.form) == [b"\x0f\x10"]
-        assert payloads(0, 1, log.server_edges, [1, 0], batch.form) == [b"\x09\x0a", b"\x07\x08"]
+        assert payloads(2, 1, log.to_user(2), [0, 2], batch.form) == b"\x07\x08\x05\x06"
+        assert payloads(2, 1, log.to_user(2), [1], other.form) == b"\x0f\x10"
+        assert payloads(0, 1, log.server_edges, [1, 0], batch.form) == b"\x09\x0a\x07\x08"
         with pytest.raises(IncompleteReceptionError, match="'d:i=1' from relay 1"):
             payloads(2, 1, log.to_user(2), [0], other.form)
         # Routing sends one batch per neighbor over each server edge.
@@ -337,7 +427,7 @@ class TestBatchLog:
             for batch, _ in edge.parts:
                 positions = range(len(batch.names))
                 sent = [payload for _, payload in records(batch, positions)]
-                assert payloads(0, relay, log.server_edges, positions, batch.form) == sent
+                assert payloads(0, relay, log.server_edges, positions, batch.form) == b"".join(sent)
 
 
 LABELS = st.sampled_from(["a", "b", 'q"', "c\\d", "é", "x:i=1"])
@@ -427,4 +517,4 @@ class TestBatchLogAgainstRecordLists:
                     if other.form == batch.form:
                         at = range(len(other.names)) if picks is None else picks
                         found.update((k, other.data[k * other.part : (k + 1) * other.part]) for k in at)
-                assert payloads(u, i, log.to_user(u), list(found), batch.form) == list(found.values())
+                assert payloads(u, i, log.to_user(u), list(found), batch.form) == b"".join(found.values())

@@ -27,7 +27,7 @@ M = 2
 LIB = random_library(6, 30, seed=11)
 
 
-def drop_each(net, scheme, user, relay):
+def drop_each(net, scheme, user, relay, lib=LIB):
     """Decode ``user`` once per record of edge (relay, user), that record
     dropped; yields (its label, error or None).
 
@@ -35,7 +35,7 @@ def drop_each(net, scheme, user, relay):
     forwarding that batch again with every position but k.
     """
     demand = distinct_demand(net, 6)
-    _, deliver, decode = harness._pipeline(net, LIB, M, scheme, None)
+    _, deliver, decode = harness._pipeline(net, lib, M, scheme, None)
     log = deliver(demand)
     edge = log.relay_edges[(relay, user)]
     ((batch, picks),) = edge.parts
@@ -49,7 +49,7 @@ def drop_each(net, scheme, user, relay):
         except IncompleteReceptionError as exc:
             yield label, exc
         else:
-            assert out == LIB.file(demand[user]), "an unused record changed the output"
+            assert out == lib.file(demand[user]), "an unused record changed the output"
             yield label, None
 
 
@@ -113,11 +113,11 @@ def corrupting(deliver, relay, user, index):
     return wrapped
 
 
-def needed_record(net, scheme):
+def needed_record(net, scheme, lib=LIB):
     """(relay, user, index) of the first record whose loss stops its user."""
     user = 0
     relay = net.users[user][0]
-    for k, (_, exc) in enumerate(drop_each(net, scheme, user, relay)):
+    for k, (_, exc) in enumerate(drop_each(net, scheme, user, relay, lib)):
         if exc is not None:
             return relay, user, k
     raise AssertionError(f"no record on edge ({relay}, {user}) is needed")
@@ -140,5 +140,37 @@ def test_flipped_byte_fails_verify(comb42, scheme, monkeypatch):
     monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
     report = verify_all_demands(comb42, 6, M, scheme, mode="sampled", seed=3, count=4)
     assert not report.passed
+    assert {(u, why) for _, u, why in report.failures} == {(user, "decoded bytes differ")}
+    assert len(report.failures) == report.runs == 4
+
+
+# At 90-byte files no subfile or piece is an array item size: cmcnc has
+# 6-byte subfiles and 3-byte pieces, proposed 15-byte subfiles.  So their
+# reads take the slice-and-join path, which the 30-byte library never does.
+LIB90 = random_library(6, 90, seed=11)
+SLICED = ["cmcnc", "proposed"]
+
+
+@pytest.mark.parametrize("scheme", SLICED)
+def test_dropped_record_at_sliced_sizes(comb42, scheme):
+    failures = 0
+    for user in range(comb42.K):
+        for relay in comb42.users[user]:
+            for label, exc in drop_each(comb42, scheme, user, relay, LIB90):
+                if exc is not None:
+                    failures += 1
+                    assert re.search(rf"\bfrom relay {relay}\b", str(exc)), exc
+                    assert repr(label) in str(exc), exc
+    assert failures
+
+
+@pytest.mark.parametrize("scheme", SLICED)
+def test_flipped_byte_at_sliced_sizes(comb42, scheme, monkeypatch):
+    relay, user, k = needed_record(comb42, scheme, LIB90)
+    name = harness.SCHEMES[scheme].deliver
+    monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
+    report = run_scheme(comb42, LIB90, M, distinct_demand(comb42, 6), scheme)
+    assert not report.decode_ok and report.formula_match
+    report = verify_all_demands(comb42, 6, M, scheme, mode="sampled", seed=3, count=4, file_bytes=90)
     assert {(u, why) for _, u, why in report.failures} == {(user, "decoded bytes differ")}
     assert len(report.failures) == report.runs == 4

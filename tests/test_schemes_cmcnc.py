@@ -100,6 +100,29 @@ class TestPlacement:
         with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {named}")):
             cache.read(0, files, ranks)
 
+    def test_read_refuses_lengths_that_differ(self, comb42, lib30):
+        # Each of these read one subfile, or a zip() error, before the check.
+        cache = cmcnc_place(comb42, lib30, 2)
+        q, other = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (1, 3))
+        for files, ranks in [([1, 1, 1], [q]), ([1], [q, other]), ([1], [q, 99])]:
+            with pytest.raises(ValueError, match="differ in length"):
+                cache.read(0, files, ranks)
+        with pytest.raises(ValueError, match="differ in length"):
+            cache.gather(0, (1, 2), [0, 1, 1], [q, other])
+
+    def test_gather_reads_through_a_file_table(self, comb42, lib30):
+        cache = cmcnc_place(comb42, lib30, 2)
+        keys = [(3, (1, 4)), (1, (1, 2)), (6, (1, 4)), (3, (1, 4))]
+        ranks = [subset_rank(comb42.K, S) for _, S in keys]
+        data = cache.gather(0, (1, 3, 6), [1, 0, 2, 1], ranks)
+        assert data == b"".join(cache.get(0, key) for key in keys)
+        # A file id outside 1..N is refused, named by the key that reads it or,
+        # when no key does, as a file id.
+        with pytest.raises(KeyError, match=re.escape("user 0 does not cache (7, (1, 2))")):
+            cache.gather(0, (1, 7), [0, 1], [ranks[1], ranks[1]])
+        with pytest.raises(ValueError, match="file id 7 outside 1..6"):
+            cache.gather(0, (1, 7), [0, 0], [ranks[1], ranks[1]])
+
     def test_subpacketization_on_larger_network(self, comb62):
         # t' = 3 at M=10, N=50: r*C(15,3) units
         lib = random_library(50, 910, seed=9)
