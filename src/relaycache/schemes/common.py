@@ -194,7 +194,7 @@ def _negative(values: Sequence[int]) -> bool:
     return False
 
 
-def picker(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+def _picker(index: Sequence[int]) -> Callable[[Sequence], tuple]:
     """A function from a sequence to its items at ``index``, as a tuple: one
     C-level step per call once it is built."""
     if len(index) > 1:
@@ -224,12 +224,12 @@ def gather(sources: Sequence, which: Sequence[int], index: Sequence[int], size: 
     if one:
         (view,) = views
         if code:
-            return array(code, picker(index)(view)).tobytes()
+            return array(code, _picker(index)(view)).tobytes()
         out = b"".join([view[k * size : (k + 1) * size] for k in index])
     elif code:
-        return array(code, list(map(getitem, picker(which)(views), index))).tobytes()
+        return array(code, list(map(getitem, _picker(which)(views), index))).tobytes()
     else:
-        pairs = zip(picker(which)(views), index)
+        pairs = zip(_picker(which)(views), index)
         out = b"".join([view[k * size : (k + 1) * size] for view, k in pairs])
     if len(out) != len(index) * size:
         raise IndexError(f"an item index lies outside its source of {size}-byte items")
@@ -325,7 +325,7 @@ class SignalPlan(NamedTuple):
         cancels.  ``delivered``: per signal, the rank of C minus c.
         """
         groups = [at[c] for at in self.at]
-        picks = list(map(picker, groups))
+        picks = list(map(_picker, groups))
         blocks = []
         for x in range(len(groups) - 1):
             member: list[int] = []
