@@ -389,6 +389,16 @@ class TestBatchLog:
             payloads(2, 1, {}, [0], batch.form)
         assert payloads(2, 2, rx, [], batch.form) == b""
 
+    def test_payloads_of_a_whole_batch(self):
+        log, batch = served_batch()
+        rx = log.to_user(0)
+        # All positions in order are the batch buffer itself; any other
+        # sequence of them, however long, is gathered.
+        assert payloads(0, 1, rx, range(3), batch.form) is batch.data
+        assert payloads(0, 1, rx, [0, 1, 2], batch.form) is batch.data
+        assert payloads(0, 1, rx, [2, 1, 0], batch.form) == b"\x05\x06\x03\x04\x01\x02"
+        assert payloads(0, 1, rx, [1, 1, 1], batch.form) == b"\x03\x04" * 3
+
     @pytest.mark.parametrize("positions", [[3], [-1], [-4], [0, 5]])
     def test_payloads_refuse_positions_outside_the_form(self, positions):
         log, batch = served_batch()
