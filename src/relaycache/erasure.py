@@ -69,7 +69,9 @@ def gf_scale(data: bytes, c: int) -> bytes:
 
 def xor_bytes(*buffers: bytes) -> bytes:
     """Bytewise XOR (field addition) of one or more equal-length buffers,
-    summed as one integer."""
+    summed as one integer; a lone buffer is its own sum."""
+    if len(buffers) == 1:
+        return bytes(buffers[0])
     size = len(buffers[0])
     acc = 0
     for buf in buffers:

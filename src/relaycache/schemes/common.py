@@ -16,8 +16,9 @@ Conventions used by every scheme:
 * Subfiles and records of one size are items, and :func:`gather` is the one
   kernel that reads items by index from one or more buffers.  At an array
   item size (1, 2, 4 or 8 bytes) it reads them as ints through memoryviews,
-  one C-level step per item; other sizes are sliced and joined.  ``cmcnc``
-  reads through it at both ends, and so does :func:`payloads`.
+  one C-level step per item; other sizes are sliced and joined.  ``cmcnc``,
+  ``proposed`` and ``routing`` read through it at both ends, and so does
+  :func:`payloads`.
 * Records travel in batches, and only in batches.  A :class:`Batch` is a
   label form, one payload buffer and a part size: the signals a scheme
   already builds as one joined buffer.  Each edge of a
@@ -186,7 +187,10 @@ def as_items(buffer, size: int):
 
 def _negative(values: Sequence[int]) -> bool:
     """Whether some value is negative (or 2**64 or more).  An unsigned array
-    refuses such an int in one C-level pass, twice as fast as ``min``."""
+    refuses such an int in one C-level pass, twice as fast as ``min``.  An
+    array of an unsigned type (an upper-case code) holds none, unscanned."""
+    if isinstance(values, array) and values.typecode.isupper():
+        return False
     try:
         array("Q", values)
     except OverflowError:
@@ -324,20 +328,26 @@ class SignalPlan(NamedTuple):
         member other than c and the rank of C minus that member, the term c
         cancels.  ``delivered``: per signal, the rank of C minus c.
         """
-        groups = [at[c] for at in self.at]
-        picks = list(map(_picker, groups))
-        blocks = []
-        for x in range(len(groups) - 1):
-            member: list[int] = []
-            rest: list[int] = []
-            for p, pick in enumerate(picks):
-                j = x + (x >= p)
-                member += pick(self.member[j])
-                rest += pick(self.rest[j])
-            blocks.append((member, rest))
-        signals = list(chain.from_iterable(groups))
+        # One C-level picker per nonempty group, reused for every column: an
+        # itemgetter of the group, or of a one-item slice for a lone signal.
+        # Near t = n - 1 most groups are empty and the rest are lone.
+        groups = [(p, at[c]) for p, at in enumerate(self.at) if at[c]]
+        picks = [
+            (p, itemgetter(*group) if len(group) > 1 else itemgetter(slice(group[0], group[0] + 1)))
+            for p, group in groups
+        ]
+
+        def column(table: list[list[int]], x: int) -> list[int]:
+            """Per signal, table[j][s] for the x-th member j of C other than c."""
+            out: list[int] = []
+            for p, pick in picks:
+                out += pick(table[x + (x >= p)])
+            return out
+
+        blocks = [(column(self.member, x), column(self.rest, x)) for x in range(len(self.at) - 1)]
+        signals = [s for _, group in groups for s in group]
         delivered: list[int] = []
-        for p, pick in enumerate(picks):
+        for p, pick in picks:
             delivered += pick(self.rest[p])
         return signals, blocks, delivered
 

@@ -18,13 +18,18 @@ missing copy index.
 Both ends work on all signals of a relay at once, indexed by the plan over
 the Kt classes that :class:`.common.PlannedCache` builds once per placement
 (``cmcnc`` uses the same plan over the K users; ``routing`` uses its
-``subset_plan``).  XOR acts byte by byte, so a relay joins the j-th term of
-every signal into one buffer, XORs the t+1 buffers as integers and slices
-the signals back out.  A decoder takes what it cancels from
-:meth:`.common.SignalPlan.decoding`, reads it on all r relays in one
-membership-checked :meth:`GroupedCache.read`, XORs it away from its joined
-relay feeds the same way, and slices its file back together from the
-decoded and the cached subfiles.
+``subset_plan``).  Subfiles are read as items by :func:`.common.gather`,
+never sliced one by one: subfile (n, T, l) is item rank(T) * r of file n
+viewed from copy l on (:attr:`GroupedCache.views`).  XOR acts byte by byte,
+so a relay reads the j-th term of every signal, for every j, in one gather
+over its neighbors' files with ``which`` the member class, XORs the t+1
+blocks as integers and sends the result as one batch.  A decoder reads the
+terms it cancels on each relay in one membership-checked
+:meth:`GroupedCache.gather`, XORs them away from that relay's feed the same
+way, and puts its file back together from the cached and the decoded
+subfiles in one more gather.  The tables those reads use are built once per
+class and placement and held as arrays: :attr:`GroupedCache.decoders` and
+:attr:`GroupedCache.layouts`.
 
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
@@ -32,12 +37,12 @@ Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import getitem
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import binomial, position_in, subset_rank
 from ..erasure import xor_bytes
@@ -50,6 +55,8 @@ from .common import (
     SignalPlan,
     SubpacketizationError,
     TransmissionLog,
+    as_items,
+    gather,
     grid_t,
     in_range,
     is_subset,
@@ -58,9 +65,27 @@ from .common import (
 )
 
 
+class ClassLayout(NamedTuple):
+    """Where one class finds a file's subfiles, built once per placement.
+
+    Slot ``rank(T) * r + l - 1`` of a file is subfile (T, l).  The class
+    puts a file back together from 2r sources: the file from copy l on (its
+    :attr:`GroupedCache.views`), for l = 1, ..., r, and then the decoded
+    bytes from their copy-l block on.
+    """
+
+    which: array  # which[k]: the source of slot k, l - 1 if the class caches it, else r + l - 1
+    index: array  # index[k]: the item of slot k in its source, rank(T) * r if cached
+
+
 @dataclass(frozen=True)
 class GroupedCache(PlannedCache):
-    """Per-class uncoded placement over (n, T, l)-indexed subfiles."""
+    """Per-class uncoded placement over (n, T, l)-indexed subfiles.
+
+    Every read goes through :func:`.common.gather` over :attr:`views`, as
+    items: subfile (n, T, l) is item ``rank(T) * r`` of file n viewed from
+    copy l on.
+    """
 
     @property
     def candidates(self) -> int:
@@ -71,50 +96,152 @@ class GroupedCache(PlannedCache):
         return self.net.r * binomial(self.net.num_classes, self.t)
 
     @cached_property
-    def slices(self) -> list[list[slice]]:
-        """slices[l][q]: where subfile (T of rank q, copy l) lies in its
-        file, for l in 1..r; slices[0] is empty."""
-        r, size = self.net.r, self.subfile_bytes
-        count = binomial(self.net.num_classes, self.t)
-        return [[]] + [
-            [slice((q * r + l - 1) * size, (q * r + l) * size) for q in range(count)]
-            for l in range(1, r + 1)
+    def views(self) -> list[list]:
+        """views[l - 1][n - 1]: file n from subfile (T of rank 0, l) on, as
+        :func:`.common.gather` reads its subfiles, without a copy.  Its item
+        rank(T) * r is subfile (n, T, l)."""
+        size = self.subfile_bytes
+        return [
+            [as_items(memoryview(f)[(l - 1) * size :], size) for f in self.lib.files]
+            for l in range(1, self.net.r + 1)
         ]
+
+    def sources(self, files: Sequence[int], copies: Sequence[int]) -> list:
+        """The view of file files[w] from copy copies[w] on, for each w.
+
+        Raises ValueError if the lengths differ, and IndexError for a file id
+        outside 1..N or a copy outside 1..r: no index wraps.
+        """
+        N, r = self.lib.n_files, self.net.r
+        if len(files) != len(copies):
+            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
+        if not (in_range(files, N) and in_range(copies, r)):
+            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        views = self.views
+        return [views[l - 1][n - 1] for n, l in zip(files, copies)]
+
+    @cached_property
+    def layouts(self) -> list[ClassLayout]:
+        """layouts[c]: the :class:`ClassLayout` of class c (0-based).
+
+        A class decodes the subfiles (T, l) it lacks in the order l = 1, ...,
+        r and, within each l, T by increasing rank: so they come from its r
+        relays, and routing sends them.  Its cached slots are exactly the
+        copies of the T in ``subset_plan.holds[c]``, so ``which`` is 0
+        exactly at the items rank(T) * r of the T it caches: at those that
+        :meth:`gather` lets it read.
+        """
+        r = self.net.r
+        plan = self.subset_plan
+        count = len(plan.subsets)
+        in_file = array("I", range(0, count * r, r))  # by rank q: item rank(T) * r
+        layouts = []
+        for missing in plan.missing:
+            own = bytearray(b"\x01") * count  # own[q]: the class caches the T of rank q
+            item = array("I", in_file)
+            for k, q in enumerate(missing):
+                own[q] = 0
+                item[q] = k  # the T's item in a decoded block
+            which = array("B", bytes(count * r))
+            index = item * r  # of the right length; interleaved below
+            for l in range(r):
+                # Copy l + 1 of a T comes from source l if cached, else r + l.
+                which[l::r] = array("B", own.translate(bytes.maketrans(b"\0\1", bytes([r + l, l]))))
+                index[l::r] = item
+            layouts.append(ClassLayout(which, index))
+        return layouts
+
+    @cached_property
+    def signal_terms(self) -> tuple[array, array]:
+        """(which, items) of every signal's terms, as :meth:`gather` reads
+        them over a relay's neighbors by class: block j gives per signal s
+        its member class member[j][s] and rank(C minus that member) * r."""
+        plan, r = self.signal_plan, self.net.r
+        return (
+            array("I", chain.from_iterable(plan.member)),
+            array("I", chain.from_iterable(map(r.__mul__, rest) for rest in plan.rest)),
+        )
+
+    @cached_property
+    def decoders(self) -> list[tuple[array, array, array]]:
+        """decoders[c]: (signals, which, items) by which class c decodes.
+
+        ``signals``: the positions the class reads on each relay, those of
+        :meth:`.common.SignalPlan.decoding` ordered so that it decodes the T
+        it lacks by increasing rank, as :attr:`layouts` expects.  Block x of
+        ``which`` and ``items``: per signal, its x-th member class other
+        than c and rank(C minus that member) * r, the term c cancels, as
+        :meth:`gather` reads them over a relay's neighbors by class.
+        """
+        plan, r = self.signal_plan, self.net.r
+        decoders = []
+        for c in range(self.candidates):
+            signals, blocks, delivered = plan.decoding(c)
+            order = sorted(range(len(signals)), key=delivered.__getitem__)
+            members = (map(member.__getitem__, order) for member, _ in blocks)
+            ranks = (map(rest.__getitem__, order) for _, rest in blocks)
+            decoders.append(
+                (
+                    array("I", map(signals.__getitem__, order)),
+                    array("I", chain.from_iterable(members)),
+                    array("I", map(r.__mul__, chain.from_iterable(ranks))),
+                )
+            )
+        return decoders
 
     def subfiles(
         self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
     ) -> bytes:
         """Library-side access (the server may read everything): subfile
-        (files[j], T of rank ranks[j], copies[j]) for every j, concatenated."""
-        if not len(files) == len(ranks) == len(copies):
-            raise ValueError(
-                f"{len(files)} files, {len(ranks)} ranks and {len(copies)} copies differ in length"
-            )
-        source = {n: self.lib.file(n) for n in set(files)}
-        cuts = map(getitem, map(self.slices.__getitem__, copies), ranks)
-        return b"".join(map(getitem, map(source.__getitem__, files), cuts))
+        (files[j], T of rank ranks[j], copies[j]) for every j, concatenated.
+
+        Raises ValueError if the lengths differ, and IndexError for a file id
+        outside 1..N, a rank outside 0..C(Kt, t) - 1 or a copy outside 1..r:
+        no index wraps.
+        """
+        items = [q * self.net.r for q in ranks]
+        return gather(self.sources(files, copies), range(len(files)), items, self.subfile_bytes)
 
     def read(
         self, user: int, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
     ) -> bytes:
-        """What ``user`` caches of :meth:`subfiles` (files, ranks, copies).
+        """What ``user`` caches of :meth:`subfiles` (files, ranks, copies), by
+        :meth:`gather`: KeyError names the first (n, T, l) it does not cache."""
+        items = [q * self.net.r for q in ranks]
+        return self.gather(user, files, copies, range(len(files)), items)
+
+    def gather(
+        self,
+        user: int,
+        files: Sequence[int],
+        copies: Sequence[int],
+        which: Sequence[int],
+        items: Sequence[int],
+    ) -> bytes:
+        """The table-form read: subfile (files[w], T, copies[w]) for every j,
+        where w = which[j] and items[j] = rank(T) * r, concatenated.  That is
+        item items[j] of source w of :meth:`sources` (files, copies).
 
         Raises KeyError, naming the first such (n, T, l), unless the user
         caches all of them: T must contain the user's class, n lie in 1..N
-        and l in 1..r.
+        and l in 1..r.  Nothing is read from a file before that check.
         """
         N, r = self.lib.n_files, self.net.r
-        held = self.subset_plan.holds[self.net.class_of[user] - 1]
-        if not (held.issuperset(ranks) and in_range(files, N) and in_range(copies, r)):
-            n, q, l = next(
-                (n, q, l)
-                for n, q, l in zip(files, ranks, copies, strict=True)
-                if not (q in held and 1 <= n <= N and 1 <= l <= r)
-            )
+        # 0 exactly at the items rank(T) * r of the T the user's class caches.
+        mask = self.layouts[self.net.class_of[user] - 1].which
+        try:
+            cached = gather([mask], [0] * len(items), items, 1).count(0) == len(items)
+        except IndexError:
+            cached = False
+        if not (cached and in_range(files, N) and in_range(copies, r)):
             subsets = self.subset_plan.subsets
-            T = subsets[q] if 0 <= q < len(subsets) else q
-            raise KeyError(f"user {user} does not cache {(n, T, l)}")
-        return self.subfiles(files, ranks, copies)
+            for w, k in zip(which, items):
+                n, l = files[w], copies[w]
+                if not (0 <= k < len(mask) and not mask[k] and 1 <= n <= N and 1 <= l <= r):
+                    q, off = divmod(k, r)
+                    T = f"item {k}" if off else subsets[q] if 0 <= q < len(subsets) else q
+                    raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
+        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
 
     def has(self, user: int, key: tuple) -> bool:
         # Sampled symmetry checks make millions of calls: read the sizes behind
@@ -176,29 +303,23 @@ def _neighbors_of(
     return [demand[u] for u in users], [position_in(net.users[u], relay) for u in users]
 
 
-def _reassemble(
-    cache: GroupedCache, user: int, n: int, order: Sequence[int], decoded: Sequence[bytes]
-) -> bytes:
-    """File n from ``decoded`` and the subfiles of it that ``user`` caches.
+def _reassemble(cache: GroupedCache, user: int, n: int, decoded: bytes) -> bytes:
+    """File n from the subfiles of it that ``user`` caches and ``decoded``,
+    in one :func:`.common.gather` by its class's :class:`ClassLayout`.
 
-    ``decoded`` holds the subfiles (n, T, l) for l = 1, ..., r in turn and,
-    within each l, for the T of rank order[0], order[1], ...
+    ``decoded`` holds the subfiles (n, T, l) the user lacks, for l = 1, ...,
+    r in turn and, within each l, for the T by increasing rank.
     """
     r, size = cache.net.r, cache.subfile_bytes
-    own = cache.subset_plan.held[cache.net.class_of[user] - 1]
-    cached = cache.read(
-        user, [n] * (len(own) * r), [q for q in own for _ in range(r)], [*range(1, r + 1)] * len(own)
-    )
-    # parts[q * r + l - 1] is slot (T, l) of the file, T of rank q.  The r
-    # copies of a cached T are adjacent in the file and in ``cached``, so
-    # they move as one part.
-    m = len(order)
-    parts = [b""] * ((len(own) + m) * r)
-    for w, q in enumerate(own):
-        parts[q * r] = cached[w * r * size : (w + 1) * r * size]
-    for k, q in enumerate(order):
-        parts[q * r : (q + 1) * r] = decoded[k::m]
-    return b"".join(parts)
+    c = cache.net.class_of[user] - 1
+    block = len(cache.subset_plan.missing[c]) * size
+    if len(decoded) != r * block:
+        raise ValueError(f"user {user} decoded {len(decoded)} bytes, expected {r * block}")
+    view = memoryview(decoded)
+    copies = range(1, r + 1)
+    sources = cache.sources([n] * r, copies) + [view[l * block :] for l in range(r)]
+    which, index = cache.layouts[c]
+    return gather(sources, which, index, size)
 
 
 def proposed_deliver(
@@ -211,22 +332,17 @@ def proposed_deliver(
     if t + 1 > kt:
         return log
     plan = cache.signal_plan
+    which, items = cache.signal_terms
+    size = cache.subfile_bytes
+    block = len(plan.names) * size
     # picks[c]: the signals whose C holds class c, which its users receive.
     picks = [tuple(sorted(chain.from_iterable(at[c] for at in plan.at))) for c in range(kt)]
     for i in range(1, net.h + 1):
-        file_of, copy_of = _neighbors_of(net, demand, i)
-        signals = xor_bytes(
-            *[
-                cache.subfiles(
-                    list(map(file_of.__getitem__, classes)),
-                    ranks,
-                    list(map(copy_of.__getitem__, classes)),
-                )
-                for classes, ranks in zip(plan.member, plan.rest)
-            ]
-        )
+        terms = gather(cache.sources(*_neighbors_of(net, demand, i)), which, items, size)
+        view = memoryview(terms)
+        signals = xor_bytes(*[view[j * block : (j + 1) * block] for j in range(t + 1)])
         prefix, names, suffix = _form(i, plan)
-        batch = Batch(names, signals, cache.subfile_bytes, prefix, suffix)
+        batch = Batch(names, signals, size, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, batch, picks[net.class_of[u] - 1])
@@ -243,30 +359,21 @@ def proposed_decode(
     """Reassemble the demanded file from the cache and the r relay feeds.
 
     Subfile (T, l) with the user's class outside T comes from relay V[l] in
-    the signal for C = T + {class}; the user cancels the other t terms.
+    the signal for C = T + {class}; the user cancels the other t terms,
+    which it reads in one :meth:`GroupedCache.gather` per relay.
     """
-    t = cache.t
     plan = cache.signal_plan
-    V = net.users[user]
-    mine, blocks, order = plan.decoding(net.class_of[user] - 1)
-    feeds = b"".join(payloads(user, i, received, mine, _form(i, plan)) for i in V)
+    signals, which, items = cache.decoders[net.class_of[user] - 1]
     size = cache.subfile_bytes
-    block = len(mine) * len(V) * size
-    if len(feeds) != block:
-        raise ValueError(f"user {user} received {len(feeds)} signal bytes, expected {block}")
-
-    # Block x of the cancelled terms holds, relay by relay, the term of each
-    # signal's x-th other member.
-    neighbors = [_neighbors_of(net, demand, i) for i in V]
-    files: list[int] = []
-    ranks: list[int] = []
-    copies: list[int] = []
-    for classes, rest in blocks:
-        for file_of, copy_of in neighbors:
-            files += map(file_of.__getitem__, classes)
-            copies += map(copy_of.__getitem__, classes)
-            ranks += rest
-    cancelled = cache.read(user, files, ranks, copies)
-    decoded = xor_bytes(feeds, *[cancelled[x * block : (x + 1) * block] for x in range(t)])
-    pieces = [decoded[o : o + size] for o in range(0, block, size)]
-    return _reassemble(cache, user, demand[user], order, pieces)
+    block = len(signals) * size
+    decoded = []
+    for i in net.users[user]:
+        feed = payloads(user, i, received, signals, _form(i, plan))
+        if len(feed) != block:
+            raise ValueError(
+                f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"
+            )
+        # Block x of the terms holds, per signal, the term of its x-th other member.
+        terms = memoryview(cache.gather(user, *_neighbors_of(net, demand, i), which, items))
+        decoded.append(xor_bytes(feed, *[terms[x * block : (x + 1) * block] for x in range(cache.t)]))
+    return _reassemble(cache, user, demand[user], b"".join(decoded))

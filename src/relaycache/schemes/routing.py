@@ -9,11 +9,11 @@ missing subfiles with that user's copy index for the relay.
 Both ends work per relay edge from the placement's ``subset_plan``: the
 ranks of the T without the user's class are the missing subfiles, and
 their names, built once per placement, label them.  The server reads them
-in one call and sends them as one batch; a decoder reads every position of
-that batch on each of its r feeds in one :func:`payloads` call, which
-returns the batch's buffer itself, splits each feed into its subfiles and
-slices its file back together with what it reads from its cache in one
-membership-checked :meth:`GroupedCache.read`.
+in one :func:`.common.gather` and sends them as one batch; a decoder reads
+every position of that batch on each of its r feeds in one :func:`payloads`
+call, which returns the batch's buffer itself, and puts its file back
+together from its cache and the joined feeds in one more gather, by the
+class layout that ``proposed`` decodes by too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping
 
 from ..combinatorics import position_in
 from ..topology import Network
-from .common import Batch, Edge, TransmissionLog, fmt_subset, payloads, validate_demand
+from .common import Batch, Edge, TransmissionLog, fmt_subset, gather, payloads, validate_demand
 from .proposed import GroupedCache, _reassemble
 
 
@@ -44,7 +44,8 @@ def routing_deliver(
             l = position_in(V, i)
             c = net.class_of[u] - 1
             ranks = plan.missing[c]
-            data = cache.subfiles([demand[u]] * len(ranks), ranks, [l] * len(ranks))
+            items = list(map(net.r.__mul__, ranks))
+            data = gather(cache.sources((demand[u],), (l,)), [0] * len(ranks), items, size)
             prefix, names, suffix = _form(i, V, l, plan.missing_names[c])
             batch = Batch(names, data, size, prefix, suffix)
             log.add_server(i, batch)
@@ -62,13 +63,10 @@ def routing_decode(
     plan = cache.subset_plan
     V = net.users[user]
     c = net.class_of[user] - 1
-    order = plan.missing[c]
-    everything = range(len(order))
-    size = cache.subfile_bytes
+    everything = range(len(plan.missing[c]))
     # Relay V[l] sends the copy-l subfile of each missing T, in order.
-    feeds = [
+    feeds = b"".join(
         payloads(user, i, received, everything, _form(i, V, l, plan.missing_names[c]))
         for l, i in enumerate(V, 1)
-    ]
-    pieces = [feed[o : o + size] for feed in feeds for o in range(0, len(feed), size)]
-    return _reassemble(cache, user, demand[user], order, pieces)
+    )
+    return _reassemble(cache, user, demand[user], feeds)

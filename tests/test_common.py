@@ -104,6 +104,28 @@ class TestSignalPlan:
                 assert rest[k] == rank[tuple(y for y in C if y != others[x])]
 
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_decoding_matches_a_per_signal_listing(self, n):
+        # Every t, t = n - 1 included: there every group of signals by the
+        # position of c holds 0 or 1 signals.
+        for t in range(n):
+            subsets = list(itertools.combinations(range(n), t))
+            signals = list(itertools.combinations(range(n), t + 1))
+            rank = {T: q for q, T in enumerate(subsets)}
+            plan = plan_signals(n, t)
+            for c in range(n):
+                mine = [s for p in range(t + 1) for s, C in enumerate(signals) if C[p] == c]
+                others = [[y for y in signals[s] if y != c] for s in mine]
+                blocks = [
+                    (
+                        [other[x] for other in others],
+                        [rank[tuple(y for y in signals[s] if y != other[x])] for s, other in zip(mine, others)],
+                    )
+                    for x in range(t)
+                ]
+                delivered = [rank[tuple(other)] for other in others]
+                assert plan.decoding(c) == (mine, blocks, delivered), (n, t, c)
+
     @given(plan_case())
     def test_at_matches_definition(self, case):
         n, t, _ = case

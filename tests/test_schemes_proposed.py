@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import os
+import random
 import re
+import subprocess
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import relaycache
 from relaycache.combinatorics import binomial
 from relaycache.schemes import (
     GridError,
@@ -18,11 +24,14 @@ from relaycache.schemes import (
     proposed_decode,
     proposed_deliver,
     proposed_place,
+    random_demand,
     random_library,
     routing_decode,
     routing_deliver,
 )
-from relaycache.topology import relay_neighborhood
+from relaycache.schemes import proposed
+from relaycache.schemes.common import SignalPlan
+from relaycache.topology import affine_plane, combination_network, relay_neighborhood
 from test_golden import edge_records
 
 
@@ -131,6 +140,40 @@ class TestPlacement:
         u = comb42.user_index((1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
             cache.read(u, files, ranks, copies)
+
+    @pytest.mark.parametrize(
+        "files,ranks,copies",
+        [
+            ([1], [-1], [1]),  # a negative rank once wrapped to the last T
+            ([1], [3], [1]),  # C(3, 1) = 3 ranks: 0, 1 and 2
+            ([1], [0], [-1]),  # a negative copy once wrapped to copy r
+            ([1], [0], [0]),
+            ([1], [0], [3]),
+            ([1, 1], [0, 2], [1, 3]),
+            ([0], [0], [1]),
+            ([7], [0], [1]),
+            ([-1], [0], [1]),
+        ],
+    )
+    def test_subfiles_refuse_what_does_not_exist(self, comb42, lib6, files, ranks, copies):
+        # N = 6, Kt = 3, t = 1, r = 2: no index wraps or spills into the next subfile.
+        cache = proposed_place(comb42, lib6, 2)
+        with pytest.raises(IndexError):
+            cache.subfiles(files, ranks, copies)
+
+    def test_subfiles_match_the_oracle(self, comb42, lib6):
+        cache = proposed_place(comb42, lib6, 2)
+        keys = list(itertools.product([6, 1, 3], range(3), [2, 1]))
+        files, ranks, copies = zip(*keys)
+        expected = b"".join(subfile_oracle(lib6, 3, 2, 1, n, ((q + 1),), l) for n, q, l in keys)
+        assert cache.subfiles(files, ranks, copies) == expected
+
+    @pytest.mark.parametrize("ranks,copies,named", [([-1], [1], "(1, -1, 1)"), ([0], [-1], "(1, (1,), -1)")])
+    def test_read_refuses_negative_indices(self, comb42, lib6, ranks, copies, named):
+        cache = proposed_place(comb42, lib6, 2)
+        u = comb42.user_index((1, 2))
+        with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
+            cache.read(u, [1], ranks, copies)
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
@@ -250,6 +293,18 @@ class TestDecode:
                 out = proposed_decode(comb42, u, cache, demand, log.to_user(u))
                 assert out == lib.file(demand[u])
 
+    def test_decoding_tables_are_built_once_per_class(self, comb42, lib6, monkeypatch):
+        # comb(4,2): 6 users in 3 classes; two deliveries reuse the tables.
+        calls = []
+        decoding = SignalPlan.decoding
+        monkeypatch.setattr(SignalPlan, "decoding", lambda plan, c: calls.append(c) or decoding(plan, c))
+        cache = proposed_place(comb42, lib6, 2)
+        for demand in (distinct_demand(comb42, 6), (1,) * comb42.K):
+            log = proposed_deliver(comb42, cache, demand)
+            for u in range(comb42.K):
+                assert proposed_decode(comb42, u, cache, demand, log.to_user(u)) == lib6.file(demand[u])
+        assert sorted(calls) == [0, 1, 2]
+
     def test_cache_only_when_m_equals_n(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
         out = proposed_decode(comb42, 0, cache, distinct_demand(comb42, 6), {})
@@ -311,3 +366,132 @@ class TestRouting:
         received.pop(4)
         with pytest.raises(IncompleteReceptionError, match="relay 4"):
             routing_decode(comb42, 2, cache, demand, received)
+
+
+def decode_everyone(net, cache, lib, demand):
+    """Both schemes' decoded files for every user, against the library."""
+    for deliver, decode in ((proposed_deliver, proposed_decode), (routing_deliver, routing_decode)):
+        log = deliver(net, cache, demand)
+        for u in range(net.K):
+            assert decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u]), (
+                deliver.__name__, u, demand,
+            )
+
+
+NETWORKS = {
+    "comb:4,2": lambda: combination_network(4, 2),
+    "comb:6,3": lambda: combination_network(6, 3),
+    "affine:3": lambda: affine_plane(3),
+}
+
+
+class TestGatherPaths:
+    """Decoding reads through :func:`gather` as machine-width items at 1, 2,
+    4 and 8 bytes and by slices at other sizes; both must be exact."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 3, 12])
+    @pytest.mark.parametrize("topology", NETWORKS)
+    def test_every_user_decodes_at_every_grid_t(self, topology, size):
+        net = NETWORKS[topology]()
+        kt, n_files = net.num_classes, 3
+        rng = random.Random(f"{topology}/{size}")
+        for t in range(kt + 1):
+            lib = random_library(n_files, size * net.r * math.comb(kt, t), seed=rng.randrange(2**32))
+            cache = proposed_place(net, lib, Fraction(t * n_files, kt))
+            assert (cache.t, cache.subfile_bytes) == (t, size)
+            decode_everyone(net, cache, lib, random_demand(net, n_files, rng))
+
+
+def bad_table(cache, net, user):
+    """(files, copies, which, items, outside): the user's own decoding table
+    on its first relay, with one item moved to the T of rank ``outside``,
+    which the user's class does not cache."""
+    c = net.class_of[user] - 1
+    demand = distinct_demand(net, cache.lib.n_files)
+    files, copies = proposed._neighbors_of(net, demand, net.users[user][0])
+    _, which, items = cache.decoders[c]
+    outside = cache.subset_plan.missing[c][0]
+    items = array("I", items)
+    items[len(items) // 2] = outside * net.r
+    return files, copies, which, items, outside
+
+
+class TestHonestDecoders:
+    """A decoder reads from the library only what its class caches."""
+
+    def test_every_decoding_table_passes_the_check(self, comb42, lib6):
+        cache = proposed_place(comb42, lib6, 4)
+        demand = distinct_demand(comb42, 6)
+        for u in range(comb42.K):
+            _, which, items = cache.decoders[comb42.class_of[u] - 1]
+            for i in comb42.users[u]:
+                files, copies = proposed._neighbors_of(comb42, demand, i)
+                assert len(cache.gather(u, files, copies, which, items)) == len(items) * 5
+
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_a_rank_outside_the_class_is_refused_before_any_read(self, comb42, lib6, M, monkeypatch):
+        cache = proposed_place(comb42, lib6, M)
+        u = comb42.user_index((1, 3))
+        files, copies, which, items, outside = bad_table(cache, comb42, u)
+        T = cache.subset_plan.subsets[outside]
+        assert comb42.class_of[u] not in T
+        views = {id(view) for per_copy in cache.views for view in per_copy}
+        read = []
+        common_gather = proposed.gather
+
+        def spy(sources, *args):
+            read.extend(id(source) for source in sources if id(source) in views)
+            return common_gather(sources, *args)
+
+        monkeypatch.setattr(proposed, "gather", spy)
+        with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache")) as info:
+            cache.gather(u, files, copies, which, items)
+        assert str(T) in str(info.value)
+        assert not read, "a file was read before the membership check"
+
+    @pytest.mark.parametrize(
+        "items,named",
+        [([1], "item 1"), ([-2], "-1"), ([6], "3"), ([2], "(2,)")],
+    )
+    def test_items_off_the_class_are_named(self, comb42, lib6, items, named):
+        # Kt = 3, t = 1, r = 2: class 1 may read items 0 only; item 1 is
+        # copy 2 of T = (1,) read as copy 1, which only a source may choose.
+        cache = proposed_place(comb42, lib6, 2)
+        u = comb42.user_index((1, 2))
+        with pytest.raises(KeyError, match=re.escape(f"does not cache (1, {named}, 1)")):
+            cache.gather(u, [1], [1], [0], items)
+
+    @pytest.mark.parametrize("files,copies", [([0], [1]), ([7], [1]), ([1], [0]), ([1], [3])])
+    def test_sources_off_the_library_are_refused(self, comb42, lib6, files, copies):
+        cache = proposed_place(comb42, lib6, 2)
+        u = comb42.user_index((1, 2))
+        with pytest.raises(KeyError, match=re.escape(f"({files[0]}, (1,), {copies[0]})")):
+            cache.gather(u, files, copies, [0], [0])
+
+    def test_the_check_survives_optimized_python(self):
+        # python -O strips assert statements; the check must not be one.
+        script = (
+            "from array import array\n"
+            "from relaycache.schemes import distinct_demand, proposed_place, random_library\n"
+            "from relaycache.schemes.proposed import _neighbors_of\n"
+            "from relaycache.topology import combination_network\n"
+            "net = combination_network(4, 2)\n"
+            "cache = proposed_place(net, random_library(6, 30, seed=1), 2)\n"
+            "u = net.user_index((1, 3))\n"
+            "c = net.class_of[u] - 1\n"
+            "files, copies = _neighbors_of(net, distinct_demand(net, 6), net.users[u][0])\n"
+            "_, which, items = cache.decoders[c]\n"
+            "items = array('I', items)\n"
+            "items[0] = cache.subset_plan.missing[c][0] * net.r\n"
+            "try:\n"
+            "    cache.gather(u, files, copies, which, items)\n"
+            "except KeyError as exc:\n"
+            "    print('refused', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(relaycache.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("refused"), out.stdout
