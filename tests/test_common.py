@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from array import array
 
 import pytest
 from hypothesis import assume, given
@@ -192,6 +193,20 @@ class TestGather:
             gather(sources, which, index, size)
         with pytest.raises(IndexError):
             gather([as_items(source, size) for source in sources], which, index, size)
+
+    @pytest.mark.parametrize("code", ["B", "I", "Q"])
+    def test_reads_unsigned_array_tables(self, code):
+        # An unsigned array holds no negative index, so it is not scanned.
+        index = array(code, [2, 0, 1])
+        assert gather([b"abcdef"], array(code, [0, 0, 0]), index, 2) == b"efabcd"
+        assert gather([b"ab", b"cd"], array(code, [1, 0]), array(code, [0, 0]), 2) == b"cdab"
+
+    @pytest.mark.parametrize("code", ["b", "i", "q"])
+    def test_refuses_negative_indices_in_signed_arrays(self, code):
+        with pytest.raises(IndexError):
+            gather([b"abcdef"], [0, 0], array(code, [0, -1]), 2)
+        with pytest.raises(IndexError):
+            gather([b"ab", b"cd"], array(code, [0, -1]), [0, 0], 2)
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_refuses_lengths_that_differ(self, size):

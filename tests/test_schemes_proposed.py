@@ -21,6 +21,7 @@ from relaycache.schemes import (
     SubpacketizationError,
     all_demands,
     distinct_demand,
+    proposed,
     proposed_decode,
     proposed_deliver,
     proposed_place,
@@ -29,7 +30,6 @@ from relaycache.schemes import (
     routing_decode,
     routing_deliver,
 )
-from relaycache.schemes import proposed
 from relaycache.schemes.common import SignalPlan
 from relaycache.topology import affine_plane, combination_network, relay_neighborhood
 from test_golden import edge_records
