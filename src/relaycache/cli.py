@@ -348,6 +348,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
                 mode=mode,
                 seed=cfg.seed if mode == "sampled" else None,
                 count=cfg.count if mode == "sampled" else None,
+                file_bytes=None if cfg.file_bits == "auto" else _file_bytes(cfg),
             )
             reports.append(report)
             ok = ok and report.passed

@@ -1,16 +1,19 @@
 """Centralized coded multicast with combination network coding (``cmcnc``).
 
 The baseline ignores the relay layer during placement: file n splits into
-C(K, t') subfiles indexed by t'-subsets S of the *global* user set, with
-t' = K*M/N, and user k caches exactly the subfiles with k in S.  Delivery
-forms one coded signal per (t'+1)-subset S — the XOR of the subfiles each
-member of S is missing — then splits it into r equal parts, expands them
-with an (h, r) MDS code, and ships piece i over server edge i.  Relays
-forward every piece to all of their neighbors; any user sees r distinct
-piece indices (its own relay subset) and can rebuild every signal.
+C(K, t') subfiles (n, S, 1) indexed by t'-subsets S of the *global* user
+set, with t' = K*M/N, and user k caches exactly the subfiles with k in S.
+Delivery forms one coded signal per (t'+1)-subset S — the XOR of the
+subfiles each member of S is missing — then splits it into r equal parts,
+expands them with an (h, r) MDS code, and ships piece i over server edge
+i.  Relays forward every piece to all of their neighbors; any user sees r
+distinct piece indices (its own relay subset) and can rebuild every
+signal.
 
+The placement is :class:`.common.PlannedCache`, the one cache of both coded
+schemes, with the K users as its candidates and one copy of each subset.
 The signals are the coded multicast that ``proposed`` runs per relay, here
-over the K users, indexed by the one plan of :class:`.common.PlannedCache`.
+over the K users, indexed by the one plan that cache builds.
 Both ends work on all signals of one delivery at once.  XOR and GF(256)
 coding act byte by byte, so the concatenation of every signal's j-th term
 (or part, or piece) is coded in one call and sliced back per signal.
@@ -19,7 +22,10 @@ Subfiles and pieces are a few bytes at the larger memory points, so each
 batch of reads by index is one :func:`.common.gather`: the server's t'+1
 terms, a decoder's pieces (through :func:`.common.payloads`), each block
 of terms it cancels (through the membership-checked
-:meth:`SubsetCache.gather`) and its file put back together.
+:meth:`.common.PlannedCache.gather`) and its file put back together.  A
+user is its own candidate, so a per-candidate decode table would serve
+one user per demand: the decoder runs :meth:`.common.SignalPlan.decoding`
+itself.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..combinatorics import binomial, subset_rank
+from ..combinatorics import binomial
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode, xor_bytes
 from ..topology import Network
 from .common import (
@@ -41,11 +46,8 @@ from .common import (
     SignalPlan,
     SubpacketizationError,
     TransmissionLog,
-    as_items,
     gather,
     grid_t,
-    in_range,
-    is_subset,
     payloads,
     validate_demand,
 )
@@ -53,74 +55,22 @@ from .common import (
 
 @dataclass(frozen=True)
 class SubsetCache(PlannedCache):
-    """Uncoded placement over (n, S)-indexed subfiles, S a t'-subset of [K].
+    """The ``cmcnc`` placement: the candidates are the K users, each
+    t'-subset S is cached once, and user u is candidate u + 1.  So subfile
+    (n, S, 1) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)`` of
+    file n, where q is the rank of S in enumerate_subsets(K, t')."""
 
-    Subfile (n, S) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)``
-    of file n, where q is the rank of S in enumerate_subsets(K, t').
-    """
-
-    @property
+    @cached_property
     def candidates(self) -> int:
         return self.net.K
 
     @cached_property
-    def views(self) -> list:
-        """views[n - 1]: file n as :func:`.common.gather` reads its subfiles,
-        without a copy."""
-        return [as_items(f, self.subfile_bytes) for f in self.lib.files]
+    def copies(self) -> int:
+        return 1
 
-    def has(self, user: int, key: tuple) -> bool:
-        n, S = key
-        return (
-            1 <= n <= self.lib.n_files
-            and (user + 1) in S
-            and is_subset(S, self.net.K, self.t)
-        )
-
-    def get(self, user: int, key: tuple) -> bytes:
-        if not self.has(user, key):
-            raise KeyError(f"user {user} does not cache {key}")
-        n, S = key
-        return self.read(user, (n,), (subset_rank(self.net.K, S),))
-
-    def read(self, user: int, files: Sequence[int], ranks: Sequence[int]) -> bytes:
-        """Concatenated subfiles (files[j], rank ranks[j]) for every j; see
-        :meth:`gather`."""
-        return self.gather(user, files, range(len(files)), ranks)
-
-    def gather(
-        self, user: int, files: Sequence[int], which: Sequence[int], ranks: Sequence[int]
-    ) -> bytes:
-        """Concatenated subfiles (files[which[j]], rank ranks[j]) for every j.
-
-        Raises ValueError if ``which`` and ``ranks`` differ in length or a
-        file id lies outside 1..N, and KeyError, naming the first such
-        (n, S), unless the user caches all of them: S must contain the user.
-        """
-        if len(which) != len(ranks):
-            raise ValueError(f"{len(which)} files and {len(ranks)} ranks differ in length")
-        N = self.lib.n_files
-        held = self.subset_plan.holds[user]
-        if not (held.issuperset(ranks) and in_range(files, N)):
-            for w, q in zip(which, ranks):
-                n = files[w]
-                if not (q in held and 1 <= n <= N):
-                    subsets = self.subset_plan.subsets
-                    S = subsets[q] if 0 <= q < len(subsets) else q
-                    raise KeyError(f"user {user} does not cache {(n, S)}")
-            bad = next(n for n in files if not 1 <= n <= N)
-            raise ValueError(f"file id {bad} outside 1..{N}")
-        views = self.views
-        return gather([views[n - 1] for n in files], which, ranks, self.subfile_bytes)
-
-    def keys(self, user: int) -> Iterator[tuple]:
-        plan = self.subset_plan
-        held = map(plan.subsets.__getitem__, plan.held[user])
-        return product(range(1, self.lib.n_files + 1), held)
-
-    def cached_bits(self, user: int) -> int:
-        per_file = binomial(self.net.K - 1, self.t - 1)
-        return self.lib.n_files * per_file * self.subfile_bytes * 8
+    @cached_property
+    def label(self) -> Sequence[int]:
+        return range(1, self.net.K + 1)
 
 
 _STRIDE_PART = 32
@@ -206,7 +156,7 @@ def cmcnc_deliver(
     plan = cache.signal_plan
     size = cache.subfile_bytes
     part = size // net.r
-    wanted = [cache.views[n - 1] for n in demand]
+    wanted = cache.sources(demand, [1] * len(demand))
     signals = xor_bytes(
         *[gather(wanted, users, ranks, size) for users, ranks in zip(plan.member, plan.rest)]
     )
@@ -231,9 +181,10 @@ def cmcnc_decode(
     K, t = net.K, cache.t
     size = cache.subfile_bytes
     own = cache.subset_plan.held[user]
-    wanted = (demand[user],)
+    # Every subfile is copy 1; the user caches those of its file at ``own``.
+    cached = cache.gather(user, (demand[user],), (1,), [0] * len(own), own)
     if t == K:
-        return cache.gather(user, wanted, [0] * len(own), own)
+        return cached
 
     plan = cache.signal_plan
     mine, blocks, extracted = plan.decoding(user)
@@ -242,8 +193,9 @@ def cmcnc_decode(
 
     # Block x holds the term of each signal's x-th other member, subfile
     # rest[s] of the file that member[s] demands.
-    coded = xor_bytes(signals, *[cache.gather(user, demand, *block) for block in blocks])
-    both = cache.gather(user, wanted, [0] * len(own), own) + coded
+    ones = (1,) * K
+    coded = xor_bytes(signals, *[cache.gather(user, demand, ones, *block) for block in blocks])
+    both = cached + coded
 
     # Subfile q of the file is item where[q] of ``both``.
     where = [0] * binomial(K, t)

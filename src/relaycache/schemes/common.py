@@ -33,19 +33,23 @@ Conventions used by every scheme:
   edge.
 
 Cache objects are lazy views over the library: they answer membership and
-content queries per user without materializing every subfile.  Each scheme's
-cache defines ``has(user, key)``, ``get(user, key)``, ``keys(user)`` and
-``cached_bits(user)``; the key shape is scheme-specific.  ``get`` raises
-``KeyError`` for anything the user did not cache, which keeps decoders
-honest about what they may read.  :class:`CacheView` derives
-``signature(user)`` and ``materialize(user)`` from ``keys`` and ``get``.
+content queries per user without materializing every subfile.  Each cache
+defines ``has(user, key)``, ``get(user, key)``, ``keys(user)`` and
+``cached_bits(user)``.  ``get`` raises ``KeyError`` for anything the user
+did not cache, which keeps decoders honest about what they may read.
+:class:`CacheView` derives ``signature(user)`` and ``materialize(user)``
+from ``keys`` and ``get``.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
-candidates: ``proposed`` per relay over the Kt parallel classes, ``cmcnc``
-over the K users.  The one index plan of that multicast lives here, in
-:class:`PlannedCache`, which both schemes' caches extend: a
-:class:`SubsetPlan` and a :class:`SignalPlan`, built once per placement.
+candidates: ``proposed`` per relay over the Kt parallel classes with r
+copies of each subset, ``cmcnc`` over the K users with one copy.  Both
+place files with the one cache here, :class:`PlannedCache`, keyed by
+subfile ``(n, T, l)``; a scheme's cache class gives only its candidates,
+copies and each user's candidate.  The cache builds the one index plan of
+the multicast once per placement, a :class:`SubsetPlan` and a
+:class:`SignalPlan`, and checks every read against one membership set per
+candidate.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
 """
 
 from __future__ import annotations
@@ -56,13 +60,13 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, starmap
+from itertools import accumulate, chain, product, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, getitem, itemgetter, lt, sub
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
-from ..combinatorics import enumerate_subsets
+from ..combinatorics import binomial, enumerate_subsets, subset_rank
 from ..topology import Network
 
 
@@ -291,13 +295,12 @@ class SubsetPlan:
 
     subsets: list[tuple[int, ...]]  # subsets[q]: the T of rank q, 1-based
     held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
-    holds: list[frozenset[int]]  # holds[c]: held[c] as a set, for membership checks
 
     @cached_property
     def missing(self) -> list[list[int]]:
         """missing[c]: ranks of the T without c, increasing."""
         everything = frozenset(range(len(self.subsets)))
-        return [sorted(everything - hold) for hold in self.holds]
+        return [sorted(everything.difference(held)) for held in self.held]
 
     @cached_property
     def missing_names(self) -> list[list[str]]:
@@ -358,7 +361,7 @@ def plan_subsets(n: int, t: int) -> SubsetPlan:
     for q, T in enumerate(subsets):
         for c in T:
             held[c - 1].append(q)
-    return SubsetPlan(subsets, held, list(map(frozenset, held)))
+    return SubsetPlan(subsets, held)
 
 
 def plan_signals(n: int, t: int) -> SignalPlan:
@@ -393,12 +396,40 @@ def plan_signals(n: int, t: int) -> SignalPlan:
     )
 
 
+class Layout(NamedTuple):
+    """Where one candidate finds a file's subfiles, built once per placement.
+
+    Slot ``rank(T) * copies + l - 1`` of a file is subfile (T, l).  The
+    candidate puts a file back together from 2 * copies sources: the file
+    from copy l on (its :attr:`PlannedCache.views`), for l = 1, ...,
+    copies, and then the decoded bytes from their copy-l block on.
+    """
+
+    which: array  # which[k]: the source of slot k, l - 1 if cached, else copies + l - 1
+    index: array  # index[k]: the item of slot k in its source, rank(T) * copies if cached
+
+
 @dataclass(frozen=True)
 class PlannedCache(CacheView):
-    """Uncoded placement over the t-subsets of ``candidates``, with its plan.
+    """The uncoded placement of Maddah-Ali and Niesen over the t-subsets of
+    the sharing candidates, with its plan: the one cache of both coded
+    schemes.  Each subclass gives three facts as cached properties:
 
-    The plan lives as long as the placement: one run of a scheme at one
-    memory point, over every demand it serves.
+    * ``candidates``: how many there are (Kt classes, or K users);
+    * ``copies``: how many copies of each subset a file holds (r, or 1);
+    * ``label[user]``: the candidate of a user, 1-based.
+
+    File n splits into ``copies * C(candidates, t)`` subfiles (n, T, l), T a
+    t-subset of 1..candidates and l a copy in 1..copies, at byte offset
+    ``(rank(T) * copies + l - 1) * subfile_bytes`` with T ranked
+    lexicographically.  A user caches exactly the subfiles whose T holds
+    ``label[user]``.
+
+    Every read goes through :func:`gather` over :attr:`views`, as items:
+    subfile (n, T, l) is item ``rank(T) * copies`` of file n viewed from
+    copy l on.  The plan and the tables built from it live as long as the
+    placement: one run of a scheme at one memory point, over every demand
+    it serves.
     """
 
     net: Network
@@ -407,10 +438,6 @@ class PlannedCache(CacheView):
     t: int
     subfile_bytes: int
 
-    @property
-    def candidates(self) -> int:
-        raise NotImplementedError
-
     @cached_property
     def subset_plan(self) -> SubsetPlan:
         return plan_subsets(self.candidates, self.t)
@@ -418,6 +445,178 @@ class PlannedCache(CacheView):
     @cached_property
     def signal_plan(self) -> SignalPlan:
         return plan_signals(self.candidates, self.t)
+
+    @property
+    def subfiles_per_file(self) -> int:
+        return self.copies * comb(self.candidates, self.t)
+
+    @cached_property
+    def views(self) -> list[list]:
+        """views[l - 1][n - 1]: file n from subfile (T of rank 0, l) on, as
+        :func:`gather` reads its subfiles, without a copy.  Its item
+        rank(T) * copies is subfile (n, T, l)."""
+        size = self.subfile_bytes
+        return [
+            [as_items(memoryview(f)[l * size :], size) for f in self.lib.files]
+            for l in range(self.copies)
+        ]
+
+    def sources(self, files: Sequence[int], copies: Sequence[int]) -> list:
+        """The view of file files[w] from copy copies[w] on, for each w.
+
+        Raises ValueError if the lengths differ, and IndexError for a file id
+        outside 1..N or a copy outside 1..copies: no index wraps.
+        """
+        N, r = self.lib.n_files, self.copies
+        if len(files) != len(copies):
+            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
+        if not (in_range(files, N) and in_range(copies, r)):
+            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        views = self.views
+        return [views[l - 1][n - 1] for n, l in zip(files, copies)]
+
+    @cached_property
+    def holds(self) -> list[frozenset[int]]:
+        """holds[c]: the items rank(T) * copies of the T that contain
+        candidate c (0-based), the ones :meth:`gather` lets its users read."""
+        plan = self.subset_plan
+        # One int object per rank, shared by every candidate's set.
+        items = list(range(0, len(plan.subsets) * self.copies, self.copies))
+        return [frozenset(map(items.__getitem__, held)) for held in plan.held]
+
+    @cached_property
+    def layouts(self) -> list[Layout]:
+        """layouts[c]: the :class:`Layout` of candidate c (0-based).
+
+        A candidate decodes the subfiles (T, l) it lacks in the order l = 1,
+        ..., copies and, within each l, T by increasing rank: so they come
+        from a user's r relays in ``proposed``, and ``routing`` sends them.
+        """
+        r = self.copies
+        plan = self.subset_plan
+        count = len(plan.subsets)
+        in_file = array("I", range(0, count * r, r))  # by rank q: item rank(T) * r
+        layouts = []
+        for missing in plan.missing:
+            own = bytearray(b"\x01") * count  # own[q]: the candidate caches the T of rank q
+            item = array("I", in_file)
+            for k, q in enumerate(missing):
+                own[q] = 0
+                item[q] = k  # the T's item in a decoded block
+            which = array("B", bytes(count * r))
+            index = item * r  # of the right length; interleaved below
+            for l in range(r):
+                # Copy l + 1 of a T comes from source l if cached, else r + l.
+                which[l::r] = array("B", own.translate(bytes.maketrans(b"\0\1", bytes([r + l, l]))))
+                index[l::r] = item
+            layouts.append(Layout(which, index))
+        return layouts
+
+    @cached_property
+    def signal_terms(self) -> tuple[array, array]:
+        """(which, items) of every signal's terms, as :meth:`gather` reads
+        them over the candidates' files: block j gives per signal s its
+        member member[j][s] and rank(C minus that member) * copies."""
+        plan, r = self.signal_plan, self.copies
+        return (
+            array("I", chain.from_iterable(plan.member)),
+            array("I", chain.from_iterable(map(r.__mul__, rest) for rest in plan.rest)),
+        )
+
+    def subfiles(
+        self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
+    ) -> bytes:
+        """Library-side access (the server may read everything): subfile
+        (files[j], T of rank ranks[j], copies[j]) for every j, concatenated.
+
+        Raises ValueError if the lengths differ, and IndexError for a file id
+        outside 1..N, a rank outside 0..C(n, t) - 1 or a copy outside
+        1..copies: no index wraps.
+        """
+        items = [q * self.copies for q in ranks]
+        return gather(self.sources(files, copies), range(len(files)), items, self.subfile_bytes)
+
+    def read(
+        self, user: int, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
+    ) -> bytes:
+        """What ``user`` caches of :meth:`subfiles` (files, ranks, copies), by
+        :meth:`gather`: KeyError names the first (n, T, l) it does not cache."""
+        items = [q * self.copies for q in ranks]
+        return self.gather(user, files, copies, range(len(files)), items)
+
+    def gather(
+        self,
+        user: int,
+        files: Sequence[int],
+        copies: Sequence[int],
+        which: Sequence[int],
+        items: Sequence[int],
+    ) -> bytes:
+        """The table-form read: subfile (files[w], T, copies[w]) for every j,
+        where w = which[j] and items[j] = rank(T) * copies, concatenated.
+        That is item items[j] of source w of :meth:`sources` (files, copies).
+
+        Raises ValueError if ``which`` and ``items`` differ in length, and
+        KeyError, naming the first such (n, T, l), unless the user caches all
+        of them: T must contain the user's candidate, n lie in 1..N and l in
+        1..copies.  Nothing is read from a file before that check.
+        """
+        if len(which) != len(items):
+            raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
+        N, r = self.lib.n_files, self.copies
+        held = self.holds[self.label[user] - 1]
+        if not (held.issuperset(items) and in_range(files, N) and in_range(copies, r)):
+            subsets = self.subset_plan.subsets
+            for w, k in zip(which, items):
+                n, l = files[w], copies[w]
+                if not (k in held and 1 <= n <= N and 1 <= l <= r):
+                    q, off = divmod(k, r)
+                    T = f"item {k}" if off else subsets[q] if 0 <= q < len(subsets) else q
+                    raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
+        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
+
+    def reassemble(self, user: int, n: int, decoded: bytes) -> bytes:
+        """File n from the subfiles of it that ``user`` caches and ``decoded``,
+        in one :func:`gather` by its candidate's :class:`Layout`.
+
+        ``decoded`` holds the subfiles (n, T, l) the user lacks, for l = 1,
+        ..., copies in turn and, within each l, for the T by increasing rank.
+        """
+        r, size = self.copies, self.subfile_bytes
+        c = self.label[user] - 1
+        block = len(self.subset_plan.missing[c]) * size
+        if len(decoded) != r * block:
+            raise ValueError(f"user {user} decoded {len(decoded)} bytes, expected {r * block}")
+        view = memoryview(decoded)
+        sources = self.sources([n] * r, range(1, r + 1)) + [view[l * block :] for l in range(r)]
+        which, index = self.layouts[c]
+        return gather(sources, which, index, size)
+
+    def has(self, user: int, key: tuple) -> bool:
+        # Sampled symmetry checks make millions of calls: no table is built,
+        # and the file count is read without the n_files property.
+        n, T, l = key
+        return (
+            self.label[user] in T
+            and 1 <= n <= len(self.lib.files)
+            and 1 <= l <= self.copies
+            and is_subset(T, self.candidates, self.t)
+        )
+
+    def get(self, user: int, key: tuple) -> bytes:
+        if not self.has(user, key):
+            raise KeyError(f"user {user} does not cache {key}")
+        n, T, l = key
+        return self.subfiles((n,), (subset_rank(self.candidates, T),), (l,))
+
+    def keys(self, user: int) -> Iterator[tuple]:
+        plan = self.subset_plan
+        held = map(plan.subsets.__getitem__, plan.held[self.label[user] - 1])
+        return product(range(1, self.lib.n_files + 1), held, range(1, self.copies + 1))
+
+    def cached_bits(self, user: int) -> int:
+        per_file = self.copies * binomial(self.candidates - 1, self.t - 1)
+        return self.lib.n_files * per_file * self.subfile_bytes * 8
 
 
 # ---------------------------------------------------------------------------

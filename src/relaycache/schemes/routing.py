@@ -23,7 +23,7 @@ from typing import Mapping
 from ..combinatorics import position_in
 from ..topology import Network
 from .common import Batch, Edge, TransmissionLog, fmt_subset, gather, payloads, validate_demand
-from .proposed import GroupedCache, _reassemble
+from .proposed import GroupedCache
 
 
 def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str, list[str], str]:
@@ -69,4 +69,4 @@ def routing_decode(
         payloads(user, i, received, everything, _form(i, V, l, plan.missing_names[c]))
         for l, i in enumerate(V, 1)
     )
-    return _reassemble(cache, user, demand[user], feeds)
+    return cache.reassemble(user, demand[user], feeds)

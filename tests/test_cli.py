@@ -235,6 +235,33 @@ class TestVerifyCommand:
         assert code == 0
         assert "1/1 demand vectors decode" in capsys.readouterr().out
 
+    def test_file_size_flag_sets_the_library(self, tmp_path, capsys):
+        # 960 bits are 120 bytes, which r * C(Kt, t) = 6 subfiles divide;
+        # auto would pick 6 bytes.
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
+             "--schemes", "proposed", "--demands", "seeded-random", "--count", "2",
+             "--F", "960", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert "2/2 demand vectors decode" in capsys.readouterr().out
+        (report,) = json.loads((tmp_path / "verify.json").read_text())
+        assert report["file_bytes"] == 120
+
+    def test_file_size_that_does_not_split_is_exit_2(self, capsys):
+        # 800 bits are 100 bytes, not a multiple of the 6 subfiles.
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
+             "--schemes", "proposed", "--demands", "seeded-random", "--count", "2",
+             "--F", "800"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "demand vectors decode" not in captured.out
+        record = json.loads(captured.err)
+        assert record["error"] == "SubpacketizationError"
+        assert "file size 100 bytes" in record["message"]
+
     def test_needs_verification_mode(self):
         with pytest.raises(ConfigError, match="verify needs"):
             parse_config(

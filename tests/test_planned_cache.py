@@ -1,0 +1,160 @@
+"""The one cache of both coded schemes, under both placements.
+
+``proposed`` caches over the Kt parallel classes with r copies of each
+subset, ``cmcnc`` over the K users with one copy; both through
+:class:`relaycache.schemes.common.PlannedCache`.  The oracle here is built
+from :func:`enumerate_subsets` and the documented byte offset
+``(rank(T) * copies + l - 1) * size``, never from the cache's own tables.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+import relaycache
+from relaycache.combinatorics import enumerate_subsets
+from relaycache.schemes import cmcnc_place, proposed_place, random_library
+from relaycache.schemes import common
+from relaycache.topology import affine_plane, combination_network
+
+# placement -> (place, candidates, copies, label): the three facts that
+# define it, read from the network alone.
+PLACEMENTS = {
+    "proposed": (
+        proposed_place,
+        lambda net: net.num_classes,
+        lambda net: net.r,
+        lambda net: net.class_of,
+    ),
+    "cmcnc": (cmcnc_place, lambda net: net.K, lambda net: 1, lambda net: range(1, net.K + 1)),
+}
+
+NETWORKS = {
+    "comb:4,2": lambda: combination_network(4, 2),
+    "comb:6,3": lambda: combination_network(6, 3),
+    "affine:3": lambda: affine_plane(3),
+}
+
+N_FILES = 2
+# Keys times users checked at one grid t.  cmcnc on comb(6,3) has C(20, t)
+# subsets at t, 2^20 over its grid, more than a unit test can visit; within
+# this budget it checks both ends of its grid, t <= 2 and t >= 18.  Every
+# other case checks every grid t.
+KEY_BUDGET = 40_000
+
+
+def placed(name, net, t):
+    """(cache, library, label, copies, subsets, size) of placement ``name``
+    on ``net`` at grid point t, with 2-byte units of the cmcnc split."""
+    place, candidates, copies, label = PLACEMENTS[name]
+    n, r = candidates(net), copies(net)
+    lib = random_library(N_FILES, net.r * comb(n, t) * 2, seed=1000 * n + t)
+    cache = place(net, lib, Fraction(t * N_FILES, n))
+    size = lib.file_bytes // (r * comb(n, t))
+    return cache, lib, label(net), r, enumerate_subsets(n, t), size
+
+
+def grid(name, net):
+    _, candidates, copies, _ = PLACEMENTS[name]
+    n = candidates(net)
+    return [
+        t for t in range(n + 1) if net.K * N_FILES * copies(net) * comb(n, t) <= KEY_BUDGET
+    ]
+
+
+@pytest.mark.parametrize("topology", NETWORKS)
+@pytest.mark.parametrize("name", PLACEMENTS)
+def test_every_key_against_the_oracle(name, topology):
+    net = NETWORKS[topology]()
+    points = grid(name, net)
+    assert points[0] == 0 and points[-1] == PLACEMENTS[name][1](net)
+    for t in points:
+        cache, lib, label, copies, subsets, size = placed(name, net, t)
+        assert cache.t == t and cache.subfile_bytes == size
+        keys = [
+            (n, T, l)
+            for n in range(1, N_FILES + 1)
+            for T in subsets
+            for l in range(1, copies + 1)
+        ]
+        for u in range(net.K):
+            held = [(n, T, l) for n, T, l in keys if label[u] in T]
+            assert [cache.has(u, key) for key in keys] == [label[u] in T for _, T, _ in keys]
+            listed = list(cache.keys(u))
+            assert len(listed) == len(set(listed)) and set(listed) == set(held)
+            assert Fraction(cache.cached_bits(u)) == cache.storage * lib.file_bits
+            # Off the library or the copies, nothing is cached.
+            for n, l in [(0, 1), (N_FILES + 1, 1), (1, 0), (1, copies + 1)]:
+                assert not any(cache.has(u, (n, T, l)) for T in subsets)
+        # Every key is read once, by a user whose candidate is its first; at
+        # t = 0 no user caches anything.
+        reader = {}
+        for u in range(net.K):
+            reader.setdefault(label[u], u)
+        for q, T in enumerate(subsets if t else []):
+            for n in range(1, N_FILES + 1):
+                for l in range(1, copies + 1):
+                    at = (q * copies + l - 1) * size
+                    assert cache.get(reader[T[0]], (n, T, l)) == lib.file(n)[at : at + size]
+
+
+def ranks(name, net, t):
+    """(cache, user, held, lacked) at grid point t: the ranks of the first T
+    that holds the user's candidate and of the first that lacks it."""
+    cache, _, label, _, subsets, _ = placed(name, net, t)
+    u = net.K - 1
+    held = next(q for q, T in enumerate(subsets) if label[u] in T)
+    lacked = next(q for q, T in enumerate(subsets) if label[u] not in T)
+    return cache, u, held, lacked
+
+
+@pytest.mark.parametrize("name", PLACEMENTS)
+@pytest.mark.parametrize("t", [1, 2])
+def test_an_uncached_read_is_refused_before_any_byte(name, t, monkeypatch):
+    cache, u, held, lacked = ranks(name, combination_network(4, 2), t)
+    views = {id(view) for per_copy in cache.views for view in per_copy}
+    read = []
+    kernel = common.gather
+
+    def spy(sources, *args):
+        read.extend(id(source) for source in sources if id(source) in views)
+        return kernel(sources, *args)
+
+    monkeypatch.setattr(common, "gather", spy)
+    assert cache.read(u, [1], [held], [1])
+    assert read, "the spy saw no read of a cached subfile"
+    read.clear()
+    with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache (2, ")):
+        cache.read(u, [1, 2], [held, lacked], [1, 1])
+    assert not read, "a file was read before the membership check"
+
+
+def test_the_check_survives_optimized_python():
+    # python -O strips assert statements; the check must not be one.
+    script = (
+        "from relaycache.schemes import cmcnc_place, proposed_place, random_library\n"
+        "from relaycache.topology import combination_network\n"
+        "net = combination_network(4, 2)\n"
+        "lib = random_library(6, 60, seed=1)\n"
+        "for place in (proposed_place, cmcnc_place):\n"
+        "    cache = place(net, lib, 2)\n"
+        "    u = net.K - 1\n"
+        "    q = cache.subset_plan.missing[cache.label[u] - 1][0]\n"
+        "    try:\n"
+        "        cache.read(u, [1], [q], [1])\n"
+        "    except KeyError as exc:\n"
+        "        print('refused', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(relaycache.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("refused") for line in lines), out.stdout

@@ -53,26 +53,28 @@ class TestPlacement:
 
     def test_batched_read_matches_get(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        keys = [(3, (1, 4)), (1, (1, 2)), (6, (1, 4)), (3, (1, 4))]
-        ranks = [subset_rank(comb42.K, S) for _, S in keys]
-        data = cache.read(0, [n for n, _ in keys], ranks)
+        keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
+        files, subsets, copies = zip(*keys)
+        ranks = [subset_rank(comb42.K, S) for S in subsets]
+        data = cache.read(0, files, ranks, copies)
         assert data == b"".join(cache.get(0, key) for key in keys)
-        assert cache.read(0, [], []) == b""
+        assert cache.read(0, [], [], []) == b""
 
     def test_batched_read_refuses_uncached_keys(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         cached, foreign = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (2, 3))
-        with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\)\)"):
-            cache.read(0, [1, 5], [cached, foreign])
+        with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\), 1\)"):
+            cache.read(0, [1, 5], [cached, foreign], [1, 1])
         with pytest.raises(KeyError):
-            cache.get(0, (5, (2, 3)))
+            cache.get(0, (5, (2, 3), 1))
 
     def test_has_and_get_check_file_and_subset_size(self, comb42, lib30):
-        # N = 6, t' = 2: user 0 is in S, but file 0 or 99, or an S of the
-        # wrong size, is not a subfile it caches.
+        # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, copy 0
+        # or 2, or an S of the wrong size is not a subfile it caches.
         cache = cmcnc_place(comb42, lib30, 2)
-        assert cache.has(0, (6, (1, 2)))
-        for key in [(1, (1,)), (99, (1, 2)), (0, (1, 2)), (1, (1, 2, 3))]:
+        assert cache.has(0, (6, (1, 2), 1))
+        for key in [(1, (1,), 1), (99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2, 3), 1),
+                    (1, (1, 2), 0), (1, (1, 2), 2)]:
             assert not cache.has(0, key)
             with pytest.raises(KeyError):
                 cache.get(0, key)
@@ -82,9 +84,9 @@ class TestPlacement:
         # K = 6, t' = 2: S holds user 0 (label 1) and has size t', but is not
         # an increasing subset of 1..6.
         cache = cmcnc_place(comb42, lib30, 2)
-        assert not cache.has(0, (1, S))
+        assert not cache.has(0, (1, S, 1))
         with pytest.raises(KeyError):
-            cache.get(0, (1, S))
+            cache.get(0, (1, S, 1))
 
     @pytest.mark.parametrize(
         "files,ranks,named",
@@ -96,9 +98,11 @@ class TestPlacement:
         ],
     )
     def test_read_names_out_of_range_key(self, comb42, lib30, files, ranks, named):
+        # ``named`` is the (n, S) of the refused key, whose copy is 1.
         cache = cmcnc_place(comb42, lib30, 2)
-        with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {named}")):
-            cache.read(0, files, ranks)
+        key = f"{named[:-1]}, 1)"
+        with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {key}")):
+            cache.read(0, files, ranks, [1] * len(files))
 
     def test_read_refuses_lengths_that_differ(self, comb42, lib30):
         # Each of these read one subfile, or a zip() error, before the check.
@@ -106,22 +110,24 @@ class TestPlacement:
         q, other = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (1, 3))
         for files, ranks in [([1, 1, 1], [q]), ([1], [q, other]), ([1], [q, 99])]:
             with pytest.raises(ValueError, match="differ in length"):
-                cache.read(0, files, ranks)
+                cache.read(0, files, ranks, [1] * len(files))
         with pytest.raises(ValueError, match="differ in length"):
-            cache.gather(0, (1, 2), [0, 1, 1], [q, other])
+            cache.read(0, [1], [q], [1, 1])
+        with pytest.raises(ValueError, match="differ in length"):
+            cache.gather(0, (1, 2), (1, 1), [0, 1, 1], [q, other])
 
     def test_gather_reads_through_a_file_table(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        keys = [(3, (1, 4)), (1, (1, 2)), (6, (1, 4)), (3, (1, 4))]
-        ranks = [subset_rank(comb42.K, S) for _, S in keys]
-        data = cache.gather(0, (1, 3, 6), [1, 0, 2, 1], ranks)
+        keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
+        ranks = [subset_rank(comb42.K, S) for _, S, _ in keys]
+        data = cache.gather(0, (1, 3, 6), (1, 1, 1), [1, 0, 2, 1], ranks)
         assert data == b"".join(cache.get(0, key) for key in keys)
         # A file id outside 1..N is refused, named by the key that reads it or,
-        # when no key does, as a file id.
-        with pytest.raises(KeyError, match=re.escape("user 0 does not cache (7, (1, 2))")):
-            cache.gather(0, (1, 7), [0, 1], [ranks[1], ranks[1]])
-        with pytest.raises(ValueError, match="file id 7 outside 1..6"):
-            cache.gather(0, (1, 7), [0, 0], [ranks[1], ranks[1]])
+        # when no key does, as a file id, before any read.
+        with pytest.raises(KeyError, match=re.escape("user 0 does not cache (7, (1, 2), 1)")):
+            cache.gather(0, (1, 7), (1, 1), [0, 1], [ranks[1], ranks[1]])
+        with pytest.raises(IndexError, match=re.escape("a file id lies outside 1..6")):
+            cache.gather(0, (1, 7), (1, 1), [0, 0], [ranks[1], ranks[1]])
 
     def test_subpacketization_on_larger_network(self, comb62):
         # t' = 3 at M=10, N=50: r*C(15,3) units

@@ -30,6 +30,7 @@ from relaycache.schemes import (
     routing_decode,
     routing_deliver,
 )
+from relaycache.schemes import common
 from relaycache.schemes.common import SignalPlan
 from relaycache.topology import affine_plane, combination_network, relay_neighborhood
 from test_golden import edge_records
@@ -437,13 +438,16 @@ class TestHonestDecoders:
         assert comb42.class_of[u] not in T
         views = {id(view) for per_copy in cache.views for view in per_copy}
         read = []
-        common_gather = proposed.gather
+        kernel = common.gather
 
         def spy(sources, *args):
             read.extend(id(source) for source in sources if id(source) in views)
-            return common_gather(sources, *args)
+            return kernel(sources, *args)
 
-        monkeypatch.setattr(proposed, "gather", spy)
+        monkeypatch.setattr(common, "gather", spy)
+        assert cache.gather(u, files, copies, which, cache.decoders[comb42.class_of[u] - 1][2])
+        assert read, "the spy saw no read of a cached subfile"
+        read.clear()
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache")) as info:
             cache.gather(u, files, copies, which, items)
         assert str(T) in str(info.value)
