@@ -13,6 +13,8 @@ Subcommands:
   class-symmetric scheme over cmcnc.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
+``run``, ``sweep`` and ``verify`` write the first decode failure of each
+failing cell to stderr as one JSON line (scheme, M, demand, user, error).
 Rates in CSV output are exact fraction strings so identical configurations
 produce byte-identical files.
 """
@@ -85,7 +87,7 @@ def _build_network(spec: str) -> Network:
                 return combination_network(h, r)
             if kind == "affine":
                 return affine_plane(int(params))
-        except NotResolvableError:
+        except (NotResolvableError, BudgetError):
             raise
         except ValueError as exc:
             raise ConfigError(f"bad topology spec {spec!r}: {exc}") from None
@@ -314,6 +316,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     demand = _demand(cfg)
     M = cfg.m_values[0]
     report, log = run_scheme_with_log(cfg.net, lib, M, demand, scheme)
+    _failure_record(scheme, M, report.failures)
 
     out = _ensure_out(cfg)
     if out is not None:
@@ -351,6 +354,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
                 file_bytes=None if cfg.file_bits == "auto" else _file_bytes(cfg),
             )
             reports.append(report)
+            _failure_record(scheme, M, report.failures)
             ok = ok and report.passed
             good = report.runs - len({(f[0]) for f in report.failures})
             print(f"{scheme} M={M}: {good}/{report.runs} demand vectors decode")
@@ -378,6 +382,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
         for M in sorted(cfg.m_values):
             report = run_scheme(cfg.net, lib, M, demand, scheme)
             reports.append(report)
+            _failure_record(scheme, M, report.failures)
             ok = ok and report.decode_ok and report.formula_match
             rows.append(
                 [
@@ -455,6 +460,14 @@ def execute(cfg: ExperimentConfig) -> int:
 def _error_record(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
+
+
+def _failure_record(scheme: str, M: Fraction, failures: tuple) -> None:
+    """The first decode failure of a cell, if any, as one JSON line on stderr."""
+    if failures:
+        demand, user, why = failures[0]
+        record = {"scheme": scheme, "M": str(M), "demand": list(demand), "user": user, "error": why}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

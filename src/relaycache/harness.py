@@ -7,7 +7,7 @@ only in the entropy-based subpacketization approximation.
 
 R1 is the worst server->relay edge load divided by the file size F; R2 the
 worst relay->user edge load.  All schemes here load their edges uniformly,
-and :func:`run_scheme` checks that symmetry instead of assuming it.
+and :func:`_serve` checks that symmetry on every demand it serves.
 """
 
 from __future__ import annotations
@@ -195,17 +195,16 @@ def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
     M = Fraction(M)
     if not 0 <= M <= N:
         raise ValueError(f"M={M} outside 0..{N}")
+    multicast, broadcast = SCHEMES["proposed"].rates, SCHEMES["broadcast-mds"].rates
     points = []
     for j in range(kt + 1):
-        Mj = Fraction(j * N, kt)
-        mj = Mj / N
-        r1 = min(_closed_form_r1(kt, mj, r), Fraction(N, r) * (1 - mj))
-        points.append((Mj, r1))
-    env = memory_sharing_envelope(points)
+        mj = Fraction(j, kt)
+        r1 = min(multicast(kt, N, r, mj)[0], broadcast(kt, N, r, mj)[0])
+        points.append((mj * N, r1))
     return RatePoint(
         M=M,
-        r1=env.value(M),
-        r2=(1 - M / N) / r,
+        r1=memory_sharing_envelope(points).value(M),
+        r2=broadcast(kt, N, r, M / N)[1],
         subpacketization=None,
         source="formula",
     )
@@ -378,8 +377,12 @@ class SchemeReport:
     measured: RatePoint
     formula: RatePoint
     formula_match: bool
-    decode_ok: bool
+    failures: tuple[tuple, ...]
     log_digest: str
+
+    @property
+    def decode_ok(self) -> bool:
+        return not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -399,24 +402,36 @@ class SchemeReport:
         }
 
 
-def _edge_bits(net: Network, log) -> tuple[list[int], list[int]]:
-    """Bits on every server edge and on every relay edge."""
+def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
+    """(R1, R2) of ``log``; RuntimeError unless each edge kind is loaded evenly."""
     server = [log.server_bits(i) for i in range(1, net.h + 1)]
     relay = [
         log.relay_bits(i, u)
         for i in range(1, net.h + 1)
         for u in net._neighbors[i - 1]
     ]
-    return server, relay
-
-
-def _measure(net: Network, log, file_bits: int) -> tuple[Fraction, Fraction]:
-    server, relay = _edge_bits(net, log)
     if len(set(server)) != 1:
         raise RuntimeError(f"server edges are not symmetric: {server}")
     if len(set(relay)) != 1:
         raise RuntimeError(f"relay edges are not symmetric: {relay}")
-    return Fraction(max(server), file_bits), Fraction(max(relay), file_bits)
+    return Fraction(server[0], file_bits), Fraction(relay[0], file_bits)
+
+
+def _serve(net: Network, lib: FileLibrary, deliver, decode_user, demand):
+    """Deliver one demand, measure it and decode every user: (log, R1, R2,
+    failures), a failure (demand, user, why) for an exception or wrong bytes."""
+    log = deliver(demand)
+    r1, r2 = _measure(net, log, lib.file_bits)
+    failures = []
+    for u in range(net.K):
+        try:
+            out = decode_user(u, demand, log.to_user(u))
+        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
+            failures.append((demand, u, f"{type(exc).__name__}: {exc}"))
+            continue
+        if out != lib.file(demand[u]):
+            failures.append((demand, u, "decoded bytes differ"))
+    return log, r1, r2, failures
 
 
 def _pipeline(net: Network, lib: FileLibrary, M, scheme: str, code: ErasureCode | None):
@@ -457,13 +472,8 @@ def run_scheme_with_log(
 ):
     """Like :func:`run_scheme` but also returns the transmission log."""
     M = Fraction(M)
-    cache, deliver, decode_user = _pipeline(net, lib, M, scheme, code)
-    log = deliver(demand)
-    r1, r2 = _measure(net, log, lib.file_bits)
-    decode_ok = all(
-        decode_user(u, demand, log.to_user(u)) == lib.file(demand[u])
-        for u in range(net.K)
-    )
+    _, deliver, decode_user = _pipeline(net, lib, M, scheme, code)
+    log, r1, r2, failures = _serve(net, lib, deliver, decode_user, demand)
     formula = formula_rates(scheme, net.K, net.h, net.r, lib.n_files, M)
     measured = RatePoint(M, r1, r2, formula.subpacketization, "measured")
     report = SchemeReport(
@@ -478,7 +488,7 @@ def run_scheme_with_log(
         measured=measured,
         formula=formula,
         formula_match=(r1 == formula.r1 and r2 == formula.r2),
-        decode_ok=decode_ok,
+        failures=tuple(failures),
         log_digest=log.digest(),
     )
     return report, log
@@ -540,7 +550,7 @@ def verify_all_demands(
     ``exhaustive`` covers all N^K demand vectors and refuses above
     EXHAUSTIVE_CAP; ``sampled`` draws ``count`` vectors from a generator
     seeded with ``seed``.  The library is seeded and recorded, so any
-    failure is replayable.
+    failure is replayable.  Uneven edge loads raise RuntimeError, as in run.
     """
     M = Fraction(M)
     if mode == "exhaustive":
@@ -550,7 +560,7 @@ def verify_all_demands(
                 f"exhaustive verification needs N^K <= {EXHAUSTIVE_CAP}, "
                 f"got {total}; use sampled mode"
             )
-        demands: Iterable[tuple[int, ...]] = all_demands(net, n_files)
+        demands = list(all_demands(net, n_files))
     elif mode == "sampled":
         if seed is None or count is None:
             raise ValueError("sampled mode needs seed and count")
@@ -564,38 +574,24 @@ def verify_all_demands(
         file_bytes = auto_file_bytes(net, n_files, [M], [scheme])
     lib = random_library(n_files, file_bytes, seed=library_seed)
 
-    cache, deliver, decode_user = _pipeline(net, lib, M, scheme, None)
+    _, deliver, decode_user = _pipeline(net, lib, M, scheme, None)
     failures = []
     rate_pairs = []
-    worst_server = worst_relay = 0
-    runs = 0
     for demand in demands:
-        runs += 1
-        log = deliver(demand)
-        server, relay = map(max, _edge_bits(net, log))
-        worst_server = max(worst_server, server)
-        worst_relay = max(worst_relay, relay)
-        pair = (Fraction(server, lib.file_bits), Fraction(relay, lib.file_bits))
-        if pair not in rate_pairs:
-            rate_pairs.append(pair)
-        for u in range(net.K):
-            try:
-                out = decode_user(u, demand, log.to_user(u))
-            except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-                failures.append((demand, u, f"{type(exc).__name__}: {exc}"))
-                continue
-            if out != lib.file(demand[u]):
-                failures.append((demand, u, "decoded bytes differ"))
+        _, r1, r2, failed = _serve(net, lib, deliver, decode_user, demand)
+        failures += failed
+        if (r1, r2) not in rate_pairs:
+            rate_pairs.append((r1, r2))
     return VerificationReport(
         scheme=scheme,
         n_files=n_files,
         M=M,
         mode=mode,
         seed=seed,
-        runs=runs,
+        runs=len(demands),
         failures=tuple(failures),
-        worst_server_bits=worst_server,
-        worst_relay_bits=worst_relay,
+        worst_server_bits=int(max((r1 for r1, _ in rate_pairs), default=0) * lib.file_bits),
+        worst_relay_bits=int(max((r2 for _, r2 in rate_pairs), default=0) * lib.file_bits),
         rate_pairs=tuple(rate_pairs),
         demand_independent=len(rate_pairs) <= 1,
         library_seed=library_seed,

@@ -67,7 +67,7 @@ from operator import add, getitem, itemgetter, lt, sub
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets, subset_rank
-from ..topology import Network
+from ..topology import BudgetError, Network
 
 
 class GridError(ValueError):
@@ -80,10 +80,6 @@ class SubpacketizationError(ValueError):
 
 class IncompleteReceptionError(RuntimeError):
     """A decoder is missing signals from one of its relays."""
-
-
-class BudgetError(ValueError):
-    """A run would exceed a fixed size budget (library bytes, demand vectors)."""
 
 
 # Largest library random_library builds: 1 GiB, refused before allocating.
@@ -536,14 +532,6 @@ class PlannedCache(CacheView):
         items = [q * self.copies for q in ranks]
         return gather(self.sources(files, copies), range(len(files)), items, self.subfile_bytes)
 
-    def read(
-        self, user: int, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
-    ) -> bytes:
-        """What ``user`` caches of :meth:`subfiles` (files, ranks, copies), by
-        :meth:`gather`: KeyError names the first (n, T, l) it does not cache."""
-        items = [q * self.copies for q in ranks]
-        return self.gather(user, files, copies, range(len(files)), items)
-
     def gather(
         self,
         user: int,
@@ -556,13 +544,17 @@ class PlannedCache(CacheView):
         where w = which[j] and items[j] = rank(T) * copies, concatenated.
         That is item items[j] of source w of :meth:`sources` (files, copies).
 
-        Raises ValueError if ``which`` and ``items`` differ in length, and
-        KeyError, naming the first such (n, T, l), unless the user caches all
-        of them: T must contain the user's candidate, n lie in 1..N and l in
-        1..copies.  Nothing is read from a file before that check.
+        Raises ValueError if ``which`` and ``items``, or ``files`` and
+        ``copies``, differ in length, and KeyError, naming the first such
+        (n, T, l), unless the user caches all of them: T must contain the
+        user's candidate, n lie in 1..N and l in 1..copies.  IndexError for a
+        file or copy out of range that no item reads.  Nothing is read from a
+        file before these checks.
         """
         if len(which) != len(items):
             raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
+        if len(files) != len(copies):
+            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
         N, r = self.lib.n_files, self.copies
         held = self.holds[self.label[user] - 1]
         if not (held.issuperset(items) and in_range(files, N) and in_range(copies, r)):
@@ -573,7 +565,11 @@ class PlannedCache(CacheView):
                     q, off = divmod(k, r)
                     T = f"item {k}" if off else subsets[q] if 0 <= q < len(subsets) else q
                     raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
-        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
+            # Every item read is cached: a file or copy that none reads is out of range.
+            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        views = self.views
+        sources = [views[l - 1][n - 1] for n, l in zip(files, copies)]
+        return gather(sources, which, items, self.subfile_bytes)
 
     def reassemble(self, user: int, n: int, decoded: bytes) -> bytes:
         """File n from the subfiles of it that ``user`` caches and ``decoded``,

@@ -16,6 +16,9 @@ Constructions provided here:
 * ``custom_network`` — user-supplied designs, with validation or an exact
   backtracking search for a resolution.
 
+The two generators refuse a network above ``WIRES_CAP`` user-relay wires
+with :class:`BudgetError` before building anything.
+
 Everything is canonicalized on construction: users sorted lexicographically,
 classes sorted by their smallest member, so equal designs compare equal and
 serialize to identical bytes.
@@ -34,6 +37,25 @@ from .combinatorics import binomial, enumerate_subsets
 
 class NotResolvableError(ValueError):
     """The user set admits no partition into parallel classes."""
+
+
+class BudgetError(ValueError):
+    """A run would exceed a fixed size budget (network, library bytes, demand vectors)."""
+
+
+# Largest generated network: K users wired to r relays each make K * r wires,
+# refused before building.  comb(20, 10) has 1,847,560; an affine user holds
+# q relays, so a cap on users alone would admit affine planes that run out of
+# memory (affine(211), 9.4 M wires, peaks near 600 MB).
+WIRES_CAP = 2**21
+
+
+def _check_wires(K: int, r: int) -> None:
+    if K * r > WIRES_CAP:
+        raise BudgetError(
+            f"network of {K} users on {r} relays each = {K * r} wires "
+            f"exceeds the cap of {WIRES_CAP}"
+        )
 
 
 def _is_prime(n: int) -> bool:
@@ -328,6 +350,7 @@ def combination_network(h: int, r: int) -> Network:
             f"the full ({h} choose {r}) network is not resolvable: "
             f"{r} does not divide {h}"
         )
+    _check_wires(binomial(h, r), r)
     return _from_subset_classes(h, r, baranyai_partition(h, r))
 
 
@@ -338,6 +361,7 @@ def affine_plane(q: int) -> Network:
     q^2 + q lines; classes are the q + 1 pencils of parallel lines
     (the vertical lines x = b, then one class per slope a: y = a*x + b).
     """
+    _check_wires(q * q + q, q)  # first: the primality test is trial division
     if not _is_prime(q):
         raise ValueError(f"affine-plane order must be prime, got {q}")
 

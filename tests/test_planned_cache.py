@@ -126,11 +126,11 @@ def test_an_uncached_read_is_refused_before_any_byte(name, t, monkeypatch):
         return kernel(sources, *args)
 
     monkeypatch.setattr(common, "gather", spy)
-    assert cache.read(u, [1], [held], [1])
+    assert cache.gather(u, [1], [1], range(1), [held * cache.copies])
     assert read, "the spy saw no read of a cached subfile"
     read.clear()
     with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache (2, ")):
-        cache.read(u, [1, 2], [held, lacked], [1, 1])
+        cache.gather(u, [1, 2], [1, 1], range(2), [q * cache.copies for q in (held, lacked)])
     assert not read, "a file was read before the membership check"
 
 
@@ -146,7 +146,7 @@ def test_the_check_survives_optimized_python():
         "    u = net.K - 1\n"
         "    q = cache.subset_plan.missing[cache.label[u] - 1][0]\n"
         "    try:\n"
-        "        cache.read(u, [1], [q], [1])\n"
+        "        cache.gather(u, [1], [1], range(1), [q * cache.copies])\n"
         "    except KeyError as exc:\n"
         "        print('refused', exc)\n"
     )

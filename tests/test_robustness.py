@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from relaycache.cli import main as cli_main
+from relaycache.combinatorics import binomial
 from relaycache.harness import _measure
 from relaycache.schemes import Batch, Edge, TransmissionLog
+from relaycache.topology import WIRES_CAP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -145,3 +147,24 @@ def test_run_out_streams_the_log_in_bounded_memory(tmp_path):
     assert hashlib.sha256(log).hexdigest() == (
         "7b416888f500422b619062a34a0a86852f4b40526f76ff1e864e59630098e21c"
     )
+
+
+@pytest.mark.parametrize(
+    "topology,wires",
+    [("comb:30,15", "2326762800 wires"), ("affine:10007", "1002201610392 wires")],
+)
+def test_oversized_network_is_refused_before_building(topology, wires):
+    # C(30, 15) users of 15 relays, or 10007^2 + 10007 lines of 10007 points:
+    # either one ended in MemoryError under a 1 GiB address space.
+    args = ["topology", "--topology", topology]
+    proc = run_python("-m", "relaycache.cli", *args,
+                      preexec_fn=partial(_cap_address_space, 2**30))
+    assert proc.returncode == 2, proc.stderr
+    record = json.loads(proc.stderr)
+    assert record["error"] == "BudgetError"
+    assert wires in record["message"]
+
+
+def test_the_network_cap_admits_comb_20_10():
+    # 184,756 users of 10 relays: it builds in about 30 s and 170 MB.
+    assert binomial(20, 10) * 10 <= WIRES_CAP < binomial(30, 15) * 15

@@ -56,15 +56,15 @@ class TestPlacement:
         keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
         files, subsets, copies = zip(*keys)
         ranks = [subset_rank(comb42.K, S) for S in subsets]
-        data = cache.read(0, files, ranks, copies)
+        data = cache.gather(0, files, copies, range(len(files)), [q * cache.copies for q in ranks])
         assert data == b"".join(cache.get(0, key) for key in keys)
-        assert cache.read(0, [], [], []) == b""
+        assert cache.gather(0, [], [], range(0), []) == b""
 
     def test_batched_read_refuses_uncached_keys(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         cached, foreign = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (2, 3))
         with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\), 1\)"):
-            cache.read(0, [1, 5], [cached, foreign], [1, 1])
+            cache.gather(0, [1, 5], [1, 1], range(2), [q * cache.copies for q in (cached, foreign)])
         with pytest.raises(KeyError):
             cache.get(0, (5, (2, 3), 1))
 
@@ -102,7 +102,7 @@ class TestPlacement:
         cache = cmcnc_place(comb42, lib30, 2)
         key = f"{named[:-1]}, 1)"
         with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {key}")):
-            cache.read(0, files, ranks, [1] * len(files))
+            cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.copies for q in ranks])
 
     def test_read_refuses_lengths_that_differ(self, comb42, lib30):
         # Each of these read one subfile, or a zip() error, before the check.
@@ -110,9 +110,9 @@ class TestPlacement:
         q, other = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (1, 3))
         for files, ranks in [([1, 1, 1], [q]), ([1], [q, other]), ([1], [q, 99])]:
             with pytest.raises(ValueError, match="differ in length"):
-                cache.read(0, files, ranks, [1] * len(files))
+                cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.copies for q in ranks])
         with pytest.raises(ValueError, match="differ in length"):
-            cache.read(0, [1], [q], [1, 1])
+            cache.gather(0, [1], [1, 1], range(1), [q * cache.copies])
         with pytest.raises(ValueError, match="differ in length"):
             cache.gather(0, (1, 2), (1, 1), [0, 1, 1], [q, other])
 

@@ -122,9 +122,9 @@ class TestPlacement:
         ranks = {T: q for q, T in enumerate(itertools.combinations(range(1, 4), 2))}
         keys = sorted(cache.keys(u), key=lambda key: (key[2], key[1], -key[0]))
         files, subsets, copies = zip(*keys)
-        got = cache.read(u, files, [ranks[T] for T in subsets], copies)
+        got = cache.gather(u, files, copies, range(len(files)), [ranks[T] * cache.copies for T in subsets])
         assert got == b"".join(cache.get(u, key) for key in keys)
-        assert cache.read(u, [], [], []) == b""
+        assert cache.gather(u, [], [], range(0), []) == b""
 
     @pytest.mark.parametrize(
         "files,ranks,copies,named",
@@ -140,7 +140,7 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.read(u, files, ranks, copies)
+            cache.gather(u, files, copies, range(len(files)), [q * cache.copies for q in ranks])
 
     @pytest.mark.parametrize(
         "files,ranks,copies",
@@ -174,7 +174,7 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.read(u, [1], ranks, copies)
+            cache.gather(u, [1], copies, range(1), [q * cache.copies for q in ranks])
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
