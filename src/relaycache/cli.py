@@ -15,6 +15,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 ``run``, ``sweep`` and ``verify`` write the first decode failure of each
 failing cell to stderr as one JSON line (scheme, M, demand, user, error).
+Uneven edge loads stop the command with exit 1 and one JSON error record.
 Rates in CSV output are exact fraction strings so identical configurations
 produce byte-identical files.
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 from .harness import (
     SCHEME_IDS,
     SCHEMES,
+    AsymmetricLoadError,
     auto_file_bytes,
     comparison_ratios,
     run_scheme,
@@ -66,7 +68,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str
     net: Network
-    topology_spec: str
     n_files: int | None = None
     file_bits: int | str = "auto"
     m_values: list[Fraction] = field(default_factory=list)
@@ -208,7 +209,6 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     cfg = ExperimentConfig(
         command=ns.command,
         net=net,
-        topology_spec=ns.topology,
         n_files=ns.N,
         seed=ns.seed,
         count=ns.count,
@@ -455,6 +455,9 @@ def execute(cfg: ExperimentConfig) -> int:
     ) as exc:
         _error_record(exc)
         return 2
+    except AsymmetricLoadError as exc:
+        _error_record(exc)
+        return 1
 
 
 def _error_record(exc: Exception) -> None:

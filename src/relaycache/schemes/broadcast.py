@@ -30,7 +30,6 @@ from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
     Batch,
-    CacheView,
     Edge,
     FileLibrary,
     SubpacketizationError,
@@ -41,7 +40,7 @@ from .common import (
 
 
 @dataclass(frozen=True)
-class PrefixCache(CacheView):
+class PrefixCache:
     """Every user caches the first ``prefix_bytes`` of every file.
 
     ``_encoded`` maps an erasure code to the server batches that the first

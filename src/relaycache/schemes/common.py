@@ -32,13 +32,13 @@ Conventions used by every scheme:
   rejects a batch that is not, as the same object, on that relay's server
   edge.
 
-Cache objects are lazy views over the library: they answer membership and
-content queries per user without materializing every subfile.  Each cache
-defines ``has(user, key)``, ``get(user, key)``, ``keys(user)`` and
-``cached_bits(user)``.  ``get`` raises ``KeyError`` for anything the user
-did not cache, which keeps decoders honest about what they may read.
-:class:`CacheView` derives ``signature(user)`` and ``materialize(user)``
-from ``keys`` and ``get``.
+Cache objects are lazy views over the library: they answer membership
+queries per user without copying any subfile.  Each cache defines
+``has(user, key)``, ``keys(user)`` and ``cached_bits(user)``.  A decoder
+reads cached bytes through its cache alone, and the read raises
+``KeyError`` for anything the user did not cache, which keeps decoders
+honest about what they may read: :meth:`PlannedCache.gather` for the coded
+schemes, ``PrefixCache.get`` for ``broadcast-mds``.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
@@ -66,7 +66,7 @@ from math import comb
 from operator import add, getitem, itemgetter, lt, sub
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
-from ..combinatorics import binomial, enumerate_subsets, subset_rank
+from ..combinatorics import binomial, enumerate_subsets
 from ..topology import BudgetError, Network
 
 
@@ -110,16 +110,6 @@ def is_subset(S: Sequence[int], top: int, size: int) -> bool:
         and (not S or (1 <= S[0] and S[-1] <= top))
         and all(map(lt, S, S[1:]))
     )
-
-
-class CacheView:
-    """``signature`` and ``materialize`` for caches that define ``keys`` and ``get``."""
-
-    def signature(self, user: int) -> frozenset:
-        return frozenset(self.keys(user))
-
-    def materialize(self, user: int) -> dict:
-        return {key: self.get(user, key) for key in self.keys(user)}
 
 
 @dataclass(frozen=True)
@@ -406,7 +396,7 @@ class Layout(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PlannedCache(CacheView):
+class PlannedCache:
     """The uncoded placement of Maddah-Ali and Niesen over the t-subsets of
     the sharing candidates, with its plan: the one cache of both coded
     schemes.  Each subclass gives three facts as cached properties:
@@ -441,10 +431,6 @@ class PlannedCache(CacheView):
     @cached_property
     def signal_plan(self) -> SignalPlan:
         return plan_signals(self.candidates, self.t)
-
-    @property
-    def subfiles_per_file(self) -> int:
-        return self.copies * comb(self.candidates, self.t)
 
     @cached_property
     def views(self) -> list[list]:
@@ -519,19 +505,6 @@ class PlannedCache(CacheView):
             array("I", chain.from_iterable(map(r.__mul__, rest) for rest in plan.rest)),
         )
 
-    def subfiles(
-        self, files: Sequence[int], ranks: Sequence[int], copies: Sequence[int]
-    ) -> bytes:
-        """Library-side access (the server may read everything): subfile
-        (files[j], T of rank ranks[j], copies[j]) for every j, concatenated.
-
-        Raises ValueError if the lengths differ, and IndexError for a file id
-        outside 1..N, a rank outside 0..C(n, t) - 1 or a copy outside
-        1..copies: no index wraps.
-        """
-        items = [q * self.copies for q in ranks]
-        return gather(self.sources(files, copies), range(len(files)), items, self.subfile_bytes)
-
     def gather(
         self,
         user: int,
@@ -599,16 +572,14 @@ class PlannedCache(CacheView):
             and is_subset(T, self.candidates, self.t)
         )
 
-    def get(self, user: int, key: tuple) -> bytes:
-        if not self.has(user, key):
-            raise KeyError(f"user {user} does not cache {key}")
-        n, T, l = key
-        return self.subfiles((n,), (subset_rank(self.candidates, T),), (l,))
-
     def keys(self, user: int) -> Iterator[tuple]:
         plan = self.subset_plan
         held = map(plan.subsets.__getitem__, plan.held[self.label[user] - 1])
         return product(range(1, self.lib.n_files + 1), held, range(1, self.copies + 1))
+
+    def signature(self, user: int) -> frozenset:
+        """The user's keys as a set: the view of its cache that relays compare."""
+        return frozenset(self.keys(user))
 
     def cached_bits(self, user: int) -> int:
         per_file = self.copies * binomial(self.candidates - 1, self.t - 1)

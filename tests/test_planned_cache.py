@@ -91,8 +91,8 @@ def test_every_key_against_the_oracle(name, topology):
             # Off the library or the copies, nothing is cached.
             for n, l in [(0, 1), (N_FILES + 1, 1), (1, 0), (1, copies + 1)]:
                 assert not any(cache.has(u, (n, T, l)) for T in subsets)
-        # Every key is read once, by a user whose candidate is its first; at
-        # t = 0 no user caches anything.
+        # Every key is read once through gather, by a user whose candidate is
+        # its first; at t = 0 no user caches anything.
         reader = {}
         for u in range(net.K):
             reader.setdefault(label[u], u)
@@ -100,7 +100,8 @@ def test_every_key_against_the_oracle(name, topology):
             for n in range(1, N_FILES + 1):
                 for l in range(1, copies + 1):
                     at = (q * copies + l - 1) * size
-                    assert cache.get(reader[T[0]], (n, T, l)) == lib.file(n)[at : at + size]
+                    got = cache.gather(reader[T[0]], [n], [l], range(1), [q * copies])
+                    assert got == lib.file(n)[at : at + size]
 
 
 def ranks(name, net, t):

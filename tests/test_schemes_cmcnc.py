@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaycache.combinatorics import binomial, subset_rank
+from relaycache.combinatorics import binomial, enumerate_subsets, subset_rank
 from relaycache.erasure import make_code
 from relaycache.schemes import (
     GridError,
@@ -20,6 +20,21 @@ from relaycache.schemes import (
 )
 from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
 from test_golden import edge_records
+
+
+def oracle(lib, K, t, keys):
+    """Subfiles ``keys`` (n, S, 1), joined: subfile (n, S, 1) starts at byte
+    rank(S) * size of file n, S ranked by :func:`enumerate_subsets`."""
+    subsets = enumerate_subsets(K, t)
+    size = lib.file_bytes // len(subsets)
+    at = [subsets.index(S) * size for _, S, _ in keys]
+    return b"".join(lib.file(n)[a : a + size] for (n, _, _), a in zip(keys, at))
+
+
+def read(cache, user, key):
+    """The gather read of subfile ``key`` (n, S, l)."""
+    n, S, l = key
+    return cache.gather(user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.copies])
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +72,7 @@ class TestPlacement:
         files, subsets, copies = zip(*keys)
         ranks = [subset_rank(comb42.K, S) for S in subsets]
         data = cache.gather(0, files, copies, range(len(files)), [q * cache.copies for q in ranks])
-        assert data == b"".join(cache.get(0, key) for key in keys)
+        assert data == oracle(lib30, comb42.K, 2, keys)
         assert cache.gather(0, [], [], range(0), []) == b""
 
     def test_batched_read_refuses_uncached_keys(self, comb42, lib30):
@@ -66,27 +81,28 @@ class TestPlacement:
         with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\), 1\)"):
             cache.gather(0, [1, 5], [1, 1], range(2), [q * cache.copies for q in (cached, foreign)])
         with pytest.raises(KeyError):
-            cache.get(0, (5, (2, 3), 1))
+            read(cache, 0, (5, (2, 3), 1))
 
     def test_has_and_get_check_file_and_subset_size(self, comb42, lib30):
         # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, copy 0
-        # or 2, or an S of the wrong size is not a subfile it caches.
+        # or 2, or an S of the wrong size is not a subfile it caches.  An S
+        # of the wrong size has no item to read; the others are refused.
         cache = cmcnc_place(comb42, lib30, 2)
         assert cache.has(0, (6, (1, 2), 1))
-        for key in [(1, (1,), 1), (99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2, 3), 1),
-                    (1, (1, 2), 0), (1, (1, 2), 2)]:
+        assert read(cache, 0, (6, (1, 2), 1)) == oracle(lib30, comb42.K, 2, [(6, (1, 2), 1)])
+        for key in [(1, (1,), 1), (1, (1, 2, 3), 1)]:
+            assert not cache.has(0, key)
+        for key in [(99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2), 0), (1, (1, 2), 2)]:
             assert not cache.has(0, key)
             with pytest.raises(KeyError):
-                cache.get(0, key)
+                read(cache, 0, key)
 
     @pytest.mark.parametrize("S", [(2, 1), (1, 1), (0, 1), (1, 7)])
     def test_has_and_get_refuse_malformed_subsets(self, comb42, lib30, S):
         # K = 6, t' = 2: S holds user 0 (label 1) and has size t', but is not
-        # an increasing subset of 1..6.
+        # an increasing subset of 1..6, so it has no item to read.
         cache = cmcnc_place(comb42, lib30, 2)
         assert not cache.has(0, (1, S, 1))
-        with pytest.raises(KeyError):
-            cache.get(0, (1, S, 1))
 
     @pytest.mark.parametrize(
         "files,ranks,named",
@@ -121,7 +137,7 @@ class TestPlacement:
         keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
         ranks = [subset_rank(comb42.K, S) for _, S, _ in keys]
         data = cache.gather(0, (1, 3, 6), (1, 1, 1), [1, 0, 2, 1], ranks)
-        assert data == b"".join(cache.get(0, key) for key in keys)
+        assert data == oracle(lib30, comb42.K, 2, keys)
         # A file id outside 1..N is refused, named by the key that reads it or,
         # when no key does, as a file id, before any read.
         with pytest.raises(KeyError, match=re.escape("user 0 does not cache (7, (1, 2), 1)")):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import relaycache
-from relaycache.combinatorics import binomial
+from relaycache.combinatorics import binomial, enumerate_subsets
 from relaycache.schemes import (
     GridError,
     IncompleteReceptionError,
@@ -42,6 +42,20 @@ def subfile_oracle(lib, kt, r, t, n, T, l):
     size = lib.file_bytes // (r * math.comb(kt, t))
     offset = (subsets.index(tuple(T)) * r + (l - 1)) * size
     return lib.file(n)[offset : offset + size]
+
+
+def read(cache, user, keys):
+    """The gather read of subfiles ``keys`` (n, T, l) of comb(4,2), whose
+    Kt = 3 classes rank each T by :func:`enumerate_subsets`."""
+    rank = {T: q for q, T in enumerate(enumerate_subsets(3, cache.t))}
+    files, copies = [n for n, _, _ in keys], [l for _, _, l in keys]
+    items = [rank[T] * cache.copies for _, T, _ in keys]
+    return cache.gather(user, files, copies, range(len(keys)), items)
+
+
+def oracle(lib, t, keys):
+    """Subfiles ``keys`` of comb(4,2) (Kt = 3, r = 2) at grid point t, joined."""
+    return b"".join(subfile_oracle(lib, 3, 2, t, n, T, l) for n, T, l in keys)
 
 
 def xor(*bufs):
@@ -72,7 +86,7 @@ class TestPlacement:
     def test_group_caches_first_class_subfiles(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         assert cache.t == 1
-        assert cache.subfiles_per_file == 6
+        assert cache.subfile_bytes * 6 == lib6.file_bytes
         for subset, label in [((1, 2), 1), ((3, 4), 1), ((1, 3), 2), ((2, 4), 2)]:
             u = comb42.user_index(subset)
             expected = {(n, (label,), l) for n in range(1, 7) for l in (1, 2)}
@@ -81,49 +95,47 @@ class TestPlacement:
     def test_cached_bytes_match_library(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 3))
-        for key, payload in cache.materialize(u).items():
-            n, T, l = key
-            assert payload == subfile_oracle(lib6, 3, 2, 1, n, T, l)
+        for key in cache.keys(u):
+            assert read(cache, u, [key]) == oracle(lib6, 1, [key])
 
     @pytest.mark.parametrize("M", [0, 2, 4, 6])
     def test_budget_is_exactly_mf(self, comb42, lib6, M):
         cache = proposed_place(comb42, lib6, M)
         for u in range(comb42.K):
             assert cache.cached_bits(u) == M * lib6.file_bits
-            assert sum(len(v) for v in cache.materialize(u).values()) * 8 == (
-                M * lib6.file_bits
-            )
+            keys = list(cache.keys(u))
+            got = read(cache, u, keys)
+            assert got == oracle(lib6, cache.t, keys)
+            assert len(got) * 8 == M * lib6.file_bits
 
     def test_has_and_get_check_file_and_copy_bounds(self, comb42, lib6):
         # N = 6, r = 2, t = 1: the user's class is in T, but file 0 or 7,
         # copy 0 or 3, or a T of the wrong size is not a subfile it caches.
+        # A T of the wrong size has no item to read; the others are refused.
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
         assert cache.has(u, (6, (1,), 2))
-        for key in [(1, (1,), 3), (3, (1,), 0), (7, (1,), 1), (0, (1,), 1), (1, (1, 2), 1)]:
+        assert read(cache, u, [(6, (1,), 2)]) == oracle(lib6, 1, [(6, (1,), 2)])
+        assert not cache.has(u, (1, (1, 2), 1))
+        for key in [(1, (1,), 3), (3, (1,), 0), (7, (1,), 1), (0, (1,), 1)]:
             assert not cache.has(u, key)
             with pytest.raises(KeyError):
-                cache.get(u, key)
+                read(cache, u, [key])
 
     @pytest.mark.parametrize("T", [(2, 1), (1, 1), (0, 1), (1, 4)])
     def test_has_and_get_refuse_malformed_subsets(self, comb42, lib6, T):
         # Kt = 3, t = 2: T holds the user's class 1 and has size t, but is
-        # not an increasing subset of 1..3.
+        # not an increasing subset of 1..3, so it has no item to read.
         cache = proposed_place(comb42, lib6, 4)
         u = comb42.user_index((1, 2))
         assert comb42.class_of[u] == 1
         assert not cache.has(u, (1, T, 1))
-        with pytest.raises(KeyError):
-            cache.get(u, (1, T, 1))
 
     def test_read_matches_get(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 4)
         u = comb42.user_index((1, 3))
-        ranks = {T: q for q, T in enumerate(itertools.combinations(range(1, 4), 2))}
         keys = sorted(cache.keys(u), key=lambda key: (key[2], key[1], -key[0]))
-        files, subsets, copies = zip(*keys)
-        got = cache.gather(u, files, copies, range(len(files)), [ranks[T] * cache.copies for T in subsets])
-        assert got == b"".join(cache.get(u, key) for key in keys)
+        assert read(cache, u, keys) == oracle(lib6, 2, keys)
         assert cache.gather(u, [], [], range(0), []) == b""
 
     @pytest.mark.parametrize(
@@ -159,15 +171,18 @@ class TestPlacement:
     def test_subfiles_refuse_what_does_not_exist(self, comb42, lib6, files, ranks, copies):
         # N = 6, Kt = 3, t = 1, r = 2: no index wraps or spills into the next subfile.
         cache = proposed_place(comb42, lib6, 2)
+        items = [q * cache.copies for q in ranks]
         with pytest.raises(IndexError):
-            cache.subfiles(files, ranks, copies)
+            common.gather(cache.sources(files, copies), range(len(files)), items, cache.subfile_bytes)
 
     def test_subfiles_match_the_oracle(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         keys = list(itertools.product([6, 1, 3], range(3), [2, 1]))
         files, ranks, copies = zip(*keys)
         expected = b"".join(subfile_oracle(lib6, 3, 2, 1, n, ((q + 1),), l) for n, q, l in keys)
-        assert cache.subfiles(files, ranks, copies) == expected
+        items = [q * cache.copies for q in ranks]
+        got = common.gather(cache.sources(files, copies), range(len(files)), items, cache.subfile_bytes)
+        assert got == expected
 
     @pytest.mark.parametrize("ranks,copies,named", [([-1], [1], "(1, -1, 1)"), ([0], [-1], "(1, (1,), -1)")])
     def test_read_refuses_negative_indices(self, comb42, lib6, ranks, copies, named):
@@ -182,12 +197,17 @@ class TestPlacement:
 
     def test_m_full_caches_everything(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
-        assert len(list(cache.keys(0))) == 6 * cache.subfiles_per_file
+        keys = list(itertools.product(range(1, 7), [(1, 2, 3)], [1, 2]))
+        assert list(cache.keys(0)) == keys
+        assert read(cache, 0, keys) == oracle(lib6, 3, keys) == b"".join(lib6.files)
 
     def test_placement_is_demand_independent(self, comb42, lib6):
         a = proposed_place(comb42, lib6, 2)
         b = proposed_place(comb42, lib6, 2)
-        assert a.materialize(3) == b.materialize(3)
+        assert a.signature(3) == b.signature(3)
+        keys = list(a.keys(3))
+        for cache in (a, b):
+            assert read(cache, 3, keys) == oracle(lib6, 1, keys)
 
     @pytest.mark.parametrize("M", [0, 2, 4, 6])
     def test_relay_symmetry_of_cache_views(self, comb42, lib6, M):

@@ -2,9 +2,10 @@
 
 ``harness._serve`` delivers a demand, measures it and decodes every user,
 for :func:`run_scheme` and :func:`verify_all_demands` alike.  So verify
-refuses uneven edge loads as run does, a decoder that raises is a recorded
-failure of its user rather than the end of a sweep, and the CLI names the
-first failure of each failing cell on stderr.
+refuses uneven edge loads as run does, and the CLI then exits 1 with one
+JSON error record.  A decoder that raises is a recorded failure of its
+user rather than the end of a sweep, and the CLI names the first failure
+of each failing cell on stderr.
 """
 
 import json
@@ -42,6 +43,15 @@ def test_verify_refuses_uneven_edges(comb42, monkeypatch, edge):
     monkeypatch.setattr(harness, "proposed_deliver", extra_load(edge))
     with pytest.raises(RuntimeError, match=f"{edge} edges are not symmetric"):
         verify_all_demands(comb42, 2, 2, "proposed", mode="sampled", seed=1, count=1)
+
+
+@pytest.mark.parametrize("edge", ["server", "relay"])
+def test_uneven_edges_end_a_sweep_in_an_error_record(monkeypatch, capsys, edge):
+    monkeypatch.setattr(harness, "proposed_deliver", extra_load(edge))
+    assert cli_main(SWEEP) == 1
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "AsymmetricLoadError"
+    assert record["message"].startswith(f"{edge} edges are not symmetric: [")
 
 
 def test_a_raising_decoder_fails_its_cell_and_the_sweep_goes_on(monkeypatch, capsys):
