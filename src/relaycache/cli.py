@@ -356,7 +356,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
             reports.append(report)
             _failure_record(scheme, M, report.failures)
             ok = ok and report.passed
-            good = report.runs - len({(f[0]) for f in report.failures})
+            good = report.runs - report.failed_runs
             print(f"{scheme} M={M}: {good}/{report.runs} demand vectors decode")
     if out is not None:
         payload = [r.to_dict() for r in reports]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import binomial
-from .erasure import ErasureCode, make_code
+from .erasure import make_code  # noqa: F401 - unused; the bench tracer wraps it here
 from .schemes.broadcast import broadcast_decode, broadcast_mds_deliver, broadcast_place
 from .schemes.cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .schemes.common import (
@@ -90,10 +90,11 @@ class Scheme:
     point; None means any M in [0, N].  At a grid point of n candidates a
     file splits into ``subfiles(r, n, t)`` parts and ``rates(n, N, r, m)``
     is the closed-form (R1, R2), m = M/N.  ``place``, ``deliver`` and
-    ``decode`` name the layer functions in this module; they are looked up
-    on every call, so a replaced module attribute takes effect.  Schemes
-    with ``needs_code`` take the (h, r) MDS code as a last argument to
-    deliver and decode.  ``in_all`` puts the scheme in ``--schemes all``.
+    ``decode`` name the layer functions in this module, with one signature
+    for every scheme: (net, lib, M), (net, cache, demand) and (net, user,
+    cache, demand, received).  They are looked up on every call, so a
+    replaced module attribute takes effect.  ``in_all`` puts the scheme in
+    ``--schemes all``.
     """
 
     grid: str | None
@@ -102,7 +103,6 @@ class Scheme:
     deliver: str
     decode: str
     subfiles: Callable[[int, int, int], int] = lambda r, n, t: r * binomial(n, t)
-    needs_code: bool = False
     in_all: bool = True
 
 
@@ -127,7 +127,6 @@ SCHEMES = {
         place="cmcnc_place",
         deliver="cmcnc_deliver",
         decode="cmcnc_decode",
-        needs_code=True,
     ),
     "broadcast-mds": Scheme(
         grid=None,
@@ -136,7 +135,6 @@ SCHEMES = {
         deliver="broadcast_mds_deliver",
         decode="broadcast_decode",
         subfiles=lambda r, n, t: r,
-        needs_code=True,
         in_all=False,
     ),
 }
@@ -439,18 +437,18 @@ def _serve(net: Network, lib: FileLibrary, deliver, decode_user, demand):
     return log, r1, r2, failures
 
 
-def _pipeline(net: Network, lib: FileLibrary, M, scheme: str, code: ErasureCode | None):
-    """Returns (cache, deliver(demand) -> log, decode(user, demand, received))."""
+def _pipeline(net: Network, lib: FileLibrary, M, scheme: str, code: None):
+    """Returns (cache, deliver(demand) -> log, decode(user, demand, received));
+    ``code`` must be None, as each placement builds the MDS code it needs."""
+    if code is not None:
+        raise ValueError("code must be None: each placement builds its own MDS code")
     spec = scheme_spec(scheme)
     layer = globals()
     cache = layer[spec.place](net, lib, M)
-    extra = ()
-    if spec.needs_code:
-        extra = (code if code is not None else make_code(net.h, net.r),)
     return (
         cache,
-        lambda d: layer[spec.deliver](net, cache, d, *extra),
-        lambda u, d, rx: layer[spec.decode](net, u, cache, d, rx, *extra),
+        lambda d: layer[spec.deliver](net, cache, d),
+        lambda u, d, rx: layer[spec.decode](net, u, cache, d, rx),
     )
 
 
@@ -497,6 +495,7 @@ class VerificationReport:
     mode: str
     seed: int | None
     runs: int
+    failed_runs: int  # runs with a failure; a sampled demand drawn twice runs twice
     failures: tuple[tuple, ...]
     worst_server_bits: int
     worst_relay_bits: int
@@ -573,11 +572,11 @@ def verify_all_demands(
     lib = random_library(n_files, file_bytes, seed=library_seed)
 
     _, deliver, decode_user = _pipeline(net, lib, M, scheme, None)
-    failures = []
-    rate_pairs = []
+    failures, rate_pairs, failed_runs = [], [], 0
     for demand in demands:
         _, r1, r2, failed = _serve(net, lib, deliver, decode_user, demand)
         failures += failed
+        failed_runs += bool(failed)
         if (r1, r2) not in rate_pairs:
             rate_pairs.append((r1, r2))
     return VerificationReport(
@@ -587,6 +586,7 @@ def verify_all_demands(
         mode=mode,
         seed=seed,
         runs=len(demands),
+        failed_runs=failed_runs,
         failures=tuple(failures),
         worst_server_bits=int(max((r1 for r1, _ in rate_pairs), default=0) * lib.file_bits),
         worst_relay_bits=int(max((r2 for _, r2 in rate_pairs), default=0) * lib.file_bits),

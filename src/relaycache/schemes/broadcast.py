@@ -13,15 +13,16 @@ label's ``octets=`` field records the true suffix length; the decoder knows
 that length from its own cache and trims the padding with it.
 
 The server signal depends on the library and the cached prefix, never on
-the demand.  So each file's h pieces are encoded once per placement, by the
-first delivery with a given code, and kept on the :class:`PrefixCache` as
-one batch per server edge; every delivery sends those batches and has each
-relay pick one record of its edge's batch per neighbor.
+the demand.  So the :class:`PrefixCache` carries the (h, r) MDS code, built
+once by :func:`broadcast_place`, and each file's h pieces are encoded once
+per placement, by the first delivery, and kept on it as one batch per
+server edge; every delivery sends those batches and has each relay pick
+one record of its edge's batch per neighbor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -35,28 +36,48 @@ from .common import (
     SubpacketizationError,
     TransmissionLog,
     payloads,
+    relay_code,
     validate_demand,
 )
 
 
 @dataclass(frozen=True)
 class PrefixCache:
-    """Every user caches the first ``prefix_bytes`` of every file.
-
-    ``_encoded`` maps an erasure code to the server batches that the first
-    delivery with it built, by edge; it lives as long as the placement.
-    """
+    """Every user caches the first ``prefix_bytes`` of every file; ``code``
+    is the (h, r) MDS code of the uncached suffixes."""
 
     net: Network
     lib: FileLibrary
     storage: Fraction
     prefix_bytes: int
-    _encoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    code: ErasureCode
 
     @cached_property
     def names(self) -> list[str]:
         """names[n - 1]: file id n as written in labels."""
         return list(map(str, range(1, self.lib.n_files + 1)))
+
+    @cached_property
+    def server_batches(self) -> list[Batch]:
+        """by_edge[i - 1]: server edge i, whose record n - 1 is file n's
+        piece; encoded by the first delivery."""
+        lib, r, code, prefix = self.lib, self.net.r, self.code, self.prefix_bytes
+        suffix = lib.file_bytes - prefix
+        part_bytes = -(-suffix // r)  # ceil; zero-pad the tail part
+        # Each file's pieces go straight into their edge's buffer, so no
+        # piece outlives its file's encode.
+        joined = [bytearray(lib.n_files * part_bytes) for _ in range(code.n)]
+        for n in range(1, lib.n_files + 1):
+            data = lib.file(n)[prefix:] + bytes(part_bytes * r - suffix)
+            parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(r)]
+            at = slice((n - 1) * part_bytes, n * part_bytes)
+            for buf, piece in zip(joined, mds_encode(code, parts)):
+                buf[at] = piece
+        by_edge = []
+        for i in range(1, code.n + 1):
+            head, names, tail = _form(self, i)
+            by_edge.append(Batch(names, joined.pop(0), part_bytes, head, tail))
+        return by_edge
 
     def has(self, user: int, key: int) -> bool:
         return 1 <= key <= self.lib.n_files and self.prefix_bytes > 0
@@ -85,7 +106,7 @@ def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
             f"file size {lib.file_bytes} bytes times M/N = {m} is not a whole "
             f"number of bytes; need a multiple of {m.denominator}"
         )
-    return PrefixCache(net=net, lib=lib, storage=Fraction(M), prefix_bytes=int(prefix))
+    return PrefixCache(net, lib, Fraction(M), int(prefix), relay_code(net))
 
 
 def _form(cache: PrefixCache, piece: int) -> tuple[str, list[str], str]:
@@ -94,47 +115,14 @@ def _form(cache: PrefixCache, piece: int) -> tuple[str, list[str], str]:
     return "bc:n=", cache.names, f":p={piece}:octets={octets}"
 
 
-def _server_batches(cache: PrefixCache, code: ErasureCode) -> list[Batch]:
-    """by_edge[i - 1]: server edge i, whose record n - 1 is file n's piece.
-
-    Encoded on the first call with ``code`` and kept on the placement.
-    """
-    by_edge = cache._encoded.get(code)
-    if by_edge is None:
-        lib, r = cache.lib, cache.net.r
-        prefix = cache.prefix_bytes
-        suffix = lib.file_bytes - prefix
-        part_bytes = -(-suffix // r)  # ceil; zero-pad the tail part
-        # Each file's pieces go straight into their edge's buffer, so no
-        # piece outlives its file's encode.
-        joined = [bytearray(lib.n_files * part_bytes) for _ in range(code.n)]
-        for n in range(1, lib.n_files + 1):
-            data = lib.file(n)[prefix:] + bytes(part_bytes * r - suffix)
-            parts = [data[j * part_bytes : (j + 1) * part_bytes] for j in range(r)]
-            at = slice((n - 1) * part_bytes, n * part_bytes)
-            for buf, piece in zip(joined, mds_encode(code, parts)):
-                buf[at] = piece
-        by_edge = []
-        for i in range(1, code.n + 1):
-            head, names, tail = _form(cache, i)
-            by_edge.append(Batch(names, joined.pop(0), part_bytes, head, tail))
-        cache._encoded[code] = by_edge
-    return by_edge
-
-
 def broadcast_mds_deliver(
-    net: Network,
-    cache: PrefixCache,
-    demand: tuple[int, ...],
-    code: ErasureCode,
+    net: Network, cache: PrefixCache, demand: tuple[int, ...]
 ) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
-    if (code.n, code.k) != (net.h, net.r):
-        raise ValueError(f"need an ({net.h}, {net.r}) code, got ({code.n}, {code.k})")
     log = TransmissionLog()
     if cache.prefix_bytes == cache.lib.file_bytes:
         return log
-    for i, batch in enumerate(_server_batches(cache, code), 1):
+    for i, batch in enumerate(cache.server_batches, 1):
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
             log.forward(i, u, batch, [demand[u] - 1])
@@ -147,7 +135,6 @@ def broadcast_decode(
     cache: PrefixCache,
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
-    code: ErasureCode,
 ) -> bytes:
     want = demand[user]
     prefix = cache.get(user, want) if cache.prefix_bytes else b""
@@ -158,5 +145,5 @@ def broadcast_decode(
     pieces = [
         (i, payloads(user, i, received, [want - 1], _form(cache, i))) for i in net.users[user]
     ]
-    suffix = b"".join(mds_decode(code, pieces))[:suffix_len]
+    suffix = b"".join(mds_decode(cache.code, pieces))[:suffix_len]
     return prefix + suffix

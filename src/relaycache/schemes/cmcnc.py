@@ -11,8 +11,9 @@ distinct piece indices (its own relay subset) and can rebuild every
 signal.
 
 The placement is :class:`.common.PlannedCache`, the one cache of both coded
-schemes, with the K users as its candidates and one copy of each subset.
-The signals are the coded multicast that ``proposed`` runs per relay, here
+schemes, with the K users as its candidates and one copy of each subset,
+and it carries the (h, r) MDS code that :func:`cmcnc_place` builds.  The
+signals are the coded multicast that ``proposed`` runs per relay, here
 over the K users, indexed by the one plan that cache builds.
 Both ends work on all signals of one delivery at once.  XOR and GF(256)
 coding act byte by byte, so the concatenation of every signal's j-th term
@@ -49,6 +50,7 @@ from .common import (
     gather,
     grid_t,
     payloads,
+    relay_code,
     validate_demand,
 )
 
@@ -58,7 +60,10 @@ class SubsetCache(PlannedCache):
     """The ``cmcnc`` placement: the candidates are the K users, each
     t'-subset S is cached once, and user u is candidate u + 1.  So subfile
     (n, S, 1) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)`` of
-    file n, where q is the rank of S in enumerate_subsets(K, t')."""
+    file n, where q is the rank of S in enumerate_subsets(K, t').  ``code``
+    spreads each signal over the h relays."""
+
+    code: ErasureCode
 
     @cached_property
     def candidates(self) -> int:
@@ -136,20 +141,12 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
         storage=Fraction(M),
         t=t,
         subfile_bytes=lib.file_bytes // binomial(net.K, t),
+        code=relay_code(net),
     )
 
 
-def cmcnc_deliver(
-    net: Network,
-    cache: SubsetCache,
-    demand: tuple[int, ...],
-    code: ErasureCode,
-) -> TransmissionLog:
+def cmcnc_deliver(net: Network, cache: SubsetCache, demand: tuple[int, ...]) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
-    if (code.n, code.k) != (net.h, net.r):
-        raise ValueError(
-            f"need an ({net.h}, {net.r}) code, got ({code.n}, {code.k})"
-        )
     log = TransmissionLog()
     if cache.t + 1 > net.K:
         return log
@@ -161,7 +158,7 @@ def cmcnc_deliver(
         *[gather(wanted, users, ranks, size) for users, ranks in zip(plan.member, plan.rest)]
     )
 
-    for i, piece in enumerate(mds_encode(code, _split(signals, net.r, part)), 1):
+    for i, piece in enumerate(mds_encode(cache.code, _split(signals, net.r, part)), 1):
         prefix, names, suffix = _form(i, plan)
         batch = Batch(names, piece, part, prefix, suffix)
         log.add_server(i, batch)
@@ -176,7 +173,6 @@ def cmcnc_decode(
     cache: SubsetCache,
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
-    code: ErasureCode,
 ) -> bytes:
     K, t = net.K, cache.t
     size = cache.subfile_bytes
@@ -189,7 +185,7 @@ def cmcnc_decode(
     plan = cache.signal_plan
     mine, blocks, extracted = plan.decoding(user)
     pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
-    signals = _merge(mds_decode(code, pieces), size // net.r)
+    signals = _merge(mds_decode(cache.code, pieces), size // net.r)
 
     # Block x holds the term of each signal's x-th other member, subfile
     # rest[s] of the file that member[s] demands.

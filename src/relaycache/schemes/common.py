@@ -67,6 +67,7 @@ from operator import add, getitem, itemgetter, lt, sub
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from ..combinatorics import binomial, enumerate_subsets
+from ..erasure import ErasureCode, make_code
 from ..topology import BudgetError, Network
 
 
@@ -154,6 +155,13 @@ def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
         )
     rng = random.Random(seed)
     return FileLibrary(tuple(rng.randbytes(file_bytes) for _ in range(n_files)))
+
+
+def relay_code(net: Network) -> ErasureCode:
+    """The (h, r) MDS code over the relays; BudgetError above h = 255."""
+    if net.h > 255:
+        raise BudgetError(f"{net.h} relays exceed the GF(256) limit of 255 MDS pieces")
+    return make_code(net.h, net.r)
 
 
 # ---------------------------------------------------------------------------

@@ -479,15 +479,22 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _int_lists(value) -> bool:
+    # type(x) is int: JSON true and false are bools, which subclass int.
+    return isinstance(value, list) and all(
+        isinstance(u, list) and all(type(x) is int for x in u) for u in value
+    )
+
+
 def network_from_dict(data: dict) -> Network:
-    for key, kind in (("h", int), ("r", int), ("users", list), ("classes", list)):
+    for key in ("h", "r", "users", "classes"):
         if key not in data:
             raise ValueError(f"topology file is missing field '{key}'")
-        if not isinstance(data[key], kind):
-            raise ValueError(f"topology field '{key}' must be a {kind.__name__}")
-    users = tuple(tuple(int(x) for x in u) for u in data["users"])
-    classes = tuple(tuple(int(i) for i in c) for c in data["classes"])
-    return Network(h=int(data["h"]), r=int(data["r"]), users=users, classes=classes)
+        if key in ("h", "r") and type(data[key]) is not int:
+            raise ValueError(f"topology field '{key}' must be an int, got {data[key]!r}")
+        if key in ("users", "classes") and not _int_lists(data[key]):
+            raise ValueError(f"topology field '{key}' must be a list of int lists")
+    return Network(h=data["h"], r=data["r"], users=data["users"], classes=data["classes"])
 
 
 def save_network(net: Network, path: str | Path) -> None:

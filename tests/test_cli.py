@@ -152,6 +152,46 @@ class TestTopologyCommand:
         assert "Ktilde=4" in capsys.readouterr().out
 
 
+COMB42 = {
+    "h": 4, "r": 2,
+    "users": [[1, 2], [3, 4], [1, 3], [2, 4], [1, 4], [2, 3]],
+    "classes": [[0, 1], [2, 3], [4, 5]],
+}
+
+
+class TestTopologyFile:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("users", [5]),
+            ("classes", [0]),
+            ("users", [[1, None], *COMB42["users"][1:]]),
+            ("classes", [[0, 1.7], *COMB42["classes"][1:]]),
+            ("users", [[1, 2], [3, "4"], *COMB42["users"][2:]]),
+            # One relay of fan-in 1, and four relays of fan-in 1: valid
+            # networks if true were read as 1.
+            ("h", {"h": True, "r": 1, "users": [[1]], "classes": [[0]]}),
+            ("r", {"h": 4, "r": True, "users": [[1], [2], [3], [4]], "classes": [[0, 1, 2, 3]]}),
+        ],
+        ids=["int-users", "int-classes", "null", "float", "string", "true-h", "true-r"],
+    )
+    def test_fields_must_have_their_types(self, tmp_path, capsys, field, value):
+        data = value if field in ("h", "r") else {**COMB42, field: value}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert main(["topology", "--topology", str(path)]) == 2
+        out, err = capsys.readouterr()
+        record = json.loads(err)
+        assert out == "" and record["error"] == "ValueError"
+        assert record["message"].startswith(f"topology field '{field}' must be")
+
+    def test_the_valid_base_loads(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(COMB42))
+        assert main(["topology", "--topology", str(path)]) == 0
+        assert "h=4 r=2 K=6 Ktilde=3" in capsys.readouterr().out
+
+
 class TestRunCommand:
     def test_reports_match_and_dumps_log(self, tmp_path, capsys):
         code = main(
@@ -307,6 +347,18 @@ class TestSweepCommand:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("scheme,h,r,K")
+
+
+    @pytest.mark.parametrize("scheme", ["cmcnc", "broadcast-mds"])
+    def test_more_relays_than_gf256_pieces_is_budget_error(self, capsys, scheme):
+        # affine(17) has 289 relays; proposed and routing run on it.
+        argv = ["sweep", "--topology", "affine:17", "--N", "2", "--M", "0", "--schemes", scheme]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(err) == {
+            "error": "BudgetError",
+            "message": "289 relays exceed the GF(256) limit of 255 MDS pieces",
+        }
 
 
 class TestCompareCommand:

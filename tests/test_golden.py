@@ -17,7 +17,6 @@ import pytest
 
 from relaycache import harness
 from relaycache.cli import main
-from relaycache.erasure import make_code
 from relaycache.harness import (
     SCHEME_IDS,
     run_scheme_with_log,
@@ -555,9 +554,8 @@ def test_verify_cell_pinned(comb62, scheme, N, M, file_bytes):
 def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
     """Every delivery from one broadcast-mds placement logs what a fresh
     placement's first delivery logs, also with two placements over different
-    libraries sharing one code; a damaged log still fails to decode."""
+    libraries; a damaged log still fails to decode."""
     N = 4
-    code = make_code(comb62.h, comb62.r)
     libs = [random_library(N, 28, seed=seed) for seed in (1, 2)]
     caches = [broadcast_place(comb62, lib, M) for lib in libs]
     rng = random.Random(M)
@@ -565,10 +563,8 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
         demand = random_demand(comb62, N, rng)
         logs = []
         for lib, cache in zip(libs, caches):
-            log = broadcast_mds_deliver(comb62, cache, demand, code)
-            fresh = broadcast_mds_deliver(
-                comb62, broadcast_place(comb62, lib, M), demand, make_code(comb62.h, comb62.r)
-            )
+            log = broadcast_mds_deliver(comb62, cache, demand)
+            fresh = broadcast_mds_deliver(comb62, broadcast_place(comb62, lib, M), demand)
             assert log.digest() == fresh.digest()
             logs.append(log)
         payloads = [{payload for _, payload in edge_records(log.server_edges[1])} for log in logs]
@@ -578,19 +574,19 @@ def test_broadcast_shared_placement_logs_match_fresh(comb62, M):
     demand = random_demand(comb62, N, rng)
     user = 0
     relay = comb62.users[user][0]
-    log = broadcast_mds_deliver(comb62, cache, demand, code)
+    log = broadcast_mds_deliver(comb62, cache, demand)
     received = log.to_user(user)
     ((label, _),) = edge_records(received[relay])
     with pytest.raises(IncompleteReceptionError, match=re.escape(repr(label))):
-        broadcast_decode(comb62, user, cache, demand, {**received, relay: Edge()}, code)
+        broadcast_decode(comb62, user, cache, demand, {**received, relay: Edge()})
     ((batch, picks),) = received[relay].parts
     data = bytearray(batch.data)
     data[picks[0] * batch.part] ^= 0x40
     flipped = Edge()
     flipped.parts.append((dataclasses.replace(batch, data=data), picks))
-    out = broadcast_decode(comb62, user, cache, demand, {**received, relay: flipped}, code)
+    out = broadcast_decode(comb62, user, cache, demand, {**received, relay: flipped})
     assert out != lib.file(demand[user])
     # The damage stays in that log: the next delivery decodes again.
-    log = broadcast_mds_deliver(comb62, cache, demand, code)
+    log = broadcast_mds_deliver(comb62, cache, demand)
     for u in range(comb62.K):
-        assert broadcast_decode(comb62, u, cache, demand, log.to_user(u), code) == lib.file(demand[u])
+        assert broadcast_decode(comb62, u, cache, demand, log.to_user(u)) == lib.file(demand[u])

@@ -25,7 +25,6 @@ import pytest
 
 from relaycache import harness
 from relaycache.combinatorics import enumerate_subsets
-from relaycache.erasure import make_code
 from relaycache.schemes import (
     FileLibrary,
     broadcast_decode,
@@ -97,7 +96,6 @@ def poison(lib: FileLibrary, keep: bytes, rng: random.Random) -> FileLibrary:
 def test_every_user_decodes_from_what_it_caches(scheme, topology):
     net = NETWORKS[topology]()
     decode = SCHEMES[scheme][0]
-    extra = (make_code(net.h, net.r),) if scheme in ("cmcnc", "broadcast-mds") else ()
     rng = random.Random(f"{scheme} {topology}")
     points = 0
     for M in grid(scheme, net):
@@ -115,6 +113,6 @@ def test_every_user_decodes_from_what_it_caches(scheme, topology):
             # The memory constraint: u stores M * F bits, counted byte by byte.
             assert 8 * N_FILES * keep.count(0) == M * lib.file_bits, (M, u)
             poisoned = dataclasses.replace(cache, lib=poison(lib, keep, rng))
-            out = decode(net, u, poisoned, demand, log.to_user(u), *extra)
+            out = decode(net, u, poisoned, demand, log.to_user(u))
             assert out == lib.file(demand[u]), f"{scheme} M={M} user {u} read an uncached byte"
     assert points >= 2, "fewer than two grid points fit the library cap"

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from relaycache.erasure import make_code
 from relaycache.schemes import (
     PrefixCache,
     SubpacketizationError,
@@ -17,17 +16,12 @@ from relaycache.schemes import (
 )
 
 
-@pytest.fixture(scope="module")
-def code42():
-    return make_code(4, 2)
-
-
 class TestRates:
-    def test_full_broadcast_rate_at_m_zero(self, comb42, code42):
+    def test_full_broadcast_rate_at_m_zero(self, comb42):
         lib = random_library(2, 8, seed=21)
         demand = (1, 2, 1, 2, 1, 2)
         cache = broadcast_place(comb42, lib, 0)
-        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand)
         for relay in range(1, 5):
             assert Fraction(log.server_bits(relay), lib.file_bits) == 1
         for (relay, user), _ in log.relay_edges.items():
@@ -35,10 +29,10 @@ class TestRates:
                 1, 2
             )
 
-    def test_m_equals_n_sends_nothing(self, comb42, code42):
+    def test_m_equals_n_sends_nothing(self, comb42):
         lib = random_library(2, 8, seed=22)
         cache = broadcast_place(comb42, lib, 2)
-        log = broadcast_mds_deliver(comb42, cache, uniform_demand(comb42), code42)
+        log = broadcast_mds_deliver(comb42, cache, uniform_demand(comb42))
         assert not log.server_edges and not log.relay_edges
 
 
@@ -74,61 +68,61 @@ class TestPlacement:
 
 
 class TestDecode:
-    def test_all_demands_recover_exactly(self, comb42, code42):
+    def test_all_demands_recover_exactly(self, comb42):
         lib = random_library(2, 8, seed=25)
         cache = broadcast_place(comb42, lib, 0)
         for demand in all_demands(comb42, 2):
-            log = broadcast_mds_deliver(comb42, cache, demand, code42)
+            log = broadcast_mds_deliver(comb42, cache, demand)
             for u in range(comb42.K):
-                out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
+                out = broadcast_decode(comb42, u, cache, demand, log.to_user(u))
                 assert out == lib.file(demand[u])
 
-    def test_partial_caching_round_trip(self, comb42, code42):
+    def test_partial_caching_round_trip(self, comb42):
         lib = random_library(2, 8, seed=26)
         cache = broadcast_place(comb42, lib, 1)
         demand = (2, 2, 1, 1, 2, 1)
-        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand)
         for u in range(comb42.K):
-            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
+            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u))
             assert out == lib.file(demand[u])
 
-    def test_padded_suffix_round_trip(self, comb42, code42):
+    def test_padded_suffix_round_trip(self, comb42):
         # 5-byte suffix does not split into 2 parts; padding must be trimmed.
         lib = random_library(3, 5, seed=27)
         cache = broadcast_place(comb42, lib, 0)
         demand = (3, 1, 2, 3, 1, 2)
-        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand)
         assert log.server_edges[1].parts[0][0].labels[0] == "bc:n=1:p=1:octets=5"
         for u in range(comb42.K):
-            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
+            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u))
             assert out == lib.file(demand[u])
 
-    def test_cache_only_when_m_equals_n(self, comb42, code42):
+    def test_cache_only_when_m_equals_n(self, comb42):
         lib = random_library(2, 8, seed=28)
         cache = broadcast_place(comb42, lib, 2)
-        assert broadcast_decode(comb42, 0, cache, (1,) * 6, {}, code42) == lib.file(1)
+        assert broadcast_decode(comb42, 0, cache, (1,) * 6, {}) == lib.file(1)
 
-    def test_no_prefix_cached_still_decodes(self, comb42, code42):
+    def test_no_prefix_cached_still_decodes(self, comb42):
         lib = random_library(2, 8, seed=29)
         cache = broadcast_place(comb42, lib, 0)
         assert cache.prefix_bytes == 0 and not list(cache.keys(0))
         with pytest.raises(KeyError):
             cache.get(0, 1)
         demand = (2, 1, 2, 1, 2, 1)
-        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand)
         for u in range(comb42.K):
-            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u), code42)
+            out = broadcast_decode(comb42, u, cache, demand, log.to_user(u))
             assert out == lib.file(demand[u])
 
-    def test_prefix_comes_through_the_cache(self, comb42, code42, monkeypatch):
+    def test_prefix_comes_through_the_cache(self, comb42, monkeypatch):
         lib = random_library(2, 8, seed=30)
         cache = broadcast_place(comb42, lib, 1)
         demand = (1, 2, 1, 2, 1, 2)
-        log = broadcast_mds_deliver(comb42, cache, demand, code42)
+        log = broadcast_mds_deliver(comb42, cache, demand)
 
         def refuse(self, user, key):
             raise KeyError(f"user {user} does not cache a prefix of file {key}")
 
         monkeypatch.setattr(PrefixCache, "get", refuse)
         with pytest.raises(KeyError, match="does not cache a prefix of file 2"):
-            broadcast_decode(comb42, 1, cache, demand, log.to_user(1), code42)
+            broadcast_decode(comb42, 1, cache, demand, log.to_user(1))

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from relaycache.combinatorics import binomial, enumerate_subsets, subset_rank
-from relaycache.erasure import make_code
 from relaycache.schemes import (
     GridError,
     all_demands,
@@ -35,11 +34,6 @@ def read(cache, user, key):
     """The gather read of subfile ``key`` (n, S, l)."""
     n, S, l = key
     return cache.gather(user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.copies])
-
-
-@pytest.fixture(scope="module")
-def code42():
-    return make_code(4, 2)
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +147,9 @@ class TestPlacement:
 
 
 class TestDelivery:
-    def test_rates_two_thirds(self, comb42, lib30, code42):
+    def test_rates_two_thirds(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
+        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         for relay in range(1, 5):
             assert Fraction(log.server_bits(relay), lib30.file_bits) == Fraction(2, 3)
         for (relay, user), _ in log.relay_edges.items():
@@ -163,9 +157,9 @@ class TestDelivery:
                 2, 3
             )
 
-    def test_every_piece_reaches_every_neighbor(self, comb42, lib30, code42):
+    def test_every_piece_reaches_every_neighbor(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
+        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         for relay in range(1, 5):
             server_labels = [label for label, _ in edge_records(log.server_edges[relay])]
             for user in range(comb42.K):
@@ -173,50 +167,45 @@ class TestDelivery:
                     labels = [label for label, _ in edge_records(log.relay_edges[(relay, user)])]
                     assert labels == server_labels
 
-    def test_batches_share_the_plan_names(self, comb42, lib30, code42):
+    def test_batches_share_the_plan_names(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
+        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         edges = [*log.server_edges.values(), *log.relay_edges.values()]
         assert all(batch.names is cache.signal_plan.names for e in edges for batch, _ in e.parts)
         assert {batch.suffix for e in log.server_edges.values() for batch, _ in e.parts} == {
             f":p={i}" for i in range(1, 5)
         }
 
-    def test_code_shape_mismatch(self, comb42, lib30):
-        cache = cmcnc_place(comb42, lib30, 2)
-        with pytest.raises(ValueError, match="code"):
-            cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), make_code(4, 3))
-
-    def test_m_equals_n_sends_nothing(self, comb42, lib30, code42):
+    def test_m_equals_n_sends_nothing(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 6)
-        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6), code42)
+        log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         assert not log.server_edges
 
 
 class TestDecode:
     @pytest.mark.parametrize("M", [0, Fraction(2, 3), Fraction(4, 3), 2])
-    def test_all_demands_recover_exactly(self, comb42, code42, M):
+    def test_all_demands_recover_exactly(self, comb42, M):
         lib = random_library(2, 30, seed=404)
         cache = cmcnc_place(comb42, lib, M)
         for demand in all_demands(comb42, 2):
-            log = cmcnc_deliver(comb42, cache, demand, code42)
+            log = cmcnc_deliver(comb42, cache, demand)
             for u in range(comb42.K):
-                out = cmcnc_decode(comb42, u, cache, demand, log.to_user(u), code42)
+                out = cmcnc_decode(comb42, u, cache, demand, log.to_user(u))
                 assert out == lib.file(demand[u])
 
-    def test_seeded_random_demands(self, comb42, lib30, code42):
+    def test_seeded_random_demands(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         rng = random.Random(17)
         for _ in range(20):
             demand = random_demand(comb42, 6, rng)
-            log = cmcnc_deliver(comb42, cache, demand, code42)
+            log = cmcnc_deliver(comb42, cache, demand)
             for u in range(comb42.K):
-                out = cmcnc_decode(comb42, u, cache, demand, log.to_user(u), code42)
+                out = cmcnc_decode(comb42, u, cache, demand, log.to_user(u))
                 assert out == lib30.file(demand[u])
 
-    def test_cache_only_when_m_equals_n(self, comb42, lib30, code42):
+    def test_cache_only_when_m_equals_n(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 6)
-        out = cmcnc_decode(comb42, 0, cache, distinct_demand(comb42, 6), {}, code42)
+        out = cmcnc_decode(comb42, 0, cache, distinct_demand(comb42, 6), {})
         assert out == lib30.file(1)
 
 

@@ -14,8 +14,9 @@ import pytest
 
 from relaycache import harness
 from relaycache.cli import main as cli_main
+from relaycache.erasure import make_code
 from relaycache.harness import verify_all_demands
-from relaycache.schemes import Batch
+from relaycache.schemes import Batch, random_library
 
 SWEEP = ["sweep", "--topology", "comb:4,2", "--N", "6"]
 
@@ -109,3 +110,29 @@ def test_wrong_bytes_are_named_once_per_cell(monkeypatch, capsys, argv, runs):
 def test_passing_runs_write_nothing_to_stderr(capsys):
     assert cli_main(SWEEP) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_verify_counts_each_failing_draw_of_a_repeated_demand(monkeypatch, capsys):
+    # Sampled demands are drawn with replacement: on comb(4,2) with N = 2,
+    # seed 0 draws (1, 2, 1, 1, 1, 1) twice among 20, and both draws fail.
+    decode = harness.proposed_decode
+    repeated = (1, 2, 1, 1, 1, 1)
+
+    def fails_one(net, user, cache, demand, received):
+        out = decode(net, user, cache, demand, received)
+        return out[::-1] if demand == repeated and user == 0 else out
+
+    monkeypatch.setattr(harness, "proposed_decode", fails_one)
+    argv = ["verify", "--topology", "comb:4,2", "--N", "2", "--M", "2", "--schemes", "proposed",
+            "--demands", "seeded-random", "--count", "20", "--seed", "0"]
+    assert cli_main(argv) == 1
+    out, _ = capsys.readouterr()
+    assert out == "proposed M=2: 18/20 demand vectors decode\n"
+
+
+def test_the_pipeline_takes_no_code(comb42):
+    # Each placement builds its own (h, r) code; the fifth parameter stays
+    # for the bench worker's calls, which pass None.
+    lib = random_library(2, 30, seed=1)
+    with pytest.raises(ValueError, match="code must be None"):
+        harness._pipeline(comb42, lib, 2, "cmcnc", make_code(comb42.h, comb42.r))
