@@ -93,10 +93,10 @@ def _build_network(spec: str) -> Network:
         except ValueError as exc:
             raise ConfigError(f"bad topology spec {spec!r}: {exc}") from None
         raise ConfigError(f"unknown topology generator {kind!r} (use comb: or affine:)")
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"topology file {spec!r} does not exist")
-    return load_network(path)
+    try:
+        return load_network(spec)
+    except OSError as exc:
+        raise ConfigError(f"cannot read topology file {spec!r}: {exc.strerror}") from None
 
 
 def _parse_m_values(text: str, net: Network, n_files: int) -> list[Fraction]:
@@ -161,13 +161,12 @@ def _merge_config_file(ns: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from --config JSON; explicit flags win."""
     from_file: dict = {}
     if ns.config is not None:
-        path = Path(ns.config)
-        if not path.exists():
-            raise ConfigError(f"config file {ns.config!r} does not exist")
         try:
-            from_file = json.loads(path.read_text())
+            from_file = json.loads(Path(ns.config).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file {ns.config!r}: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {ns.config!r}: {exc.strerror}") from None
         if not isinstance(from_file, dict):
             raise ConfigError("config file must contain a JSON object")
         unknown = set(from_file) - set(_FLAGS)
@@ -451,7 +450,8 @@ def execute(cfg: ExperimentConfig) -> int:
     try:
         return handlers[cfg.command](cfg)
     except (
-        ConfigError, NotResolvableError, GridError, SubpacketizationError, BudgetError
+        ConfigError, NotResolvableError, GridError, SubpacketizationError, BudgetError,
+        OSError,  # an --out directory that cannot be made or written
     ) as exc:
         _error_record(exc)
         return 2

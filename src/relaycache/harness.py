@@ -539,10 +539,10 @@ def verify_all_demands(
 ) -> VerificationReport:
     """Run deliver->decode for many demand vectors against one placement.
 
-    ``exhaustive`` covers all N^K demand vectors and refuses above
-    EXHAUSTIVE_CAP; ``sampled`` draws ``count`` vectors from a generator
-    seeded with ``seed``.  The library is seeded and recorded, so any
-    failure is replayable.
+    ``exhaustive`` covers all N^K demand vectors and ``sampled`` draws
+    ``count`` vectors from a generator seeded with ``seed``; either refuses
+    more than EXHAUSTIVE_CAP before drawing any.  The library is seeded and
+    recorded, so any failure is replayable.
 
     It checks that every user decodes its file bit-exactly and that each
     edge kind is loaded evenly (AsymmetricLoadError otherwise, as in run).
@@ -561,6 +561,8 @@ def verify_all_demands(
     elif mode == "sampled":
         if seed is None or count is None:
             raise ValueError("sampled mode needs seed and count")
+        if count > EXHAUSTIVE_CAP:
+            raise BudgetError(f"sampled verification needs count <= {EXHAUSTIVE_CAP}, got {count}")
         rng = random.Random(seed)
         demands = [random_demand(net, n_files, rng) for _ in range(count)]
     else:

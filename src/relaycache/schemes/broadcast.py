@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
@@ -48,7 +48,6 @@ class PrefixCache:
 
     net: Network
     lib: FileLibrary
-    storage: Fraction
     prefix_bytes: int
     code: ErasureCode
 
@@ -79,20 +78,11 @@ class PrefixCache:
             by_edge.append(Batch(names, joined.pop(0), part_bytes, head, tail))
         return by_edge
 
-    def has(self, user: int, key: int) -> bool:
-        return 1 <= key <= self.lib.n_files and self.prefix_bytes > 0
-
     def get(self, user: int, key: int) -> bytes:
-        if not self.has(user, key):
+        """File ``key``'s cached prefix; KeyError if the user caches none."""
+        if not (1 <= key <= self.lib.n_files and self.prefix_bytes > 0):
             raise KeyError(f"user {user} does not cache a prefix of file {key}")
         return self.lib.file(key)[: self.prefix_bytes]
-
-    def keys(self, user: int) -> Iterator[int]:
-        if self.prefix_bytes > 0:
-            yield from range(1, self.lib.n_files + 1)
-
-    def cached_bits(self, user: int) -> int:
-        return self.lib.n_files * self.prefix_bytes * 8
 
 
 def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
@@ -106,7 +96,7 @@ def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
             f"file size {lib.file_bytes} bytes times M/N = {m} is not a whole "
             f"number of bytes; need a multiple of {m.denominator}"
         )
-    return PrefixCache(net, lib, Fraction(M), int(prefix), relay_code(net))
+    return PrefixCache(net, lib, int(prefix), relay_code(net))
 
 
 def _form(cache: PrefixCache, piece: int) -> tuple[str, list[str], str]:

@@ -32,7 +32,6 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -138,7 +137,6 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     return SubsetCache(
         net=net,
         lib=lib,
-        storage=Fraction(M),
         t=t,
         subfile_bytes=lib.file_bytes // binomial(net.K, t),
         code=relay_code(net),

@@ -32,13 +32,12 @@ Conventions used by every scheme:
   rejects a batch that is not, as the same object, on that relay's server
   edge.
 
-Cache objects are lazy views over the library: they answer membership
-queries per user without copying any subfile.  Each cache defines
-``has(user, key)``, ``keys(user)`` and ``cached_bits(user)``.  A decoder
-reads cached bytes through its cache alone, and the read raises
+Cache objects are lazy views over the library: no subfile is copied.  A
+decoder reads cached bytes through its cache alone, and the read raises
 ``KeyError`` for anything the user did not cache, which keeps decoders
-honest about what they may read: :meth:`PlannedCache.gather` for the coded
-schemes, ``PrefixCache.get`` for ``broadcast-mds``.
+honest about what they may read: :meth:`PlannedCache.gather`, checked
+against the membership sets :attr:`PlannedCache.holds`, for the coded
+schemes, and ``PrefixCache.get`` for ``broadcast-mds``.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
@@ -56,17 +55,18 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, product, starmap
+from itertools import accumulate, chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, getitem, itemgetter, lt, sub
+from operator import add, getitem, itemgetter, sub
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
-from ..combinatorics import binomial, enumerate_subsets
+from ..combinatorics import enumerate_subsets
 from ..erasure import ErasureCode, make_code
 from ..topology import BudgetError, Network
 
@@ -104,15 +104,6 @@ def in_range(values: Collection[int], top: int) -> bool:
     return not values or (1 <= min(values) and max(values) <= top)
 
 
-def is_subset(S: Sequence[int], top: int, size: int) -> bool:
-    """S is a ``size``-subset of 1..top, strictly increasing."""
-    return (
-        len(S) == size
-        and (not S or (1 <= S[0] and S[-1] <= top))
-        and all(map(lt, S, S[1:]))
-    )
-
-
 @dataclass(frozen=True)
 class FileLibrary:
     """N files of identical size, as opaque byte buffers."""
@@ -147,11 +138,13 @@ class FileLibrary:
 
 
 def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
-    """N seeded random files; BudgetError above LIBRARY_BYTES_CAP in total."""
-    if n_files * file_bytes > LIBRARY_BYTES_CAP:
+    """N seeded random files; BudgetError above LIBRARY_BYTES_CAP, overhead included."""
+    # Each file also costs a bytes object's header and a slot in the tuple.
+    payload, overhead = n_files * file_bytes, n_files * (sys.getsizeof(b"") + 8)
+    if payload + overhead > LIBRARY_BYTES_CAP:
         raise BudgetError(
-            f"library of {n_files} files x {file_bytes} bytes = "
-            f"{n_files * file_bytes} bytes exceeds the cap of {LIBRARY_BYTES_CAP}"
+            f"library of {n_files} files x {file_bytes} bytes = {payload} bytes "
+            f"plus {overhead} bytes of file objects exceeds the cap of {LIBRARY_BYTES_CAP}"
         )
     rng = random.Random(seed)
     return FileLibrary(tuple(rng.randbytes(file_bytes) for _ in range(n_files)))
@@ -283,8 +276,10 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
 class SubsetPlan:
     """The t-subsets T of n sharing candidates, by rank; candidates are 0-based.
 
-    ``missing`` and ``missing_names`` are built on first use: of the
-    schemes, only ``routing`` reads them.
+    ``missing`` and ``missing_names`` are built on first use.
+    :attr:`PlannedCache.layouts` and :meth:`PlannedCache.reassemble` read
+    ``missing`` for ``proposed`` and ``routing``; only ``routing`` reads
+    ``missing_names``, and ``cmcnc`` reads neither.
     """
 
     subsets: list[tuple[int, ...]]  # subsets[q]: the T of rank q, 1-based
@@ -428,7 +423,6 @@ class PlannedCache:
 
     net: Network
     lib: FileLibrary
-    storage: Fraction
     t: int
     subfile_bytes: int
 
@@ -568,30 +562,6 @@ class PlannedCache:
         sources = self.sources([n] * r, range(1, r + 1)) + [view[l * block :] for l in range(r)]
         which, index = self.layouts[c]
         return gather(sources, which, index, size)
-
-    def has(self, user: int, key: tuple) -> bool:
-        # Sampled symmetry checks make millions of calls: no table is built,
-        # and the file count is read without the n_files property.
-        n, T, l = key
-        return (
-            self.label[user] in T
-            and 1 <= n <= len(self.lib.files)
-            and 1 <= l <= self.copies
-            and is_subset(T, self.candidates, self.t)
-        )
-
-    def keys(self, user: int) -> Iterator[tuple]:
-        plan = self.subset_plan
-        held = map(plan.subsets.__getitem__, plan.held[self.label[user] - 1])
-        return product(range(1, self.lib.n_files + 1), held, range(1, self.copies + 1))
-
-    def signature(self, user: int) -> frozenset:
-        """The user's keys as a set: the view of its cache that relays compare."""
-        return frozenset(self.keys(user))
-
-    def cached_bits(self, user: int) -> int:
-        per_file = self.copies * binomial(self.candidates - 1, self.t - 1)
-        return self.lib.n_files * per_file * self.subfile_bytes * 8
 
 
 # ---------------------------------------------------------------------------

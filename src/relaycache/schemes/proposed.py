@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
@@ -123,9 +122,7 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
             f"file size {lib.file_bytes} bytes must be divisible by {nsub} "
             f"(= r * C(Kt, t) subfiles)"
         )
-    return GroupedCache(
-        net=net, lib=lib, storage=Fraction(M), t=t, subfile_bytes=lib.file_bytes // nsub
-    )
+    return GroupedCache(net=net, lib=lib, t=t, subfile_bytes=lib.file_bytes // nsub)
 
 
 def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:

@@ -26,7 +26,6 @@ from relaycache.harness import (
     verify_all_demands,
 )
 from relaycache.schemes import distinct_demand, random_library
-from relaycache.schemes.proposed import proposed_place
 from relaycache.topology import (
     affine_plane,
     baranyai_partition,
@@ -194,46 +193,30 @@ def test_criterion_06_affine_planes():
 
 
 def _assert_symmetric_cache_views(net, n_files, seed):
-    """Every relay sees the same multiset of neighbor cache signatures.
+    """Every relay sees the same multiset of neighbor caches.
 
-    Where the key count is small enough, signatures are the exact key sets
-    of byte-backed placements.  At replication degrees whose subfile counts
-    are astronomically large (the whole point of the subpacketization
-    comparison), no feasible file size can back the placement, so the check
-    probes the same membership rule over a seeded sample of subfile keys.
+    A user's cache is the set that gates its every read, ``holds`` of its
+    class.  Where the plan has at most 20,000 subsets the check compares
+    those sets themselves.  Past that size, whose subfile counts are the
+    point of the subpacketization comparison, it compares the classes, on
+    which alone a user's set depends.  No library bytes are needed: the
+    placement is built with empty subfiles.
     """
     from relaycache.schemes.proposed import GroupedCache
 
     kt = net.num_classes
+    lib = random_library(n_files, 1, seed)
     for t in range(kt + 1):
-        M = F(t * n_files, kt)
-        keys_per_user = n_files * net.r * binomial(kt - 1, t - 1)
-        if keys_per_user * net.K <= 150_000:
-            lib = random_library(
-                n_files, auto_file_bytes(net, n_files, [M], ["proposed"]), seed
-            )
-            cache = proposed_place(net, lib, M)
-            signature = cache.signature
+        cache = GroupedCache(net=net, lib=lib, t=t, subfile_bytes=0)
+        if binomial(kt, t) <= 20_000:
+            view = lambda u: cache.holds[cache.label[u] - 1]
         else:
-            tiny = random_library(n_files, 1, seed)
-            cache = GroupedCache(
-                net=net, lib=tiny, storage=M, t=t, subfile_bytes=0
-            )
-            rng = random.Random(seed + t)
-            sample = [
-                (
-                    rng.randint(1, n_files),
-                    tuple(sorted(rng.sample(range(1, kt + 1), t))),
-                    rng.randint(1, net.r),
-                )
-                for _ in range(96)
-            ]
-            signature = lambda u: tuple(cache.has(u, key) for key in sample)
+            view = cache.label.__getitem__
         views = [
-            Counter(signature(u) for u in relay_neighborhood(net, relay))
+            Counter(map(view, relay_neighborhood(net, relay)))
             for relay in range(1, net.h + 1)
         ]
-        assert all(v == views[0] for v in views), (net, M)
+        assert all(v == views[0] for v in views), (net, t)
 
 
 def test_criterion_07_placement_symmetry_everywhere():

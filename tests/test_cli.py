@@ -267,6 +267,24 @@ class TestVerifyCommand:
         assert record["error"] == "ConfigError"
         assert "--count must be at least 1, got 0" in record["message"]
 
+    def test_count_over_the_cap_is_refused_before_drawing(self, capsys, monkeypatch):
+        # The sampled demands are drawn into one list before any is served,
+        # so a huge --count once ended in MemoryError.
+        def draw(*args):
+            raise AssertionError("a demand was drawn")
+
+        monkeypatch.setattr("relaycache.harness.random_demand", draw)
+        code = main(
+            ["verify", "--topology", "comb:4,2", "--N", "2", "--M", "2",
+             "--schemes", "proposed", "--demands", "seeded-random", "--count", "4097"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "demand vectors decode" not in captured.out
+        record = json.loads(captured.err)
+        assert record["error"] == "BudgetError"
+        assert "count <= 4096, got 4097" in record["message"]
+
     def test_count_of_one_verifies_one_vector(self, capsys):
         code = main(
             ["verify", "--topology", "comb:4,2", "--N", "6", "--M", "2",
@@ -369,6 +387,27 @@ class TestCompareCommand:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("6,2,15,5,50,10,2/3,4/15,1/91,")
+
+
+class TestPaths:
+    @pytest.mark.parametrize(
+        "flag,path,error",
+        [
+            ("--config", ".", "ConfigError"),
+            ("--topology", ".", "ConfigError"),
+            ("--out", "file", "FileExistsError"),
+            ("--out", "file/x", "NotADirectoryError"),
+        ],
+    )
+    def test_unusable_path_is_exit_2(self, tmp_path, capsys, flag, path, error):
+        # A directory read as a file, and an --out that is a file or lies
+        # under one: each ended in an OSError traceback and exit 1.
+        (tmp_path / "file").write_text("{}")
+        args = {"--topology": "comb:4,2", "--N": "6", "--M": "2", "--schemes": "proposed"}
+        args[flag] = str(tmp_path / path)
+        assert main(["sweep", *(word for pair in args.items() for word in pair)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error
 
 
 class TestDeterminism:

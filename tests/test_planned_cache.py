@@ -71,37 +71,35 @@ def grid(name, net):
 @pytest.mark.parametrize("name", PLACEMENTS)
 def test_every_key_against_the_oracle(name, topology):
     net = NETWORKS[topology]()
+    candidates = PLACEMENTS[name][1](net)
     points = grid(name, net)
-    assert points[0] == 0 and points[-1] == PLACEMENTS[name][1](net)
+    assert points[0] == 0 and points[-1] == candidates
     for t in points:
         cache, lib, label, copies, subsets, size = placed(name, net, t)
         assert cache.t == t and cache.subfile_bytes == size
-        keys = [
-            (n, T, l)
-            for n in range(1, N_FILES + 1)
-            for T in subsets
-            for l in range(1, copies + 1)
-        ]
-        for u in range(net.K):
-            held = [(n, T, l) for n, T, l in keys if label[u] in T]
-            assert [cache.has(u, key) for key in keys] == [label[u] in T for _, T, _ in keys]
-            listed = list(cache.keys(u))
-            assert len(listed) == len(set(listed)) and set(listed) == set(held)
-            assert Fraction(cache.cached_bits(u)) == cache.storage * lib.file_bits
-            # Off the library or the copies, nothing is cached.
-            for n, l in [(0, 1), (N_FILES + 1, 1), (1, 0), (1, copies + 1)]:
-                assert not any(cache.has(u, (n, T, l)) for T in subsets)
+        assert list(cache.label) == list(label)
+        # The set every read is checked against holds exactly the items
+        # rank(T) * copies of the T that contain the candidate: M * F bits.
+        M = Fraction(t * N_FILES, candidates)
+        for c in range(candidates):
+            assert cache.holds[c] == {q * copies for q, T in enumerate(subsets) if c + 1 in T}
+            assert len(cache.holds[c]) * copies * N_FILES * size * 8 == M * lib.file_bits
         # Every key is read once through gather, by a user whose candidate is
         # its first; at t = 0 no user caches anything.
         reader = {}
         for u in range(net.K):
             reader.setdefault(label[u], u)
         for q, T in enumerate(subsets if t else []):
+            u = reader[T[0]]
             for n in range(1, N_FILES + 1):
                 for l in range(1, copies + 1):
                     at = (q * copies + l - 1) * size
-                    got = cache.gather(reader[T[0]], [n], [l], range(1), [q * copies])
+                    got = cache.gather(u, [n], [l], range(1), [q * copies])
                     assert got == lib.file(n)[at : at + size]
+            # Off the library or the copies, nothing is cached.
+            for n, l in [(0, 1), (N_FILES + 1, 1), (1, 0), (1, copies + 1)]:
+                with pytest.raises(KeyError):
+                    cache.gather(u, [n], [l], range(1), [q * copies])
 
 
 def ranks(name, net, t):

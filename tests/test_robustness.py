@@ -134,6 +134,18 @@ def test_oversized_library_is_refused_before_allocating():
     assert "10109383200 bytes" in record["message"]
 
 
+def test_many_small_files_are_refused_before_allocating():
+    # 2^30 one-byte files are a 1 GiB payload, at the cap, but each file is
+    # also a bytes object and a tuple slot: 42 GiB in all.
+    args = ["run", "--topology", "comb:4,2", "--N", str(2**30), "--F", "8", "--M", "0",
+            "--schemes", "broadcast-mds"]
+    proc = run_python("-m", "relaycache.cli", *args, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    record = json.loads(proc.stderr)
+    assert record["error"] == "BudgetError"
+    assert "1073741824 bytes plus" in record["message"]
+
+
 def test_run_out_streams_the_log_in_bounded_memory(tmp_path):
     # A 26.8 MB log, 178 times the 150 kB library: written edge by edge it
     # fits under a 256 MiB address space, as a dict per record it does not.

@@ -41,8 +41,11 @@ class TestPlacement:
         lib = random_library(2, 8, seed=23)
         cache = broadcast_place(comb42, lib, 1)
         assert cache.prefix_bytes == 4
-        assert cache.cached_bits(0) == 1 * lib.file_bits
+        assert cache.prefix_bytes * 8 * lib.n_files == 1 * lib.file_bits
         assert cache.get(0, 2) == lib.file(2)[:4]
+        for key in (0, 3):
+            with pytest.raises(KeyError):
+                cache.get(0, key)
 
     def test_fractional_prefix_rejected(self, comb42):
         lib = random_library(2, 5, seed=24)
@@ -105,7 +108,7 @@ class TestDecode:
     def test_no_prefix_cached_still_decodes(self, comb42):
         lib = random_library(2, 8, seed=29)
         cache = broadcast_place(comb42, lib, 0)
-        assert cache.prefix_bytes == 0 and not list(cache.keys(0))
+        assert cache.prefix_bytes == 0
         with pytest.raises(KeyError):
             cache.get(0, 1)
         demand = (2, 1, 2, 1, 2, 1)

@@ -47,10 +47,12 @@ class TestPlacement:
         cache = cmcnc_place(comb42, lib30, 2)
         assert cache.t == 2
         assert binomial(comb42.K, cache.t) == 15
+        subsets = enumerate_subsets(comb42.K, 2)
         for u in range(comb42.K):
-            per_file = len([k for k in cache.keys(u) if k[0] == 1])
-            assert per_file == binomial(5, 1) == 5
-            assert cache.cached_bits(u) == 2 * lib30.file_bits
+            held = cache.holds[u]
+            assert held == {q for q, S in enumerate(subsets) if u + 1 in S}
+            assert len(held) == binomial(5, 1) == 5
+            assert len(held) * lib30.n_files * cache.subfile_bytes * 8 == 2 * lib30.file_bits
 
     def test_grid_violation(self, comb42, lib30):
         with pytest.raises(GridError):
@@ -58,7 +60,7 @@ class TestPlacement:
 
     def test_m_zero_empty(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 0)
-        assert cache.signature(0) == frozenset()
+        assert cache.holds == [frozenset()] * comb42.K
 
     def test_batched_read_matches_get(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
@@ -77,26 +79,15 @@ class TestPlacement:
         with pytest.raises(KeyError):
             read(cache, 0, (5, (2, 3), 1))
 
-    def test_has_and_get_check_file_and_subset_size(self, comb42, lib30):
-        # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, copy 0
-        # or 2, or an S of the wrong size is not a subfile it caches.  An S
-        # of the wrong size has no item to read; the others are refused.
+    def test_read_checks_file_and_copy_bounds(self, comb42, lib30):
+        # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, or copy
+        # 0 or 2, is not a subfile it caches, and its read is refused.
         cache = cmcnc_place(comb42, lib30, 2)
-        assert cache.has(0, (6, (1, 2), 1))
+        assert subset_rank(comb42.K, (1, 2)) in cache.holds[0]
         assert read(cache, 0, (6, (1, 2), 1)) == oracle(lib30, comb42.K, 2, [(6, (1, 2), 1)])
-        for key in [(1, (1,), 1), (1, (1, 2, 3), 1)]:
-            assert not cache.has(0, key)
         for key in [(99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2), 0), (1, (1, 2), 2)]:
-            assert not cache.has(0, key)
             with pytest.raises(KeyError):
                 read(cache, 0, key)
-
-    @pytest.mark.parametrize("S", [(2, 1), (1, 1), (0, 1), (1, 7)])
-    def test_has_and_get_refuse_malformed_subsets(self, comb42, lib30, S):
-        # K = 6, t' = 2: S holds user 0 (label 1) and has size t', but is not
-        # an increasing subset of 1..6, so it has no item to read.
-        cache = cmcnc_place(comb42, lib30, 2)
-        assert not cache.has(0, (1, S, 1))
 
     @pytest.mark.parametrize(
         "files,ranks,named",

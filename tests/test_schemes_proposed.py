@@ -53,6 +53,20 @@ def read(cache, user, keys):
     return cache.gather(user, files, copies, range(len(keys)), items)
 
 
+def cached_keys(cache, user):
+    """The subfiles (n, T, l) that ``user`` may read, from the set that
+    gates every read: file-major, then T by rank, then copy."""
+    subsets = enumerate_subsets(cache.candidates, cache.t)
+    held = sorted(cache.holds[cache.label[user] - 1])
+    r = cache.copies
+    return [
+        (n, subsets[k // r], l)
+        for n in range(1, cache.lib.n_files + 1)
+        for k in held
+        for l in range(1, r + 1)
+    ]
+
+
 def oracle(lib, t, keys):
     """Subfiles ``keys`` of comb(4,2) (Kt = 3, r = 2) at grid point t, joined."""
     return b"".join(subfile_oracle(lib, 3, 2, t, n, T, l) for n, T, l in keys)
@@ -89,52 +103,44 @@ class TestPlacement:
         assert cache.subfile_bytes * 6 == lib6.file_bytes
         for subset, label in [((1, 2), 1), ((3, 4), 1), ((1, 3), 2), ((2, 4), 2)]:
             u = comb42.user_index(subset)
+            assert comb42.class_of[u] == label
             expected = {(n, (label,), l) for n in range(1, 7) for l in (1, 2)}
-            assert cache.signature(u) == expected
+            assert set(cached_keys(cache, u)) == expected
+            assert read(cache, u, sorted(expected)) == oracle(lib6, 1, sorted(expected))
 
     def test_cached_bytes_match_library(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 3))
-        for key in cache.keys(u):
+        for key in cached_keys(cache, u):
             assert read(cache, u, [key]) == oracle(lib6, 1, [key])
 
     @pytest.mark.parametrize("M", [0, 2, 4, 6])
     def test_budget_is_exactly_mf(self, comb42, lib6, M):
         cache = proposed_place(comb42, lib6, M)
         for u in range(comb42.K):
-            assert cache.cached_bits(u) == M * lib6.file_bits
-            keys = list(cache.keys(u))
+            held = len(cache.holds[comb42.class_of[u] - 1])
+            assert held * cache.copies * lib6.n_files * cache.subfile_bytes * 8 == M * lib6.file_bits
+            keys = cached_keys(cache, u)
             got = read(cache, u, keys)
             assert got == oracle(lib6, cache.t, keys)
             assert len(got) * 8 == M * lib6.file_bits
 
-    def test_has_and_get_check_file_and_copy_bounds(self, comb42, lib6):
-        # N = 6, r = 2, t = 1: the user's class is in T, but file 0 or 7,
-        # copy 0 or 3, or a T of the wrong size is not a subfile it caches.
-        # A T of the wrong size has no item to read; the others are refused.
+    def test_read_checks_file_and_copy_bounds(self, comb42, lib6):
+        # N = 6, r = 2, t = 1: the user's class is in T, but file 0 or 7, or
+        # copy 0 or 3, is not a subfile it caches, and its read is refused.
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
-        assert cache.has(u, (6, (1,), 2))
+        assert (6, (1,), 2) in cached_keys(cache, u)
         assert read(cache, u, [(6, (1,), 2)]) == oracle(lib6, 1, [(6, (1,), 2)])
-        assert not cache.has(u, (1, (1, 2), 1))
         for key in [(1, (1,), 3), (3, (1,), 0), (7, (1,), 1), (0, (1,), 1)]:
-            assert not cache.has(u, key)
+            assert key not in cached_keys(cache, u)
             with pytest.raises(KeyError):
                 read(cache, u, [key])
-
-    @pytest.mark.parametrize("T", [(2, 1), (1, 1), (0, 1), (1, 4)])
-    def test_has_and_get_refuse_malformed_subsets(self, comb42, lib6, T):
-        # Kt = 3, t = 2: T holds the user's class 1 and has size t, but is
-        # not an increasing subset of 1..3, so it has no item to read.
-        cache = proposed_place(comb42, lib6, 4)
-        u = comb42.user_index((1, 2))
-        assert comb42.class_of[u] == 1
-        assert not cache.has(u, (1, T, 1))
 
     def test_read_matches_get(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 4)
         u = comb42.user_index((1, 3))
-        keys = sorted(cache.keys(u), key=lambda key: (key[2], key[1], -key[0]))
+        keys = sorted(cached_keys(cache, u), key=lambda key: (key[2], key[1], -key[0]))
         assert read(cache, u, keys) == oracle(lib6, 2, keys)
         assert cache.gather(u, [], [], range(0), []) == b""
 
@@ -193,19 +199,19 @@ class TestPlacement:
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
-        assert cache.signature(0) == frozenset()
+        assert cache.holds == [frozenset()] * 3 and cached_keys(cache, 0) == []
 
     def test_m_full_caches_everything(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
         keys = list(itertools.product(range(1, 7), [(1, 2, 3)], [1, 2]))
-        assert list(cache.keys(0)) == keys
+        assert cached_keys(cache, 0) == keys
         assert read(cache, 0, keys) == oracle(lib6, 3, keys) == b"".join(lib6.files)
 
     def test_placement_is_demand_independent(self, comb42, lib6):
         a = proposed_place(comb42, lib6, 2)
         b = proposed_place(comb42, lib6, 2)
-        assert a.signature(3) == b.signature(3)
-        keys = list(a.keys(3))
+        assert a.holds == b.holds
+        keys = cached_keys(a, 3)
         for cache in (a, b):
             assert read(cache, 3, keys) == oracle(lib6, 1, keys)
 
@@ -215,7 +221,7 @@ class TestPlacement:
         views = []
         for relay in range(1, comb42.h + 1):
             hood = relay_neighborhood(comb42, relay)
-            views.append(Counter(cache.signature(u) for u in hood))
+            views.append(Counter(cache.holds[cache.label[u] - 1] for u in hood))
         assert all(v == views[0] for v in views)
 
 
