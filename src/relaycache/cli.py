@@ -267,12 +267,6 @@ def _demand(cfg: ExperimentConfig) -> tuple[int, ...]:
     return random_demand(cfg.net, cfg.n_files, _random.Random(cfg.seed))
 
 
-def _ensure_out(cfg: ExperimentConfig) -> Path | None:
-    if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
-
-
 def _write_table(
     cfg: ExperimentConfig, name: str, header: str, rows: list[list], records: list
 ) -> Path | None:
@@ -283,7 +277,7 @@ def _write_table(
     else:
         lines = [header, *(",".join(map(str, row)) for row in rows)]
         suffix, text = "csv", "\n".join(lines) + "\n"
-    out = _ensure_out(cfg)
+    out = cfg.out
     if out is None:
         print(text, end="")
     else:
@@ -300,7 +294,7 @@ def _cmd_topology(cfg: ExperimentConfig) -> int:
     for idx, cls in enumerate(net.classes, start=1):
         members = " ".join("{" + ",".join(map(str, net.users[i])) + "}" for i in cls)
         print(f"class {idx}: {members}")
-    out = _ensure_out(cfg)
+    out = cfg.out
     if out is not None:
         save_network(net, out / "topology.json")
         print(f"saved {out / 'topology.json'}")
@@ -317,7 +311,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     report, log = run_scheme_with_log(cfg.net, lib, M, demand, scheme)
     _failure_record(scheme, M, report.failures)
 
-    out = _ensure_out(cfg)
+    out = cfg.out
     if out is not None:
         with open(out / f"run_{scheme}_log.json", "wb") as f:
             log.write(f.write, indent=2)
@@ -337,7 +331,6 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
     mode = "exhaustive" if cfg.demand_mode == "exhaustive" else "sampled"
-    out = _ensure_out(cfg)
     reports = []
     ok = True
     for scheme in cfg.schemes:
@@ -357,9 +350,9 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
             ok = ok and report.passed
             good = report.runs - report.failed_runs
             print(f"{scheme} M={M}: {good}/{report.runs} demand vectors decode")
-    if out is not None:
+    if cfg.out is not None:
         payload = [r.to_dict() for r in reports]
-        (out / "verify.json").write_text(
+        (cfg.out / "verify.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
     return 0 if ok else 1
@@ -448,6 +441,9 @@ def execute(cfg: ExperimentConfig) -> int:
         "compare": _cmd_compare,
     }
     try:
+        # --out is made before any work, so one that cannot be made costs none.
+        if cfg.out is not None:
+            cfg.out.mkdir(parents=True, exist_ok=True)
         return handlers[cfg.command](cfg)
     except (
         ConfigError, NotResolvableError, GridError, SubpacketizationError, BudgetError,

@@ -11,10 +11,10 @@ distinct piece indices (its own relay subset) and can rebuild every
 signal.
 
 The placement is :class:`.common.PlannedCache`, the one cache of both coded
-schemes, with the K users as its candidates and one copy of each subset,
-and it carries the (h, r) MDS code that :func:`cmcnc_place` builds.  The
-signals are the coded multicast that ``proposed`` runs per relay, here
-over the K users, indexed by the one plan that cache builds.
+schemes, over the :class:`.common.Plan` of the K users with one copy of
+each subset, and it carries the (h, r) MDS code that :func:`cmcnc_place`
+builds.  The signals are the coded multicast that ``proposed`` runs per
+relay, here over the K users, indexed by that plan's signal tables.
 Both ends work on all signals of one delivery at once.  XOR and GF(256)
 coding act byte by byte, so the concatenation of every signal's j-th term
 (or part, or piece) is coded in one call and sliced back per signal.
@@ -42,6 +42,7 @@ from .common import (
     Batch,
     Edge,
     FileLibrary,
+    Plan,
     PlannedCache,
     SignalPlan,
     SubpacketizationError,
@@ -56,21 +57,13 @@ from .common import (
 
 @dataclass(frozen=True)
 class SubsetCache(PlannedCache):
-    """The ``cmcnc`` placement: the candidates are the K users, each
-    t'-subset S is cached once, and user u is candidate u + 1.  So subfile
-    (n, S, 1) is bytes ``[q * subfile_bytes, (q + 1) * subfile_bytes)`` of
-    file n, where q is the rank of S in enumerate_subsets(K, t').  ``code``
-    spreads each signal over the h relays."""
+    """The ``cmcnc`` placement over the plan of the K users with one copy:
+    user u is candidate u + 1.  So subfile (n, S, 1) is bytes
+    ``[q * subfile_bytes, (q + 1) * subfile_bytes)`` of file n, where q is
+    the rank of S in enumerate_subsets(K, t').  ``code`` spreads each
+    signal over the h relays."""
 
     code: ErasureCode
-
-    @cached_property
-    def candidates(self) -> int:
-        return self.net.K
-
-    @cached_property
-    def copies(self) -> int:
-        return 1
 
     @cached_property
     def label(self) -> Sequence[int]:
@@ -137,7 +130,7 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
     return SubsetCache(
         net=net,
         lib=lib,
-        t=t,
+        plan=Plan(net.K, t, 1),
         subfile_bytes=lib.file_bytes // binomial(net.K, t),
         code=relay_code(net),
     )
@@ -146,9 +139,9 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
 def cmcnc_deliver(net: Network, cache: SubsetCache, demand: tuple[int, ...]) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    if cache.t + 1 > net.K:
+    if cache.plan.t + 1 > net.K:
         return log
-    plan = cache.signal_plan
+    plan = cache.plan.signals
     size = cache.subfile_bytes
     part = size // net.r
     wanted = cache.sources(demand, [1] * len(demand))
@@ -172,15 +165,15 @@ def cmcnc_decode(
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:
-    K, t = net.K, cache.t
+    K, t = net.K, cache.plan.t
     size = cache.subfile_bytes
-    own = cache.subset_plan.held[user]
+    own = cache.plan.held[user]
     # Every subfile is copy 1; the user caches those of its file at ``own``.
     cached = cache.gather(user, (demand[user],), (1,), [0] * len(own), own)
     if t == K:
         return cached
 
-    plan = cache.signal_plan
+    plan = cache.plan.signals
     mine, blocks, extracted = plan.decoding(user)
     pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
     signals = _merge(mds_decode(cache.code, pieces), size // net.r)

@@ -36,19 +36,19 @@ Cache objects are lazy views over the library: no subfile is copied.  A
 decoder reads cached bytes through its cache alone, and the read raises
 ``KeyError`` for anything the user did not cache, which keeps decoders
 honest about what they may read: :meth:`PlannedCache.gather`, checked
-against the membership sets :attr:`PlannedCache.holds`, for the coded
-schemes, and ``PrefixCache.get`` for ``broadcast-mds``.
+against the membership sets :attr:`Plan.holds`, for the coded schemes, and
+``PrefixCache.get`` for ``broadcast-mds``.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
 candidates: ``proposed`` per relay over the Kt parallel classes with r
 copies of each subset, ``cmcnc`` over the K users with one copy.  Both
 place files with the one cache here, :class:`PlannedCache`, keyed by
-subfile ``(n, T, l)``; a scheme's cache class gives only its candidates,
-copies and each user's candidate.  The cache builds the one index plan of
-the multicast once per placement, a :class:`SubsetPlan` and a
-:class:`SignalPlan`, and checks every read against one membership set per
-candidate.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
+subfile ``(n, T, l)``.  Its :class:`Plan` (candidates, t, copies) holds
+every index table of the multicast, each built on first use, and every
+copy of the placement reads through that one plan; a scheme's cache class
+gives only each user's candidate.  ``broadcast-mds`` keys its
+``PrefixCache`` by file id.
 """
 
 from __future__ import annotations
@@ -272,32 +272,6 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
 
 
-@dataclass(frozen=True)
-class SubsetPlan:
-    """The t-subsets T of n sharing candidates, by rank; candidates are 0-based.
-
-    ``missing`` and ``missing_names`` are built on first use.
-    :attr:`PlannedCache.layouts` and :meth:`PlannedCache.reassemble` read
-    ``missing`` for ``proposed`` and ``routing``; only ``routing`` reads
-    ``missing_names``, and ``cmcnc`` reads neither.
-    """
-
-    subsets: list[tuple[int, ...]]  # subsets[q]: the T of rank q, 1-based
-    held: list[list[int]]  # held[c]: ranks of the T that contain c, increasing
-
-    @cached_property
-    def missing(self) -> list[list[int]]:
-        """missing[c]: ranks of the T without c, increasing."""
-        everything = frozenset(range(len(self.subsets)))
-        return [sorted(everything.difference(held)) for held in self.held]
-
-    @cached_property
-    def missing_names(self) -> list[list[str]]:
-        """missing_names[c][k]: the T of rank missing[c][k] as written in labels."""
-        names = list(map(fmt_subset, self.subsets))
-        return [list(map(names.__getitem__, ranks)) for ranks in self.missing]
-
-
 class SignalPlan(NamedTuple):
     """The (t+1)-subsets C of n sharing candidates, by rank s; candidates are
     0-based.
@@ -344,15 +318,6 @@ class SignalPlan(NamedTuple):
         return signals, blocks, delivered
 
 
-def plan_subsets(n: int, t: int) -> SubsetPlan:
-    subsets = enumerate_subsets(n, t)
-    held: list[list[int]] = [[] for _ in range(n)]
-    for q, T in enumerate(subsets):
-        for c in T:
-            held[c - 1].append(q)
-    return SubsetPlan(subsets, held)
-
-
 def plan_signals(n: int, t: int) -> SignalPlan:
     signals = enumerate_subsets(n, t + 1) if t < n else []
     member = [[C[j] - 1 for C in signals] for j in range(t + 1)]
@@ -386,7 +351,7 @@ def plan_signals(n: int, t: int) -> SignalPlan:
 
 
 class Layout(NamedTuple):
-    """Where one candidate finds a file's subfiles, built once per placement.
+    """Where one candidate finds a file's subfiles, built once per plan.
 
     Slot ``rank(T) * copies + l - 1`` of a file is subfile (T, l).  The
     candidate puts a file back together from 2 * copies sources: the file
@@ -399,89 +364,72 @@ class Layout(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PlannedCache:
-    """The uncoded placement of Maddah-Ali and Niesen over the t-subsets of
-    the sharing candidates, with its plan: the one cache of both coded
-    schemes.  Each subclass gives three facts as cached properties:
+class Plan:
+    """Every index table of the uncoded placement over the t-subsets T of
+    ``candidates`` sharing candidates, each T cached in ``copies`` copies.
 
-    * ``candidates``: how many there are (Kt classes, or K users);
-    * ``copies``: how many copies of each subset a file holds (r, or 1);
-    * ``label[user]``: the candidate of a user, 1-based.
-
-    File n splits into ``copies * C(candidates, t)`` subfiles (n, T, l), T a
-    t-subset of 1..candidates and l a copy in 1..copies, at byte offset
-    ``(rank(T) * copies + l - 1) * subfile_bytes`` with T ranked
-    lexicographically.  A user caches exactly the subfiles whose T holds
-    ``label[user]``.
-
-    Every read goes through :func:`gather` over :attr:`views`, as items:
-    subfile (n, T, l) is item ``rank(T) * copies`` of file n viewed from
-    copy l on.  The plan and the tables built from it live as long as the
-    placement: one run of a scheme at one memory point, over every demand
-    it serves.
+    The tables depend on these three numbers alone, never on the library,
+    so every copy of a placement reads through one plan.  Candidates are
+    0-based in the tables and 1-based in the subsets.  Each table is built
+    on first use: ``cmcnc`` never builds :attr:`missing`, :attr:`layouts`
+    or :attr:`decoders`, and ``routing`` never builds the signal tables.
     """
 
-    net: Network
-    lib: FileLibrary
+    candidates: int
     t: int
-    subfile_bytes: int
+    copies: int
 
     @cached_property
-    def subset_plan(self) -> SubsetPlan:
-        return plan_subsets(self.candidates, self.t)
+    def subsets(self) -> list[tuple[int, ...]]:
+        """subsets[q]: the T of rank q, 1-based."""
+        return enumerate_subsets(self.candidates, self.t)
 
     @cached_property
-    def signal_plan(self) -> SignalPlan:
+    def held(self) -> list[list[int]]:
+        """held[c]: ranks of the T that contain c, increasing."""
+        held: list[list[int]] = [[] for _ in range(self.candidates)]
+        for q, T in enumerate(self.subsets):
+            for c in T:
+                held[c - 1].append(q)
+        return held
+
+    @cached_property
+    def missing(self) -> list[list[int]]:
+        """missing[c]: ranks of the T without c, increasing."""
+        everything = frozenset(range(len(self.subsets)))
+        return [sorted(everything.difference(held)) for held in self.held]
+
+    @cached_property
+    def missing_names(self) -> list[list[str]]:
+        """missing_names[c][k]: the T of rank missing[c][k] as written in labels."""
+        names = list(map(fmt_subset, self.subsets))
+        return [list(map(names.__getitem__, ranks)) for ranks in self.missing]
+
+    @cached_property
+    def signals(self) -> SignalPlan:
         return plan_signals(self.candidates, self.t)
-
-    @cached_property
-    def views(self) -> list[list]:
-        """views[l - 1][n - 1]: file n from subfile (T of rank 0, l) on, as
-        :func:`gather` reads its subfiles, without a copy.  Its item
-        rank(T) * copies is subfile (n, T, l)."""
-        size = self.subfile_bytes
-        return [
-            [as_items(memoryview(f)[l * size :], size) for f in self.lib.files]
-            for l in range(self.copies)
-        ]
-
-    def sources(self, files: Sequence[int], copies: Sequence[int]) -> list:
-        """The view of file files[w] from copy copies[w] on, for each w.
-
-        Raises ValueError if the lengths differ, and IndexError for a file id
-        outside 1..N or a copy outside 1..copies: no index wraps.
-        """
-        N, r = self.lib.n_files, self.copies
-        if len(files) != len(copies):
-            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
-        if not (in_range(files, N) and in_range(copies, r)):
-            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
-        views = self.views
-        return [views[l - 1][n - 1] for n, l in zip(files, copies)]
 
     @cached_property
     def holds(self) -> list[frozenset[int]]:
         """holds[c]: the items rank(T) * copies of the T that contain
-        candidate c (0-based), the ones :meth:`gather` lets its users read."""
-        plan = self.subset_plan
+        candidate c, the ones :meth:`PlannedCache.gather` lets its users read."""
         # One int object per rank, shared by every candidate's set.
-        items = list(range(0, len(plan.subsets) * self.copies, self.copies))
-        return [frozenset(map(items.__getitem__, held)) for held in plan.held]
+        items = list(range(0, len(self.subsets) * self.copies, self.copies))
+        return [frozenset(map(items.__getitem__, held)) for held in self.held]
 
     @cached_property
     def layouts(self) -> list[Layout]:
-        """layouts[c]: the :class:`Layout` of candidate c (0-based).
+        """layouts[c]: the :class:`Layout` of candidate c.
 
         A candidate decodes the subfiles (T, l) it lacks in the order l = 1,
         ..., copies and, within each l, T by increasing rank: so they come
         from a user's r relays in ``proposed``, and ``routing`` sends them.
         """
         r = self.copies
-        plan = self.subset_plan
-        count = len(plan.subsets)
+        count = len(self.subsets)
         in_file = array("I", range(0, count * r, r))  # by rank q: item rank(T) * r
         layouts = []
-        for missing in plan.missing:
+        for missing in self.missing:
             own = bytearray(b"\x01") * count  # own[q]: the candidate caches the T of rank q
             item = array("I", in_file)
             for k, q in enumerate(missing):
@@ -498,14 +446,103 @@ class PlannedCache:
 
     @cached_property
     def signal_terms(self) -> tuple[array, array]:
-        """(which, items) of every signal's terms, as :meth:`gather` reads
+        """(which, items) of every signal's terms, as :func:`gather` reads
         them over the candidates' files: block j gives per signal s its
         member member[j][s] and rank(C minus that member) * copies."""
-        plan, r = self.signal_plan, self.copies
+        plan, r = self.signals, self.copies
         return (
             array("I", chain.from_iterable(plan.member)),
             array("I", chain.from_iterable(map(r.__mul__, rest) for rest in plan.rest)),
         )
+
+    @cached_property
+    def receives(self) -> list[tuple[int, ...]]:
+        """receives[c]: every s with c in C, increasing: the signals that a
+        relay forwards to its neighbor of candidate c."""
+        at = self.signals.at
+        return [
+            tuple(sorted(chain.from_iterable(column[c] for column in at)))
+            for c in range(self.candidates)
+        ]
+
+    @cached_property
+    def decoders(self) -> list[tuple[array, array, array]]:
+        """decoders[c]: (signals, which, items) by which candidate c decodes.
+
+        ``signals``: the positions c reads on each relay, those of
+        :meth:`SignalPlan.decoding` ordered so that it decodes the T it
+        lacks by increasing rank, as :attr:`layouts` expects.  Block x of
+        ``which`` and ``items``: per signal, its x-th member other than c
+        and rank(C minus that member) * copies, the term c cancels, as
+        :meth:`PlannedCache.gather` reads them over a relay's neighbors by
+        candidate.
+        """
+        plan, r = self.signals, self.copies
+        decoders = []
+        for c in range(self.candidates):
+            signals, blocks, delivered = plan.decoding(c)
+            order = sorted(range(len(signals)), key=delivered.__getitem__)
+            members = (map(member.__getitem__, order) for member, _ in blocks)
+            ranks = (map(rest.__getitem__, order) for _, rest in blocks)
+            decoders.append(
+                (
+                    array("I", map(signals.__getitem__, order)),
+                    array("I", chain.from_iterable(members)),
+                    array("I", map(r.__mul__, chain.from_iterable(ranks))),
+                )
+            )
+        return decoders
+
+
+@dataclass(frozen=True)
+class PlannedCache:
+    """The uncoded placement of Maddah-Ali and Niesen over the t-subsets of
+    the sharing candidates that its :class:`Plan` gives: the one cache of
+    both coded schemes.  Each subclass gives ``label[user]``, the candidate
+    of a user, 1-based, as a cached property.
+
+    File n splits into ``copies * C(candidates, t)`` subfiles (n, T, l), T a
+    t-subset of 1..candidates and l a copy in 1..copies, at byte offset
+    ``(rank(T) * copies + l - 1) * subfile_bytes`` with T ranked
+    lexicographically.  A user caches exactly the subfiles whose T holds
+    ``label[user]``.
+
+    Every read goes through :func:`gather` over :attr:`views`, as items:
+    subfile (n, T, l) is item ``rank(T) * copies`` of file n viewed from
+    copy l on.  The views live as long as the placement, and the plan's
+    tables as long as the plan: a copy of the placement over another
+    library reads through the same ones.
+    """
+
+    net: Network
+    lib: FileLibrary
+    plan: Plan
+    subfile_bytes: int
+
+    @cached_property
+    def views(self) -> list[list]:
+        """views[l - 1][n - 1]: file n from subfile (T of rank 0, l) on, as
+        :func:`gather` reads its subfiles, without a copy.  Its item
+        rank(T) * copies is subfile (n, T, l)."""
+        size = self.subfile_bytes
+        return [
+            [as_items(memoryview(f)[l * size :], size) for f in self.lib.files]
+            for l in range(self.plan.copies)
+        ]
+
+    def sources(self, files: Sequence[int], copies: Sequence[int]) -> list:
+        """The view of file files[w] from copy copies[w] on, for each w.
+
+        Raises ValueError if the lengths differ, and IndexError for a file id
+        outside 1..N or a copy outside 1..copies: no index wraps.
+        """
+        N, r = self.lib.n_files, self.plan.copies
+        if len(files) != len(copies):
+            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
+        if not (in_range(files, N) and in_range(copies, r)):
+            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        views = self.views
+        return [views[l - 1][n - 1] for n, l in zip(files, copies)]
 
     def gather(
         self,
@@ -530,10 +567,11 @@ class PlannedCache:
             raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
         if len(files) != len(copies):
             raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
-        N, r = self.lib.n_files, self.copies
-        held = self.holds[self.label[user] - 1]
+        plan = self.plan
+        N, r = self.lib.n_files, plan.copies
+        held = plan.holds[self.label[user] - 1]
         if not (held.issuperset(items) and in_range(files, N) and in_range(copies, r)):
-            subsets = self.subset_plan.subsets
+            subsets = plan.subsets
             for w, k in zip(which, items):
                 n, l = files[w], copies[w]
                 if not (k in held and 1 <= n <= N and 1 <= l <= r):
@@ -553,14 +591,14 @@ class PlannedCache:
         ``decoded`` holds the subfiles (n, T, l) the user lacks, for l = 1,
         ..., copies in turn and, within each l, for the T by increasing rank.
         """
-        r, size = self.copies, self.subfile_bytes
-        c = self.label[user] - 1
-        block = len(self.subset_plan.missing[c]) * size
+        plan, size = self.plan, self.subfile_bytes
+        r, c = plan.copies, self.label[user] - 1
+        block = len(plan.missing[c]) * size
         if len(decoded) != r * block:
             raise ValueError(f"user {user} decoded {len(decoded)} bytes, expected {r * block}")
         view = memoryview(decoded)
         sources = self.sources([n] * r, range(1, r + 1)) + [view[l * block :] for l in range(r)]
-        which, index = self.layouts[c]
+        which, index = plan.layouts[c]
         return gather(sources, which, index, size)
 
 

@@ -15,24 +15,26 @@ signal to exactly those t+1 neighbors.  Each receiver caches every term of
 the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
-Both ends work on all signals of a relay at once, indexed by the plan over
-the Kt classes that :class:`.common.PlannedCache` builds once per placement
-(``cmcnc`` uses the same plan over the K users; ``routing`` uses its
-``subset_plan``).  :class:`GroupedCache` is that one cache with the classes
-as its candidates and r copies; it adds only the per-class decode tables.
-Subfiles are read as items by :func:`.common.gather`, never sliced one by
-one: subfile (n, T, l) is item rank(T) * r of file n viewed from copy l on
+Both ends work on all signals of a relay at once, indexed by the
+:class:`.common.Plan` over the Kt classes with r copies that
+:func:`proposed_place` builds once per placement (``cmcnc`` uses the same
+kind of plan over the K users; ``routing`` uses this one's subset tables).
+:class:`GroupedCache` is the one cache of both coded schemes with that plan;
+it gives only each user's class.  Subfiles are read as items by
+:func:`.common.gather`, never sliced one by one: subfile (n, T, l) is item
+rank(T) * r of file n viewed from copy l on
 (:attr:`.common.PlannedCache.views`).  XOR acts byte by byte, so a relay
 reads the j-th term of every signal, for every j, in one gather over its
 neighbors' files with ``which`` the member class, XORs the t+1 blocks as
-integers and sends the result as one batch.  A decoder reads the terms it
-cancels on each relay in one membership-checked
+integers and sends the result as one batch to each neighbor, at the
+positions :attr:`.common.Plan.receives` gives its class.  A decoder reads
+the terms it cancels on each relay in one membership-checked
 :meth:`.common.PlannedCache.gather`, XORs them away from that relay's feed
 the same way, and puts its file back together from the cached and the
 decoded subfiles in one more gather
 (:meth:`.common.PlannedCache.reassemble`).  The tables those reads use are
-built once per class and placement and held as arrays:
-:attr:`GroupedCache.decoders` and :attr:`.common.PlannedCache.layouts`.
+built once per class and plan and held as arrays:
+:attr:`.common.Plan.decoders` and :attr:`.common.Plan.layouts`.
 
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
@@ -40,10 +42,8 @@ Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 from ..combinatorics import binomial, position_in
@@ -53,6 +53,7 @@ from .common import (
     Batch,
     Edge,
     FileLibrary,
+    Plan,
     PlannedCache,
     SignalPlan,
     SubpacketizationError,
@@ -66,47 +67,12 @@ from .common import (
 
 @dataclass(frozen=True)
 class GroupedCache(PlannedCache):
-    """The ``proposed`` placement: the candidates are the Kt parallel classes,
-    each t-subset is cached in r copies, and a user caches by its class."""
-
-    @cached_property
-    def candidates(self) -> int:
-        return self.net.num_classes
-
-    @cached_property
-    def copies(self) -> int:
-        return self.net.r
+    """The ``proposed`` placement over the plan of the Kt parallel classes
+    with r copies: a user caches by its class."""
 
     @cached_property
     def label(self) -> Sequence[int]:
         return self.net.class_of
-
-    @cached_property
-    def decoders(self) -> list[tuple[array, array, array]]:
-        """decoders[c]: (signals, which, items) by which class c decodes.
-
-        ``signals``: the positions the class reads on each relay, those of
-        :meth:`.common.SignalPlan.decoding` ordered so that it decodes the T
-        it lacks by increasing rank, as :attr:`layouts` expects.  Block x of
-        ``which`` and ``items``: per signal, its x-th member class other
-        than c and rank(C minus that member) * r, the term c cancels, as
-        :meth:`gather` reads them over a relay's neighbors by class.
-        """
-        plan, r = self.signal_plan, self.copies
-        decoders = []
-        for c in range(self.candidates):
-            signals, blocks, delivered = plan.decoding(c)
-            order = sorted(range(len(signals)), key=delivered.__getitem__)
-            members = (map(member.__getitem__, order) for member, _ in blocks)
-            ranks = (map(rest.__getitem__, order) for _, rest in blocks)
-            decoders.append(
-                (
-                    array("I", map(signals.__getitem__, order)),
-                    array("I", chain.from_iterable(members)),
-                    array("I", map(r.__mul__, chain.from_iterable(ranks))),
-                )
-            )
-        return decoders
 
 
 def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
@@ -122,7 +88,8 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
             f"file size {lib.file_bytes} bytes must be divisible by {nsub} "
             f"(= r * C(Kt, t) subfiles)"
         )
-    return GroupedCache(net=net, lib=lib, t=t, subfile_bytes=lib.file_bytes // nsub)
+    plan = Plan(net.num_classes, t, net.r)
+    return GroupedCache(net=net, lib=lib, plan=plan, subfile_bytes=lib.file_bytes // nsub)
 
 
 def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
@@ -145,24 +112,22 @@ def proposed_deliver(
     """XOR multicast delivery: one signal per relay per (t+1)-subset of classes."""
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    kt, t = net.num_classes, cache.t
-    if t + 1 > kt:
+    plan = cache.plan
+    t = plan.t
+    if t + 1 > net.num_classes:
         return log
-    plan = cache.signal_plan
-    which, items = cache.signal_terms
+    which, items = plan.signal_terms
     size = cache.subfile_bytes
-    block = len(plan.names) * size
-    # picks[c]: the signals whose C holds class c, which its users receive.
-    picks = [tuple(sorted(chain.from_iterable(at[c] for at in plan.at))) for c in range(kt)]
+    block = len(plan.signals.names) * size
     for i in range(1, net.h + 1):
         terms = gather(cache.sources(*_neighbors_of(net, demand, i)), which, items, size)
         view = memoryview(terms)
         signals = xor_bytes(*[view[j * block : (j + 1) * block] for j in range(t + 1)])
-        prefix, names, suffix = _form(i, plan)
+        prefix, names, suffix = _form(i, plan.signals)
         batch = Batch(names, signals, size, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, batch, picks[net.class_of[u] - 1])
+            log.forward(i, u, batch, plan.receives[net.class_of[u] - 1])
     return log
 
 
@@ -179,18 +144,19 @@ def proposed_decode(
     the signal for C = T + {class}; the user cancels the other t terms,
     which it reads in one :meth:`GroupedCache.gather` per relay.
     """
-    plan = cache.signal_plan
-    signals, which, items = cache.decoders[net.class_of[user] - 1]
+    plan = cache.plan
+    signals, which, items = plan.decoders[net.class_of[user] - 1]
     size = cache.subfile_bytes
     block = len(signals) * size
     decoded = []
     for i in net.users[user]:
-        feed = payloads(user, i, received, signals, _form(i, plan))
+        feed = payloads(user, i, received, signals, _form(i, plan.signals))
         if len(feed) != block:
             raise ValueError(
                 f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"
             )
         # Block x of the terms holds, per signal, the term of its x-th other member.
         terms = memoryview(cache.gather(user, *_neighbors_of(net, demand, i), which, items))
-        decoded.append(xor_bytes(feed, *[terms[x * block : (x + 1) * block] for x in range(cache.t)]))
+        blocks = [terms[x * block : (x + 1) * block] for x in range(plan.t)]
+        decoded.append(xor_bytes(feed, *blocks))
     return cache.reassemble(user, demand[user], b"".join(decoded))

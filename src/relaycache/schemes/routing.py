@@ -6,9 +6,10 @@ copy index picks the path: subfile ``(d_V, T, l)`` for user V travels via
 relay V[l], so each relay-to-user edge carries exactly the C(Kt-1, t)
 missing subfiles with that user's copy index for the relay.
 
-Both ends work per relay edge from the placement's ``subset_plan``: the
-ranks of the T without the user's class are the missing subfiles, and
-their names, built once per placement, label them.  The server reads them
+Both ends work per relay edge from the subset tables of the placement's
+:class:`.common.Plan`: the ranks of the T without the user's class are the
+missing subfiles, and their names, built once per plan, label them; the
+signal tables of the plan are never built.  The server reads them
 in one :func:`.common.gather` and sends them as one batch; a decoder reads
 every position of that batch on each of its r feeds in one :func:`payloads`
 call, which returns the batch's buffer itself, and puts its file back
@@ -36,7 +37,7 @@ def routing_deliver(
 ) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    plan = cache.subset_plan
+    plan = cache.plan
     size = cache.subfile_bytes
     for i in range(1, net.h + 1):
         for u in net._neighbors[i - 1]:
@@ -60,7 +61,7 @@ def routing_decode(
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:
-    plan = cache.subset_plan
+    plan = cache.plan
     V = net.users[user]
     c = net.class_of[user] - 1
     everything = range(len(plan.missing[c]))

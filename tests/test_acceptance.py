@@ -192,26 +192,26 @@ def test_criterion_06_affine_planes():
         assert set(affine_plane(2).users) == set(combination_network(4, 2).users)
 
 
-def _assert_symmetric_cache_views(net, n_files, seed):
+def _assert_symmetric_cache_views(net):
     """Every relay sees the same multiset of neighbor caches.
 
     A user's cache is the set that gates its every read, ``holds`` of its
-    class.  Where the plan has at most 20,000 subsets the check compares
-    those sets themselves.  Past that size, whose subfile counts are the
-    point of the subpacketization comparison, it compares the classes, on
-    which alone a user's set depends.  No library bytes are needed: the
-    placement is built with empty subfiles.
+    class in the placement's plan.  Where the plan has at most 20,000
+    subsets the check compares those sets themselves.  Past that size,
+    whose subfile counts are the point of the subpacketization comparison,
+    it compares the classes, on which alone a user's set depends.  The
+    plan depends on the classes, t and r alone, so no library and no cache
+    are needed.
     """
-    from relaycache.schemes.proposed import GroupedCache
+    from relaycache.schemes.common import Plan
 
     kt = net.num_classes
-    lib = random_library(n_files, 1, seed)
     for t in range(kt + 1):
-        cache = GroupedCache(net=net, lib=lib, t=t, subfile_bytes=0)
+        plan = Plan(kt, t, net.r)
         if binomial(kt, t) <= 20_000:
-            view = lambda u: cache.holds[cache.label[u] - 1]
+            view = lambda u: plan.holds[net.class_of[u] - 1]
         else:
-            view = cache.label.__getitem__
+            view = net.class_of.__getitem__
         views = [
             Counter(map(view, relay_neighborhood(net, relay)))
             for relay in range(1, net.h + 1)
@@ -223,27 +223,24 @@ def test_criterion_07_placement_symmetry_everywhere():
     """The relay-side cache view is identical across relays for every
     generated topology and every grid M."""
     with _Budget(7, "placement symmetry", 5.0):
-        cases = [
-            (combination_network(4, 2), 6),
-            (combination_network(6, 2), 50),
-            (combination_network(6, 3), 10),
-            (combination_network(8, 2), 7),
-            (combination_network(8, 4), 35),
-            (combination_network(9, 3), 28),
-            (combination_network(10, 2), 9),
-            (affine_plane(2), 3),
-            (affine_plane(3), 4),
-            (
-                custom_network(
-                    9,
-                    3,
-                    [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)],
-                ),
-                2,
+        networks = [
+            combination_network(4, 2),
+            combination_network(6, 2),
+            combination_network(6, 3),
+            combination_network(8, 2),
+            combination_network(8, 4),
+            combination_network(9, 3),
+            combination_network(10, 2),
+            affine_plane(2),
+            affine_plane(3),
+            custom_network(
+                9,
+                3,
+                [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)],
             ),
         ]
-        for idx, (net, n_files) in enumerate(cases):
-            _assert_symmetric_cache_views(net, n_files, seed=700 + idx)
+        for net in networks:
+            _assert_symmetric_cache_views(net)
 
 
 def test_criterion_08_erasure_round_trips():

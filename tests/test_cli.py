@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from relaycache import cli
 from relaycache.cli import ConfigError, main, parse_config
 from relaycache.topology import load_network
 
@@ -408,6 +409,29 @@ class TestPaths:
         assert main(["sweep", *(word for pair in args.items() for word in pair)]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--M", "grid", "--schemes", "all"],
+            ["run", "--M", "2", "--schemes", "cmcnc"],
+        ],
+    )
+    def test_an_out_that_is_a_file_runs_no_cell(self, tmp_path, capsys, monkeypatch, argv):
+        # The --out directory is made before any cell runs, so an --out that
+        # cannot be made is refused at no cost.
+        calls = []
+        for name in ("run_scheme", "run_scheme_with_log"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        (tmp_path / "file").write_text("{}")
+        args = [*argv, "--topology", "comb:4,2", "--N", "6", "--out", str(tmp_path / "file")]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "FileExistsError"
+        assert calls == []
 
 
 class TestDeterminism:

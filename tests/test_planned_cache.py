@@ -7,6 +7,7 @@ from :func:`enumerate_subsets` and the documented byte offset
 ``(rank(T) * copies + l - 1) * size``, never from the cache's own tables.
 """
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -17,8 +18,18 @@ from math import comb
 import pytest
 
 import relaycache
+from relaycache import harness
 from relaycache.combinatorics import enumerate_subsets
-from relaycache.schemes import cmcnc_place, proposed_place, random_library
+from relaycache.schemes import (
+    cmcnc_decode,
+    cmcnc_deliver,
+    cmcnc_place,
+    distinct_demand,
+    proposed_decode,
+    proposed_deliver,
+    proposed_place,
+    random_library,
+)
 from relaycache.schemes import common
 from relaycache.topology import affine_plane, combination_network
 
@@ -32,6 +43,12 @@ PLACEMENTS = {
         lambda net: net.class_of,
     ),
     "cmcnc": (cmcnc_place, lambda net: net.K, lambda net: 1, lambda net: range(1, net.K + 1)),
+}
+
+# placement -> (deliver, decode) of the scheme that places with it.
+PIPELINES = {
+    "proposed": (proposed_deliver, proposed_decode),
+    "cmcnc": (cmcnc_deliver, cmcnc_decode),
 }
 
 NETWORKS = {
@@ -76,14 +93,14 @@ def test_every_key_against_the_oracle(name, topology):
     assert points[0] == 0 and points[-1] == candidates
     for t in points:
         cache, lib, label, copies, subsets, size = placed(name, net, t)
-        assert cache.t == t and cache.subfile_bytes == size
+        assert cache.plan.t == t and cache.subfile_bytes == size
         assert list(cache.label) == list(label)
         # The set every read is checked against holds exactly the items
         # rank(T) * copies of the T that contain the candidate: M * F bits.
         M = Fraction(t * N_FILES, candidates)
         for c in range(candidates):
-            assert cache.holds[c] == {q * copies for q, T in enumerate(subsets) if c + 1 in T}
-            assert len(cache.holds[c]) * copies * N_FILES * size * 8 == M * lib.file_bits
+            assert cache.plan.holds[c] == {q * copies for q, T in enumerate(subsets) if c + 1 in T}
+            assert len(cache.plan.holds[c]) * copies * N_FILES * size * 8 == M * lib.file_bits
         # Every key is read once through gather, by a user whose candidate is
         # its first; at t = 0 no user caches anything.
         reader = {}
@@ -125,12 +142,59 @@ def test_an_uncached_read_is_refused_before_any_byte(name, t, monkeypatch):
         return kernel(sources, *args)
 
     monkeypatch.setattr(common, "gather", spy)
-    assert cache.gather(u, [1], [1], range(1), [held * cache.copies])
+    assert cache.gather(u, [1], [1], range(1), [held * cache.plan.copies])
     assert read, "the spy saw no read of a cached subfile"
     read.clear()
     with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache (2, ")):
-        cache.gather(u, [1, 2], [1, 1], range(2), [q * cache.copies for q in (held, lacked)])
+        cache.gather(u, [1, 2], [1, 1], range(2), [q * cache.plan.copies for q in (held, lacked)])
     assert not read, "a file was read before the membership check"
+
+
+@pytest.mark.parametrize("name", PLACEMENTS)
+def test_a_copy_shares_the_plan(name, monkeypatch):
+    # A copy of a placement over another library reads through the same
+    # tables: once the original has decoded, the copy builds none.
+    built = []
+    for table in ("plan_signals", "enumerate_subsets"):
+        real = getattr(common, table)
+        monkeypatch.setattr(
+            common, table, lambda *a, _real=real, _table=table: built.append(_table) or _real(*a)
+        )
+    net = combination_network(4, 2)
+    cache, lib, *_ = placed(name, net, 1)
+    other = random_library(N_FILES, lib.file_bytes, seed=7)
+    copy = dataclasses.replace(cache, lib=other)
+    assert copy.plan is cache.plan
+    deliver, decode = PIPELINES[name]
+    demand = tuple(u % N_FILES + 1 for u in range(net.K))
+    u = net.K - 1
+    log = deliver(net, cache, demand)
+    assert decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u])
+    assert built, "the spy saw no table built"
+    built.clear()
+    log = deliver(net, copy, demand)
+    assert decode(net, u, copy, demand, log.to_user(u)) == other.file(demand[u])
+    assert built == [], f"the copy built {built}"
+
+
+# scheme -> the tables of its plan that it never reads, so never builds.
+UNREAD = {
+    "cmcnc": {"missing", "missing_names", "layouts", "decoders"},
+    "routing": {"signals", "signal_terms", "receives", "decoders"},
+}
+
+
+@pytest.mark.parametrize("scheme", UNREAD)
+def test_a_scheme_builds_only_the_tables_it_reads(scheme):
+    net, n_files, M = combination_network(4, 2), 6, 2
+    lib = random_library(n_files, harness.auto_file_bytes(net, n_files, [M], [scheme]), seed=3)
+    cache, deliver, decode = harness._pipeline(net, lib, M, scheme, None)
+    demand = distinct_demand(net, n_files)
+    log = deliver(demand)
+    for u in range(net.K):
+        assert decode(u, demand, log.to_user(u)) == lib.file(demand[u])
+    built = vars(cache.plan).keys()
+    assert "held" in built and not UNREAD[scheme] & built, sorted(built)
 
 
 def test_the_check_survives_optimized_python():
@@ -143,9 +207,9 @@ def test_the_check_survives_optimized_python():
         "for place in (proposed_place, cmcnc_place):\n"
         "    cache = place(net, lib, 2)\n"
         "    u = net.K - 1\n"
-        "    q = cache.subset_plan.missing[cache.label[u] - 1][0]\n"
+        "    q = cache.plan.missing[cache.label[u] - 1][0]\n"
         "    try:\n"
-        "        cache.gather(u, [1], [1], range(1), [q * cache.copies])\n"
+        "        cache.gather(u, [1], [1], range(1), [q * cache.plan.copies])\n"
         "    except KeyError as exc:\n"
         "        print('refused', exc)\n"
     )

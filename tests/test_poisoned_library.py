@@ -38,9 +38,11 @@ from relaycache.topology import affine_plane, combination_network
 
 N_FILES = 4
 # Bytes.  A grid point whose library is larger is skipped: only cmcnc on
-# comb(6,3) has one, and it keeps t' <= 3 and t' >= 17 of its 21 points (a
-# decode near t' = 10 takes seconds per user).
-LIBRARY_CAP = 2**14
+# comb(6,3) has one, and it keeps t' <= 4 and t' >= 16 of its 21 points (a
+# decode near t' = 10 takes seconds per user).  Every poisoned copy of a
+# placement reads through the placement's one plan, so the cost of a point
+# is its decodes, not a rebuild of the plan per user.
+LIBRARY_CAP = 2**16
 
 NETWORKS = {
     "comb:4,2": lambda: combination_network(4, 2),

@@ -33,7 +33,7 @@ def oracle(lib, K, t, keys):
 def read(cache, user, key):
     """The gather read of subfile ``key`` (n, S, l)."""
     n, S, l = key
-    return cache.gather(user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.copies])
+    return cache.gather(user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.plan.copies])
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,11 @@ def lib30(comb42):
 class TestPlacement:
     def test_subset_counts_and_budget(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
-        assert cache.t == 2
-        assert binomial(comb42.K, cache.t) == 15
+        assert cache.plan.t == 2
+        assert binomial(comb42.K, cache.plan.t) == 15
         subsets = enumerate_subsets(comb42.K, 2)
         for u in range(comb42.K):
-            held = cache.holds[u]
+            held = cache.plan.holds[u]
             assert held == {q for q, S in enumerate(subsets) if u + 1 in S}
             assert len(held) == binomial(5, 1) == 5
             assert len(held) * lib30.n_files * cache.subfile_bytes * 8 == 2 * lib30.file_bits
@@ -60,14 +60,14 @@ class TestPlacement:
 
     def test_m_zero_empty(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 0)
-        assert cache.holds == [frozenset()] * comb42.K
+        assert cache.plan.holds == [frozenset()] * comb42.K
 
     def test_batched_read_matches_get(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
         files, subsets, copies = zip(*keys)
         ranks = [subset_rank(comb42.K, S) for S in subsets]
-        data = cache.gather(0, files, copies, range(len(files)), [q * cache.copies for q in ranks])
+        data = cache.gather(0, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
         assert data == oracle(lib30, comb42.K, 2, keys)
         assert cache.gather(0, [], [], range(0), []) == b""
 
@@ -75,7 +75,7 @@ class TestPlacement:
         cache = cmcnc_place(comb42, lib30, 2)
         cached, foreign = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (2, 3))
         with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\), 1\)"):
-            cache.gather(0, [1, 5], [1, 1], range(2), [q * cache.copies for q in (cached, foreign)])
+            cache.gather(0, [1, 5], [1, 1], range(2), [q * cache.plan.copies for q in (cached, foreign)])
         with pytest.raises(KeyError):
             read(cache, 0, (5, (2, 3), 1))
 
@@ -83,7 +83,7 @@ class TestPlacement:
         # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, or copy
         # 0 or 2, is not a subfile it caches, and its read is refused.
         cache = cmcnc_place(comb42, lib30, 2)
-        assert subset_rank(comb42.K, (1, 2)) in cache.holds[0]
+        assert subset_rank(comb42.K, (1, 2)) in cache.plan.holds[0]
         assert read(cache, 0, (6, (1, 2), 1)) == oracle(lib30, comb42.K, 2, [(6, (1, 2), 1)])
         for key in [(99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2), 0), (1, (1, 2), 2)]:
             with pytest.raises(KeyError):
@@ -103,7 +103,7 @@ class TestPlacement:
         cache = cmcnc_place(comb42, lib30, 2)
         key = f"{named[:-1]}, 1)"
         with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {key}")):
-            cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.copies for q in ranks])
+            cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
 
     def test_read_refuses_lengths_that_differ(self, comb42, lib30):
         # Each of these read one subfile, or a zip() error, before the check.
@@ -111,9 +111,9 @@ class TestPlacement:
         q, other = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (1, 3))
         for files, ranks in [([1, 1, 1], [q]), ([1], [q, other]), ([1], [q, 99])]:
             with pytest.raises(ValueError, match="differ in length"):
-                cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.copies for q in ranks])
+                cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
         with pytest.raises(ValueError, match="differ in length"):
-            cache.gather(0, [1], [1, 1], range(1), [q * cache.copies])
+            cache.gather(0, [1], [1, 1], range(1), [q * cache.plan.copies])
         with pytest.raises(ValueError, match="differ in length"):
             cache.gather(0, (1, 2), (1, 1), [0, 1, 1], [q, other])
 
@@ -134,7 +134,7 @@ class TestPlacement:
         # t' = 3 at M=10, N=50: r*C(15,3) units
         lib = random_library(50, 910, seed=9)
         cache = cmcnc_place(comb62, lib, 10)
-        assert comb62.r * binomial(comb62.K, cache.t) == 910
+        assert comb62.r * binomial(comb62.K, cache.plan.t) == 910
 
 
 class TestDelivery:
@@ -162,7 +162,7 @@ class TestDelivery:
         cache = cmcnc_place(comb42, lib30, 2)
         log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         edges = [*log.server_edges.values(), *log.relay_edges.values()]
-        assert all(batch.names is cache.signal_plan.names for e in edges for batch, _ in e.parts)
+        assert all(batch.names is cache.plan.signals.names for e in edges for batch, _ in e.parts)
         assert {batch.suffix for e in log.server_edges.values() for batch, _ in e.parts} == {
             f":p={i}" for i in range(1, 5)
         }

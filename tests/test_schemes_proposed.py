@@ -47,18 +47,18 @@ def subfile_oracle(lib, kt, r, t, n, T, l):
 def read(cache, user, keys):
     """The gather read of subfiles ``keys`` (n, T, l) of comb(4,2), whose
     Kt = 3 classes rank each T by :func:`enumerate_subsets`."""
-    rank = {T: q for q, T in enumerate(enumerate_subsets(3, cache.t))}
+    rank = {T: q for q, T in enumerate(enumerate_subsets(3, cache.plan.t))}
     files, copies = [n for n, _, _ in keys], [l for _, _, l in keys]
-    items = [rank[T] * cache.copies for _, T, _ in keys]
+    items = [rank[T] * cache.plan.copies for _, T, _ in keys]
     return cache.gather(user, files, copies, range(len(keys)), items)
 
 
 def cached_keys(cache, user):
     """The subfiles (n, T, l) that ``user`` may read, from the set that
     gates every read: file-major, then T by rank, then copy."""
-    subsets = enumerate_subsets(cache.candidates, cache.t)
-    held = sorted(cache.holds[cache.label[user] - 1])
-    r = cache.copies
+    subsets = enumerate_subsets(cache.plan.candidates, cache.plan.t)
+    held = sorted(cache.plan.holds[cache.label[user] - 1])
+    r = cache.plan.copies
     return [
         (n, subsets[k // r], l)
         for n in range(1, cache.lib.n_files + 1)
@@ -99,7 +99,7 @@ class TestPlacement:
 
     def test_group_caches_first_class_subfiles(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
-        assert cache.t == 1
+        assert cache.plan.t == 1
         assert cache.subfile_bytes * 6 == lib6.file_bytes
         for subset, label in [((1, 2), 1), ((3, 4), 1), ((1, 3), 2), ((2, 4), 2)]:
             u = comb42.user_index(subset)
@@ -118,11 +118,11 @@ class TestPlacement:
     def test_budget_is_exactly_mf(self, comb42, lib6, M):
         cache = proposed_place(comb42, lib6, M)
         for u in range(comb42.K):
-            held = len(cache.holds[comb42.class_of[u] - 1])
-            assert held * cache.copies * lib6.n_files * cache.subfile_bytes * 8 == M * lib6.file_bits
+            held = len(cache.plan.holds[comb42.class_of[u] - 1])
+            assert held * cache.plan.copies * lib6.n_files * cache.subfile_bytes * 8 == M * lib6.file_bits
             keys = cached_keys(cache, u)
             got = read(cache, u, keys)
-            assert got == oracle(lib6, cache.t, keys)
+            assert got == oracle(lib6, cache.plan.t, keys)
             assert len(got) * 8 == M * lib6.file_bits
 
     def test_read_checks_file_and_copy_bounds(self, comb42, lib6):
@@ -158,7 +158,7 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.gather(u, files, copies, range(len(files)), [q * cache.copies for q in ranks])
+            cache.gather(u, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
 
     @pytest.mark.parametrize(
         "files,ranks,copies",
@@ -177,7 +177,7 @@ class TestPlacement:
     def test_subfiles_refuse_what_does_not_exist(self, comb42, lib6, files, ranks, copies):
         # N = 6, Kt = 3, t = 1, r = 2: no index wraps or spills into the next subfile.
         cache = proposed_place(comb42, lib6, 2)
-        items = [q * cache.copies for q in ranks]
+        items = [q * cache.plan.copies for q in ranks]
         with pytest.raises(IndexError):
             common.gather(cache.sources(files, copies), range(len(files)), items, cache.subfile_bytes)
 
@@ -186,7 +186,7 @@ class TestPlacement:
         keys = list(itertools.product([6, 1, 3], range(3), [2, 1]))
         files, ranks, copies = zip(*keys)
         expected = b"".join(subfile_oracle(lib6, 3, 2, 1, n, ((q + 1),), l) for n, q, l in keys)
-        items = [q * cache.copies for q in ranks]
+        items = [q * cache.plan.copies for q in ranks]
         got = common.gather(cache.sources(files, copies), range(len(files)), items, cache.subfile_bytes)
         assert got == expected
 
@@ -195,11 +195,11 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = comb42.user_index((1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.gather(u, [1], copies, range(1), [q * cache.copies for q in ranks])
+            cache.gather(u, [1], copies, range(1), [q * cache.plan.copies for q in ranks])
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
-        assert cache.holds == [frozenset()] * 3 and cached_keys(cache, 0) == []
+        assert cache.plan.holds == [frozenset()] * 3 and cached_keys(cache, 0) == []
 
     def test_m_full_caches_everything(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
@@ -210,7 +210,7 @@ class TestPlacement:
     def test_placement_is_demand_independent(self, comb42, lib6):
         a = proposed_place(comb42, lib6, 2)
         b = proposed_place(comb42, lib6, 2)
-        assert a.holds == b.holds
+        assert a.plan.holds == b.plan.holds
         keys = cached_keys(a, 3)
         for cache in (a, b):
             assert read(cache, 3, keys) == oracle(lib6, 1, keys)
@@ -221,7 +221,7 @@ class TestPlacement:
         views = []
         for relay in range(1, comb42.h + 1):
             hood = relay_neighborhood(comb42, relay)
-            views.append(Counter(cache.holds[cache.label[u] - 1] for u in hood))
+            views.append(Counter(cache.plan.holds[cache.label[u] - 1] for u in hood))
         assert all(v == views[0] for v in views)
 
 
@@ -302,7 +302,7 @@ class TestDelivery:
         cache = proposed_place(comb42, lib6, 2)
         log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
         edges = [*log.server_edges.values(), *log.relay_edges.values()]
-        assert all(batch.names is cache.signal_plan.names for e in edges for batch, _ in e.parts)
+        assert all(batch.names is cache.plan.signals.names for e in edges for batch, _ in e.parts)
         picks = {}
         for (_, u), edge in log.relay_edges.items():
             ((_, p),) = edge.parts
@@ -425,7 +425,7 @@ class TestGatherPaths:
         for t in range(kt + 1):
             lib = random_library(n_files, size * net.r * math.comb(kt, t), seed=rng.randrange(2**32))
             cache = proposed_place(net, lib, Fraction(t * n_files, kt))
-            assert (cache.t, cache.subfile_bytes) == (t, size)
+            assert (cache.plan.t, cache.subfile_bytes) == (t, size)
             decode_everyone(net, cache, lib, random_demand(net, n_files, rng))
 
 
@@ -436,8 +436,8 @@ def bad_table(cache, net, user):
     c = net.class_of[user] - 1
     demand = distinct_demand(net, cache.lib.n_files)
     files, copies = proposed._neighbors_of(net, demand, net.users[user][0])
-    _, which, items = cache.decoders[c]
-    outside = cache.subset_plan.missing[c][0]
+    _, which, items = cache.plan.decoders[c]
+    outside = cache.plan.missing[c][0]
     items = array("I", items)
     items[len(items) // 2] = outside * net.r
     return files, copies, which, items, outside
@@ -450,7 +450,7 @@ class TestHonestDecoders:
         cache = proposed_place(comb42, lib6, 4)
         demand = distinct_demand(comb42, 6)
         for u in range(comb42.K):
-            _, which, items = cache.decoders[comb42.class_of[u] - 1]
+            _, which, items = cache.plan.decoders[comb42.class_of[u] - 1]
             for i in comb42.users[u]:
                 files, copies = proposed._neighbors_of(comb42, demand, i)
                 assert len(cache.gather(u, files, copies, which, items)) == len(items) * 5
@@ -460,7 +460,7 @@ class TestHonestDecoders:
         cache = proposed_place(comb42, lib6, M)
         u = comb42.user_index((1, 3))
         files, copies, which, items, outside = bad_table(cache, comb42, u)
-        T = cache.subset_plan.subsets[outside]
+        T = cache.plan.subsets[outside]
         assert comb42.class_of[u] not in T
         views = {id(view) for per_copy in cache.views for view in per_copy}
         read = []
@@ -471,7 +471,7 @@ class TestHonestDecoders:
             return kernel(sources, *args)
 
         monkeypatch.setattr(common, "gather", spy)
-        assert cache.gather(u, files, copies, which, cache.decoders[comb42.class_of[u] - 1][2])
+        assert cache.gather(u, files, copies, which, cache.plan.decoders[comb42.class_of[u] - 1][2])
         assert read, "the spy saw no read of a cached subfile"
         read.clear()
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache")) as info:
@@ -510,9 +510,9 @@ class TestHonestDecoders:
             "u = net.user_index((1, 3))\n"
             "c = net.class_of[u] - 1\n"
             "files, copies = _neighbors_of(net, distinct_demand(net, 6), net.users[u][0])\n"
-            "_, which, items = cache.decoders[c]\n"
+            "_, which, items = cache.plan.decoders[c]\n"
             "items = array('I', items)\n"
-            "items[0] = cache.subset_plan.missing[c][0] * net.r\n"
+            "items[0] = cache.plan.missing[c][0] * net.r\n"
             "try:\n"
             "    cache.gather(u, files, copies, which, items)\n"
             "except KeyError as exc:\n"

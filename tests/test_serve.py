@@ -60,7 +60,7 @@ def test_a_raising_decoder_fails_its_cell_and_the_sweep_goes_on(monkeypatch, cap
     decode = harness.cmcnc_decode
 
     def flaky(net, user, cache, demand, received, *extra):
-        if cache.t == 2 and user == 3:
+        if cache.plan.t == 2 and user == 3:
             raise RuntimeError("injected")
         return decode(net, user, cache, demand, received, *extra)
 
