@@ -31,11 +31,10 @@ from .schemes import (
     BudgetError,
     FileLibrary,
     GridError,
-    GroupedCache,
     IncompleteReceptionError,
+    PlannedCache,
     PrefixCache,
     SubpacketizationError,
-    SubsetCache,
     TransmissionLog,
     all_demands,
     broadcast_decode,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,15 +69,15 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str
     net: Network
+    count: int
+    seed: int
+    fmt: str
     n_files: int | None = None
     file_bits: int | str = "auto"
     m_values: list[Fraction] = field(default_factory=list)
     schemes: list[str] = field(default_factory=list)
     demand_mode: str = "distinct"
-    count: int = 100
-    seed: int = 0
     out: Path | None = None
-    fmt: str = "csv"
 
 
 def _build_network(spec: str) -> Network:
@@ -262,9 +263,7 @@ def _demand(cfg: ExperimentConfig) -> tuple[int, ...]:
         return distinct_demand(cfg.net, cfg.n_files)
     if cfg.demand_mode == "all-same":
         return uniform_demand(cfg.net, 1)
-    import random as _random
-
-    return random_demand(cfg.net, cfg.n_files, _random.Random(cfg.seed))
+    return random_demand(cfg.net, cfg.n_files, random.Random(cfg.seed))
 
 
 def _write_table(

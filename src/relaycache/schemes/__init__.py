@@ -6,7 +6,7 @@ from .broadcast import (
     broadcast_mds_deliver,
     broadcast_place,
 )
-from .cmcnc import SubsetCache, cmcnc_decode, cmcnc_deliver, cmcnc_place
+from .cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
     Batch,
     BudgetError,
@@ -14,6 +14,7 @@ from .common import (
     FileLibrary,
     GridError,
     IncompleteReceptionError,
+    PlannedCache,
     SubpacketizationError,
     TransmissionLog,
     all_demands,
@@ -24,7 +25,6 @@ from .common import (
     validate_demand,
 )
 from .proposed import (
-    GroupedCache,
     proposed_decode,
     proposed_deliver,
     proposed_place,
@@ -37,11 +37,10 @@ __all__ = [
     "Edge",
     "FileLibrary",
     "GridError",
-    "GroupedCache",
     "IncompleteReceptionError",
+    "PlannedCache",
     "PrefixCache",
     "SubpacketizationError",
-    "SubsetCache",
     "TransmissionLog",
     "all_demands",
     "broadcast_decode",

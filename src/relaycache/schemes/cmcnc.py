@@ -10,14 +10,15 @@ i.  Relays forward every piece to all of their neighbors; any user sees r
 distinct piece indices (its own relay subset) and can rebuild every
 signal.
 
-The placement is :class:`.common.PlannedCache`, the one cache of both coded
-schemes, over the :class:`.common.Plan` of the K users with one copy of
-each subset, and it carries the (h, r) MDS code that :func:`cmcnc_place`
-builds.  The signals are the coded multicast that ``proposed`` runs per
-relay, here over the K users, indexed by that plan's signal tables.
-Both ends work on all signals of one delivery at once.  XOR and GF(256)
-coding act byte by byte, so the concatenation of every signal's j-th term
-(or part, or piece) is coded in one call and sliced back per signal.
+:func:`cmcnc_place` builds the one cache of both coded schemes,
+:class:`.common.PlannedCache`, over the :class:`.common.Plan` of the K
+users with one copy of each subset: user u is candidate u + 1, and
+``code`` is the (h, r) MDS code.  The signals are the coded multicast that
+``proposed`` runs per relay, here over the K users, indexed by that plan's
+signal tables.  Both ends work on all signals of one delivery at once.
+XOR and GF(256) coding act byte by byte, so the concatenation of every
+signal's j-th term (or part, or piece) is coded in one call and sliced
+back per signal.
 
 Subfiles and pieces are a few bytes at the larger memory points, so each
 batch of reads by index is one :func:`.common.gather`: the server's t'+1
@@ -31,43 +32,24 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from ..combinatorics import binomial
-from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode, xor_bytes
+from ..erasure import decode as mds_decode, encode as mds_encode, xor_bytes
 from ..topology import Network
 from .common import (
     Batch,
     Edge,
     FileLibrary,
-    Plan,
     PlannedCache,
     SignalPlan,
-    SubpacketizationError,
     TransmissionLog,
     gather,
-    grid_t,
     payloads,
+    place_planned,
     relay_code,
     validate_demand,
 )
-
-
-@dataclass(frozen=True)
-class SubsetCache(PlannedCache):
-    """The ``cmcnc`` placement over the plan of the K users with one copy:
-    user u is candidate u + 1.  So subfile (n, S, 1) is bytes
-    ``[q * subfile_bytes, (q + 1) * subfile_bytes)`` of file n, where q is
-    the rank of S in enumerate_subsets(K, t').  ``code`` spreads each
-    signal over the h relays."""
-
-    code: ErasureCode
-
-    @cached_property
-    def label(self) -> Sequence[int]:
-        return range(1, self.net.K + 1)
 
 
 _STRIDE_PART = 32
@@ -118,25 +100,12 @@ def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
     return "cm:S=", plan.names, f":p={relay}"
 
 
-def cmcnc_place(net: Network, lib: FileLibrary, M) -> SubsetCache:
+def cmcnc_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
     """Split files over user subsets; file size must allow the r-way split too."""
-    t = grid_t(net.K, lib.n_files, M, "K")
-    nsub = net.r * binomial(net.K, t)
-    if lib.file_bytes % nsub != 0:
-        raise SubpacketizationError(
-            f"file size {lib.file_bytes} bytes must be divisible by {nsub} "
-            f"(= r * C(K, t') units)"
-        )
-    return SubsetCache(
-        net=net,
-        lib=lib,
-        plan=Plan(net.K, t, 1),
-        subfile_bytes=lib.file_bytes // binomial(net.K, t),
-        code=relay_code(net),
-    )
+    return place_planned(net, lib, M, range(1, net.K + 1), 1, "K", relay_code(net))
 
 
-def cmcnc_deliver(net: Network, cache: SubsetCache, demand: tuple[int, ...]) -> TransmissionLog:
+def cmcnc_deliver(net: Network, cache: PlannedCache, demand: tuple[int, ...]) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
     if cache.plan.t + 1 > net.K:
@@ -161,7 +130,7 @@ def cmcnc_deliver(net: Network, cache: SubsetCache, demand: tuple[int, ...]) -> 
 def cmcnc_decode(
     net: Network,
     user: int,
-    cache: SubsetCache,
+    cache: PlannedCache,
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:

@@ -43,12 +43,13 @@ Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
 candidates: ``proposed`` per relay over the Kt parallel classes with r
 copies of each subset, ``cmcnc`` over the K users with one copy.  Both
-place files with the one cache here, :class:`PlannedCache`, keyed by
-subfile ``(n, T, l)``.  Its :class:`Plan` (candidates, t, copies) holds
-every index table of the multicast, each built on first use, and every
-copy of the placement reads through that one plan; a scheme's cache class
-gives only each user's candidate.  ``broadcast-mds`` keys its
-``PrefixCache`` by file id.
+place files with :func:`place_planned` into the one cache here,
+:class:`PlannedCache`, keyed by subfile ``(n, T, l)``.  Its :class:`Plan`
+(candidates, t, copies) holds every index table of the multicast, each
+built on first use, and every copy of the placement reads through that one
+plan.  The rest of a placement is data: ``label``, each user's candidate,
+and ``code``, the MDS code that spreads ``cmcnc``'s signals over the
+relays.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, starmap
+from itertools import accumulate, chain, compress, product, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, getitem, itemgetter, sub
@@ -259,9 +260,7 @@ def random_demand(net: Network, n_files: int, rng: random.Random) -> tuple[int, 
 
 def all_demands(net: Network, n_files: int) -> Iterator[tuple[int, ...]]:
     """All N^K demand vectors in lexicographic order."""
-    import itertools
-
-    return itertools.product(range(1, n_files + 1), repeat=net.K)
+    return product(range(1, n_files + 1), repeat=net.K)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +349,6 @@ def plan_signals(n: int, t: int) -> SignalPlan:
     )
 
 
-class Layout(NamedTuple):
-    """Where one candidate finds a file's subfiles, built once per plan.
-
-    Slot ``rank(T) * copies + l - 1`` of a file is subfile (T, l).  The
-    candidate puts a file back together from 2 * copies sources: the file
-    from copy l on (its :attr:`PlannedCache.views`), for l = 1, ...,
-    copies, and then the decoded bytes from their copy-l block on.
-    """
-
-    which: array  # which[k]: the source of slot k, l - 1 if cached, else copies + l - 1
-    index: array  # index[k]: the item of slot k in its source, rank(T) * copies if cached
-
-
 @dataclass(frozen=True)
 class Plan:
     """Every index table of the uncoded placement over the t-subsets T of
@@ -418,30 +404,41 @@ class Plan:
         return [frozenset(map(items.__getitem__, held)) for held in self.held]
 
     @cached_property
-    def layouts(self) -> list[Layout]:
-        """layouts[c]: the :class:`Layout` of candidate c.
+    def layouts(self) -> list[tuple[array, array]]:
+        """layouts[c]: (which, index), where candidate c finds a file's slots.
+
+        Slot ``rank(T) * copies + l - 1`` of a file is subfile (T, l).  The
+        candidate puts a file back together from 2 * copies sources: the
+        file from copy l on (its :attr:`PlannedCache.views`), for l = 1,
+        ..., copies, and then the decoded bytes from their copy-l block on.
+        Slot k is item ``index[k]`` of source ``which[k]``: source l - 1 and
+        item rank(T) * copies if c caches T, else source copies + l - 1.
 
         A candidate decodes the subfiles (T, l) it lacks in the order l = 1,
         ..., copies and, within each l, T by increasing rank: so they come
         from a user's r relays in ``proposed``, and ``routing`` sends them.
+        Raises KeyError, once per table, if a slot read from the file lies
+        outside :attr:`holds` of its candidate.
         """
         r = self.copies
         count = len(self.subsets)
         in_file = array("I", range(0, count * r, r))  # by rank q: item rank(T) * r
         layouts = []
-        for missing in self.missing:
+        for c, (missing, holds) in enumerate(zip(self.missing, self.holds)):
             own = bytearray(b"\x01") * count  # own[q]: the candidate caches the T of rank q
             item = array("I", in_file)
             for k, q in enumerate(missing):
                 own[q] = 0
                 item[q] = k  # the T's item in a decoded block
+            if not holds.issuperset(compress(in_file, own)):
+                raise KeyError(f"the layout of candidate {c + 1} reads a subfile it does not cache")
             which = array("B", bytes(count * r))
             index = item * r  # of the right length; interleaved below
             for l in range(r):
                 # Copy l + 1 of a T comes from source l if cached, else r + l.
                 which[l::r] = array("B", own.translate(bytes.maketrans(b"\0\1", bytes([r + l, l]))))
                 index[l::r] = item
-            layouts.append(Layout(which, index))
+            layouts.append((which, index))
         return layouts
 
     @cached_property
@@ -498,8 +495,9 @@ class Plan:
 class PlannedCache:
     """The uncoded placement of Maddah-Ali and Niesen over the t-subsets of
     the sharing candidates that its :class:`Plan` gives: the one cache of
-    both coded schemes.  Each subclass gives ``label[user]``, the candidate
-    of a user, 1-based, as a cached property.
+    both coded schemes, built by :func:`place_planned`.  ``label[user]`` is
+    the candidate of a user, 1-based, and ``code`` the (h, r) MDS code that
+    spreads the signals over the relays, or None if the scheme codes none.
 
     File n splits into ``copies * C(candidates, t)`` subfiles (n, T, l), T a
     t-subset of 1..candidates and l a copy in 1..copies, at byte offset
@@ -518,6 +516,8 @@ class PlannedCache:
     lib: FileLibrary
     plan: Plan
     subfile_bytes: int
+    label: Sequence[int]
+    code: ErasureCode | None = None
 
     @cached_property
     def views(self) -> list[list]:
@@ -586,7 +586,7 @@ class PlannedCache:
 
     def reassemble(self, user: int, n: int, decoded: bytes) -> bytes:
         """File n from the subfiles of it that ``user`` caches and ``decoded``,
-        in one :func:`gather` by its candidate's :class:`Layout`.
+        in one :func:`gather` by its candidate's :attr:`Plan.layouts`.
 
         ``decoded`` holds the subfiles (n, T, l) the user lacks, for l = 1,
         ..., copies in turn and, within each l, for the T by increasing rank.
@@ -600,6 +600,29 @@ class PlannedCache:
         sources = self.sources([n] * r, range(1, r + 1)) + [view[l * block :] for l in range(r)]
         which, index = plan.layouts[c]
         return gather(sources, which, index, size)
+
+
+def place_planned(
+    net: Network, lib: FileLibrary, M, label: Sequence[int], copies: int, symbol: str, code=None
+) -> PlannedCache:
+    """The :class:`PlannedCache` of ``lib`` at storage M: user u caches as
+    candidate label[u] of n = max(label), named ``symbol`` in messages, each
+    T in ``copies`` copies; ``code`` is the MDS code of the signals, if any.
+
+    M must lie on the grid of :func:`grid_t`, and the file must split into
+    r * C(n, t) whole-byte units: ``copies`` subfiles of each T, or the r
+    parts of each subfile that the MDS code spreads.
+    """
+    n = max(label)
+    t = grid_t(n, lib.n_files, M, symbol)
+    units = net.r * comb(n, t)
+    if lib.file_bytes % units != 0:
+        raise SubpacketizationError(
+            f"file size {lib.file_bytes} bytes must be divisible by {units} "
+            f"(= r * C({symbol}, t) subfiles)"
+        )
+    size = lib.file_bytes // (copies * comb(n, t))
+    return PlannedCache(net, lib, Plan(n, t, copies), size, label, code)
 
 
 # ---------------------------------------------------------------------------

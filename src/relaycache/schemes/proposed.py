@@ -19,8 +19,8 @@ Both ends work on all signals of a relay at once, indexed by the
 :class:`.common.Plan` over the Kt classes with r copies that
 :func:`proposed_place` builds once per placement (``cmcnc`` uses the same
 kind of plan over the K users; ``routing`` uses this one's subset tables).
-:class:`GroupedCache` is the one cache of both coded schemes with that plan;
-it gives only each user's class.  Subfiles are read as items by
+:class:`.common.PlannedCache` is the one cache of both coded schemes; here
+its ``label`` is each user's class.  Subfiles are read as items by
 :func:`.common.gather`, never sliced one by one: subfile (n, T, l) is item
 rank(T) * r of file n viewed from copy l on
 (:attr:`.common.PlannedCache.views`).  XOR acts byte by byte, so a relay
@@ -42,54 +42,32 @@ Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from ..combinatorics import binomial, position_in
+from ..combinatorics import position_in
 from ..erasure import xor_bytes
 from ..topology import Network
 from .common import (
     Batch,
     Edge,
     FileLibrary,
-    Plan,
     PlannedCache,
     SignalPlan,
-    SubpacketizationError,
     TransmissionLog,
     gather,
-    grid_t,
     payloads,
+    place_planned,
     validate_demand,
 )
 
 
-@dataclass(frozen=True)
-class GroupedCache(PlannedCache):
-    """The ``proposed`` placement over the plan of the Kt parallel classes
-    with r copies: a user caches by its class."""
-
-    @cached_property
-    def label(self) -> Sequence[int]:
-        return self.net.class_of
-
-
-def proposed_place(net: Network, lib: FileLibrary, M) -> GroupedCache:
+def proposed_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
     """Split files and populate caches by parallel class.
 
     M must lie on the grid {0, N/Kt, 2N/Kt, ..., N} and the file size must
     split into r * C(Kt, t) whole-byte subfiles.
     """
-    t = grid_t(net.num_classes, lib.n_files, M, "Kt")
-    nsub = net.r * binomial(net.num_classes, t)
-    if lib.file_bytes % nsub != 0:
-        raise SubpacketizationError(
-            f"file size {lib.file_bytes} bytes must be divisible by {nsub} "
-            f"(= r * C(Kt, t) subfiles)"
-        )
-    plan = Plan(net.num_classes, t, net.r)
-    return GroupedCache(net=net, lib=lib, plan=plan, subfile_bytes=lib.file_bytes // nsub)
+    return place_planned(net, lib, M, net.class_of, net.r, "Kt")
 
 
 def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
@@ -107,7 +85,7 @@ def _neighbors_of(
 
 
 def proposed_deliver(
-    net: Network, cache: GroupedCache, demand: tuple[int, ...]
+    net: Network, cache: PlannedCache, demand: tuple[int, ...]
 ) -> TransmissionLog:
     """XOR multicast delivery: one signal per relay per (t+1)-subset of classes."""
     validate_demand(net, cache.lib.n_files, demand)
@@ -127,14 +105,14 @@ def proposed_deliver(
         batch = Batch(names, signals, size, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
-            log.forward(i, u, batch, plan.receives[net.class_of[u] - 1])
+            log.forward(i, u, batch, plan.receives[cache.label[u] - 1])
     return log
 
 
 def proposed_decode(
     net: Network,
     user: int,
-    cache: GroupedCache,
+    cache: PlannedCache,
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:
@@ -142,10 +120,10 @@ def proposed_decode(
 
     Subfile (T, l) with the user's class outside T comes from relay V[l] in
     the signal for C = T + {class}; the user cancels the other t terms,
-    which it reads in one :meth:`GroupedCache.gather` per relay.
+    which it reads in one :meth:`PlannedCache.gather` per relay.
     """
     plan = cache.plan
-    signals, which, items = plan.decoders[net.class_of[user] - 1]
+    signals, which, items = plan.decoders[cache.label[user] - 1]
     size = cache.subfile_bytes
     block = len(signals) * size
     decoded = []

@@ -14,7 +14,8 @@ in one :func:`.common.gather` and sends them as one batch; a decoder reads
 every position of that batch on each of its r feeds in one :func:`payloads`
 call, which returns the batch's buffer itself, and puts its file back
 together from its cache and the joined feeds in one more gather, by the
-class layout that ``proposed`` decodes by too.
+class layout that ``proposed`` decodes by too, checked against
+:attr:`.common.Plan.holds` once.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Mapping
 
 from ..combinatorics import position_in
 from ..topology import Network
-from .common import Batch, Edge, TransmissionLog, fmt_subset, gather, payloads, validate_demand
-from .proposed import GroupedCache
+from .common import Batch, Edge, PlannedCache, TransmissionLog, gather, payloads, validate_demand
+from .common import fmt_subset
 
 
 def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str, list[str], str]:
@@ -33,7 +34,7 @@ def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str
 
 
 def routing_deliver(
-    net: Network, cache: GroupedCache, demand: tuple[int, ...]
+    net: Network, cache: PlannedCache, demand: tuple[int, ...]
 ) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
@@ -43,7 +44,7 @@ def routing_deliver(
         for u in net._neighbors[i - 1]:
             V = net.users[u]
             l = position_in(V, i)
-            c = net.class_of[u] - 1
+            c = cache.label[u] - 1
             ranks = plan.missing[c]
             items = list(map(net.r.__mul__, ranks))
             data = gather(cache.sources((demand[u],), (l,)), [0] * len(ranks), items, size)
@@ -57,13 +58,13 @@ def routing_deliver(
 def routing_decode(
     net: Network,
     user: int,
-    cache: GroupedCache,
+    cache: PlannedCache,
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:
     plan = cache.plan
     V = net.users[user]
-    c = net.class_of[user] - 1
+    c = cache.label[user] - 1
     everything = range(len(plan.missing[c]))
     # Relay V[l] sends the copy-l subfile of each missing T, in order.
     feeds = b"".join(

@@ -119,7 +119,8 @@ class Network:
                         f"class {members} contains overlapping users"
                     )
                 covered |= u
-            if covered != set(range(1, self.h + 1)):
+            # Every user's relays lie in 1..h, checked above, so a count suffices.
+            if len(covered) != self.h:
                 raise NotResolvableError(
                     f"class {members} does not cover all {self.h} relays"
                 )

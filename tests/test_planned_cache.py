@@ -177,8 +177,47 @@ def test_a_copy_shares_the_plan(name, monkeypatch):
     assert built == [], f"the copy built {built}"
 
 
+@pytest.mark.parametrize("name", PLACEMENTS)
+def test_both_placements_are_one_cache_type(name):
+    # The facts that set the placements apart are data of the one cache:
+    # each user's candidate, and the MDS code that only cmcnc spreads by.
+    net = combination_network(4, 2)
+    place, _, _, label = PLACEMENTS[name]
+    cache = place(net, random_library(6, 60, seed=1), 2)
+    assert type(cache) is common.PlannedCache
+    assert cache.label == label(net)
+    assert (cache.code is not None) == (name == "cmcnc")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_layout_outside_the_cache_is_refused_when_built(flags):
+    # The last class's missing ranks lose their first, so its layout would
+    # read that T's subfiles from the file; the table must not be built,
+    # also under python -O, which strips assert statements.
+    script = (
+        "from relaycache.schemes import proposed_place, random_library\n"
+        "from relaycache.topology import combination_network\n"
+        "plan = proposed_place(combination_network(4, 2), random_library(6, 60, seed=1), 2).plan\n"
+        "missing = [list(ranks) for ranks in plan.missing]\n"
+        "del missing[-1][0]\n"
+        "plan.__dict__['missing'] = missing\n"
+        "try:\n"
+        "    plan.layouts\n"
+        "except KeyError as exc:\n"
+        "    print('refused', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(relaycache.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "refused 'the layout of candidate 3 reads a subfile it does not cache'\n"
+
+
 # scheme -> the tables of its plan that it never reads, so never builds.
 UNREAD = {
+    "proposed": {"missing_names"},
     "cmcnc": {"missing", "missing_names", "layouts", "decoders"},
     "routing": {"signals", "signal_terms", "receives", "decoders"},
 }

@@ -177,6 +177,20 @@ def test_oversized_network_is_refused_before_building(topology, wires):
     assert wires in record["message"]
 
 
+def test_a_tiny_file_naming_a_billion_relays_is_refused(tmp_path):
+    # One user on relay 1 of h = 10^9: checking that its class covers every
+    # relay built a set of 10^9 ints, a MemoryError under a 1 GiB address space.
+    path = tmp_path / "huge-h.json"
+    path.write_text('{"h": 1000000000, "r": 1, "users": [[1]], "classes": [[0]]}')
+    proc = run_python("-m", "relaycache.cli", "topology", "--topology", str(path),
+                      preexec_fn=partial(_cap_address_space, 2**30))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "NotResolvableError",
+        "message": "class (0,) does not cover all 1000000000 relays",
+    }
+
+
 def test_the_network_cap_admits_comb_20_10():
     # 184,756 users of 10 relays: it builds in about 30 s and 170 MB.
     assert binomial(20, 10) * 10 <= WIRES_CAP < binomial(30, 15) * 15
