@@ -73,7 +73,7 @@ class ExperimentConfig:
     seed: int
     fmt: str
     n_files: int | None = None
-    file_bits: int | str = "auto"
+    file_bytes: int | None = None  # None: the smallest size exact for every cell
     m_values: list[Fraction] = field(default_factory=list)
     schemes: list[str] = field(default_factory=list)
     demand_mode: str = "distinct"
@@ -225,9 +225,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     if ns.command == "run" and len(cfg.schemes) > 1:
         raise ConfigError("run takes a single scheme (use --schemes <name>)")
 
-    if ns.F == "auto":
-        cfg.file_bits = "auto"
-    else:
+    if ns.F != "auto":
         try:
             bits = int(ns.F)
         except ValueError:
@@ -236,7 +234,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
             ) from None
         if bits < 8 or bits % 8:
             raise ConfigError(f"--F must be a positive multiple of 8, got {bits}")
-        cfg.file_bits = bits
+        cfg.file_bytes = bits // 8
 
     if ns.demands is None:
         # Distinct demands need one file per user; fall back when short.
@@ -253,9 +251,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 
 def _file_bytes(cfg: ExperimentConfig) -> int:
-    if cfg.file_bits == "auto":
-        return auto_file_bytes(cfg.net, cfg.n_files, cfg.m_values, cfg.schemes)
-    return int(cfg.file_bits) // 8
+    return cfg.file_bytes or auto_file_bytes(cfg.net, cfg.n_files, cfg.m_values, cfg.schemes)
 
 
 def _demand(cfg: ExperimentConfig) -> tuple[int, ...]:
@@ -342,7 +338,7 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
                 mode=mode,
                 seed=cfg.seed if mode == "sampled" else None,
                 count=cfg.count if mode == "sampled" else None,
-                file_bytes=None if cfg.file_bits == "auto" else _file_bytes(cfg),
+                file_bytes=cfg.file_bytes,
             )
             reports.append(report)
             _failure_record(scheme, M, report.failures)

@@ -28,6 +28,7 @@ from .schemes.common import (
     FileLibrary,
     all_demands,
     grid_t,
+    memory_ratio,
     random_demand,
     random_library,
 )
@@ -166,9 +167,7 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     spec = scheme_spec(scheme)
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
-    m = M / N
-    if not 0 <= m <= 1:
-        raise ValueError(f"M={M} outside 0..{N}")
+    m = memory_ratio(M, N)
     n = t = None
     if spec.grid is not None:
         n = _grid_size(spec, K, kt)
@@ -195,8 +194,7 @@ def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
     """
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
-    if not 0 <= M <= N:
-        raise ValueError(f"M={M} outside 0..{N}")
+    m = memory_ratio(M, N)
     multicast, broadcast = SCHEMES["proposed"].rates, SCHEMES["broadcast-mds"].rates
     points = []
     for j in range(kt + 1):
@@ -206,7 +204,7 @@ def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
     return RatePoint(
         M=M,
         r1=memory_sharing_envelope(points).value(M),
-        r2=broadcast(kt, N, r, M / N)[1],
+        r2=broadcast(kt, N, r, m)[1],
         subpacketization=None,
         source="formula",
     )
@@ -318,9 +316,7 @@ def comparison_ratios(K: int, h: int, r: int, N: int, M) -> ComparisonRatios:
     """
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
-    m = M / N
-    if not 0 <= m <= 1:
-        raise ValueError(f"M={M} outside 0..{N}")
+    m = memory_ratio(M, N)
     r1_ratio = (Fraction(1, K) + m) / (Fraction(1, kt) + m)
     r2_ratio = Fraction(1, K) + m
     t, tp = _grid_int(kt * m), _grid_int(K * m)
@@ -345,10 +341,7 @@ def scheme_file_divisor(net: Network, n_files: int, M, scheme: str) -> int:
     spec = scheme_spec(scheme)
     if spec.grid is None:
         # The cached M/N of each file and the r parts of the rest are whole bytes.
-        m = Fraction(M) / n_files
-        if not 0 <= m <= 1:
-            raise ValueError(f"M={M} outside 0..{n_files}")
-        return spec.subfiles(net.r, None, None) * m.denominator
+        return spec.subfiles(net.r, None, None) * memory_ratio(M, n_files).denominator
     n = _grid_size(spec, net.K, net.num_classes)
     return spec.subfiles(net.r, n, grid_t(n, n_files, M, spec.grid))
 

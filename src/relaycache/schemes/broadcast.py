@@ -23,7 +23,6 @@ one record of its edge's batch per neighbor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -35,6 +34,7 @@ from .common import (
     FileLibrary,
     SubpacketizationError,
     TransmissionLog,
+    memory_ratio,
     payloads,
     relay_code,
     validate_demand,
@@ -87,9 +87,7 @@ class PrefixCache:
 
 def broadcast_place(net: Network, lib: FileLibrary, M) -> PrefixCache:
     """Cache the first M/N of every file, which must be whole bytes."""
-    m = Fraction(M, lib.n_files)
-    if not 0 <= m <= 1:
-        raise ValueError(f"M={M} outside 0..{lib.n_files}")
+    m = memory_ratio(M, lib.n_files)
     prefix = m * lib.file_bytes
     if prefix.denominator != 1:
         raise SubpacketizationError(

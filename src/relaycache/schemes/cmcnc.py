@@ -26,7 +26,7 @@ terms, a decoder's pieces (through :func:`.common.payloads`), each block
 of terms it cancels (through the membership-checked
 :meth:`.common.PlannedCache.gather`) and its file put back together.  A
 user is its own candidate, so a per-candidate decode table would serve
-one user per demand: the decoder runs :meth:`.common.SignalPlan.decoding`
+one user per demand: the decoder runs :meth:`.common.Plan.decoding`
 itself.
 """
 
@@ -41,8 +41,8 @@ from .common import (
     Batch,
     Edge,
     FileLibrary,
+    Plan,
     PlannedCache,
-    SignalPlan,
     TransmissionLog,
     gather,
     payloads,
@@ -95,7 +95,7 @@ def _merge(parts: Sequence[bytes], part: int) -> bytes:
     return bytes(out)
 
 
-def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
+def _form(relay: int, plan: Plan) -> tuple[str, list[str], str]:
     """The label form of piece ``relay`` of every signal, labelled by its S."""
     return "cm:S=", plan.names, f":p={relay}"
 
@@ -108,10 +108,9 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
 def cmcnc_deliver(net: Network, cache: PlannedCache, demand: tuple[int, ...]) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    if cache.plan.t + 1 > net.K:
+    plan, size = cache.plan, cache.subfile_bytes
+    if plan.t + 1 > net.K:
         return log
-    plan = cache.plan.signals
-    size = cache.subfile_bytes
     part = size // net.r
     wanted = cache.sources(demand, [1] * len(demand))
     signals = xor_bytes(
@@ -134,15 +133,14 @@ def cmcnc_decode(
     demand: tuple[int, ...],
     received: Mapping[int, Edge],
 ) -> bytes:
-    K, t = net.K, cache.plan.t
-    size = cache.subfile_bytes
-    own = cache.plan.held[user]
+    plan, size = cache.plan, cache.subfile_bytes
+    K, t = net.K, plan.t
+    own = plan.held[user]
     # Every subfile is copy 1; the user caches those of its file at ``own``.
     cached = cache.gather(user, (demand[user],), (1,), [0] * len(own), own)
     if t == K:
         return cached
 
-    plan = cache.plan.signals
     mine, blocks, extracted = plan.decoding(user)
     pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
     signals = _merge(mds_decode(cache.code, pieces), size // net.r)

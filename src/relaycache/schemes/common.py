@@ -61,11 +61,11 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, product, starmap
+from itertools import accumulate, chain, combinations, compress, product, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, getitem, itemgetter, sub
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from ..combinatorics import enumerate_subsets
 from ..erasure import ErasureCode, make_code
@@ -98,6 +98,14 @@ def grid_t(n: int, n_files: int, M, symbol: str) -> int:
             f"M={M} is not a multiple of N/{symbol} = {step} within [0, {n_files}]"
         )
     return int(t)
+
+
+def memory_ratio(M, n_files: int) -> Fraction:
+    """m = M/N exactly; ValueError unless M lies in 0..N."""
+    m = Fraction(M) / n_files
+    if not 0 <= m <= 1:
+        raise ValueError(f"M={M} outside 0..{n_files}")
+    return m
 
 
 def in_range(values: Collection[int], top: int) -> bool:
@@ -271,94 +279,19 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
 
 
-class SignalPlan(NamedTuple):
-    """The (t+1)-subsets C of n sharing candidates, by rank s; candidates are
-    0-based.
-
-    Signal C is the XOR of t+1 terms.  Term j is the subfile indexed by C
-    minus C[j] of the file that candidate C[j] demands.
-    """
-
-    names: list[str]  # names[s]: the C of rank s, 1-based, as written in labels
-    member: list[list[int]]  # member[j][s]: C[j]
-    rest: list[list[int]]  # rest[j][s]: rank of C minus C[j] among the T
-    at: list[list[list[int]]]  # at[j][c]: every s with C[j] == c, increasing
-
-    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
-        """(signals, blocks, delivered) for candidate c.
-
-        ``signals``: every s with c in C, grouped by the position of c in C
-        and increasing within each group.
-        ``blocks[x]``: (member, rest) lists giving, per signal, its x-th
-        member other than c and the rank of C minus that member, the term c
-        cancels.  ``delivered``: per signal, the rank of C minus c.
-        """
-        # One C-level picker per nonempty group, reused for every column: an
-        # itemgetter of the group, or of a one-item slice for a lone signal.
-        # Near t = n - 1 most groups are empty and the rest are lone.
-        groups = [(p, at[c]) for p, at in enumerate(self.at) if at[c]]
-        picks = [
-            (p, itemgetter(*group) if len(group) > 1 else itemgetter(slice(group[0], group[0] + 1)))
-            for p, group in groups
-        ]
-
-        def column(table: list[list[int]], x: int) -> list[int]:
-            """Per signal, table[j][s] for the x-th member j of C other than c."""
-            out: list[int] = []
-            for p, pick in picks:
-                out += pick(table[x + (x >= p)])
-            return out
-
-        blocks = [(column(self.member, x), column(self.rest, x)) for x in range(len(self.at) - 1)]
-        signals = [s for _, group in groups for s in group]
-        delivered: list[int] = []
-        for p, pick in picks:
-            delivered += pick(self.rest[p])
-        return signals, blocks, delivered
-
-
-def plan_signals(n: int, t: int) -> SignalPlan:
-    signals = enumerate_subsets(n, t + 1) if t < n else []
-    member = [[C[j] - 1 for C in signals] for j in range(t + 1)]
-    ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
-    # The C with first member a (0-based) come in order, and C minus C[0] runs
-    # through the t-subsets above a: the last C(n - 1 - a, t) ranks.  C minus
-    # C[j + 1] differs from C minus C[j] only at index j, which holds C[j]
-    # instead of C[j + 1], and rank(T) = C(n, t) - 1 - sum over m of
-    # term[t - m][T[m]], T 0-based.
-    first = chain.from_iterable(ranks[len(ranks) - comb(n - 1 - a, t) :] for a in range(n))
-    rest = [list(first)]
-    term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
-    for j in range(t):
-        up, down = (map(term[t - j].__getitem__, member[x]) for x in (j + 1, j))
-        rest.append(list(map(sub, map(add, rest[j], up), down)))
-    # at[j]: the signals stably sorted by C[j], cut where C[j] changes.  C[j]
-    # is c (0-based) in C(c, j) * C(n - 1 - c, t - j) signals: j members of C
-    # lie below c and t - j above.
-    ids = list(range(len(signals)))
-    at = []
-    for j, column in enumerate(member):
-        order = sorted(ids, key=column.__getitem__)
-        cuts = list(accumulate((comb(c, j) * comb(n - 1 - c, t - j) for c in range(n)), initial=0))
-        at.append(list(map(order.__getitem__, map(slice, cuts, cuts[1:]))))
-    return SignalPlan(
-        names=list(starmap(".".join(["{}"] * (t + 1)).format, signals)),
-        member=member,
-        rest=rest[:1] + [list(map(ranks.__getitem__, column)) for column in rest[1:]],
-        at=at,
-    )
-
-
 @dataclass(frozen=True)
 class Plan:
     """Every index table of the uncoded placement over the t-subsets T of
-    ``candidates`` sharing candidates, each T cached in ``copies`` copies.
+    ``candidates`` sharing candidates, each T cached in ``copies`` copies,
+    and of its multicast: signal s XORs t+1 terms of the (t+1)-subset C of
+    rank s, term j the subfile of C minus C[j] that C[j] demands.
 
     The tables depend on these three numbers alone, never on the library,
     so every copy of a placement reads through one plan.  Candidates are
     0-based in the tables and 1-based in the subsets.  Each table is built
     on first use: ``cmcnc`` never builds :attr:`missing`, :attr:`layouts`
-    or :attr:`decoders`, and ``routing`` never builds the signal tables.
+    or :attr:`decoders`, and ``routing`` never builds the signal tables
+    :attr:`names`, :attr:`member`, :attr:`rest` and :attr:`at`.
     """
 
     candidates: int
@@ -392,8 +325,83 @@ class Plan:
         return [list(map(names.__getitem__, ranks)) for ranks in self.missing]
 
     @cached_property
-    def signals(self) -> SignalPlan:
-        return plan_signals(self.candidates, self.t)
+    def names(self) -> list[str]:
+        """names[s]: the C of rank s, 1-based, as written in labels."""
+        n, t = self.candidates, self.t
+        signals = combinations(range(1, n + 1), t + 1)  # enumerate_subsets's order; no list kept
+        return list(starmap(".".join(["{}"] * (t + 1)).format, signals))
+
+    @cached_property
+    def member(self) -> list[list[int]]:
+        """member[j][s]: C[j] of the C of rank s."""
+        n, t = self.candidates, self.t
+        signals = enumerate_subsets(n, t + 1) if t < n else []
+        return [[C[j] - 1 for C in signals] for j in range(t + 1)]
+
+    @cached_property
+    def rest(self) -> list[list[int]]:
+        """rest[j][s]: rank of C minus C[j] among the T."""
+        n, t, member = self.candidates, self.t, self.member
+        ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
+        # The C with first member a (0-based) come in order, and C minus C[0] runs
+        # through the t-subsets above a: the last C(n - 1 - a, t) ranks.  C minus
+        # C[j + 1] differs from C minus C[j] only at index j, which holds C[j]
+        # instead of C[j + 1], and rank(T) = C(n, t) - 1 - sum over m of
+        # term[t - m][T[m]], T 0-based.
+        first = chain.from_iterable(ranks[len(ranks) - comb(n - 1 - a, t) :] for a in range(n))
+        rest = [list(first)]
+        term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
+        for j in range(t):
+            up, down = (map(term[t - j].__getitem__, member[x]) for x in (j + 1, j))
+            rest.append(list(map(sub, map(add, rest[j], up), down)))
+        return rest[:1] + [list(map(ranks.__getitem__, column)) for column in rest[1:]]
+
+    @cached_property
+    def at(self) -> list[list[list[int]]]:
+        """at[j][c]: every s with C[j] == c, increasing."""
+        n, t = self.candidates, self.t
+        # at[j]: the signals stably sorted by C[j], cut where C[j] changes.  C[j]
+        # is c (0-based) in C(c, j) * C(n - 1 - c, t - j) signals: j members of C
+        # lie below c and t - j above.
+        ids = list(range(comb(n, t + 1)))  # so that the at[j] share one int object per s
+        at = []
+        for j, column in enumerate(self.member):
+            order = sorted(ids, key=column.__getitem__)
+            cuts = list(accumulate((comb(c, j) * comb(n - 1 - c, t - j) for c in range(n)), initial=0))
+            at.append(list(map(order.__getitem__, map(slice, cuts, cuts[1:]))))
+        return at
+
+    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
+        """(signals, blocks, delivered) for candidate c.
+
+        ``signals``: every s with c in C, grouped by the position of c in C
+        and increasing within each group.
+        ``blocks[x]``: (member, rest) lists giving, per signal, its x-th
+        member other than c and the rank of C minus that member, the term c
+        cancels.  ``delivered``: per signal, the rank of C minus c.
+        """
+        # One C-level picker per nonempty group, reused for every column: an
+        # itemgetter of the group, or of a one-item slice for a lone signal.
+        # Near t = n - 1 most groups are empty and the rest are lone.
+        groups = [(p, at[c]) for p, at in enumerate(self.at) if at[c]]
+        picks = [
+            (p, itemgetter(*group) if len(group) > 1 else itemgetter(slice(group[0], group[0] + 1)))
+            for p, group in groups
+        ]
+
+        def column(table: list[list[int]], x: int) -> list[int]:
+            """Per signal, table[j][s] for the x-th member j of C other than c."""
+            out: list[int] = []
+            for p, pick in picks:
+                out += pick(table[x + (x >= p)])
+            return out
+
+        blocks = [(column(self.member, x), column(self.rest, x)) for x in range(self.t)]
+        signals = [s for _, group in groups for s in group]
+        delivered: list[int] = []
+        for p, pick in picks:
+            delivered += pick(self.rest[p])
+        return signals, blocks, delivered
 
     @cached_property
     def holds(self) -> list[frozenset[int]]:
@@ -446,17 +454,17 @@ class Plan:
         """(which, items) of every signal's terms, as :func:`gather` reads
         them over the candidates' files: block j gives per signal s its
         member member[j][s] and rank(C minus that member) * copies."""
-        plan, r = self.signals, self.copies
+        r = self.copies
         return (
-            array("I", chain.from_iterable(plan.member)),
-            array("I", chain.from_iterable(map(r.__mul__, rest) for rest in plan.rest)),
+            array("I", chain.from_iterable(self.member)),
+            array("I", chain.from_iterable(map(r.__mul__, rest) for rest in self.rest)),
         )
 
     @cached_property
     def receives(self) -> list[tuple[int, ...]]:
         """receives[c]: every s with c in C, increasing: the signals that a
         relay forwards to its neighbor of candidate c."""
-        at = self.signals.at
+        at = self.at
         return [
             tuple(sorted(chain.from_iterable(column[c] for column in at)))
             for c in range(self.candidates)
@@ -467,17 +475,16 @@ class Plan:
         """decoders[c]: (signals, which, items) by which candidate c decodes.
 
         ``signals``: the positions c reads on each relay, those of
-        :meth:`SignalPlan.decoding` ordered so that it decodes the T it
-        lacks by increasing rank, as :attr:`layouts` expects.  Block x of
-        ``which`` and ``items``: per signal, its x-th member other than c
-        and rank(C minus that member) * copies, the term c cancels, as
-        :meth:`PlannedCache.gather` reads them over a relay's neighbors by
-        candidate.
+        :meth:`decoding` ordered so that c decodes the T it lacks by
+        increasing rank, as :attr:`layouts` expects.  Block x of ``which``
+        and ``items``: per signal, its x-th member other than c and rank(C
+        minus that member) * copies, the term c cancels, for
+        :meth:`PlannedCache.gather` over a relay's neighbors by candidate.
         """
-        plan, r = self.signals, self.copies
+        r = self.copies
         decoders = []
         for c in range(self.candidates):
-            signals, blocks, delivered = plan.decoding(c)
+            signals, blocks, delivered = self.decoding(c)
             order = sorted(range(len(signals)), key=delivered.__getitem__)
             members = (map(member.__getitem__, order) for member, _ in blocks)
             ranks = (map(rest.__getitem__, order) for _, rest in blocks)

@@ -15,10 +15,10 @@ signal to exactly those t+1 neighbors.  Each receiver caches every term of
 the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
-Both ends work on all signals of a relay at once, indexed by the
-:class:`.common.Plan` over the Kt classes with r copies that
+Both ends work on all signals of a relay at once, indexed by the signal
+tables of the :class:`.common.Plan` over the Kt classes with r copies that
 :func:`proposed_place` builds once per placement (``cmcnc`` uses the same
-kind of plan over the K users; ``routing`` uses this one's subset tables).
+kind of plan over the K users; ``routing`` only its subset tables).
 :class:`.common.PlannedCache` is the one cache of both coded schemes; here
 its ``label`` is each user's class.  Subfiles are read as items by
 :func:`.common.gather`, never sliced one by one: subfile (n, T, l) is item
@@ -51,8 +51,8 @@ from .common import (
     Batch,
     Edge,
     FileLibrary,
+    Plan,
     PlannedCache,
-    SignalPlan,
     TransmissionLog,
     gather,
     payloads,
@@ -70,7 +70,7 @@ def proposed_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
     return place_planned(net, lib, M, net.class_of, net.r, "Kt")
 
 
-def _form(relay: int, plan: SignalPlan) -> tuple[str, list[str], str]:
+def _form(relay: int, plan: Plan) -> tuple[str, list[str], str]:
     """The label form of ``relay``'s signals: signal s is labelled by its C."""
     return f"prop:i={relay}:C=", plan.names, ""
 
@@ -96,12 +96,12 @@ def proposed_deliver(
         return log
     which, items = plan.signal_terms
     size = cache.subfile_bytes
-    block = len(plan.signals.names) * size
+    block = len(plan.names) * size
     for i in range(1, net.h + 1):
         terms = gather(cache.sources(*_neighbors_of(net, demand, i)), which, items, size)
         view = memoryview(terms)
         signals = xor_bytes(*[view[j * block : (j + 1) * block] for j in range(t + 1)])
-        prefix, names, suffix = _form(i, plan.signals)
+        prefix, names, suffix = _form(i, plan)
         batch = Batch(names, signals, size, prefix, suffix)
         log.add_server(i, batch)
         for u in net._neighbors[i - 1]:
@@ -128,7 +128,7 @@ def proposed_decode(
     block = len(signals) * size
     decoded = []
     for i in net.users[user]:
-        feed = payloads(user, i, received, signals, _form(i, plan.signals))
+        feed = payloads(user, i, received, signals, _form(i, plan))
         if len(feed) != block:
             raise ValueError(
                 f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"

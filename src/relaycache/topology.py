@@ -329,19 +329,6 @@ def baranyai_partition(h: int, r: int) -> list[list[tuple[int, ...]]]:
     return canon
 
 
-def _from_subset_classes(
-    h: int, r: int, classes: list[list[tuple[int, ...]]]
-) -> Network:
-    users = [m for cls in classes for m in cls]
-    index = {u: i for i, u in enumerate(users)}
-    return Network(
-        h=h,
-        r=r,
-        users=tuple(users),
-        classes=tuple(tuple(index[m] for m in cls) for cls in classes),
-    )
-
-
 def combination_network(h: int, r: int) -> Network:
     """The network whose users are all C(h, r) r-subsets of the h relays."""
     if h < 1 or r < 1 or r > h:
@@ -352,7 +339,8 @@ def combination_network(h: int, r: int) -> Network:
             f"{r} does not divide {h}"
         )
     _check_wires(binomial(h, r), r)
-    return _from_subset_classes(h, r, baranyai_partition(h, r))
+    classes = baranyai_partition(h, r)
+    return custom_network(h, r, [m for cls in classes for m in cls], classes)
 
 
 def affine_plane(q: int) -> Network:
@@ -378,7 +366,7 @@ def affine_plane(q: int) -> Network:
                 for b in range(q)
             ]
         )
-    return _from_subset_classes(q * q, q, classes)
+    return custom_network(q * q, q, [m for cls in classes for m in cls], classes)
 
 
 def custom_network(

@@ -15,6 +15,7 @@ from relaycache.schemes.common import (
     Edge,
     FileLibrary,
     IncompleteReceptionError,
+    Plan,
     TransmissionLog,
     all_demands,
     as_items,
@@ -22,7 +23,6 @@ from relaycache.schemes.common import (
     fmt_subset,
     gather,
     payloads,
-    plan_signals,
     random_library,
     uniform_demand,
     validate_demand,
@@ -92,7 +92,7 @@ class TestSignalPlan:
         subsets = list(itertools.combinations(range(n), t))
         signals = list(itertools.combinations(range(n), t + 1))
         rank = {T: q for q, T in enumerate(subsets)}
-        mine, blocks, delivered = plan_signals(n, t).decoding(c)
+        mine, blocks, delivered = Plan(n, t, 1).decoding(c)
 
         assert sorted(mine) == [s for s, C in enumerate(signals) if c in C]
         assert len(blocks) == t and len(delivered) == len(mine)
@@ -113,7 +113,7 @@ class TestSignalPlan:
             subsets = list(itertools.combinations(range(n), t))
             signals = list(itertools.combinations(range(n), t + 1))
             rank = {T: q for q, T in enumerate(subsets)}
-            plan = plan_signals(n, t)
+            plan = Plan(n, t, 1)
             for c in range(n):
                 mine = [s for p in range(t + 1) for s, C in enumerate(signals) if C[p] == c]
                 others = [[y for y in signals[s] if y != c] for s in mine]
@@ -131,7 +131,7 @@ class TestSignalPlan:
     def test_at_matches_definition(self, case):
         n, t, _ = case
         signals = list(itertools.combinations(range(n), t + 1))
-        at = plan_signals(n, t).at
+        at = Plan(n, t, 1).at
         assert at == [
             [[s for s, C in enumerate(signals) if C[j] == c] for c in range(n)] for j in range(t + 1)
         ]

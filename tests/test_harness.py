@@ -17,9 +17,10 @@ from relaycache.harness import (
     formula_rates,
     memory_sharing_envelope,
     run_scheme,
+    scheme_file_divisor,
     verify_all_demands,
 )
-from relaycache.schemes import distinct_demand, random_library, uniform_demand
+from relaycache.schemes import broadcast_place, distinct_demand, random_library, uniform_demand
 from relaycache.topology import affine_plane, combination_network, custom_network
 
 F = Fraction
@@ -205,6 +206,30 @@ class TestComparisonRatios:
         cr = comparison_ratios(15, 6, 2, 50, F(1, 3))
         assert cr.subpack_ratio_exact is None
         assert cr.subpack_ratio_approx > 0
+
+
+# Every entry point that takes M states one rule: M must lie in 0..N.
+# comb(4,2): K=6, h=4, r=2; N=6 files.
+M_RANGE_ENTRY_POINTS = {
+    "formula_rates": lambda M: formula_rates("proposed", 6, 4, 2, 6, M),
+    "achievable_rate": lambda M: achievable_rate(6, 4, 2, 6, M),
+    "comparison_ratios": lambda M: comparison_ratios(6, 4, 2, 6, M),
+    "scheme_file_divisor": lambda M: scheme_file_divisor(
+        combination_network(4, 2), 6, M, "broadcast-mds"
+    ),
+    "broadcast_place": lambda M: broadcast_place(
+        combination_network(4, 2), random_library(6, 24, seed=1), M
+    ),
+}
+
+
+@pytest.mark.parametrize("M", [-1, 7])
+@pytest.mark.parametrize("entry", M_RANGE_ENTRY_POINTS)
+def test_memory_outside_zero_to_n_is_refused_everywhere(entry, M):
+    with pytest.raises(ValueError) as exc:
+        M_RANGE_ENTRY_POINTS[entry](M)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"M={M} outside 0..6"
 
 
 class TestRunScheme:

@@ -162,7 +162,7 @@ class TestDelivery:
         cache = cmcnc_place(comb42, lib30, 2)
         log = cmcnc_deliver(comb42, cache, distinct_demand(comb42, 6))
         edges = [*log.server_edges.values(), *log.relay_edges.values()]
-        assert all(batch.names is cache.plan.signals.names for e in edges for batch, _ in e.parts)
+        assert all(batch.names is cache.plan.names for e in edges for batch, _ in e.parts)
         assert {batch.suffix for e in log.server_edges.values() for batch, _ in e.parts} == {
             f":p={i}" for i in range(1, 5)
         }

@@ -31,7 +31,7 @@ from relaycache.schemes import (
     routing_deliver,
 )
 from relaycache.schemes import common
-from relaycache.schemes.common import SignalPlan
+from relaycache.schemes.common import Plan
 from relaycache.topology import affine_plane, combination_network, relay_neighborhood
 from test_golden import edge_records
 
@@ -302,7 +302,7 @@ class TestDelivery:
         cache = proposed_place(comb42, lib6, 2)
         log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
         edges = [*log.server_edges.values(), *log.relay_edges.values()]
-        assert all(batch.names is cache.plan.signals.names for e in edges for batch, _ in e.parts)
+        assert all(batch.names is cache.plan.names for e in edges for batch, _ in e.parts)
         picks = {}
         for (_, u), edge in log.relay_edges.items():
             ((_, p),) = edge.parts
@@ -323,8 +323,8 @@ class TestDecode:
     def test_decoding_tables_are_built_once_per_class(self, comb42, lib6, monkeypatch):
         # comb(4,2): 6 users in 3 classes; two deliveries reuse the tables.
         calls = []
-        decoding = SignalPlan.decoding
-        monkeypatch.setattr(SignalPlan, "decoding", lambda plan, c: calls.append(c) or decoding(plan, c))
+        decoding = Plan.decoding
+        monkeypatch.setattr(Plan, "decoding", lambda plan, c: calls.append(c) or decoding(plan, c))
         cache = proposed_place(comb42, lib6, 2)
         for demand in (distinct_demand(comb42, 6), (1,) * comb42.K):
             log = proposed_deliver(comb42, cache, demand)
