@@ -35,9 +35,12 @@ Conventions used by every scheme:
 Cache objects are lazy views over the library: no subfile is copied.  A
 decoder reads cached bytes through its cache alone, and the read raises
 ``KeyError`` for anything the user did not cache, which keeps decoders
-honest about what they may read: :meth:`PlannedCache.gather`, checked
-against the membership sets :attr:`Plan.holds`, for the coded schemes, and
-``PrefixCache.get`` for ``broadcast-mds``.
+honest about what they may read: :meth:`PlannedCache.gather` for the
+coded schemes, and ``PrefixCache.get`` for ``broadcast-mds``.  A coded
+read is checked against one byte row per candidate, :attr:`Plan.holds`,
+by one rule, :func:`holds_all`; a table the plan builds for reading
+(:attr:`Plan.layouts`, :attr:`Plan.decoders`) is checked against the row
+once, when it is built, and its reads skip that scan.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
@@ -61,7 +64,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, product, starmap
+from itertools import accumulate, chain, combinations, compress, count, product, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add, getitem, itemgetter, sub
@@ -86,6 +89,11 @@ class IncompleteReceptionError(RuntimeError):
 
 # Largest library random_library builds: 1 GiB, refused before allocating.
 LIBRARY_BYTES_CAP = 2**30
+
+# Most subfile slots a placement's plan may index, candidates * copies * C(n, t):
+# the bytes of its rows (Plan.holds), and at least the entries of each signal
+# table, as (t + 1) * C(n, t + 1) <= n * C(n, t).
+PLAN_SLOTS_CAP = 2**22
 
 
 def grid_t(n: int, n_files: int, M, symbol: str) -> int:
@@ -206,6 +214,18 @@ def _picker(index: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple([seq[k] for k in index])
 
 
+def holds_all(row: bytes, items: Sequence[int]) -> bool:
+    """Whether ``row`` is nonzero at every item: the one membership rule of
+    a :class:`Plan` row.  A negative item, or one at len(row) or above, is
+    not held; no index wraps."""
+    if _negative(items):
+        return False
+    try:
+        return all(_picker(items)(row))
+    except IndexError:
+        return False
+
+
 def gather(sources: Sequence, which: Sequence[int], index: Sequence[int], size: int) -> bytes:
     """Item ``index[j]`` of source ``which[j]`` for every j, concatenated.
 
@@ -291,7 +311,9 @@ class Plan:
     0-based in the tables and 1-based in the subsets.  Each table is built
     on first use: ``cmcnc`` never builds :attr:`missing`, :attr:`layouts`
     or :attr:`decoders`, and ``routing`` never builds the signal tables
-    :attr:`names`, :attr:`member`, :attr:`rest` and :attr:`at`.
+    :attr:`names`, :attr:`member`, :attr:`rest` and :attr:`at`.  No
+    scheme builds :attr:`subsets`: the tables enumerate the subsets with
+    ``itertools.combinations`` and keep no tuple of them.
     """
 
     candidates: int
@@ -300,28 +322,40 @@ class Plan:
 
     @cached_property
     def subsets(self) -> list[tuple[int, ...]]:
-        """subsets[q]: the T of rank q, 1-based."""
+        """subsets[q]: the T of rank q, 1-based; read only to name a refused
+        subfile."""
         return enumerate_subsets(self.candidates, self.t)
+
+    @cached_property
+    def holds(self) -> list[bytes]:
+        """holds[c]: the row of candidate c, ``copies * C(candidates, t)``
+        bytes, 1 at item rank(T) * copies of each T that contains c and 0
+        elsewhere: the items :meth:`PlannedCache.gather` lets its users read,
+        by :func:`holds_all`."""
+        n, t, r = self.candidates, self.t, self.copies
+        rows = [bytearray(r * comb(n, t)) for _ in range(n)]
+        for k, T in zip(count(0, r), combinations(range(n), t)):  # no tuple kept
+            for c in T:
+                rows[c][k] = 1
+        return list(map(bytes, rows))
 
     @cached_property
     def held(self) -> list[list[int]]:
         """held[c]: ranks of the T that contain c, increasing."""
-        held: list[list[int]] = [[] for _ in range(self.candidates)]
-        for q, T in enumerate(self.subsets):
-            for c in T:
-                held[c - 1].append(q)
-        return held
+        ranks = list(range(comb(self.candidates, self.t)))  # one int object per rank, shared
+        return [list(compress(ranks, row[:: self.copies])) for row in self.holds]
 
     @cached_property
     def missing(self) -> list[list[int]]:
         """missing[c]: ranks of the T without c, increasing."""
-        everything = frozenset(range(len(self.subsets)))
-        return [sorted(everything.difference(held)) for held in self.held]
+        ranks = list(range(comb(self.candidates, self.t)))
+        flip = bytes.maketrans(b"\0\1", b"\1\0")  # a row's held ranks become its missing ones
+        return [list(compress(ranks, row[:: self.copies].translate(flip))) for row in self.holds]
 
     @cached_property
     def missing_names(self) -> list[list[str]]:
         """missing_names[c][k]: the T of rank missing[c][k] as written in labels."""
-        names = list(map(fmt_subset, self.subsets))
+        names = list(map(fmt_subset, combinations(range(1, self.candidates + 1), self.t)))
         return [list(map(names.__getitem__, ranks)) for ranks in self.missing]
 
     @cached_property
@@ -404,14 +438,6 @@ class Plan:
         return signals, blocks, delivered
 
     @cached_property
-    def holds(self) -> list[frozenset[int]]:
-        """holds[c]: the items rank(T) * copies of the T that contain
-        candidate c, the ones :meth:`PlannedCache.gather` lets its users read."""
-        # One int object per rank, shared by every candidate's set.
-        items = list(range(0, len(self.subsets) * self.copies, self.copies))
-        return [frozenset(map(items.__getitem__, held)) for held in self.held]
-
-    @cached_property
     def layouts(self) -> list[tuple[array, array]]:
         """layouts[c]: (which, index), where candidate c finds a file's slots.
 
@@ -426,21 +452,21 @@ class Plan:
         ..., copies and, within each l, T by increasing rank: so they come
         from a user's r relays in ``proposed``, and ``routing`` sends them.
         Raises KeyError, once per table, if a slot read from the file lies
-        outside :attr:`holds` of its candidate.
+        outside the row :attr:`holds` of its candidate.
         """
         r = self.copies
-        count = len(self.subsets)
-        in_file = array("I", range(0, count * r, r))  # by rank q: item rank(T) * r
+        ranks = comb(self.candidates, self.t)
+        in_file = array("I", range(0, ranks * r, r))  # by rank q: item rank(T) * r
         layouts = []
-        for c, (missing, holds) in enumerate(zip(self.missing, self.holds)):
-            own = bytearray(b"\x01") * count  # own[q]: the candidate caches the T of rank q
+        for c, (missing, row) in enumerate(zip(self.missing, self.holds)):
+            own = bytearray(b"\x01") * ranks  # own[q]: the candidate caches the T of rank q
             item = array("I", in_file)
             for k, q in enumerate(missing):
                 own[q] = 0
                 item[q] = k  # the T's item in a decoded block
-            if not holds.issuperset(compress(in_file, own)):
+            if not holds_all(row, list(compress(in_file, own))):
                 raise KeyError(f"the layout of candidate {c + 1} reads a subfile it does not cache")
-            which = array("B", bytes(count * r))
+            which = array("B", bytes(ranks * r))
             index = item * r  # of the right length; interleaved below
             for l in range(r):
                 # Copy l + 1 of a T comes from source l if cached, else r + l.
@@ -479,20 +505,27 @@ class Plan:
         increasing rank, as :attr:`layouts` expects.  Block x of ``which``
         and ``items``: per signal, its x-th member other than c and rank(C
         minus that member) * copies, the term c cancels, for
-        :meth:`PlannedCache.gather` over a relay's neighbors by candidate.
+        :meth:`PlannedCache.cancelled` over a relay's neighbors by candidate.
+
+        Raises KeyError, once per table, if an item lies outside the row
+        :attr:`holds` of its candidate: so the reads by these tables need no
+        membership check of their own.
         """
         r = self.copies
         decoders = []
-        for c in range(self.candidates):
+        for c, row in enumerate(self.holds):
             signals, blocks, delivered = self.decoding(c)
             order = sorted(range(len(signals)), key=delivered.__getitem__)
             members = (map(member.__getitem__, order) for member, _ in blocks)
             ranks = (map(rest.__getitem__, order) for _, rest in blocks)
+            items = array("I", map(r.__mul__, chain.from_iterable(ranks)))
+            if not holds_all(row, items):
+                raise KeyError(f"the decoder of candidate {c + 1} reads a subfile it does not cache")
             decoders.append(
                 (
                     array("I", map(signals.__getitem__, order)),
                     array("I", chain.from_iterable(members)),
-                    array("I", map(r.__mul__, chain.from_iterable(ranks))),
+                    items,
                 )
             )
         return decoders
@@ -565,25 +598,40 @@ class PlannedCache:
 
         Raises ValueError if ``which`` and ``items``, or ``files`` and
         ``copies``, differ in length, and KeyError, naming the first such
-        (n, T, l), unless the user caches all of them: T must contain the
-        user's candidate, n lie in 1..N and l in 1..copies.  IndexError for a
-        file or copy out of range that no item reads.  Nothing is read from a
-        file before these checks.
+        (n, T, l), unless the user caches all of them: the row
+        :attr:`Plan.holds` of the user's candidate must hold every item, n
+        lie in 1..N and l in 1..copies.  IndexError for a file or copy out of
+        range that no item reads.  Nothing is read from a file before these
+        checks.
         """
+        return self._read(user, files, copies, which, items, checked=False)
+
+    def cancelled(self, user: int, files: Sequence[int], copies: Sequence[int]) -> bytes:
+        """:meth:`gather` of the items by which the user's candidate decodes,
+        its table :attr:`Plan.decoders`, over the sources (files, copies).
+
+        The plan checked the table's items against the candidate's row when
+        it built the table, so only ``files`` and ``copies`` are checked here,
+        with the errors of :meth:`gather`.
+        """
+        _, which, items = self.plan.decoders[self.label[user] - 1]
+        return self._read(user, files, copies, which, items, checked=True)
+
+    def _read(self, user, files, copies, which, items, checked: bool) -> bytes:
+        """:meth:`gather`; no membership scan if the plan ``checked`` the items."""
         if len(which) != len(items):
             raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
         if len(files) != len(copies):
             raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
         plan = self.plan
         N, r = self.lib.n_files, plan.copies
-        held = plan.holds[self.label[user] - 1]
-        if not (held.issuperset(items) and in_range(files, N) and in_range(copies, r)):
-            subsets = plan.subsets
+        row = plan.holds[self.label[user] - 1]
+        if not ((checked or holds_all(row, items)) and in_range(files, N) and in_range(copies, r)):
             for w, k in zip(which, items):
                 n, l = files[w], copies[w]
-                if not (k in held and 1 <= n <= N and 1 <= l <= r):
+                if not (holds_all(row, [k]) and 1 <= n <= N and 1 <= l <= r):
                     q, off = divmod(k, r)
-                    T = f"item {k}" if off else subsets[q] if 0 <= q < len(subsets) else q
+                    T = f"item {k}" if off else plan.subsets[q] if 0 <= k < len(row) else q
                     raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
             # Every item read is cached: a file or copy that none reads is out of range.
             raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
@@ -618,10 +666,18 @@ def place_planned(
 
     M must lie on the grid of :func:`grid_t`, and the file must split into
     r * C(n, t) whole-byte units: ``copies`` subfiles of each T, or the r
-    parts of each subfile that the MDS code spreads.
+    parts of each subfile that the MDS code spreads.  BudgetError, before
+    either split is checked and before any table is built, if the plan
+    would index more than PLAN_SLOTS_CAP slots, n * copies * C(n, t).
     """
     n = max(label)
     t = grid_t(n, lib.n_files, M, symbol)
+    slots = n * copies * comb(n, t)
+    if slots > PLAN_SLOTS_CAP:
+        raise BudgetError(
+            f"a plan over {symbol} = {n} candidates with {copies} copies of C({n}, {t}) subsets needs "
+            f"{slots} slots, more than the cap of {PLAN_SLOTS_CAP}"
+        )
     units = net.r * comb(n, t)
     if lib.file_bytes % units != 0:
         raise SubpacketizationError(

@@ -28,12 +28,13 @@ reads the j-th term of every signal, for every j, in one gather over its
 neighbors' files with ``which`` the member class, XORs the t+1 blocks as
 integers and sends the result as one batch to each neighbor, at the
 positions :attr:`.common.Plan.receives` gives its class.  A decoder reads
-the terms it cancels on each relay in one membership-checked
-:meth:`.common.PlannedCache.gather`, XORs them away from that relay's feed
-the same way, and puts its file back together from the cached and the
-decoded subfiles in one more gather
+the terms it cancels on each relay in one
+:meth:`.common.PlannedCache.cancelled`, XORs them away from that relay's
+feed the same way, and puts its file back together from the cached and
+the decoded subfiles in one more gather
 (:meth:`.common.PlannedCache.reassemble`).  The tables those reads use are
-built once per class and plan and held as arrays:
+built once per class and plan, held as arrays and checked against the
+class's row of cached subfiles when built, so their reads skip that scan:
 :attr:`.common.Plan.decoders` and :attr:`.common.Plan.layouts`.
 
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
@@ -120,10 +121,10 @@ def proposed_decode(
 
     Subfile (T, l) with the user's class outside T comes from relay V[l] in
     the signal for C = T + {class}; the user cancels the other t terms,
-    which it reads in one :meth:`PlannedCache.gather` per relay.
+    which it reads in one :meth:`PlannedCache.cancelled` per relay.
     """
     plan = cache.plan
-    signals, which, items = plan.decoders[cache.label[user] - 1]
+    signals = plan.decoders[cache.label[user] - 1][0]
     size = cache.subfile_bytes
     block = len(signals) * size
     decoded = []
@@ -134,7 +135,7 @@ def proposed_decode(
                 f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"
             )
         # Block x of the terms holds, per signal, the term of its x-th other member.
-        terms = memoryview(cache.gather(user, *_neighbors_of(net, demand, i), which, items))
+        terms = memoryview(cache.cancelled(user, *_neighbors_of(net, demand, i)))
         blocks = [terms[x * block : (x + 1) * block] for x in range(plan.t)]
         decoded.append(xor_bytes(feed, *blocks))
     return cache.reassemble(user, demand[user], b"".join(decoded))

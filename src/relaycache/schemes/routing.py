@@ -14,8 +14,8 @@ in one :func:`.common.gather` and sends them as one batch; a decoder reads
 every position of that batch on each of its r feeds in one :func:`payloads`
 call, which returns the batch's buffer itself, and puts its file back
 together from its cache and the joined feeds in one more gather, by the
-class layout that ``proposed`` decodes by too, checked against
-:attr:`.common.Plan.holds` once.
+class layout that ``proposed`` decodes by too, checked against the class's
+row :attr:`.common.Plan.holds` once, when it is built.
 """
 
 from __future__ import annotations

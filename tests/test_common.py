@@ -22,6 +22,7 @@ from relaycache.schemes.common import (
     distinct_demand,
     fmt_subset,
     gather,
+    holds_all,
     payloads,
     random_library,
     uniform_demand,
@@ -214,6 +215,33 @@ class TestGather:
             gather([b"abcdef"], [0, 0], [0], size)
         with pytest.raises(ValueError, match="differ in length"):
             gather([b"abcdef"], [0], [0, 1], size)
+
+
+class TestHoldsAll:
+    ROW = b"\1\0\1"
+
+    @pytest.mark.parametrize(
+        "items,held",
+        [
+            ([], True),
+            ([0, 2, 0], True),
+            (array("I", [2, 0]), True),
+            (range(0, 3, 2), True),
+            ([0, 1], False),
+            ([-1], False),  # would wrap to the held item 2
+            ([-3], False),  # would wrap to the held item 0
+            (array("i", [0, -1]), False),
+            ([3], False),
+            ([2, 2**64], False),
+        ],
+    )
+    def test_an_item_is_held_only_inside_the_row(self, items, held):
+        assert holds_all(self.ROW, items) is held
+
+    @given(st.binary(max_size=40), st.lists(st.integers(-50, 50), max_size=8))
+    def test_matches_the_set_of_held_items(self, row, items):
+        held = {k for k, bit in enumerate(row) if bit}
+        assert holds_all(row, items) == held.issuperset(items)
 
 
 def batch_of(label, payload):

@@ -8,10 +8,13 @@ from :func:`enumerate_subsets` and the documented byte offset
 """
 
 import dataclasses
+import gc
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +24,7 @@ import relaycache
 from relaycache import harness
 from relaycache.combinatorics import enumerate_subsets
 from relaycache.schemes import (
+    FileLibrary,
     cmcnc_decode,
     cmcnc_deliver,
     cmcnc_place,
@@ -30,8 +34,8 @@ from relaycache.schemes import (
     proposed_place,
     random_library,
 )
-from relaycache.schemes import common
-from relaycache.topology import affine_plane, combination_network
+from relaycache.schemes import common, proposed
+from relaycache.topology import BudgetError, affine_plane, combination_network
 
 # placement -> (place, candidates, copies, label): the three facts that
 # define it, read from the network alone.
@@ -95,12 +99,13 @@ def test_every_key_against_the_oracle(name, topology):
         cache, lib, label, copies, subsets, size = placed(name, net, t)
         assert cache.plan.t == t and cache.subfile_bytes == size
         assert list(cache.label) == list(label)
-        # The set every read is checked against holds exactly the items
+        # The row every read is checked against is 1 exactly at the items
         # rank(T) * copies of the T that contain the candidate: M * F bits.
         M = Fraction(t * N_FILES, candidates)
         for c in range(candidates):
-            assert cache.plan.holds[c] == {q * copies for q, T in enumerate(subsets) if c + 1 in T}
-            assert len(cache.plan.holds[c]) * copies * N_FILES * size * 8 == M * lib.file_bits
+            row = cache.plan.holds[c]
+            assert row == bytes(c + 1 in T and l == 0 for T in subsets for l in range(copies))
+            assert row.count(1) * copies * N_FILES * size * 8 == M * lib.file_bits
         # Every key is read once through gather, by a user whose candidate is
         # its first; at t = 0 no user caches anything.
         reader = {}
@@ -215,11 +220,95 @@ def test_a_layout_outside_the_cache_is_refused_when_built(flags):
     assert out.stdout == "refused 'the layout of candidate 3 reads a subfile it does not cache'\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_decoder_outside_the_cache_is_refused_when_built(flags):
+    # With the two rest columns swapped, each signal's term for the other
+    # member is the subfile of C minus the decoder's own class, one it does
+    # not cache; the table must not be built, also under python -O.
+    script = (
+        "from relaycache.schemes import proposed_place, random_library\n"
+        "from relaycache.topology import combination_network\n"
+        "plan = proposed_place(combination_network(4, 2), random_library(6, 60, seed=1), 2).plan\n"
+        "plan.__dict__['rest'] = plan.rest[::-1]\n"
+        "try:\n"
+        "    plan.decoders\n"
+        "except KeyError as exc:\n"
+        "    print('refused', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(relaycache.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "refused 'the decoder of candidate 1 reads a subfile it does not cache'\n"
+
+
+@pytest.mark.parametrize("files", [None, [0, 1, 1], [1, 1, 7]])
+def test_a_decoder_read_checks_its_sources_as_gather_does(files):
+    # The decoder table skips the membership scan, not the file and copy
+    # checks: out of range, it fails exactly as the full check does.
+    net = combination_network(4, 2)
+    cache = proposed_place(net, random_library(6, 60, seed=1), 2)
+    demand = distinct_demand(net, 6)
+    for u in range(net.K):
+        _, which, items = cache.plan.decoders[cache.label[u] - 1]
+        for i in net.users[u]:
+            sources = proposed._neighbors_of(net, demand, i)
+            if files is None:
+                assert cache.cancelled(u, *sources) == cache.gather(u, *sources, which, items)
+                continue
+            sources = (files, sources[1])
+            with pytest.raises((KeyError, IndexError)) as full:
+                cache.gather(u, *sources, which, items)
+            with pytest.raises(full.type, match=re.escape(str(full.value))):
+                cache.cancelled(u, *sources)
+
+
+def test_the_plan_keeps_little_after_a_cmcnc_run():
+    # cmcnc on comb(6,2) at N = 50, M = 20, the largest plan of the sweep
+    # benchmark: Plan(15, 6, 1), 5,005 subsets and 6,435 signals.  What the
+    # placement keeps once every user has decoded is its plan's tables.
+    net, n_files, M = combination_network(6, 2), 50, 20
+    lib = random_library(n_files, harness.auto_file_bytes(net, n_files, [M], ["cmcnc"]), seed=5)
+    demand = tuple(u % n_files + 1 for u in range(net.K))
+    tracemalloc.start()
+    try:
+        cache = cmcnc_place(net, lib, M)
+        log = cmcnc_deliver(net, cache, demand)
+        for u in range(net.K):
+            assert cmcnc_decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u])
+        del log
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 3.5e6, f"the placement keeps {kept} bytes"
+    assert "subsets" not in vars(cache.plan)
+
+
+def test_an_oversized_plan_is_refused_before_it_is_built():
+    # comb(12,6) has 462 classes and r = 6: at t = 2 its plan would index
+    # 462 * 6 * C(462, 2) = 295,193,052 slots.  The cap comes before the
+    # subpacketization check, which these 1-byte files fail.
+    net = combination_network(12, 6)
+    lib = FileLibrary((b"x",) * 462)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="295193052 slots, more than the cap of 4194304"):
+        proposed_place(net, lib, 2)
+    assert time.perf_counter() - start < 0.5
+    # The largest plan built elsewhere, the one-shot cmcnc run on comb(8,2)
+    # at N = 28, M = 4, has 28 * C(28, 4) = 573,300 slots and is admitted.
+    net = combination_network(8, 2)
+    lib = random_library(28, harness.auto_file_bytes(net, 28, [4], ["cmcnc"]), seed=1)
+    assert cmcnc_place(net, lib, 4).plan == common.Plan(28, 4, 1)
+
+
 # scheme -> the tables of its plan that it never reads, so never builds.
 UNREAD = {
-    "proposed": {"missing_names"},
-    "cmcnc": {"missing", "missing_names", "layouts", "decoders"},
-    "routing": {"names", "member", "rest", "at", "signal_terms", "receives", "decoders"},
+    "proposed": {"subsets", "missing_names"},
+    "cmcnc": {"subsets", "missing", "missing_names", "layouts", "decoders"},
+    "routing": {"subsets", "names", "member", "rest", "at", "signal_terms", "receives", "decoders"},
 }
 
 
@@ -233,7 +322,7 @@ def test_a_scheme_builds_only_the_tables_it_reads(scheme):
     for u in range(net.K):
         assert decode(u, demand, log.to_user(u)) == lib.file(demand[u])
     built = vars(cache.plan).keys()
-    assert "held" in built and not UNREAD[scheme] & built, sorted(built)
+    assert "holds" in built and not UNREAD[scheme] & built, sorted(built)
 
 
 def test_the_check_survives_optimized_python():

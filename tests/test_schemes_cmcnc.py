@@ -49,10 +49,10 @@ class TestPlacement:
         assert binomial(comb42.K, cache.plan.t) == 15
         subsets = enumerate_subsets(comb42.K, 2)
         for u in range(comb42.K):
-            held = cache.plan.holds[u]
-            assert held == {q for q, S in enumerate(subsets) if u + 1 in S}
-            assert len(held) == binomial(5, 1) == 5
-            assert len(held) * lib30.n_files * cache.subfile_bytes * 8 == 2 * lib30.file_bits
+            row = cache.plan.holds[u]
+            assert row == bytes(u + 1 in S for S in subsets)
+            assert row.count(1) == binomial(5, 1) == 5
+            assert row.count(1) * lib30.n_files * cache.subfile_bytes * 8 == 2 * lib30.file_bits
 
     def test_grid_violation(self, comb42, lib30):
         with pytest.raises(GridError):
@@ -60,7 +60,7 @@ class TestPlacement:
 
     def test_m_zero_empty(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 0)
-        assert cache.plan.holds == [frozenset()] * comb42.K
+        assert cache.plan.holds == [b"\0"] * comb42.K
 
     def test_batched_read_matches_get(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
@@ -83,7 +83,7 @@ class TestPlacement:
         # N = 6, t' = 2, one copy: user 0 is in S, but file 0 or 99, or copy
         # 0 or 2, is not a subfile it caches, and its read is refused.
         cache = cmcnc_place(comb42, lib30, 2)
-        assert subset_rank(comb42.K, (1, 2)) in cache.plan.holds[0]
+        assert cache.plan.holds[0][subset_rank(comb42.K, (1, 2))] == 1
         assert read(cache, 0, (6, (1, 2), 1)) == oracle(lib30, comb42.K, 2, [(6, (1, 2), 1)])
         for key in [(99, (1, 2), 1), (0, (1, 2), 1), (1, (1, 2), 0), (1, (1, 2), 2)]:
             with pytest.raises(KeyError):

@@ -54,10 +54,10 @@ def read(cache, user, keys):
 
 
 def cached_keys(cache, user):
-    """The subfiles (n, T, l) that ``user`` may read, from the set that
+    """The subfiles (n, T, l) that ``user`` may read, from the row that
     gates every read: file-major, then T by rank, then copy."""
     subsets = enumerate_subsets(cache.plan.candidates, cache.plan.t)
-    held = sorted(cache.plan.holds[cache.label[user] - 1])
+    held = [k for k, bit in enumerate(cache.plan.holds[cache.label[user] - 1]) if bit]
     r = cache.plan.copies
     return [
         (n, subsets[k // r], l)
@@ -118,7 +118,7 @@ class TestPlacement:
     def test_budget_is_exactly_mf(self, comb42, lib6, M):
         cache = proposed_place(comb42, lib6, M)
         for u in range(comb42.K):
-            held = len(cache.plan.holds[comb42.class_of[u] - 1])
+            held = cache.plan.holds[comb42.class_of[u] - 1].count(1)
             assert held * cache.plan.copies * lib6.n_files * cache.subfile_bytes * 8 == M * lib6.file_bits
             keys = cached_keys(cache, u)
             got = read(cache, u, keys)
@@ -199,7 +199,7 @@ class TestPlacement:
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
-        assert cache.plan.holds == [frozenset()] * 3 and cached_keys(cache, 0) == []
+        assert cache.plan.holds == [bytes(2)] * 3 and cached_keys(cache, 0) == []
 
     def test_m_full_caches_everything(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
