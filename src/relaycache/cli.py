@@ -28,6 +28,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .harness import (
@@ -36,12 +37,14 @@ from .harness import (
     AsymmetricLoadError,
     auto_file_bytes,
     comparison_ratios,
+    preflight,
     run_scheme,
     run_scheme_with_log,
     verify_all_demands,
 )
 from .schemes.common import (
     BudgetError,
+    FileLibrary,
     GridError,
     SubpacketizationError,
     distinct_demand,
@@ -250,8 +253,13 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     return cfg
 
 
-def _file_bytes(cfg: ExperimentConfig) -> int:
-    return cfg.file_bytes or auto_file_bytes(cfg.net, cfg.n_files, cfg.m_values, cfg.schemes)
+def _library(cfg: ExperimentConfig) -> FileLibrary:
+    """The library of run and sweep, built once every cell, in the order they
+    run, passes :func:`preflight`: a plan that placement would refuse costs
+    no library."""
+    size = cfg.file_bytes or auto_file_bytes(cfg.net, cfg.n_files, cfg.m_values, cfg.schemes)
+    preflight(cfg.net, cfg.n_files, size, product(cfg.schemes, sorted(cfg.m_values)))
+    return random_library(cfg.n_files, size, cfg.seed)
 
 
 def _demand(cfg: ExperimentConfig) -> tuple[int, ...]:
@@ -300,7 +308,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     if len(cfg.m_values) != 1:
         raise ConfigError("run takes a single --M value")
     scheme = cfg.schemes[0]
-    lib = random_library(cfg.n_files, _file_bytes(cfg), cfg.seed)
+    lib = _library(cfg)
     demand = _demand(cfg)
     M = cfg.m_values[0]
     report, log = run_scheme_with_log(cfg.net, lib, M, demand, scheme)
@@ -360,7 +368,7 @@ SWEEP_COLUMNS = (
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    lib = random_library(cfg.n_files, _file_bytes(cfg), cfg.seed)
+    lib = _library(cfg)
     demand = _demand(cfg)
     rows = []
     reports = []

@@ -27,6 +27,8 @@ from .schemes.common import (
     BudgetError,
     FileLibrary,
     all_demands,
+    check_library_bytes,
+    check_plan_slots,
     grid_t,
     memory_ratio,
     random_demand,
@@ -94,7 +96,8 @@ class Scheme:
     ``decode`` name the layer functions in this module, with one signature
     for every scheme: (net, lib, M), (net, cache, demand) and (net, user,
     cache, demand, received).  They are looked up on every call, so a
-    replaced module attribute takes effect.  ``in_all`` puts the scheme in
+    replaced module attribute takes effect.  A grid scheme's plan holds
+    ``copies(r)`` copies of each t-subset.  ``in_all`` puts the scheme in
     ``--schemes all``.
     """
 
@@ -104,6 +107,7 @@ class Scheme:
     deliver: str
     decode: str
     subfiles: Callable[[int, int, int], int] = lambda r, n, t: r * binomial(n, t)
+    copies: Callable[[int], int] = lambda r: 1
     in_all: bool = True
 
 
@@ -114,6 +118,7 @@ SCHEMES = {
         place="proposed_place",
         deliver="proposed_deliver",
         decode="proposed_decode",
+        copies=lambda r: r,
     ),
     "routing": Scheme(
         grid="Kt",
@@ -121,6 +126,7 @@ SCHEMES = {
         place="proposed_place",
         deliver="routing_deliver",
         decode="routing_decode",
+        copies=lambda r: r,
     ),
     "cmcnc": Scheme(
         grid="K",
@@ -346,6 +352,22 @@ def scheme_file_divisor(net: Network, n_files: int, M, scheme: str) -> int:
     return spec.subfiles(net.r, n, grid_t(n, n_files, M, spec.grid))
 
 
+def preflight(
+    net: Network, n_files: int, file_bytes: int, cells: Iterable[tuple[str, Fraction]]
+) -> None:
+    """The refusals that building a library of ``n_files`` files of
+    ``file_bytes`` and placing each (scheme, M) of ``cells`` on it would meet
+    first, in that order, made from sizes alone: BudgetError for a library
+    over its cap, then for each cell GridError off the scheme's grid and
+    BudgetError for a plan over PLAN_SLOTS_CAP slots."""
+    check_library_bytes(n_files, file_bytes)
+    for scheme, M in cells:
+        spec = scheme_spec(scheme)
+        if spec.grid is not None:
+            n = _grid_size(spec, net.K, net.num_classes)
+            check_plan_slots(n, grid_t(n, n_files, M, spec.grid), spec.copies(net.r), spec.grid)
+
+
 def auto_file_bytes(
     net: Network, n_files: int, M_values: Sequence, schemes: Sequence[str]
 ) -> int:
@@ -535,7 +557,8 @@ def verify_all_demands(
     ``exhaustive`` covers all N^K demand vectors and ``sampled`` draws
     ``count`` vectors from a generator seeded with ``seed``; either refuses
     more than EXHAUSTIVE_CAP before drawing any.  The library is seeded and
-    recorded, so any failure is replayable.
+    recorded, so any failure is replayable, and is built only once
+    :func:`preflight` passes.
 
     It checks that every user decodes its file bit-exactly and that each
     edge kind is loaded evenly (AsymmetricLoadError otherwise, as in run).
@@ -564,6 +587,7 @@ def verify_all_demands(
     library_seed = seed if seed is not None else 0
     if file_bytes is None:
         file_bytes = auto_file_bytes(net, n_files, [M], [scheme])
+    preflight(net, n_files, file_bytes, [(scheme, M)])
     lib = random_library(n_files, file_bytes, seed=library_seed)
 
     _, deliver, decode_user = _pipeline(net, lib, M, scheme, None)

@@ -28,6 +28,8 @@ Conventions used by every scheme:
   edge that carries a batch.
 * :meth:`TransmissionLog.write` is the one serializer: the digest hashes
   its compact JSON, and ``run --out`` streams its indented JSON to a file.
+  It holds one batch's text at a time and renders a batch again where it
+  comes again, so its memory follows the largest batch, not the log.
 * Relays can only forward what they received: :meth:`TransmissionLog.forward`
   rejects a batch that is not, as the same object, on that relay's server
   edge.
@@ -96,6 +98,18 @@ LIBRARY_BYTES_CAP = 2**30
 PLAN_SLOTS_CAP = 2**22
 
 
+def check_plan_slots(n: int, t: int, copies: int, symbol: str) -> None:
+    """BudgetError if a plan over ``n`` candidates (named ``symbol`` in the
+    message) with ``copies`` copies of each t-subset would index more than
+    PLAN_SLOTS_CAP slots, n * copies * C(n, t); it counts from binomials."""
+    slots = n * copies * comb(n, t)
+    if slots > PLAN_SLOTS_CAP:
+        raise BudgetError(
+            f"a plan over {symbol} = {n} candidates with {copies} copies of C({n}, {t}) subsets needs "
+            f"{slots} slots, more than the cap of {PLAN_SLOTS_CAP}"
+        )
+
+
 def grid_t(n: int, n_files: int, M, symbol: str) -> int:
     """Replication degree t = n*M/N over ``n`` sharing candidates (Kt classes
     or K users, named ``symbol`` in the message); GridError off the grid."""
@@ -154,8 +168,8 @@ class FileLibrary:
         return self.files[n - 1]
 
 
-def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
-    """N seeded random files; BudgetError above LIBRARY_BYTES_CAP, overhead included."""
+def check_library_bytes(n_files: int, file_bytes: int) -> None:
+    """BudgetError if N files of ``file_bytes`` exceed LIBRARY_BYTES_CAP, overhead included."""
     # Each file also costs a bytes object's header and a slot in the tuple.
     payload, overhead = n_files * file_bytes, n_files * (sys.getsizeof(b"") + 8)
     if payload + overhead > LIBRARY_BYTES_CAP:
@@ -163,6 +177,11 @@ def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
             f"library of {n_files} files x {file_bytes} bytes = {payload} bytes "
             f"plus {overhead} bytes of file objects exceeds the cap of {LIBRARY_BYTES_CAP}"
         )
+
+
+def random_library(n_files: int, file_bytes: int, seed: int) -> FileLibrary:
+    """N seeded random files; BudgetError from :func:`check_library_bytes` first."""
+    check_library_bytes(n_files, file_bytes)
     rng = random.Random(seed)
     return FileLibrary(tuple(rng.randbytes(file_bytes) for _ in range(n_files)))
 
@@ -666,18 +685,13 @@ def place_planned(
 
     M must lie on the grid of :func:`grid_t`, and the file must split into
     r * C(n, t) whole-byte units: ``copies`` subfiles of each T, or the r
-    parts of each subfile that the MDS code spreads.  BudgetError, before
-    either split is checked and before any table is built, if the plan
-    would index more than PLAN_SLOTS_CAP slots, n * copies * C(n, t).
+    parts of each subfile that the MDS code spreads.  BudgetError from
+    :func:`check_plan_slots`, before either split is checked and before any
+    table is built, if the plan would index more than PLAN_SLOTS_CAP slots.
     """
     n = max(label)
     t = grid_t(n, lib.n_files, M, symbol)
-    slots = n * copies * comb(n, t)
-    if slots > PLAN_SLOTS_CAP:
-        raise BudgetError(
-            f"a plan over {symbol} = {n} candidates with {copies} copies of C({n}, {t}) subsets needs "
-            f"{slots} slots, more than the cap of {PLAN_SLOTS_CAP}"
-        )
+    check_plan_slots(n, t, copies, symbol)
     units = net.r * comb(n, t)
     if lib.file_bytes % units != 0:
         raise SubpacketizationError(
@@ -801,21 +815,46 @@ def payloads(
         ) from None
 
 
-def _render(batch: Batch, layout: tuple[str, str, str]) -> list[str]:
-    """Each record of ``batch`` as its JSON object: ``layout`` is the text
-    before the label (with ``%d`` for the bits), between the label and the
-    payload hex, and after the hex."""
-    head, mid, tail = layout
-    prefix, names, suffix = batch.form
-    # JSON escapes char by char, so a label's text is its escaped prefix, name
-    # and suffix.  Names that need no escape (none lengthens) go in as they are.
-    head = head % (8 * batch.part) + encode_basestring_ascii(prefix)[:-1]
-    mid = encode_basestring_ascii(suffix)[1:] + mid
+def _escaped(names: Sequence[str]) -> Sequence[str]:
+    """Each name as JSON writes it between its quotes: ``names`` itself when
+    every character is printable ASCII other than a quote or a backslash,
+    the characters JSON writes as they are."""
     plain = "".join(names)
-    if len(encode_basestring_ascii(plain)) != len(plain) + 2:
-        names = [encode_basestring_ascii(name)[1:-1] for name in names]
-    hexed = batch.data.hex(",", batch.part).split(",") if batch.part else [""] * len(names)
-    return [f"{head}{name}{mid}{x}{tail}" for name, x in zip(names, hexed)]
+    if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+        return names
+    return [encode_basestring_ascii(name)[1:-1] for name in names]
+
+
+# Records per piece of a rendered batch.  Each buffer a piece needs stays
+# within tens of kB, which the allocator reuses from piece to piece; the
+# buffers of a whole large batch would be mapped anew on every render.
+_PIECE = 1024
+
+
+def _render(batch: Batch, names: Sequence[str], layout: tuple[str, str, str], cut: str) -> Iterator[bytes]:
+    """Each record of ``batch`` as its JSON object, joined by ``cut``, in
+    encoded pieces of _PIECE records; joined by ``cut`` again, the pieces
+    are the batch's text.  ``names`` is :func:`_escaped` of its names, and
+    ``layout`` the text before the label (with ``%d`` for the bits), between
+    the label and the payload hex, and after the hex.
+
+    A piece's constant text, names and hex go into one list by slice
+    assignment and then one join, so no string is built per record.
+    """
+    head, mid, tail = layout
+    head = head % (8 * batch.part) + encode_basestring_ascii(batch.prefix)[:-1]
+    mid = encode_basestring_ascii(batch.suffix)[1:] + mid
+    data, part, n = batch.data, batch.part, len(names)
+    for start in range(0, n, _PIECE):
+        k = min(n - start, _PIECE)
+        pieces = [tail + cut + head, None, mid, None] * k
+        pieces[0] = head
+        pieces[1::4] = names[start : start + k]
+        pieces[3::4] = data[start * part : (start + k) * part].hex(",", part).split(",") if part else [""] * k
+        pieces.append(tail)
+        text = "".join(pieces)
+        del pieces  # the pieces go before the encoded copy is made
+        yield text.encode()
 
 
 @dataclass
@@ -870,13 +909,17 @@ class TransmissionLog:
         return {relay: edge for (relay, u), edge in self.relay_edges.items() if u == user}
 
     def write(self, write: Callable[[bytes], object], indent: int | None = None) -> None:
-        """Stream the log to the bytes sink ``write``, one edge at a time, as
-        the key-sorted JSON of its record lists that the ``json`` module
-        writes: compact when ``indent`` is None, else indented.
+        """Stream the log to the bytes sink ``write``, part by part, as the
+        key-sorted JSON of its record lists that the ``json`` module writes:
+        compact when ``indent`` is None, else indented.
 
-        A batch is rendered once; its text is kept for the walk, at most the
-        server edges' text.  So are the records of the last batch picked
-        from, as every scheme picks from one batch per relay.
+        It holds the text of one batch at a time: the text of the last batch
+        written whole, which the next edges reuse while they carry it (a
+        relay forwards one batch to each of its users), or the records of the
+        last batch picked from.  Any other batch, on a server edge too, is
+        rendered again where it comes, so what ``write`` holds does not grow
+        with the log.  Whether a names sequence needs escapes is found once
+        per call.
         """
         pad = ["" if indent is None else "\n" + " " * (indent * k) for k in range(6)]
         c = ":" if indent is None else ": "
@@ -886,34 +929,49 @@ class TransmissionLog:
             f'"{pad[4]}}}',
         )
         sep = f",{pad[4]}"
-        whole: dict[int, bytes] = {}  # by batch identity: the log holds every batch
-        picked: dict[int, list[str]] = {}  # the records of the last batch picked from
+        bsep = sep.encode()
+        escaped: dict[int, Sequence[str]] = {}  # by identity: the log holds every names sequence
+        held: tuple[Batch | None, bool, list[bytes]] = (None, False, [])
 
-        def text(part: tuple[Batch, Sequence[int] | None]) -> bytes:
-            batch, picks = part
-            key = id(batch)
-            if key not in whole or (picks is not None and key not in picked):
-                rendered = _render(batch, layout)
-                whole[key] = sep.join(rendered).encode()
-                if picks is not None:
-                    picked.clear()
-                    picked[key] = rendered
-            if picks is None:
-                return whole[key]
-            return sep.join(map(picked[key].__getitem__, picks)).encode()
+        def put(batch: Batch, picks: Sequence[int] | None, gap: bytes) -> bytes:
+            """Write the part's records, after ``gap`` if it has any; the gap
+            before the next part."""
+            nonlocal held
+            whole = picks is None
+            if held[0] is not batch or held[1] != whole:
+                held = (None, False, [])  # the old text goes before the new one is made
+                names = escaped.get(id(batch.names))
+                if names is None:
+                    names = escaped[id(batch.names)] = _escaped(batch.names)
+                texts = _render(batch, names, layout, sep if whole else "\0")
+                if whole:
+                    held = (batch, True, list(texts))
+                else:
+                    records: list[bytes] = []
+                    for text in texts:  # ASCII without control characters: "\0" cuts it
+                        records += text.split(b"\0")
+                    held = (batch, False, records)
+            for chunk in held[2] if whole else [bsep.join(map(held[2].__getitem__, picks))]:
+                if chunk:
+                    write(gap)
+                    write(chunk)
+                    gap = bsep
+            return gap
 
-        relay_edges = sorted(self.relay_edges.items())
-        server_edges = [((i,), edge) for i, edge in sorted(self.server_edges.items())]
         for opening, name, edges, close in (
-            ("{", "relay_edges", relay_edges, f'],{pad[3]}"user"{c}%d{pad[2]}}}'),
-            (",", "server_edges", server_edges, f"]{pad[2]}}}"),
+            ("{", "relay_edges", self.relay_edges, f'],{pad[3]}"user"{c}%d{pad[2]}}}'),
+            (",", "server_edges", self.server_edges, f"]{pad[2]}}}"),
         ):
             write(f'{opening}{pad[1]}"{name}"{c}['.encode())
             lead = pad[2]
-            for (relay, *user), edge in edges:
+            for key in sorted(edges):
+                edge = edges[key]
+                relay, *user = key if type(key) is tuple else (key,)
                 inner = (pad[4], pad[3]) if len(edge) else ("", "")
                 write(f'{lead}{{{pad[3]}"relay"{c}{relay},{pad[3]}"signals"{c}[{inner[0]}'.encode())
-                write(sep.encode().join(filter(None, map(text, edge.parts))))
+                gap = b""
+                for batch, picks in edge.parts:
+                    gap = put(batch, picks, gap)
                 write((inner[1] + close % tuple(user)).encode())
                 lead = f",{pad[2]}"
             write(f"{pad[1] if edges else ''}]".encode())

@@ -7,13 +7,17 @@ payload, edge order or serialization detail shows up here first.
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relaycache import harness
 from relaycache.cli import main
@@ -115,9 +119,9 @@ def edge_records(edge: Edge) -> list[tuple[str, bytes]]:
     """The (label, payload) records of ``edge``, in order."""
     out = []
     for batch, picks in edge.parts:
-        p = batch.part
-        positions = range(len(batch.labels)) if picks is None else picks
-        out += [(batch.labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
+        p, labels = batch.part, batch.labels
+        positions = range(len(labels)) if picks is None else picks
+        out += [(labels[k], batch.data[k * p : (k + 1) * p]) for k in positions]
     return out
 
 
@@ -403,6 +407,81 @@ class TestStreamedDigest:
         log = TransmissionLog()
         assert_matches_reference(log)
         assert written(log, indent=2) == b'{\n  "relay_edges": [],\n  "server_edges": []\n}'
+
+
+# Names, prefixes and suffixes that JSON must escape: quotes, backslashes,
+# control characters (NUL included), DEL and non-ASCII text.
+AWKWARD = st.text(st.sampled_from('ab,:="\\\0\n\x1f\x7féΣ€\U0001f600'), max_size=4)
+
+
+@st.composite
+def random_logs(draw) -> TransmissionLog:
+    """Logs with parts put on edges by hand: empty batches and zero-size
+    parts, names sequences shared between batches, picks with repeats, and
+    one edge that alternates between two batches, whole and picked."""
+    shared = draw(st.lists(AWKWARD, max_size=5))
+    batches = []
+    for _ in range(draw(st.integers(2, 5))):
+        names = shared if draw(st.booleans()) else draw(st.lists(AWKWARD, max_size=5))
+        part = draw(st.integers(0, 3))
+        data = draw(st.binary(min_size=len(names) * part, max_size=len(names) * part))
+        batches.append(Batch(names, data, part, draw(AWKWARD), draw(AWKWARD)))
+
+    def parts(size):
+        out = []
+        for batch in draw(st.lists(st.sampled_from(batches), max_size=size)):
+            n = len(batch.names)
+            picks = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=6)) if n else None
+            out.append((batch, picks))
+        return out
+
+    log = TransmissionLog()
+    for relay in draw(st.sets(st.integers(1, 4), max_size=3)):
+        log.server_edges[relay] = edge = Edge()
+        edge.parts += [(batch, None) for batch in draw(st.lists(st.sampled_from(batches), max_size=3))]
+    for key in draw(st.sets(st.tuples(st.integers(1, 4), st.integers(0, 5)), max_size=5)):
+        log.relay_edges[key] = edge = Edge()
+        edge.parts += parts(4)
+    # The worst case for a writer that holds one batch: A, B, A, B, A.
+    a, b = batches[:2]
+    alternate = [(a, None), (b, None), (a, [0] * len(a.names) or None), (b, None), (a, None)]
+    log.relay_edges.setdefault((0, 0), Edge()).parts += alternate
+    return log
+
+
+class TestRandomLogs:
+    @given(random_logs())
+    def test_both_layouts_and_the_digest_match_the_reference(self, log):
+        assert_matches_reference(log)
+
+
+def batch_text(batch: Batch) -> int:
+    """Bytes of the compact JSON of every record of ``batch``, by the reference."""
+    p = batch.part
+    records = [(label, batch.data[k * p : (k + 1) * p]) for k, label in enumerate(batch.labels)]
+    return len(json.dumps(signals(records), separators=(",", ":"))) - 2
+
+
+@pytest.mark.parametrize("scheme", ["routing", "proposed"])
+def test_the_digest_holds_one_batch_at_a_time(scheme):
+    # comb(9,3), N = 28, M = 2: routing sends 252 batches of 351 records, one
+    # per relay-user pair, and proposed 9 batches of 3,276 records that each
+    # relay's 28 users pick from.  Their texts add up to 5.5 and 1.6 MB, 252
+    # and 9 times the largest one.
+    net = combination_network(9, 3)
+    lib = random_library(28, scheme_file_divisor(net, 28, 2, scheme), seed=1)
+    _, deliver, _ = harness._pipeline(net, lib, 2, scheme, None)
+    log = deliver(random_demand(net, 28, random.Random(1)))
+    largest = max(batch_text(batch) for edge in log.server_edges.values() for batch, _ in edge.parts)
+    digest = log.digest()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert log.digest() == digest
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * largest, f"the digest peaked at {peak} bytes, {peak / largest:.1f}x {largest}"
 
 
 # CLI output files on comb(4,2), N=6, seed 7, every scheme where the command

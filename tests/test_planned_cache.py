@@ -304,6 +304,38 @@ def test_an_oversized_plan_is_refused_before_it_is_built():
     assert cmcnc_place(net, lib, 4).plan == common.Plan(28, 4, 1)
 
 
+@pytest.mark.parametrize(
+    "scheme,M,slots",
+    [("proposed", 2, 295_193_052), ("routing", 2, 295_193_052), ("cmcnc", 1, 394_017_624)],
+)
+def test_the_preflight_refuses_what_placement_refuses(scheme, M, slots):
+    # comb(12,6) with N = 462: t = 2 over the 462 classes, or over the 924
+    # users, from sizes alone; placement on 1-byte files says the same.
+    net, N = combination_network(12, 6), 462
+    with pytest.raises(BudgetError, match=f"needs {slots} slots") as early:
+        harness.preflight(net, N, 1, [("broadcast-mds", M), (scheme, M)])
+    place = getattr(harness, harness.SCHEMES[scheme].place)
+    with pytest.raises(BudgetError) as late:
+        place(net, FileLibrary((b"x",) * N), M)
+    assert str(early.value) == str(late.value)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "routing", "cmcnc"])
+@pytest.mark.parametrize("net", [combination_network(4, 2), combination_network(6, 3)], ids=["comb42", "comb63"])
+def test_the_preflight_counts_the_copies_the_plan_holds(net, scheme):
+    N = net.num_classes
+    harness.preflight(net, N, 1, [(scheme, 1)])
+    lib = random_library(N, harness.auto_file_bytes(net, N, [1], [scheme]), seed=1)
+    cache = getattr(harness, harness.SCHEMES[scheme].place)(net, lib, 1)
+    assert cache.plan.copies == harness.SCHEMES[scheme].copies(net.r)
+
+
+def test_the_slot_cap_is_inclusive():
+    common.check_plan_slots(2**21, 0, 2, "K")  # exactly PLAN_SLOTS_CAP
+    with pytest.raises(BudgetError, match="4194305 slots"):
+        common.check_plan_slots(2**22 + 1, 0, 1, "K")
+
+
 # scheme -> the tables of its plan that it never reads, so never builds.
 UNREAD = {
     "proposed": {"subsets", "missing_names"},

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -144,6 +145,41 @@ def test_many_small_files_are_refused_before_allocating():
     record = json.loads(proc.stderr)
     assert record["error"] == "BudgetError"
     assert "1073741824 bytes plus" in record["message"]
+
+
+def run_measured(*args: str) -> tuple[int, str, float, float]:
+    """``relaycache *args`` in a child: (exit code, stderr, wall seconds, the
+    child's own peak RSS in MB, from os.wait4)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "relaycache.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    with child.stderr:
+        err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, err, wall, usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("command", [["run"], ["verify", "--demands", "seeded-random", "--count", "1"]])
+def test_an_oversized_plan_is_refused_before_its_library_is_built(command):
+    # Its 462 files of 638,946 bytes (295 MB) were built before placement
+    # refused the plan: 1.9 s and 304 MB of peak RSS to reach exit 2.
+    args = [*command, "--topology", "comb:12,6", "--N", "462", "--M", "2", "--schemes", "proposed"]
+    code, err, wall, peak_mb = run_measured(*args)
+    assert code == 2, err
+    assert json.loads(err) == {
+        "error": "BudgetError",
+        "message": "a plan over Kt = 462 candidates with 6 copies of C(462, 2) subsets needs "
+        "295193052 slots, more than the cap of 4194304",
+    }
+    assert wall < 0.5 and peak_mb < 100, (wall, peak_mb)
 
 
 def test_run_out_streams_the_log_in_bounded_memory(tmp_path):
