@@ -7,7 +7,7 @@ bit-exactly, and checks measured link rates against closed-form rates with
 exact rational arithmetic.
 """
 
-from .combinatorics import binomial, enumerate_subsets, position_in, subset_rank
+from .combinatorics import binomial, enumerate_subsets, position_in
 from .erasure import ErasureCode, decode, encode, make_code, xor_bytes
 from .harness import (
     EXHAUSTIVE_CAP,
@@ -61,7 +61,6 @@ from .topology import (
     combination_network,
     custom_network,
     load_network,
-    relay_neighborhood,
     save_network,
 )
 

@@ -45,19 +45,3 @@ def position_in(subset: tuple[int, ...], element: int) -> int:
     except ValueError:
         raise ValueError(f"{element} is not a member of {subset}") from None
 
-
-def subset_rank(m: int, subset: tuple[int, ...]) -> int:
-    """0-based index of ``subset`` within enumerate_subsets(m, len(subset)),
-    computed combinatorially."""
-    k = len(subset)
-    if k > m:
-        raise ValueError(f"subset size {k} exceeds ground-set size {m}")
-    rank = 0
-    prev = 0
-    for j, v in enumerate(subset):
-        if v <= prev or v > m:
-            raise ValueError(f"{subset} is not a sorted subset of [{m}]")
-        for w in range(prev + 1, v):
-            rank += binomial(m - w, k - j - 1)
-        prev = v
-    return rank

@@ -28,12 +28,12 @@ from .schemes.common import (
     FileLibrary,
     all_demands,
     check_library_bytes,
-    check_plan_slots,
     grid_t,
     memory_ratio,
     random_demand,
     random_library,
 )
+from .schemes.plan import check_plan_slots
 from .schemes.proposed import proposed_decode, proposed_deliver, proposed_place
 from .schemes.routing import routing_decode, routing_deliver
 from .topology import Network
@@ -556,8 +556,9 @@ def verify_all_demands(
 
     ``exhaustive`` covers all N^K demand vectors and ``sampled`` draws
     ``count`` vectors from a generator seeded with ``seed``; either refuses
-    more than EXHAUSTIVE_CAP before drawing any.  The library is seeded and
-    recorded, so any failure is replayable, and is built only once
+    more than EXHAUSTIVE_CAP before drawing any, and ``sampled`` refuses a
+    ``count`` below 1, which would pass with no run.  The library is seeded
+    and recorded, so any failure is replayable, and is built only once
     :func:`preflight` passes.
 
     It checks that every user decodes its file bit-exactly and that each
@@ -577,6 +578,8 @@ def verify_all_demands(
     elif mode == "sampled":
         if seed is None or count is None:
             raise ValueError("sampled mode needs seed and count")
+        if count < 1:
+            raise ValueError(f"sampled verification needs count >= 1, got {count}")
         if count > EXHAUSTIVE_CAP:
             raise BudgetError(f"sampled verification needs count <= {EXHAUSTIVE_CAP}, got {count}")
         rng = random.Random(seed)

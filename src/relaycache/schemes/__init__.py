@@ -8,15 +8,11 @@ from .broadcast import (
 )
 from .cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
-    Batch,
     BudgetError,
-    Edge,
     FileLibrary,
     GridError,
     IncompleteReceptionError,
-    PlannedCache,
     SubpacketizationError,
-    TransmissionLog,
     all_demands,
     distinct_demand,
     random_demand,
@@ -24,6 +20,8 @@ from .common import (
     uniform_demand,
     validate_demand,
 )
+from .log import Batch, Edge, TransmissionLog
+from .plan import PlannedCache
 from .proposed import (
     proposed_decode,
     proposed_deliver,

@@ -29,16 +29,14 @@ from typing import Mapping
 from ..erasure import ErasureCode, decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import (
-    Batch,
-    Edge,
     FileLibrary,
     SubpacketizationError,
-    TransmissionLog,
     memory_ratio,
     payloads,
     relay_code,
     validate_demand,
 )
+from .log import Batch, Edge, TransmissionLog
 
 
 @dataclass(frozen=True)

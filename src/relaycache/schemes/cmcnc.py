@@ -11,7 +11,7 @@ distinct piece indices (its own relay subset) and can rebuild every
 signal.
 
 :func:`cmcnc_place` builds the one cache of both coded schemes,
-:class:`.common.PlannedCache`, over the :class:`.common.Plan` of the K
+:class:`.plan.PlannedCache`, over the :class:`.plan.Plan` of the K
 users with one copy of each subset: user u is candidate u + 1, and
 ``code`` is the (h, r) MDS code.  The signals are the coded multicast that
 ``proposed`` runs per relay, here over the K users, indexed by that plan's
@@ -24,9 +24,9 @@ Subfiles and pieces are a few bytes at the larger memory points, so each
 batch of reads by index is one :func:`.common.gather`: the server's t'+1
 terms, a decoder's pieces (through :func:`.common.payloads`), each block
 of terms it cancels (through the membership-checked
-:meth:`.common.PlannedCache.gather`) and its file put back together.  A
+:meth:`.plan.PlannedCache.gather`) and its file put back together.  A
 user is its own candidate, so a per-candidate decode table would serve
-one user per demand: the decoder runs :meth:`.common.Plan.decoding`
+one user per demand: the decoder runs :meth:`.plan.Plan.decoding`
 itself.
 """
 
@@ -37,19 +37,9 @@ from typing import Mapping, Sequence
 from ..combinatorics import binomial
 from ..erasure import decode as mds_decode, encode as mds_encode, xor_bytes
 from ..topology import Network
-from .common import (
-    Batch,
-    Edge,
-    FileLibrary,
-    Plan,
-    PlannedCache,
-    TransmissionLog,
-    gather,
-    payloads,
-    place_planned,
-    relay_code,
-    validate_demand,
-)
+from .common import FileLibrary, gather, payloads, relay_code, validate_demand
+from .log import Batch, Edge, TransmissionLog
+from .plan import Plan, PlannedCache, place_planned
 
 
 _STRIDE_PART = 32

@@ -16,26 +16,26 @@ the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
 Both ends work on all signals of a relay at once, indexed by the signal
-tables of the :class:`.common.Plan` over the Kt classes with r copies that
+tables of the :class:`.plan.Plan` over the Kt classes with r copies that
 :func:`proposed_place` builds once per placement (``cmcnc`` uses the same
 kind of plan over the K users; ``routing`` only its subset tables).
-:class:`.common.PlannedCache` is the one cache of both coded schemes; here
+:class:`.plan.PlannedCache` is the one cache of both coded schemes; here
 its ``label`` is each user's class.  Subfiles are read as items by
 :func:`.common.gather`, never sliced one by one: subfile (n, T, l) is item
 rank(T) * r of file n viewed from copy l on
-(:attr:`.common.PlannedCache.views`).  XOR acts byte by byte, so a relay
+(:attr:`.plan.PlannedCache.views`).  XOR acts byte by byte, so a relay
 reads the j-th term of every signal, for every j, in one gather over its
 neighbors' files with ``which`` the member class, XORs the t+1 blocks as
 integers and sends the result as one batch to each neighbor, at the
-positions :attr:`.common.Plan.receives` gives its class.  A decoder reads
+positions :attr:`.plan.Plan.receives` gives its class.  A decoder reads
 the terms it cancels on each relay in one
-:meth:`.common.PlannedCache.cancelled`, XORs them away from that relay's
+:meth:`.plan.PlannedCache.cancelled`, XORs them away from that relay's
 feed the same way, and puts its file back together from the cached and
 the decoded subfiles in one more gather
-(:meth:`.common.PlannedCache.reassemble`).  The tables those reads use are
+(:meth:`.plan.PlannedCache.reassemble`).  The tables those reads use are
 built once per class and plan, held as arrays and checked against the
 class's row of cached subfiles when built, so their reads skip that scan:
-:attr:`.common.Plan.decoders` and :attr:`.common.Plan.layouts`.
+:attr:`.plan.Plan.decoders` and :attr:`.plan.Plan.layouts`.
 
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
@@ -48,18 +48,9 @@ from typing import Mapping
 from ..combinatorics import position_in
 from ..erasure import xor_bytes
 from ..topology import Network
-from .common import (
-    Batch,
-    Edge,
-    FileLibrary,
-    Plan,
-    PlannedCache,
-    TransmissionLog,
-    gather,
-    payloads,
-    place_planned,
-    validate_demand,
-)
+from .common import FileLibrary, gather, payloads, validate_demand
+from .log import Batch, Edge, TransmissionLog
+from .plan import Plan, PlannedCache, place_planned
 
 
 def proposed_place(net: Network, lib: FileLibrary, M) -> PlannedCache:

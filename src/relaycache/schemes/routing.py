@@ -7,7 +7,7 @@ relay V[l], so each relay-to-user edge carries exactly the C(Kt-1, t)
 missing subfiles with that user's copy index for the relay.
 
 Both ends work per relay edge from the subset tables of the placement's
-:class:`.common.Plan`: the ranks of the T without the user's class are the
+:class:`.plan.Plan`: the ranks of the T without the user's class are the
 missing subfiles, and their names, built once per plan, label them; the
 signal tables of the plan are never built.  The server reads them
 in one :func:`.common.gather` and sends them as one batch; a decoder reads
@@ -15,7 +15,7 @@ every position of that batch on each of its r feeds in one :func:`payloads`
 call, which returns the batch's buffer itself, and puts its file back
 together from its cache and the joined feeds in one more gather, by the
 class layout that ``proposed`` decodes by too, checked against the class's
-row :attr:`.common.Plan.holds` once, when it is built.
+row :attr:`.plan.Plan.holds` once, when it is built.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from typing import Mapping
 
 from ..combinatorics import position_in
 from ..topology import Network
-from .common import Batch, Edge, PlannedCache, TransmissionLog, gather, payloads, validate_demand
-from .common import fmt_subset
+from .common import gather, payloads, validate_demand
+from .log import Batch, Edge, TransmissionLog
+from .plan import PlannedCache, fmt_subset
 
 
 def _form(relay: int, V: tuple[int, ...], l: int, names: list[str]) -> tuple[str, list[str], str]:

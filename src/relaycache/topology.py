@@ -175,28 +175,11 @@ class Network:
                 rep[(i, self.class_of[u])] = u
         return rep
 
-    def user_index(self, subset: tuple[int, ...]) -> int:
-        try:
-            return self._user_lookup[tuple(subset)]
-        except KeyError:
-            raise ValueError(f"{subset} is not a user of this network") from None
-
-    @cached_property
-    def _user_lookup(self) -> dict[tuple[int, ...], int]:
-        return {u: i for i, u in enumerate(self.users)}
-
     def __repr__(self) -> str:
         return (
             f"Network(h={self.h}, r={self.r}, K={self.K}, "
             f"classes={self.num_classes})"
         )
-
-
-def relay_neighborhood(net: Network, relay: int) -> list[int]:
-    """Indices of the users connected to ``relay`` (ascending)."""
-    if not 1 <= relay <= net.h:
-        raise ValueError(f"relay {relay} outside 1..{net.h}")
-    return list(net._neighbors[relay - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from relaycache.topology import (
     baranyai_partition,
     combination_network,
     custom_network,
-    relay_neighborhood,
 )
+from support import relay_neighborhood, user_index
 from test_golden import edge_records
 
 F = Fraction
@@ -80,7 +80,7 @@ def test_criterion_01_golden_signal_sets():
             offset = (subsets.index(T) * 2 + (l - 1)) * size
             return lib.file(n)[offset : offset + size]
 
-        d = {V: demand[net.user_index(V)] for V in net.users}
+        d = {V: demand[user_index(net, V)] for V in net.users}
         expected_g1 = {
             "prop:i=1:C=1.2": _xor(sub(d[(1, 2)], (2,), 1), sub(d[(1, 3)], (1,), 1)),
             "prop:i=1:C=1.3": _xor(sub(d[(1, 2)], (3,), 1), sub(d[(1, 4)], (1,), 1)),
@@ -203,7 +203,7 @@ def _assert_symmetric_cache_views(net):
     plan depends on the classes, t and r alone, so no library and no cache
     are needed.
     """
-    from relaycache.schemes.common import Plan
+    from relaycache.schemes.plan import Plan
 
     kt = net.num_classes
     for t in range(kt + 1):

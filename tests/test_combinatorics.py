@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaycache.combinatorics import (
-    binomial,
-    enumerate_subsets,
-    position_in,
-    subset_rank,
-)
+from relaycache.combinatorics import binomial, enumerate_subsets, position_in
+from support import subset_rank
 
 
 def factorial_binomial(n: int, k: int) -> int:

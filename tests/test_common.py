@@ -11,16 +11,11 @@ from hypothesis import strategies as st
 
 from relaycache.schemes import proposed_place, routing_deliver
 from relaycache.schemes.common import (
-    Batch,
-    Edge,
     FileLibrary,
     IncompleteReceptionError,
-    Plan,
-    TransmissionLog,
     all_demands,
     as_items,
     distinct_demand,
-    fmt_subset,
     gather,
     holds_all,
     payloads,
@@ -28,6 +23,8 @@ from relaycache.schemes.common import (
     uniform_demand,
     validate_demand,
 )
+from relaycache.schemes.log import Batch, Edge, TransmissionLog
+from relaycache.schemes.plan import Plan, fmt_subset
 from test_golden import assert_matches_reference, edge_records, reference_digest, signals, written
 
 

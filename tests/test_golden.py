@@ -45,6 +45,7 @@ from relaycache.topology import (
     custom_network,
     network_to_dict,
 )
+from support import TWO_CLASS_USERS
 
 DIGESTS = {
     "proposed": "ca111e0a7f54ea42beac104e06b98c07a94d2b076f0c68627375b7575e1c9613",
@@ -206,7 +207,6 @@ def test_class_schemes_off_t1_pinned(comb42, lib, scheme, M):
 # random.Random(t).  cmcnc is pinned where that file size is at most 3,000
 # bytes.  Recorded on the separate per-scheme plan tables, before both coded
 # schemes shared one.
-TWO_CLASS_USERS = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)]
 GRID_NETS = {
     "comb:4,2": lambda: combination_network(4, 2),
     "comb:6,2": lambda: combination_network(6, 2),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaycache import harness
 from relaycache.harness import (
     EXHAUSTIVE_CAP,
     SCHEMES,
@@ -22,11 +23,9 @@ from relaycache.harness import (
 )
 from relaycache.schemes import broadcast_place, distinct_demand, random_library, uniform_demand
 from relaycache.topology import affine_plane, combination_network, custom_network
+from support import TWO_CLASS_USERS
 
 F = Fraction
-
-# Two parallel classes of three users over nine relays.
-TWO_CLASS_USERS = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9)]
 
 
 class TestFormulaRates:
@@ -319,11 +318,15 @@ class TestVerifyAllDemands:
         assert report.passed
         assert report.demand_independent
 
-    def test_sampled_zero_runs_vacuous(self, comb42):
-        report = verify_all_demands(
-            comb42, 2, 2, "proposed", mode="sampled", seed=1, count=0
-        )
-        assert report.runs == 0 and report.passed
+    def test_sampled_without_runs_is_refused(self, comb42, monkeypatch):
+        # No demand drawn means nothing verified: no vacuous pass, and no
+        # library built first.
+        built = []
+        monkeypatch.setattr(harness, "random_library", lambda *a, **k: built.append(a))
+        for count in (0, -3):
+            with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+                verify_all_demands(comb42, 2, 2, "proposed", mode="sampled", seed=1, count=count)
+        assert built == []
 
     def test_sampled_runs_decode(self, comb62):
         report = verify_all_demands(

@@ -2,7 +2,7 @@
 
 ``proposed`` caches over the Kt parallel classes with r copies of each
 subset, ``cmcnc`` over the K users with one copy; both through
-:class:`relaycache.schemes.common.PlannedCache`.  The oracle here is built
+:class:`relaycache.schemes.plan.PlannedCache`.  The oracle here is built
 from :func:`enumerate_subsets` and the documented byte offset
 ``(rank(T) * copies + l - 1) * size``, never from the cache's own tables.
 """
@@ -34,7 +34,7 @@ from relaycache.schemes import (
     proposed_place,
     random_library,
 )
-from relaycache.schemes import common, proposed
+from relaycache.schemes import plan, proposed
 from relaycache.topology import BudgetError, affine_plane, combination_network
 
 # placement -> (place, candidates, copies, label): the three facts that
@@ -140,13 +140,13 @@ def test_an_uncached_read_is_refused_before_any_byte(name, t, monkeypatch):
     cache, u, held, lacked = ranks(name, combination_network(4, 2), t)
     views = {id(view) for per_copy in cache.views for view in per_copy}
     read = []
-    kernel = common.gather
+    kernel = plan.gather
 
     def spy(sources, *args):
         read.extend(id(source) for source in sources if id(source) in views)
         return kernel(sources, *args)
 
-    monkeypatch.setattr(common, "gather", spy)
+    monkeypatch.setattr(plan, "gather", spy)
     assert cache.gather(u, [1], [1], range(1), [held * cache.plan.copies])
     assert read, "the spy saw no read of a cached subfile"
     read.clear()
@@ -161,9 +161,9 @@ def test_a_copy_shares_the_plan(name, monkeypatch):
     # tables: once the original has decoded, the copy builds none.
     built = []
     for table in ("enumerate_subsets", "combinations"):
-        real = getattr(common, table)
+        real = getattr(plan, table)
         monkeypatch.setattr(
-            common, table, lambda *a, _real=real, _table=table: built.append(_table) or _real(*a)
+            plan, table, lambda *a, _real=real, _table=table: built.append(_table) or _real(*a)
         )
     net = combination_network(4, 2)
     cache, lib, *_ = placed(name, net, 1)
@@ -189,7 +189,7 @@ def test_both_placements_are_one_cache_type(name):
     net = combination_network(4, 2)
     place, _, _, label = PLACEMENTS[name]
     cache = place(net, random_library(6, 60, seed=1), 2)
-    assert type(cache) is common.PlannedCache
+    assert type(cache) is plan.PlannedCache
     assert cache.label == label(net)
     assert (cache.code is not None) == (name == "cmcnc")
 
@@ -284,7 +284,6 @@ def test_the_plan_keeps_little_after_a_cmcnc_run():
     finally:
         tracemalloc.stop()
     assert kept <= 3.5e6, f"the placement keeps {kept} bytes"
-    assert "subsets" not in vars(cache.plan)
 
 
 def test_an_oversized_plan_is_refused_before_it_is_built():
@@ -301,7 +300,7 @@ def test_an_oversized_plan_is_refused_before_it_is_built():
     # at N = 28, M = 4, has 28 * C(28, 4) = 573,300 slots and is admitted.
     net = combination_network(8, 2)
     lib = random_library(28, harness.auto_file_bytes(net, 28, [4], ["cmcnc"]), seed=1)
-    assert cmcnc_place(net, lib, 4).plan == common.Plan(28, 4, 1)
+    assert cmcnc_place(net, lib, 4).plan == plan.Plan(28, 4, 1)
 
 
 @pytest.mark.parametrize(
@@ -331,16 +330,16 @@ def test_the_preflight_counts_the_copies_the_plan_holds(net, scheme):
 
 
 def test_the_slot_cap_is_inclusive():
-    common.check_plan_slots(2**21, 0, 2, "K")  # exactly PLAN_SLOTS_CAP
+    plan.check_plan_slots(2**21, 0, 2, "K")  # exactly PLAN_SLOTS_CAP
     with pytest.raises(BudgetError, match="4194305 slots"):
-        common.check_plan_slots(2**22 + 1, 0, 1, "K")
+        plan.check_plan_slots(2**22 + 1, 0, 1, "K")
 
 
 # scheme -> the tables of its plan that it never reads, so never builds.
 UNREAD = {
-    "proposed": {"subsets", "missing_names"},
-    "cmcnc": {"subsets", "missing", "missing_names", "layouts", "decoders"},
-    "routing": {"subsets", "names", "member", "rest", "at", "signal_terms", "receives", "decoders"},
+    "proposed": {"missing_names"},
+    "cmcnc": {"missing", "missing_names", "layouts", "decoders"},
+    "routing": {"names", "member", "rest", "at", "signal_terms", "receives", "decoders"},
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaycache.combinatorics import binomial, enumerate_subsets, subset_rank
+from relaycache.combinatorics import binomial, enumerate_subsets
 from relaycache.schemes import (
     GridError,
     all_demands,
@@ -18,6 +18,7 @@ from relaycache.schemes import (
     random_library,
 )
 from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
+from support import subset_rank
 from test_golden import edge_records
 
 

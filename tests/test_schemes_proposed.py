@@ -30,9 +30,10 @@ from relaycache.schemes import (
     routing_decode,
     routing_deliver,
 )
-from relaycache.schemes import common
-from relaycache.schemes.common import Plan
-from relaycache.topology import affine_plane, combination_network, relay_neighborhood
+from relaycache.schemes import common, plan
+from relaycache.schemes.plan import Plan
+from relaycache.topology import affine_plane, combination_network
+from support import relay_neighborhood, user_index
 from test_golden import edge_records
 
 
@@ -102,7 +103,7 @@ class TestPlacement:
         assert cache.plan.t == 1
         assert cache.subfile_bytes * 6 == lib6.file_bytes
         for subset, label in [((1, 2), 1), ((3, 4), 1), ((1, 3), 2), ((2, 4), 2)]:
-            u = comb42.user_index(subset)
+            u = user_index(comb42, subset)
             assert comb42.class_of[u] == label
             expected = {(n, (label,), l) for n in range(1, 7) for l in (1, 2)}
             assert set(cached_keys(cache, u)) == expected
@@ -110,7 +111,7 @@ class TestPlacement:
 
     def test_cached_bytes_match_library(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 3))
+        u = user_index(comb42, (1, 3))
         for key in cached_keys(cache, u):
             assert read(cache, u, [key]) == oracle(lib6, 1, [key])
 
@@ -129,7 +130,7 @@ class TestPlacement:
         # N = 6, r = 2, t = 1: the user's class is in T, but file 0 or 7, or
         # copy 0 or 3, is not a subfile it caches, and its read is refused.
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 2))
+        u = user_index(comb42, (1, 2))
         assert (6, (1,), 2) in cached_keys(cache, u)
         assert read(cache, u, [(6, (1,), 2)]) == oracle(lib6, 1, [(6, (1,), 2)])
         for key in [(1, (1,), 3), (3, (1,), 0), (7, (1,), 1), (0, (1,), 1)]:
@@ -139,7 +140,7 @@ class TestPlacement:
 
     def test_read_matches_get(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 4)
-        u = comb42.user_index((1, 3))
+        u = user_index(comb42, (1, 3))
         keys = sorted(cached_keys(cache, u), key=lambda key: (key[2], key[1], -key[0]))
         assert read(cache, u, keys) == oracle(lib6, 2, keys)
         assert cache.gather(u, [], [], range(0), []) == b""
@@ -156,7 +157,7 @@ class TestPlacement:
     )
     def test_read_names_first_uncached_key(self, comb42, lib6, files, ranks, copies, named):
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 2))
+        u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
             cache.gather(u, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
 
@@ -193,7 +194,7 @@ class TestPlacement:
     @pytest.mark.parametrize("ranks,copies,named", [([-1], [1], "(1, -1, 1)"), ([0], [-1], "(1, (1,), -1)")])
     def test_read_refuses_negative_indices(self, comb42, lib6, ranks, copies, named):
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 2))
+        u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
             cache.gather(u, [1], copies, range(1), [q * cache.plan.copies for q in ranks])
 
@@ -230,7 +231,7 @@ class TestDelivery:
         cache = proposed_place(comb42, lib6, 2)
         demand = distinct_demand(comb42, 6)
         log = proposed_deliver(comb42, cache, demand)
-        d = {V: demand[comb42.user_index(V)] for V in comb42.users}
+        d = {V: demand[user_index(comb42, V)] for V in comb42.users}
         sub = lambda n, T, l: subfile_oracle(lib6, 3, 2, 1, n, T, l)
         expected = {
             "prop:i=1:C=1.2": xor(sub(d[(1, 2)], (2,), 1), sub(d[(1, 3)], (1,), 1)),
@@ -244,7 +245,7 @@ class TestDelivery:
         cache = proposed_place(comb42, lib6, 2)
         demand = distinct_demand(comb42, 6)
         log = proposed_deliver(comb42, cache, demand)
-        d = {V: demand[comb42.user_index(V)] for V in comb42.users}
+        d = {V: demand[user_index(comb42, V)] for V in comb42.users}
         sub = lambda n, T, l: subfile_oracle(lib6, 3, 2, 1, n, T, l)
         # User {1,2} takes copy 2 through relay 2; {2,3} and {2,4} take copy 1.
         expected = {
@@ -258,10 +259,10 @@ class TestDelivery:
     def test_forwarding_matches_example(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 2)
         log = proposed_deliver(comb42, cache, distinct_demand(comb42, 6))
-        u12 = comb42.user_index((1, 2))
+        u12 = user_index(comb42, (1, 2))
         labels = [label for label, _ in edge_records(log.relay_edges[(1, u12)])]
         assert labels == ["prop:i=1:C=1.2", "prop:i=1:C=1.3"]
-        u23 = comb42.user_index((2, 3))
+        u23 = user_index(comb42, (2, 3))
         labels = [label for label, _ in edge_records(log.relay_edges[(2, u23)])]
         assert labels == ["prop:i=2:C=1.3", "prop:i=2:C=2.3"]
 
@@ -458,19 +459,19 @@ class TestHonestDecoders:
     @pytest.mark.parametrize("M", [2, 4])
     def test_a_rank_outside_the_class_is_refused_before_any_read(self, comb42, lib6, M, monkeypatch):
         cache = proposed_place(comb42, lib6, M)
-        u = comb42.user_index((1, 3))
+        u = user_index(comb42, (1, 3))
         files, copies, which, items, outside = bad_table(cache, comb42, u)
-        T = cache.plan.subsets[outside]
+        T = cache.plan.subset(outside)
         assert comb42.class_of[u] not in T
         views = {id(view) for per_copy in cache.views for view in per_copy}
         read = []
-        kernel = common.gather
+        kernel = plan.gather
 
         def spy(sources, *args):
             read.extend(id(source) for source in sources if id(source) in views)
             return kernel(sources, *args)
 
-        monkeypatch.setattr(common, "gather", spy)
+        monkeypatch.setattr(plan, "gather", spy)
         assert cache.gather(u, files, copies, which, cache.plan.decoders[comb42.class_of[u] - 1][2])
         assert read, "the spy saw no read of a cached subfile"
         read.clear()
@@ -487,14 +488,14 @@ class TestHonestDecoders:
         # Kt = 3, t = 1, r = 2: class 1 may read items 0 only; item 1 is
         # copy 2 of T = (1,) read as copy 1, which only a source may choose.
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 2))
+        u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"does not cache (1, {named}, 1)")):
             cache.gather(u, [1], [1], [0], items)
 
     @pytest.mark.parametrize("files,copies", [([0], [1]), ([7], [1]), ([1], [0]), ([1], [3])])
     def test_sources_off_the_library_are_refused(self, comb42, lib6, files, copies):
         cache = proposed_place(comb42, lib6, 2)
-        u = comb42.user_index((1, 2))
+        u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"({files[0]}, (1,), {copies[0]})")):
             cache.gather(u, files, copies, [0], [0])
 
@@ -507,7 +508,7 @@ class TestHonestDecoders:
             "from relaycache.topology import combination_network\n"
             "net = combination_network(4, 2)\n"
             "cache = proposed_place(net, random_library(6, 30, seed=1), 2)\n"
-            "u = net.user_index((1, 3))\n"
+            "u = net.users.index((1, 3))\n"
             "c = net.class_of[u] - 1\n"
             "files, copies = _neighbors_of(net, distinct_demand(net, 6), net.users[u][0])\n"
             "_, which, items = cache.plan.decoders[c]\n"

@@ -16,9 +16,9 @@ from relaycache.topology import (
     combination_network,
     custom_network,
     load_network,
-    relay_neighborhood,
     save_network,
 )
+from support import relay_neighborhood
 
 
 def brute_force_has_resolution(h, r, users) -> bool:
