@@ -18,7 +18,8 @@ Conventions used by every scheme:
   item size (1, 2, 4 or 8 bytes) it reads them as ints through memoryviews,
   one C-level step per item; other sizes are sliced and joined.  ``cmcnc``,
   ``proposed`` and ``routing`` read through it at both ends, and so does
-  :func:`payloads`.
+  :func:`payloads`.  :func:`pick` is the same read by index into a list,
+  for ``proposed``'s int forms of large subfiles.
 
 The transmission log and its wire format are in :mod:`.log`, which imports
 nothing else from the package; the multicast plan and the cache of both
@@ -191,6 +192,19 @@ def holds_all(row: bytes, items: Sequence[int]) -> bool:
         return all(_picker(items)(row))
     except IndexError:
         return False
+
+
+def pick(sources: Sequence[Sequence], which: Sequence[int], index: Sequence[int]) -> list:
+    """Item ``index[j]`` of source ``which[j]`` for every j, as a list: the
+    read of :func:`gather` at an array item size, over any sequences, such
+    as the int forms of :meth:`.plan.PlannedCache.int_sources`.  Raises
+    ValueError if ``which`` and ``index`` differ in length, and IndexError
+    for a source or an item that does not exist; no index wraps."""
+    if len(which) != len(index):
+        raise ValueError(f"{len(which)} sources and {len(index)} indices differ in length")
+    if _negative(which) or _negative(index):
+        raise IndexError("a source or item index is negative or too large")
+    return list(map(getitem, _picker(which)(sources), index))
 
 
 def gather(sources: Sequence, which: Sequence[int], index: Sequence[int], size: int) -> bytes:

@@ -21,6 +21,13 @@ built on first use, and every copy of the placement reads through that one
 plan.  The rest of a placement is data: ``label``, each user's candidate,
 and ``code``, the MDS code that spreads ``cmcnc``'s signals over the
 relays.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
+
+A placement also keeps the int form of each subfile of every file read
+through :meth:`PlannedCache.int_sources` (:attr:`PlannedCache.ints`), for
+``proposed``'s XOR multicast at large subfiles.  The ints come from the
+placement's own library, so they live on the placement, never on the
+plan, and a decoder reads them only by its checked table
+(:meth:`PlannedCache.cancelled_ints`).
 """
 
 from __future__ import annotations
@@ -36,7 +43,16 @@ from typing import Sequence
 from ..combinatorics import enumerate_subsets
 from ..erasure import ErasureCode
 from ..topology import BudgetError, Network
-from .common import FileLibrary, SubpacketizationError, as_items, gather, grid_t, holds_all, in_range
+from .common import (
+    FileLibrary,
+    SubpacketizationError,
+    as_items,
+    gather,
+    grid_t,
+    holds_all,
+    in_range,
+    pick,
+)
 
 
 # Most subfile slots a placement's plan may index, candidates * copies * C(n, t):
@@ -307,9 +323,11 @@ class PlannedCache:
 
     Every read goes through :func:`gather` over :attr:`views`, as items:
     subfile (n, T, l) is item ``rank(T) * copies`` of file n viewed from
-    copy l on.  The views live as long as the placement, and the plan's
-    tables as long as the plan: a copy of the placement over another
-    library reads through the same ones.
+    copy l on; or through :func:`pick` over the same items of
+    :attr:`ints`, their int forms.  The views and the ints live as long as
+    the placement, and the plan's tables as long as the plan: a copy of
+    the placement over another library reads through the same tables, but
+    through views and ints of its own.
     """
 
     net: Network
@@ -330,19 +348,48 @@ class PlannedCache:
             for l in range(self.plan.copies)
         ]
 
+    @cached_property
+    def ints(self) -> list[list[int] | None]:
+        """ints[n - 1]: the int form, big-endian, of every subfile of file n,
+        slot by slot, or None until the first read of file n through
+        :meth:`int_sources`.  Slot ``rank(T) * copies + l - 1`` is subfile
+        (n, T, l).  Built from this placement's library alone: a copy of the
+        placement over another library builds its own."""
+        return [None] * self.lib.n_files
+
+    def _pairs(self, files: Sequence[int], copies: Sequence[int]) -> zip:
+        """(n, l) for each source; the errors of :meth:`sources`."""
+        N, r = self.lib.n_files, self.plan.copies
+        if len(files) != len(copies):
+            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
+        if not (in_range(files, N) and in_range(copies, r)):
+            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        return zip(files, copies)
+
     def sources(self, files: Sequence[int], copies: Sequence[int]) -> list:
         """The view of file files[w] from copy copies[w] on, for each w.
 
         Raises ValueError if the lengths differ, and IndexError for a file id
         outside 1..N or a copy outside 1..copies: no index wraps.
         """
-        N, r = self.lib.n_files, self.plan.copies
-        if len(files) != len(copies):
-            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
-        if not (in_range(files, N) and in_range(copies, r)):
-            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
         views = self.views
-        return [views[l - 1][n - 1] for n, l in zip(files, copies)]
+        return [views[l - 1][n - 1] for n, l in self._pairs(files, copies)]
+
+    def int_sources(self, files: Sequence[int], copies: Sequence[int]) -> list[list[int]]:
+        """:meth:`sources` in int form, for :func:`pick`: item rank(T) *
+        copies of source w is the int of subfile (files[w], T, copies[w]).
+
+        The errors of :meth:`sources`, raised before any int is built.  The
+        first read of a file converts each of its subfiles once, into
+        :attr:`ints`; later reads convert nothing.
+        """
+        ints, size = self.ints, self.subfile_bytes
+        pairs = list(self._pairs(files, copies))
+        for n in {n for n, _ in pairs if ints[n - 1] is None}:
+            view = memoryview(self.lib.files[n - 1])
+            ends = range(size, len(view) + 1, size)
+            ints[n - 1] = [int.from_bytes(view[end - size : end], "big") for end in ends]
+        return [ints[n - 1][l - 1 :] for n, l in pairs]
 
     def gather(
         self,
@@ -364,7 +411,8 @@ class PlannedCache:
         range that no item reads.  Nothing is read from a file before these
         checks.
         """
-        return self._read(user, files, copies, which, items, checked=False)
+        self._check(user, files, copies, which, items, checked=False)
+        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
 
     def cancelled(self, user: int, files: Sequence[int], copies: Sequence[int]) -> bytes:
         """:meth:`gather` of the items by which the user's candidate decodes,
@@ -374,11 +422,25 @@ class PlannedCache:
         it built the table, so only ``files`` and ``copies`` are checked here,
         with the errors of :meth:`gather`.
         """
-        _, which, items = self.plan.decoders[self.label[user] - 1]
-        return self._read(user, files, copies, which, items, checked=True)
+        which, items = self._decoder(user, files, copies)
+        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
 
-    def _read(self, user, files, copies, which, items, checked: bool) -> bytes:
-        """:meth:`gather`; no membership scan if the plan ``checked`` the items."""
+    def cancelled_ints(self, user: int, files: Sequence[int], copies: Sequence[int]) -> list[int]:
+        """:meth:`cancelled` as the int of each item, from :attr:`ints`, with
+        its checks, made before any int is read or built."""
+        which, items = self._decoder(user, files, copies)
+        return pick(self.int_sources(files, copies), which, items)
+
+    def _decoder(self, user: int, files: Sequence[int], copies: Sequence[int]) -> tuple[array, array]:
+        """(which, items) of the user's table :attr:`Plan.decoders`, once
+        ``files`` and ``copies`` pass the checks of :meth:`gather`."""
+        _, which, items = self.plan.decoders[self.label[user] - 1]
+        self._check(user, files, copies, which, items, checked=True)
+        return which, items
+
+    def _check(self, user, files, copies, which, items, checked: bool) -> None:
+        """The checks of :meth:`gather`; no membership scan if the plan
+        ``checked`` the items."""
         if len(which) != len(items):
             raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
         if len(files) != len(copies):
@@ -395,9 +457,6 @@ class PlannedCache:
                     raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
             # Every item read is cached: a file or copy that none reads is out of range.
             raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
-        views = self.views
-        sources = [views[l - 1][n - 1] for n, l in zip(files, copies)]
-        return gather(sources, which, items, self.subfile_bytes)
 
     def reassemble(self, user: int, n: int, decoded: bytes) -> bytes:
         """File n from the subfiles of it that ``user`` caches and ``decoded``,

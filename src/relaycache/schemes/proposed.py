@@ -37,20 +37,48 @@ built once per class and plan, held as arrays and checked against the
 class's row of cached subfiles when built, so their reads skip that scan:
 :attr:`.plan.Plan.decoders` and :attr:`.plan.Plan.layouts`.
 
+Every term of every signal is a library subfile, fixed for the placement,
+so the placement keeps the int form of each subfile of a file once the
+file is read (:attr:`.plan.PlannedCache.ints`).  At subfiles of
+``_INT_BYTES`` or more both ends work on those ints instead of the joined
+blocks: the server picks the t+1 term ints of each signal
+(:func:`.common.pick` over :meth:`.plan.PlannedCache.int_sources`), XORs
+them and converts once per signal; a decoder converts only the feed it
+received, and XORs away the ints of the terms it cancels, which
+:meth:`.plan.PlannedCache.cancelled_ints` reads with the checks of
+:meth:`.plan.PlannedCache.cancelled`.  So a placement that serves many
+demands converts each subfile it reads once, not once per demand.
+
 Subfile layout inside a file is T-major: byte offset of ``(T, l)`` is
 ``(rank(T) * r + (l - 1)) * subfile_bytes`` with T ranked lexicographically.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import xor
 from typing import Mapping
 
 from ..combinatorics import position_in
 from ..erasure import xor_bytes
 from ..topology import Network
-from .common import FileLibrary, gather, payloads, validate_demand
+from .common import FileLibrary, gather, payloads, pick, validate_demand
 from .log import Batch, Edge, TransmissionLog
 from .plan import Plan, PlannedCache, place_planned
+
+
+_INT_BYTES = 256
+"""Subfiles of at least this many bytes are XORed as the placement's int
+forms, one int per subfile; smaller ones as joined blocks.
+
+The int path takes a few Python-level steps per signal, the block path a
+few per relay plus a conversion of every term on every demand.  Timed on
+CPython 3.11 (x86-64) over every grid M of comb(6,2) at N = 10 and of
+comb(9,3) at N = 28 (M = 2, 26), with 20 demands served per placement, the
+int path takes 1.1x-1.3x the time of the blocks at 128 bytes, 1.04x-1.12x
+at 192, 0.93x at 256, 0.82x-0.96x at 384 and 0.69x at 4 kB.  With one
+demand per placement it breaks even between 384 bytes and 1 kB.
+"""
 
 
 def proposed_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
@@ -76,6 +104,23 @@ def _neighbors_of(
     return [demand[u] for u in users], [position_in(net.users[u], relay) for u in users]
 
 
+def _on_ints(cache: PlannedCache) -> bool:
+    """Whether the signals XOR the int forms of ``cache``: at subfiles of
+    ``_INT_BYTES`` or more, when each signal has a term to cancel."""
+    plan = cache.plan
+    return 0 < plan.t < plan.candidates and cache.subfile_bytes >= _INT_BYTES
+
+
+def _xor_blocks(terms: list[int], blocks: int, size: int) -> bytes:
+    """Per k, the XOR of item k of each of the ``blocks`` equal blocks of
+    ``terms``, as ``size`` bytes, big-endian; joined in order of k."""
+    n = len(terms) // blocks
+    signals = terms[:n]
+    for x in range(1, blocks):
+        signals = map(xor, signals, terms[x * n : (x + 1) * n])
+    return b"".join(map(int.to_bytes, signals, repeat(size), repeat("big")))
+
+
 def proposed_deliver(
     net: Network, cache: PlannedCache, demand: tuple[int, ...]
 ) -> TransmissionLog:
@@ -89,10 +134,14 @@ def proposed_deliver(
     which, items = plan.signal_terms
     size = cache.subfile_bytes
     block = len(plan.names) * size
+    ints = _on_ints(cache)
     for i in range(1, net.h + 1):
-        terms = gather(cache.sources(*_neighbors_of(net, demand, i)), which, items, size)
-        view = memoryview(terms)
-        signals = xor_bytes(*[view[j * block : (j + 1) * block] for j in range(t + 1)])
+        sources = _neighbors_of(net, demand, i)
+        if ints:
+            signals = _xor_blocks(pick(cache.int_sources(*sources), which, items), t + 1, size)
+        else:
+            view = memoryview(gather(cache.sources(*sources), which, items, size))
+            signals = xor_bytes(*[view[j * block : (j + 1) * block] for j in range(t + 1)])
         prefix, names, suffix = _form(i, plan)
         batch = Batch(names, signals, size, prefix, suffix)
         log.add_server(i, batch)
@@ -112,12 +161,14 @@ def proposed_decode(
 
     Subfile (T, l) with the user's class outside T comes from relay V[l] in
     the signal for C = T + {class}; the user cancels the other t terms,
-    which it reads in one :meth:`PlannedCache.cancelled` per relay.
+    which it reads in one :meth:`PlannedCache.cancelled` per relay, or
+    :meth:`PlannedCache.cancelled_ints` at subfiles of ``_INT_BYTES`` or more.
     """
     plan = cache.plan
     signals = plan.decoders[cache.label[user] - 1][0]
     size = cache.subfile_bytes
     block = len(signals) * size
+    ints = _on_ints(cache)
     decoded = []
     for i in net.users[user]:
         feed = payloads(user, i, received, signals, _form(i, plan))
@@ -125,8 +176,14 @@ def proposed_decode(
             raise ValueError(
                 f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"
             )
+        sources = _neighbors_of(net, demand, i)
         # Block x of the terms holds, per signal, the term of its x-th other member.
-        terms = memoryview(cache.cancelled(user, *_neighbors_of(net, demand, i)))
-        blocks = [terms[x * block : (x + 1) * block] for x in range(plan.t)]
-        decoded.append(xor_bytes(feed, *blocks))
+        if ints:
+            view = memoryview(feed)
+            terms = [int.from_bytes(view[k : k + size], "big") for k in range(0, block, size)]
+            decoded.append(_xor_blocks(terms + cache.cancelled_ints(user, *sources), plan.t + 1, size))
+        else:
+            terms = memoryview(cache.cancelled(user, *sources))
+            blocks = [terms[x * block : (x + 1) * block] for x in range(plan.t)]
+            decoded.append(xor_bytes(feed, *blocks))
     return cache.reassemble(user, demand[user], b"".join(decoded))

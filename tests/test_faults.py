@@ -19,6 +19,7 @@ from relaycache.schemes import (
     IncompleteReceptionError,
     TransmissionLog,
     distinct_demand,
+    proposed,
     random_library,
 )
 from test_golden import edge_records
@@ -172,5 +173,40 @@ def test_flipped_byte_at_sliced_sizes(comb42, scheme, monkeypatch):
     report = run_scheme(comb42, LIB90, M, distinct_demand(comb42, 6), scheme)
     assert not report.decode_ok and report.formula_match
     report = verify_all_demands(comb42, 6, M, scheme, mode="sampled", seed=3, count=4, file_bytes=90)
+    assert {(u, why) for _, u, why in report.failures} == {(user, "decoded bytes differ")}
+    assert len(report.failures) == report.runs == 4
+
+
+# At 6 * _INT_BYTES-byte files, proposed's subfiles on comb(4,2) at M=2 are
+# _INT_BYTES long: its signals XOR the int forms its placement keeps.
+LIB_INT = random_library(6, 6 * proposed._INT_BYTES, seed=11)
+
+
+def test_the_int_library_takes_the_int_path(comb42):
+    cache, _, _ = harness._pipeline(comb42, LIB_INT, M, "proposed", None)
+    assert proposed._on_ints(cache)
+
+
+def test_dropped_record_on_the_int_path(comb42):
+    failures = 0
+    for user in range(comb42.K):
+        for relay in comb42.users[user]:
+            for label, exc in drop_each(comb42, "proposed", user, relay, LIB_INT):
+                if exc is not None:
+                    failures += 1
+                    assert re.search(rf"\bfrom relay {relay}\b", str(exc)), exc
+                    assert repr(label) in str(exc), exc
+    assert failures
+
+
+def test_flipped_byte_on_the_int_path(comb42, monkeypatch):
+    relay, user, k = needed_record(comb42, "proposed", LIB_INT)
+    name = harness.SCHEMES["proposed"].deliver
+    monkeypatch.setattr(harness, name, corrupting(getattr(harness, name), relay, user, k))
+    report = run_scheme(comb42, LIB_INT, M, distinct_demand(comb42, 6), "proposed")
+    assert not report.decode_ok and report.formula_match
+    report = verify_all_demands(
+        comb42, 6, M, "proposed", mode="sampled", seed=3, count=4, file_bytes=LIB_INT.file_bytes
+    )
     assert {(u, why) for _, u, why in report.failures} == {(user, "decoded bytes differ")}
     assert len(report.failures) == report.runs == 4

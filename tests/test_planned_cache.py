@@ -286,6 +286,42 @@ def test_the_plan_keeps_little_after_a_cmcnc_run():
     assert kept <= 3.5e6, f"the placement keeps {kept} bytes"
 
 
+def test_the_int_forms_cover_the_demanded_files_and_go_with_the_placement():
+    # comb(6,2) at N = 10, M = 4 (Kt = 5, t = 2, r = 2): 20 subfiles of 4 kB
+    # per file, on the int path.  A demand of files 3 and 7 alone builds the
+    # int forms of those two files, at most 1.2 times their bytes, and none
+    # of them outlives the placement.
+    net, n_files, M = combination_network(6, 2), 10, 4
+    lib = random_library(n_files, 20 * 4096, seed=7)
+    demand = tuple(3 if u % 2 else 7 for u in range(net.K))
+    proposed_deliver(net, proposed_place(net, lib, M), demand)  # the network's own tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        cache = proposed_place(net, lib, M)
+        assert proposed._on_ints(cache)
+        log = proposed_deliver(net, cache, demand)
+        for u in range(net.K):
+            assert proposed_decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u])
+        del log
+        gc.collect()
+        with_ints, _ = tracemalloc.get_traced_memory()
+        built = [n for n, ints in enumerate(cache.ints, 1) if ints is not None]
+        del vars(cache)["ints"]
+        gc.collect()
+        without, _ = tracemalloc.get_traced_memory()
+        del cache
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == [3, 7]
+    held = with_ints - without
+    assert 2 * lib.file_bytes <= held <= 1.2 * 2 * lib.file_bytes, held
+    assert after - base <= 1024, after - base
+
+
 def test_an_oversized_plan_is_refused_before_it_is_built():
     # comb(12,6) has 462 classes and r = 6: at t = 2 its plan would index
     # 462 * 6 * C(462, 2) = 295,193,052 slots.  The cap comes before the

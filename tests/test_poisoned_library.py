@@ -20,6 +20,7 @@ u stores, so their count is the memory constraint M * F, measured.
 import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -29,6 +30,7 @@ from relaycache.schemes import (
     FileLibrary,
     broadcast_decode,
     cmcnc_decode,
+    proposed,
     proposed_decode,
     random_demand,
     random_library,
@@ -93,11 +95,32 @@ def poison(lib: FileLibrary, keep: bytes, rng: random.Random) -> FileLibrary:
     return FileLibrary(tuple(files))
 
 
+def decode_poisoned(scheme, net, M, file_bytes, rng) -> list:
+    """Deliver one random demand from a library of ``file_bytes``-byte
+    files and decode every user u over the library poisoned outside u's
+    cache; the poisoned copies of the placement, one per user."""
+    decode = SCHEMES[scheme][0]
+    lib = random_library(N_FILES, file_bytes, seed=rng.randrange(2**32))
+    demand = random_demand(net, N_FILES, rng)
+    cache, deliver, _ = harness._pipeline(net, lib, M, scheme, None)
+    log = deliver(demand)
+    copies = []
+    for u in range(net.K):
+        keep = mask(scheme, net, M, file_bytes, u)
+        assert len(keep) == file_bytes
+        # The memory constraint: u stores M * F bits, counted byte by byte.
+        assert 8 * N_FILES * keep.count(0) == M * lib.file_bits, (M, u)
+        poisoned = dataclasses.replace(cache, lib=poison(lib, keep, rng))
+        out = decode(net, u, poisoned, demand, log.to_user(u))
+        assert out == lib.file(demand[u]), f"{scheme} M={M} user {u} read an uncached byte"
+        copies.append(poisoned)
+    return copies
+
+
 @pytest.mark.parametrize("topology", NETWORKS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_user_decodes_from_what_it_caches(scheme, topology):
     net = NETWORKS[topology]()
-    decode = SCHEMES[scheme][0]
     rng = random.Random(f"{scheme} {topology}")
     points = 0
     for M in grid(scheme, net):
@@ -105,16 +128,24 @@ def test_every_user_decodes_from_what_it_caches(scheme, topology):
         if N_FILES * file_bytes > LIBRARY_CAP:
             continue
         points += 1
-        lib = random_library(N_FILES, file_bytes, seed=rng.randrange(2**32))
-        demand = random_demand(net, N_FILES, rng)
-        cache, deliver, _ = harness._pipeline(net, lib, M, scheme, None)
-        log = deliver(demand)
-        for u in range(net.K):
-            keep = mask(scheme, net, M, file_bytes, u)
-            assert len(keep) == file_bytes
-            # The memory constraint: u stores M * F bits, counted byte by byte.
-            assert 8 * N_FILES * keep.count(0) == M * lib.file_bits, (M, u)
-            poisoned = dataclasses.replace(cache, lib=poison(lib, keep, rng))
-            out = decode(net, u, poisoned, demand, log.to_user(u))
-            assert out == lib.file(demand[u]), f"{scheme} M={M} user {u} read an uncached byte"
+        decode_poisoned(scheme, net, M, file_bytes, rng)
     assert points >= 2, "fewer than two grid points fit the library cap"
+
+
+@pytest.mark.parametrize("topology", NETWORKS)
+def test_proposed_decodes_from_what_it_caches_on_the_int_path(topology):
+    # Subfiles of _INT_BYTES: every cancelled term is read from the int
+    # forms of the poisoned copy, which that copy builds from its own library.
+    net = NETWORKS[topology]()
+    rng = random.Random(f"ints {topology}")
+    points = 0
+    for M in grid("proposed", net):
+        t = int(M * net.num_classes / N_FILES)
+        file_bytes = net.r * comb(net.num_classes, t) * proposed._INT_BYTES
+        if N_FILES * file_bytes > LIBRARY_CAP or not 0 < t < net.num_classes:
+            continue
+        points += 1
+        for poisoned in decode_poisoned("proposed", net, M, file_bytes, rng):
+            assert proposed._on_ints(poisoned)
+            assert any(ints is not None for ints in poisoned.ints), f"M={M} decoded off the int path"
+    assert points >= 1, "no grid point on the int path fits the library cap"

@@ -1,5 +1,6 @@
 """Class-symmetric XOR multicast and the routing delivery that shares its caches."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -526,3 +527,87 @@ class TestHonestDecoders:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("refused"), out.stdout
+
+
+RULE = proposed._INT_BYTES
+
+
+def serve(net, cache, demand):
+    """(digest of the delivery, every user's decoded file)."""
+    log = proposed_deliver(net, cache, demand)
+    return log.digest(), [proposed_decode(net, u, cache, demand, log.to_user(u)) for u in range(net.K)]
+
+
+class TestIntPath:
+    """Subfiles of ``_INT_BYTES`` or more are XORed as the int forms that the
+    placement keeps, smaller ones as joined blocks; both give the same bytes."""
+
+    @pytest.mark.parametrize("size", [1, 3, RULE - 1, RULE, 1001])
+    @pytest.mark.parametrize("topology", ["comb:4,2", "comb:6,2"])
+    def test_both_paths_give_one_log_and_one_file(self, topology, size, monkeypatch):
+        h, r = map(int, topology.split(":")[1].split(","))
+        net = combination_network(h, r)
+        kt, n_files = net.num_classes, 3
+        rng = random.Random(f"{topology}/{size}")
+        for t in range(kt + 1):
+            lib = random_library(n_files, size * r * math.comb(kt, t), seed=rng.randrange(2**32))
+            demand = random_demand(net, n_files, rng)
+            served = {}
+            for rule in (1, 2**40):  # every size on the int path, then none
+                monkeypatch.setattr(proposed, "_INT_BYTES", rule)
+                cache = proposed_place(net, lib, Fraction(t * n_files, kt))
+                served[rule] = serve(net, cache, demand)
+                built = any(ints is not None for ints in vars(cache).get("ints", []))
+                assert built == (rule == 1 and 0 < t < kt), (rule, t)
+            assert served[1] == served[2**40], (size, t)
+            assert served[1][1] == [lib.file(d) for d in demand]
+
+    def test_the_rule_picks_the_path(self, comb42):
+        # Kt = 3, r = 2, t = 1: six subfiles per file.
+        for size, on_ints in [(RULE - 1, False), (RULE, True)]:
+            lib = random_library(3, 6 * size, seed=size)
+            cache = proposed_place(comb42, lib, 1)
+            demand = (1,) * comb42.K
+            assert serve(comb42, cache, demand)[1] == [lib.file(1)] * comb42.K
+            assert ("ints" in vars(cache)) == on_ints
+
+    def test_a_copy_over_another_library_builds_its_own_ints(self, comb42):
+        lib = random_library(3, 6 * RULE, seed=1)
+        other = random_library(3, 6 * RULE, seed=2)
+        cache = proposed_place(comb42, lib, 1)
+        demand = (1, 2, 3) * 2
+        serve(comb42, cache, demand)
+        first = list(map(tuple, cache.ints))
+        copy = dataclasses.replace(cache, lib=other)
+        assert "ints" not in vars(copy)
+        for u in range(comb42.K):
+            for i in comb42.users[u]:
+                sources = proposed._neighbors_of(comb42, demand, i)
+                got = copy.cancelled_ints(u, *sources)
+                raw = copy.cancelled(u, *sources)
+                assert got == [int.from_bytes(raw[k : k + RULE], "big") for k in range(0, len(raw), RULE)]
+        assert copy.ints is not cache.ints
+        for n, ints in enumerate(copy.ints, 1):
+            if ints is not None:
+                f = other.file(n)
+                assert ints == [int.from_bytes(f[k : k + RULE], "big") for k in range(0, len(f), RULE)]
+                assert ints != first[n - 1]
+        assert list(map(tuple, cache.ints)) == first
+
+    @pytest.mark.parametrize("files,copies", [([0], [1]), ([4], [1]), ([1], [0]), ([1], [3])])
+    def test_a_source_off_the_library_is_refused_before_any_int(self, comb42, files, copies, monkeypatch):
+        lib = random_library(3, 6 * RULE, seed=3)
+        cache = proposed_place(comb42, lib, 1)
+        u = user_index(comb42, (1, 2))
+        sources = proposed._neighbors_of(comb42, (1, 2, 3, 1, 2, 3), comb42.users[u][0])
+        sources = ([*sources[0][:-1], *files], [*sources[1][:-1], *copies])
+        with pytest.raises((KeyError, IndexError)) as full:
+            cache.gather(u, *sources, *cache.plan.decoders[cache.label[u] - 1][1:])
+        read = []
+        monkeypatch.setattr(plan, "pick", lambda *args: read.append(args))
+        with pytest.raises(full.type, match=re.escape(str(full.value))):
+            cache.cancelled_ints(u, *sources)
+        with pytest.raises(IndexError):
+            cache.int_sources(files, copies)
+        assert not read
+        assert all(ints is None for ints in vars(cache).get("ints", []))
