@@ -195,13 +195,15 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     """Validate argv (plus optional --config file) into an ExperimentConfig.
 
     A ConfigError names the first offending field; command-line flags
-    override config-file values.
+    override config-file values; ``--help`` raises argparse's SystemExit(0).
     """
     parser = _argument_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit:
-        raise ConfigError("invalid command line (see usage above)") from None
+    except SystemExit as exc:
+        if exc.code:  # not the exit 0 of --help
+            raise ConfigError("invalid command line (see usage above)") from None
+        raise
     ns = _merge_config_file(ns)
 
     if ns.topology is None:
@@ -476,6 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
+    except SystemExit:  # --help
+        return 0
     except (ConfigError, NotResolvableError, ValueError) as exc:
         _error_record(exc)
         return 2

@@ -33,7 +33,7 @@ from .schemes.common import (
     random_demand,
     random_library,
 )
-from .schemes.plan import check_plan_slots
+from .schemes.plan import GRIDS, grid_plan, grid_units
 from .schemes.proposed import proposed_decode, proposed_deliver, proposed_place
 from .schemes.routing import routing_decode, routing_deliver
 from .topology import Network
@@ -88,16 +88,14 @@ def _closed_form_r1(users: int, m: Fraction, r: int) -> Fraction:
 class Scheme:
     """Everything the harness and the CLI know about one scheme id.
 
-    ``grid`` names the sharing candidates its memory grid runs over: "Kt"
-    parallel classes or "K" users, with t = n*M/N a whole number at a grid
-    point; None means any M in [0, N].  At a grid point of n candidates a
-    file splits into ``subfiles(r, n, t)`` parts and ``rates(n, N, r, m)``
+    ``grid`` is the symbol of its memory grid, "Kt" or "K", whose meaning
+    :data:`.schemes.plan.GRIDS` states; None means any M in [0, N].  At a
+    grid point of n candidates, or anywhere for None, ``rates(n, N, r, m)``
     is the closed-form (R1, R2), m = M/N.  ``place``, ``deliver`` and
     ``decode`` name the layer functions in this module, with one signature
     for every scheme: (net, lib, M), (net, cache, demand) and (net, user,
     cache, demand, received).  They are looked up on every call, so a
-    replaced module attribute takes effect.  A grid scheme's plan holds
-    ``copies(r)`` copies of each t-subset.  ``in_all`` puts the scheme in
+    replaced module attribute takes effect.  ``in_all`` puts the scheme in
     ``--schemes all``.
     """
 
@@ -106,8 +104,6 @@ class Scheme:
     place: str
     deliver: str
     decode: str
-    subfiles: Callable[[int, int, int], int] = lambda r, n, t: r * binomial(n, t)
-    copies: Callable[[int], int] = lambda r: 1
     in_all: bool = True
 
 
@@ -118,7 +114,6 @@ SCHEMES = {
         place="proposed_place",
         deliver="proposed_deliver",
         decode="proposed_decode",
-        copies=lambda r: r,
     ),
     "routing": Scheme(
         grid="Kt",
@@ -126,7 +121,6 @@ SCHEMES = {
         place="proposed_place",
         deliver="routing_deliver",
         decode="routing_decode",
-        copies=lambda r: r,
     ),
     "cmcnc": Scheme(
         grid="K",
@@ -141,7 +135,6 @@ SCHEMES = {
         place="broadcast_place",
         deliver="broadcast_mds_deliver",
         decode="broadcast_decode",
-        subfiles=lambda r, n, t: r,
         in_all=False,
     ),
 }
@@ -159,10 +152,6 @@ def scheme_spec(scheme: str) -> Scheme:
         ) from None
 
 
-def _grid_size(spec: Scheme, K: int, kt: int) -> int:
-    return kt if spec.grid == "Kt" else K
-
-
 def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     """Closed-form rate point for one scheme.
 
@@ -176,7 +165,7 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     m = memory_ratio(M, N)
     n = t = None
     if spec.grid is not None:
-        n = _grid_size(spec, K, kt)
+        n, _ = GRIDS[spec.grid](K, kt, r)
         t = _grid_int(n * m)
         if t is None:
             corners = [Fraction(j * N, n) for j in range(n + 1)]
@@ -187,7 +176,7 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
             )
             return RatePoint(M, r1, r2, None, "formula")
     r1, r2 = spec.rates(n, N, r, m)
-    return RatePoint(M, r1, r2, spec.subfiles(r, n, t), "formula")
+    return RatePoint(M, r1, r2, r if n is None else grid_units(r, n, t), "formula")
 
 
 def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
@@ -347,9 +336,9 @@ def scheme_file_divisor(net: Network, n_files: int, M, scheme: str) -> int:
     spec = scheme_spec(scheme)
     if spec.grid is None:
         # The cached M/N of each file and the r parts of the rest are whole bytes.
-        return spec.subfiles(net.r, None, None) * memory_ratio(M, n_files).denominator
-    n = _grid_size(spec, net.K, net.num_classes)
-    return spec.subfiles(net.r, n, grid_t(n, n_files, M, spec.grid))
+        return net.r * memory_ratio(M, n_files).denominator
+    n, _ = GRIDS[spec.grid](net.K, net.num_classes, net.r)
+    return grid_units(net.r, n, grid_t(n, n_files, M, spec.grid))
 
 
 def preflight(
@@ -358,14 +347,13 @@ def preflight(
     """The refusals that building a library of ``n_files`` files of
     ``file_bytes`` and placing each (scheme, M) of ``cells`` on it would meet
     first, in that order, made from sizes alone: BudgetError for a library
-    over its cap, then for each cell GridError off the scheme's grid and
-    BudgetError for a plan over PLAN_SLOTS_CAP slots."""
+    over its cap, then for each cell those of the placement's own
+    :func:`.schemes.plan.grid_plan`: GridError, then the slot cap."""
     check_library_bytes(n_files, file_bytes)
     for scheme, M in cells:
-        spec = scheme_spec(scheme)
-        if spec.grid is not None:
-            n = _grid_size(spec, net.K, net.num_classes)
-            check_plan_slots(n, grid_t(n, n_files, M, spec.grid), spec.copies(net.r), spec.grid)
+        grid = scheme_spec(scheme).grid
+        if grid is not None:
+            grid_plan(net, n_files, M, grid)
 
 
 def auto_file_bytes(

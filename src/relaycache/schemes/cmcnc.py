@@ -11,9 +11,8 @@ distinct piece indices (its own relay subset) and can rebuild every
 signal.
 
 :func:`cmcnc_place` builds the one cache of both coded schemes,
-:class:`.plan.PlannedCache`, over the :class:`.plan.Plan` of the K
-users with one copy of each subset: user u is candidate u + 1, and
-``code`` is the (h, r) MDS code.  The signals are the coded multicast that
+:class:`.plan.PlannedCache`, on the grid "K" of :data:`.plan.GRIDS`, with
+``code`` the (h, r) MDS code.  The signals are the coded multicast that
 ``proposed`` runs per relay, here over the K users, indexed by that plan's
 signal tables.  Both ends work on all signals of one delivery at once.
 XOR and GF(256) coding act byte by byte, so the concatenation of every
@@ -91,8 +90,8 @@ def _form(relay: int, plan: Plan) -> tuple[str, list[str], str]:
 
 
 def cmcnc_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
-    """Split files over user subsets; file size must allow the r-way split too."""
-    return place_planned(net, lib, M, range(1, net.K + 1), 1, "K", relay_code(net))
+    """Split files over user subsets: the grid "K"."""
+    return place_planned(net, lib, M, "K", relay_code(net))
 
 
 def cmcnc_deliver(net: Network, cache: PlannedCache, demand: tuple[int, ...]) -> TransmissionLog:

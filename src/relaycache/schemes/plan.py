@@ -11,10 +11,9 @@ by one rule, :func:`holds_all`; a table the plan builds for reading
 once, when it is built, and its reads skip that scan.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
-("Fundamental limits of caching", IEEE Trans. IT 2014) over n sharing
-candidates: ``proposed`` per relay over the Kt parallel classes with r
-copies of each subset, ``cmcnc`` over the K users with one copy.  Both
-place files with :func:`place_planned` into the one cache here,
+("Fundamental limits of caching", IEEE Trans. IT 2014) over the candidates
+of their grid in :data:`GRIDS`: ``proposed`` per relay over "Kt", ``cmcnc``
+over "K".  Both place files with :func:`place_planned` into the one cache here,
 :class:`PlannedCache`, keyed by subfile ``(n, T, l)``.  Its :class:`Plan`
 (candidates, t, copies) holds every index table of the multicast, each
 built on first use, and every copy of the placement reads through that one
@@ -59,6 +58,27 @@ from .common import (
 # the bytes of its rows (Plan.holds), and at least the entries of each signal
 # table, as (t + 1) * C(n, t + 1) <= n * C(n, t).
 PLAN_SLOTS_CAP = 2**22
+
+
+# What a coded scheme's grid symbol means, from K, Kt and r: (candidates,
+# copies of each t-subset).  "Kt": the parallel classes, one copy per relay
+# of a user (proposed, routing); "K": the users, one copy (cmcnc).
+GRIDS = {"Kt": lambda K, kt, r: (kt, r), "K": lambda K, kt, r: (K, 1)}
+
+
+def grid_units(r: int, n: int, t: int) -> int:
+    """The r * C(n, t) whole-byte units a file splits into at t over n
+    candidates: r copies of each subfile ("Kt"), or r parts of each ("K")."""
+    return r * comb(n, t)
+
+
+def grid_plan(net: Network, n_files: int, M, grid: str) -> Plan:
+    """The :class:`Plan` of ``grid`` at storage M, with no table built:
+    GridError from :func:`grid_t`, then BudgetError from :func:`check_plan_slots`."""
+    n, copies = GRIDS[grid](net.K, net.num_classes, net.r)
+    t = grid_t(n, n_files, M, grid)
+    check_plan_slots(n, t, copies, grid)
+    return Plan(n, t, copies)
 
 
 def check_plan_slots(n: int, t: int, copies: int, symbol: str) -> None:
@@ -476,27 +496,18 @@ class PlannedCache:
         return gather(sources, which, index, size)
 
 
-def place_planned(
-    net: Network, lib: FileLibrary, M, label: Sequence[int], copies: int, symbol: str, code=None
-) -> PlannedCache:
-    """The :class:`PlannedCache` of ``lib`` at storage M: user u caches as
-    candidate label[u] of n = max(label), named ``symbol`` in messages, each
-    T in ``copies`` copies; ``code`` is the MDS code of the signals, if any.
-
-    M must lie on the grid of :func:`grid_t`, and the file must split into
-    r * C(n, t) whole-byte units: ``copies`` subfiles of each T, or the r
-    parts of each subfile that the MDS code spreads.  BudgetError from
-    :func:`check_plan_slots`, before either split is checked and before any
-    table is built, if the plan would index more than PLAN_SLOTS_CAP slots.
-    """
-    n = max(label)
-    t = grid_t(n, lib.n_files, M, symbol)
-    check_plan_slots(n, t, copies, symbol)
-    units = net.r * comb(n, t)
+def place_planned(net: Network, lib: FileLibrary, M, grid: str, code=None) -> PlannedCache:
+    """The :class:`PlannedCache` of ``lib`` at storage M on ``grid``: a user
+    caches as its class on "Kt", as itself on "K"; ``code`` is the MDS code
+    of the signals, if any.  The refusals of :func:`grid_plan`, then
+    SubpacketizationError unless the file splits into :func:`grid_units`."""
+    plan = grid_plan(net, lib.n_files, M, grid)
+    units = grid_units(net.r, plan.candidates, plan.t)
     if lib.file_bytes % units != 0:
         raise SubpacketizationError(
             f"file size {lib.file_bytes} bytes must be divisible by {units} "
-            f"(= r * C({symbol}, t) subfiles)"
+            f"(= r * C({grid}, t) subfiles)"
         )
-    size = lib.file_bytes // (copies * comb(n, t))
-    return PlannedCache(net, lib, Plan(n, t, copies), size, label, code)
+    label = net.class_of if grid == "Kt" else range(1, net.K + 1)
+    size = lib.file_bytes // (plan.copies * comb(plan.candidates, plan.t))
+    return PlannedCache(net, lib, plan, size, label, code)

@@ -16,11 +16,9 @@ the XOR except its own, cancels them, and over its r relays collects every
 missing copy index.
 
 Both ends work on all signals of a relay at once, indexed by the signal
-tables of the :class:`.plan.Plan` over the Kt classes with r copies that
-:func:`proposed_place` builds once per placement (``cmcnc`` uses the same
-kind of plan over the K users; ``routing`` only its subset tables).
-:class:`.plan.PlannedCache` is the one cache of both coded schemes; here
-its ``label`` is each user's class.  Subfiles are read as items by
+tables of the :class:`.plan.Plan` of the grid "Kt" that
+:func:`proposed_place` builds once per placement, into the one cache of
+both coded schemes, :class:`.plan.PlannedCache`.  Subfiles are read as items by
 :func:`.common.gather`, never sliced one by one: subfile (n, T, l) is item
 rank(T) * r of file n viewed from copy l on
 (:attr:`.plan.PlannedCache.views`).  XOR acts byte by byte, so a relay
@@ -82,12 +80,8 @@ demand per placement it breaks even between 384 bytes and 1 kB.
 
 
 def proposed_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
-    """Split files and populate caches by parallel class.
-
-    M must lie on the grid {0, N/Kt, 2N/Kt, ..., N} and the file size must
-    split into r * C(Kt, t) whole-byte subfiles.
-    """
-    return place_planned(net, lib, M, net.class_of, net.r, "Kt")
+    """Split files and populate caches by parallel class: the grid "Kt"."""
+    return place_planned(net, lib, M, "Kt")
 
 
 def _form(relay: int, plan: Plan) -> tuple[str, list[str], str]:

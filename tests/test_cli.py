@@ -134,6 +134,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="--topology is required"):
             parse_config(["topology"])
 
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["sweep", "-h"]])
+    def test_help_prints_the_usage_only_and_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: relaycache")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["verify", "--bogus"]])
+    def test_unknown_flag_exits_2_with_the_record(self, capsys, argv):
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record == {"error": "ConfigError", "message": "invalid command line (see usage above)"}
+
 
 class TestTopologyCommand:
     def test_prints_and_saves(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Formula evaluation, envelopes, ratios, and end-to-end run verification."""
 
+import importlib
 import math
+from contextlib import ExitStack
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from relaycache.harness import (
     verify_all_demands,
 )
 from relaycache.schemes import broadcast_place, distinct_demand, random_library, uniform_demand
+from relaycache.schemes.plan import GRIDS
 from relaycache.topology import affine_plane, combination_network, custom_network
 from support import TWO_CLASS_USERS
 
@@ -301,7 +305,7 @@ class TestCrossTopology:
         net = custom_network(net.h, net.r, [[perm[i - 1] for i in V] for V in net.users])
         n_files = net.K
         for scheme, spec in SCHEMES.items():
-            steps = net.K if spec.grid == "K" else net.num_classes
+            steps = GRIDS[spec.grid](net.K, net.num_classes, net.r)[0] if spec.grid else net.num_classes
             for j in range(steps + 1):
                 M = F(j * n_files, steps)
                 size = auto_file_bytes(net, n_files, [M], [scheme])
@@ -358,3 +362,18 @@ class TestAutoFileBytes:
         size = auto_file_bytes(comb42, 3, [1], ["broadcast-mds"])
         assert (size * F(1, 3)).denominator == 1
         assert size % comb42.r == 0
+
+
+def test_the_bench_tracer_sees_every_layer_of_every_scheme(comb42, monkeypatch):
+    """bench/tracer.py times each layer by swapping the names through which
+    the harness calls it; a run that bypasses them loses its spans."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    tracer = importlib.import_module("tracer")
+    lib = random_library(6, auto_file_bytes(comb42, 6, [2], list(SCHEMES)), seed=3)
+    for scheme in SCHEMES:
+        spans = tracer.Tracer()
+        with ExitStack() as stack:
+            tracer.instrument(stack, spans)
+            assert run_scheme(comb42, lib, 2, distinct_demand(comb42, 6), scheme).decode_ok
+        names = [row[0] for row in spans.rows()]
+        assert [names.count(layer) for layer in ("place", "deliver", "decode")] == [1, 1, comb42.K], scheme

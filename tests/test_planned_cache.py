@@ -25,6 +25,7 @@ from relaycache import harness
 from relaycache.combinatorics import enumerate_subsets
 from relaycache.schemes import (
     FileLibrary,
+    GridError,
     cmcnc_decode,
     cmcnc_deliver,
     cmcnc_place,
@@ -341,16 +342,24 @@ def test_an_oversized_plan_is_refused_before_it_is_built():
 
 @pytest.mark.parametrize(
     "scheme,M,slots",
-    [("proposed", 2, 295_193_052), ("routing", 2, 295_193_052), ("cmcnc", 1, 394_017_624)],
+    [
+        ("proposed", 2, 295_193_052),
+        ("routing", 2, 295_193_052),
+        ("cmcnc", 1, 394_017_624),
+        *(pytest.param(s, Fraction(1, 4), None, id=f"{s}-off-grid") for s in ("proposed", "routing", "cmcnc")),
+    ],
 )
 def test_the_preflight_refuses_what_placement_refuses(scheme, M, slots):
     # comb(12,6) with N = 462: t = 2 over the 462 classes, or over the 924
-    # users, from sizes alone; placement on 1-byte files says the same.
+    # users, from sizes alone; placement on 1-byte files says the same.  At
+    # M = 1/4, t is 1/4 or 1/2: both refuse it off the grid first.
     net, N = combination_network(12, 6), 462
-    with pytest.raises(BudgetError, match=f"needs {slots} slots") as early:
+    grid = harness.SCHEMES[scheme].grid
+    error, match = (BudgetError, f"needs {slots} slots") if slots else (GridError, f"N/{grid} = ")
+    with pytest.raises(error, match=match) as early:
         harness.preflight(net, N, 1, [("broadcast-mds", M), (scheme, M)])
     place = getattr(harness, harness.SCHEMES[scheme].place)
-    with pytest.raises(BudgetError) as late:
+    with pytest.raises(error) as late:
         place(net, FileLibrary((b"x",) * N), M)
     assert str(early.value) == str(late.value)
 
@@ -358,11 +367,12 @@ def test_the_preflight_refuses_what_placement_refuses(scheme, M, slots):
 @pytest.mark.parametrize("scheme", ["proposed", "routing", "cmcnc"])
 @pytest.mark.parametrize("net", [combination_network(4, 2), combination_network(6, 3)], ids=["comb42", "comb63"])
 def test_the_preflight_counts_the_copies_the_plan_holds(net, scheme):
-    N = net.num_classes
+    # The preflight and the placement size one plan, by one rule: grid_plan.
+    N, spec = net.num_classes, harness.SCHEMES[scheme]
     harness.preflight(net, N, 1, [(scheme, 1)])
     lib = random_library(N, harness.auto_file_bytes(net, N, [1], [scheme]), seed=1)
-    cache = getattr(harness, harness.SCHEMES[scheme].place)(net, lib, 1)
-    assert cache.plan.copies == harness.SCHEMES[scheme].copies(net.r)
+    cache = getattr(harness, spec.place)(net, lib, 1)
+    assert cache.plan == plan.grid_plan(net, N, 1, spec.grid)
 
 
 def test_the_slot_cap_is_inclusive():
