@@ -558,6 +558,26 @@ def test_table_on_stdout_pinned(capsys, filename):
     assert sha256(capsys.readouterr().out.encode()) == pin
 
 
+# sha256 of json.dumps(rows, sort_keys=True), one row [K, h, r, N, str(M),
+# *to_dicts] per case: formula_rates of every scheme, achievable_rate and
+# comparison_ratios, on and off both grids and at M = 0 and M = N.  Recorded
+# while comparison_ratios wrote both closed forms and both grids by hand.
+RATE_LAYER_PIN = "1e98fd4b1d54875a196cc5a46f675beae339a1058f6e0c2d91a88ce4715bd231"
+
+
+def test_rate_layer_pinned():
+    rows = []
+    for K, h, r in [(6, 4, 2), (15, 6, 2), (20, 6, 3), (45, 10, 2)]:
+        for N in (2, 6, 50):
+            Ms = {Fraction(j * N, 12) for j in range(13)} | {Fraction(N, k) for k in (3, 7)}
+            for M in sorted(Ms | {Fraction(2 * N, 9)}):
+                points = [harness.formula_rates(s, K, h, r, N, M) for s in SCHEME_IDS]
+                points += [harness.achievable_rate(K, h, r, N, M), harness.comparison_ratios(K, h, r, N, M)]
+                rows.append([K, h, r, N, str(M), *(p.to_dict() for p in points)])
+    assert len(rows) == 180
+    assert sha256(json.dumps(rows, sort_keys=True).encode()) == RATE_LAYER_PIN
+
+
 # verify_all_demands on comb(6,2), mode="sampled", seed=5, 20 demands, one
 # placement each: (sha256 of the report's to_dict() JSON, sha256 of the 20
 # log digests joined by newlines).  broadcast-mds uses N=4 and 28-byte files,
