@@ -45,13 +45,13 @@ from .harness import (
 from .schemes.common import (
     BudgetError,
     FileLibrary,
-    GridError,
     SubpacketizationError,
     distinct_demand,
     random_demand,
     random_library,
     uniform_demand,
 )
+from .schemes.plan import GridError, grid_points
 from .topology import (
     Network,
     NotResolvableError,
@@ -105,8 +105,7 @@ def _build_network(spec: str) -> Network:
 
 def _parse_m_values(text: str, net: Network, n_files: int) -> list[Fraction]:
     if text == "grid":
-        kt = net.num_classes
-        return [Fraction(j * n_files, kt) for j in range(kt + 1)]
+        return grid_points(net.num_classes, n_files)
     try:
         values = [Fraction(part) for part in text.split(",") if part != ""]
     except (ValueError, ZeroDivisionError):

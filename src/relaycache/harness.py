@@ -3,7 +3,9 @@
 Rates are exact rationals throughout: every per-edge bit count is an
 integer multiple of a common subfile size, so measured rates and closed-form
 rates either match exactly or not at all — no tolerances.  Floats appear
-only in the entropy-based subpacketization approximation.
+only in the entropy-based subpacketization approximation.  Each closed form
+is stated once, as the gains of a :data:`SCHEMES` entry, and each memory
+grid once, in :mod:`.schemes.plan`.
 
 R1 is the worst server->relay edge load divided by the file size F; R2 the
 worst relay->user edge load.  All schemes here load their edges uniformly,
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinatorics import binomial
 from .erasure import make_code  # noqa: F401 - unused; the bench tracer wraps it here
 from .schemes.broadcast import broadcast_decode, broadcast_mds_deliver, broadcast_place
 from .schemes.cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
@@ -28,12 +29,11 @@ from .schemes.common import (
     FileLibrary,
     all_demands,
     check_library_bytes,
-    grid_t,
     memory_ratio,
     random_demand,
     random_library,
 )
-from .schemes.plan import GRIDS, grid_plan, grid_units
+from .schemes.plan import GRIDS, GridError, grid_plan, grid_points, grid_t, grid_units
 from .schemes.proposed import proposed_decode, proposed_deliver, proposed_place
 from .schemes.routing import routing_decode, routing_deliver
 from .topology import Network
@@ -75,63 +75,59 @@ def _check_params(K: int, h: int, r: int, N: int) -> int:
     return int(kt)
 
 
-def _grid_int(value: Fraction) -> int | None:
-    return int(value) if value.denominator == 1 else None
-
-
-def _closed_form_r1(users: int, m: Fraction, r: int) -> Fraction:
-    """Coded-multicast server rate over ``users`` sharing-candidates."""
-    return Fraction(users) * (1 - m) / (r * (1 + users * m))
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Everything the harness and the CLI know about one scheme id.
 
     ``grid`` is the symbol of its memory grid, "Kt" or "K", whose meaning
     :data:`.schemes.plan.GRIDS` states; None means any M in [0, N].  At a
-    grid point of n candidates, or anywhere for None, ``rates(n, N, r, m)``
-    is the closed-form (R1, R2), m = M/N.  ``place``, ``deliver`` and
-    ``decode`` name the layer functions in this module, with one signature
-    for every scheme: (net, lib, M), (net, cache, demand) and (net, user,
-    cache, demand, received).  They are looked up on every call, so a
-    replaced module attribute takes effect.  ``in_all`` puts the scheme in
-    ``--schemes all``.
+    grid point of n candidates, or anywhere for None, ``gains(n, N, m)`` is
+    the closed-form (R1, R2) over (1 - m)/r, m = M/N, which :meth:`rates`
+    multiplies out; unlike a rate, a gain is not 0 at M = N.  ``place``,
+    ``deliver`` and ``decode`` name the layer functions in this module,
+    with one signature for every scheme: (net, lib, M), (net, cache,
+    demand) and (net, user, cache, demand, received).  They are looked up
+    on every call, so a replaced module attribute takes effect.
+    ``in_all`` puts the scheme in ``--schemes all``.
     """
 
     grid: str | None
-    rates: Callable[[int, int, int, Fraction], tuple[Fraction, Fraction]]
+    gains: Callable[[int, int, Fraction], tuple[Fraction, Fraction]]
     place: str
     deliver: str
     decode: str
     in_all: bool = True
 
+    def rates(self, n: int, N: int, r: int, m: Fraction) -> tuple[Fraction, ...]:
+        """The closed-form (R1, R2) at m = M/N: each gain times (1 - m)/r."""
+        return tuple((1 - m) / r * gain for gain in self.gains(n, N, m))
+
 
 SCHEMES = {
     "proposed": Scheme(
         grid="Kt",
-        rates=lambda n, N, r, m: (_closed_form_r1(n, m, r), (1 - m) / r),
+        gains=lambda n, N, m: (n / (1 + n * m), 1),
         place="proposed_place",
         deliver="proposed_deliver",
         decode="proposed_decode",
     ),
     "routing": Scheme(
         grid="Kt",
-        rates=lambda n, N, r, m: (n * (1 - m) / r, (1 - m) / r),
+        gains=lambda n, N, m: (n, 1),
         place="proposed_place",
         deliver="routing_deliver",
         decode="routing_decode",
     ),
     "cmcnc": Scheme(
         grid="K",
-        rates=lambda n, N, r, m: (_closed_form_r1(n, m, r),) * 2,
+        gains=lambda n, N, m: (n / (1 + n * m),) * 2,
         place="cmcnc_place",
         deliver="cmcnc_deliver",
         decode="cmcnc_decode",
     ),
     "broadcast-mds": Scheme(
         grid=None,
-        rates=lambda n, N, r, m: (N * (1 - m) / r, (1 - m) / r),
+        gains=lambda n, N, m: (N, 1),
         place="broadcast_place",
         deliver="broadcast_mds_deliver",
         decode="broadcast_decode",
@@ -166,14 +162,12 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
     n = t = None
     if spec.grid is not None:
         n, _ = GRIDS[spec.grid](K, kt, r)
-        t = _grid_int(n * m)
-        if t is None:
-            corners = [Fraction(j * N, n) for j in range(n + 1)]
-            pairs = [spec.rates(n, N, r, Mj / N) for Mj in corners]
-            r1, r2 = (
-                memory_sharing_envelope(zip(corners, rates)).value(M)
-                for rates in zip(*pairs)
-            )
+        try:
+            t = grid_t(n, N, M, spec.grid)
+        except GridError:
+            corners = grid_points(n, N)
+            pairs = zip(*(spec.rates(n, N, r, Mj / N) for Mj in corners))
+            r1, r2 = (memory_sharing_envelope(zip(corners, rates)).value(M) for rates in pairs)
             return RatePoint(M, r1, r2, None, "formula")
     r1, r2 = spec.rates(n, N, r, m)
     return RatePoint(M, r1, r2, r if n is None else grid_units(r, n, t), "formula")
@@ -182,24 +176,24 @@ def formula_rates(scheme: str, K: int, h: int, r: int, N: int, M) -> RatePoint:
 def achievable_rate(K: int, h: int, r: int, N: int, M) -> RatePoint:
     """Best achievable (R1, R2) combining multicast and per-file broadcast.
 
-    At each grid point R1 is the smaller of the class-symmetric multicast
-    rate and the per-file broadcast rate (N/r)(1-m) — the latter wins when
-    there are more classes than files and caches are small.  Off-grid
-    values come from the lower convex envelope of those points.
+    At each point of the ``proposed`` grid R1 is the smaller of the
+    :func:`formula_rates` of ``proposed`` and ``broadcast-mds`` — the
+    latter wins when there are more classes than files and caches are
+    small.  Off-grid values come from the lower convex envelope of those
+    points; R2 is (1 - m)/r, that of both.
     """
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
-    m = memory_ratio(M, N)
-    multicast, broadcast = SCHEMES["proposed"].rates, SCHEMES["broadcast-mds"].rates
-    points = []
-    for j in range(kt + 1):
-        mj = Fraction(j, kt)
-        r1 = min(multicast(kt, N, r, mj)[0], broadcast(kt, N, r, mj)[0])
-        points.append((mj * N, r1))
+    memory_ratio(M, N)  # refuse M outside 0..N before any grid point
+    n, _ = GRIDS[SCHEMES["proposed"].grid](K, kt, r)
+    points = [
+        (Mj, min(formula_rates(s, K, h, r, N, Mj).r1 for s in ("proposed", "broadcast-mds")))
+        for Mj in grid_points(n, N)
+    ]
     return RatePoint(
         M=M,
         r1=memory_sharing_envelope(points).value(M),
-        r2=broadcast(kt, N, r, m)[1],
+        r2=formula_rates("broadcast-mds", K, h, r, N, M).r2,
         subpacketization=None,
         source="formula",
     )
@@ -288,36 +282,36 @@ class ComparisonRatios:
     subpack_ratio_approx: float
 
     def to_dict(self) -> dict:
+        exact = self.subpack_ratio_exact
         return {
             "r1_ratio": str(self.r1_ratio),
             "r2_ratio": str(self.r2_ratio),
-            "subpack_ratio_exact": (
-                str(self.subpack_ratio_exact)
-                if self.subpack_ratio_exact is not None
-                else None
-            ),
+            "subpack_ratio_exact": None if exact is None else str(exact),
             "subpack_ratio_approx": self.subpack_ratio_approx,
         }
 
 
 def comparison_ratios(K: int, h: int, r: int, N: int, M) -> ComparisonRatios:
-    """Rate and subpacketization quotients of the class-symmetric scheme
-    over cmcnc.
+    """Rate and subpacketization quotients of ``proposed`` over ``cmcnc``.
 
-    The exact subfile-count quotient C(Kt, Kt*m)/C(K, K*m) needs M on both
-    grids and is None otherwise; the entropy approximation
-    exp(-K (1 - r/h) H_e(m)) is always returned and is only order-of-
-    magnitude accurate.
+    The rate quotients are those of the :data:`SCHEMES` gains at the
+    :data:`.schemes.plan.GRIDS` sizes; at M = N, where both rates are 0,
+    they are the limits of the rate quotients.  The exact quotient of the
+    two :func:`grid_units` needs M on both grids and is None otherwise; the
+    entropy approximation exp(-K (1 - r/h) H_e(m)) is always returned and
+    is only order-of-magnitude accurate.
     """
     kt = _check_params(K, h, r, N)
     M = Fraction(M)
     m = memory_ratio(M, N)
-    r1_ratio = (Fraction(1, K) + m) / (Fraction(1, kt) + m)
-    r2_ratio = Fraction(1, K) + m
-    t, tp = _grid_int(kt * m), _grid_int(K * m)
-    exact = None
-    if t is not None and tp is not None:
-        exact = Fraction(binomial(kt, t), binomial(K, tp))
+    specs = SCHEMES["proposed"], SCHEMES["cmcnc"]
+    grids = [(spec, GRIDS[spec.grid](K, kt, r)[0]) for spec in specs]
+    ours, theirs = (spec.gains(n, N, m) for spec, n in grids)
+    r1_ratio, r2_ratio = (Fraction(a) / b for a, b in zip(ours, theirs))
+    try:
+        exact = Fraction(*(grid_units(r, n, grid_t(n, N, M, spec.grid)) for spec, n in grids))
+    except GridError:
+        exact = None
     approx = math.exp(-K * (1 - r / h) * binary_entropy_nats(m))
     return ComparisonRatios(
         r1_ratio=r1_ratio,

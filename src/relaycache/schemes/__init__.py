@@ -10,7 +10,6 @@ from .cmcnc import cmcnc_decode, cmcnc_deliver, cmcnc_place
 from .common import (
     BudgetError,
     FileLibrary,
-    GridError,
     IncompleteReceptionError,
     SubpacketizationError,
     all_demands,
@@ -21,7 +20,7 @@ from .common import (
     validate_demand,
 )
 from .log import Batch, Edge, TransmissionLog
-from .plan import PlannedCache
+from .plan import GridError, PlannedCache
 from .proposed import (
     proposed_decode,
     proposed_deliver,

@@ -43,10 +43,6 @@ from .log import Edge, Form
 from .log import TransmissionLog  # noqa: F401 - unused; the bench tracer imports it from here
 
 
-class GridError(ValueError):
-    """Storage size M is off the scheme's memory grid (t would be fractional)."""
-
-
 class SubpacketizationError(ValueError):
     """File size is not divisible into the required number of equal subfiles."""
 
@@ -57,18 +53,6 @@ class IncompleteReceptionError(RuntimeError):
 
 # Largest library random_library builds: 1 GiB, refused before allocating.
 LIBRARY_BYTES_CAP = 2**30
-
-
-def grid_t(n: int, n_files: int, M, symbol: str) -> int:
-    """Replication degree t = n*M/N over ``n`` sharing candidates (Kt classes
-    or K users, named ``symbol`` in the message); GridError off the grid."""
-    t = Fraction(M) * n / n_files
-    if t.denominator != 1 or not 0 <= t <= n:
-        step = Fraction(n_files, n)
-        raise GridError(
-            f"M={M} is not a multiple of N/{symbol} = {step} within [0, {n_files}]"
-        )
-    return int(t)
 
 
 def memory_ratio(M, n_files: int) -> Fraction:

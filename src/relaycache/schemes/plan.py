@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, count, islice, starmap
 from math import comb
@@ -47,7 +48,6 @@ from .common import (
     SubpacketizationError,
     as_items,
     gather,
-    grid_t,
     holds_all,
     in_range,
     pick,
@@ -64,6 +64,27 @@ PLAN_SLOTS_CAP = 2**22
 # copies of each t-subset).  "Kt": the parallel classes, one copy per relay
 # of a user (proposed, routing); "K": the users, one copy (cmcnc).
 GRIDS = {"Kt": lambda K, kt, r: (kt, r), "K": lambda K, kt, r: (K, 1)}
+
+
+class GridError(ValueError):
+    """Storage size M is off the scheme's memory grid (t would be fractional)."""
+
+
+def grid_t(n: int, n_files: int, M, symbol: str) -> int:
+    """Replication degree t = n*M/N over ``n`` sharing candidates (Kt classes
+    or K users, named ``symbol`` in the message); GridError off the grid."""
+    t = Fraction(M) * n / n_files
+    if t.denominator != 1 or not 0 <= t <= n:
+        step = Fraction(n_files, n)
+        raise GridError(
+            f"M={M} is not a multiple of N/{symbol} = {step} within [0, {n_files}]"
+        )
+    return int(t)
+
+
+def grid_points(n: int, n_files: int) -> list[Fraction]:
+    """The storage sizes M = j*N/n, j = 0..n, where :func:`grid_t` gives t = j."""
+    return [Fraction(j * n_files, n) for j in range(n + 1)]
 
 
 def grid_units(r: int, n: int, t: int) -> int:

@@ -25,11 +25,18 @@ from relaycache.harness import (
     verify_all_demands,
 )
 from relaycache.schemes import broadcast_place, distinct_demand, random_library, uniform_demand
-from relaycache.schemes.plan import GRIDS
+from relaycache.schemes.plan import GRIDS, grid_points
 from relaycache.topology import affine_plane, combination_network, custom_network
 from support import TWO_CLASS_USERS
 
 F = Fraction
+
+# The resolvable designs the cross-topology properties draw from.
+DESIGNS = {
+    "comb42": lambda: combination_network(4, 2),
+    "affine3": lambda: affine_plane(3),
+    "two-class-design": lambda: custom_network(9, 3, TWO_CLASS_USERS),
+}
 
 
 class TestFormulaRates:
@@ -210,6 +217,29 @@ class TestComparisonRatios:
         assert cr.subpack_ratio_exact is None
         assert cr.subpack_ratio_approx > 0
 
+    @given(st.sampled_from(sorted(DESIGNS)), st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_quotients_are_those_of_the_closed_forms(self, design, N):
+        """At every point of both grids below M = N the rate quotients are
+        those of formula_rates, and at every point of both grids the exact
+        subfile quotient is that of the two subpacketizations; off either
+        grid it is None.  M runs over the grid of 2 * lcm(Kt, K) steps,
+        which holds both grids and points off both."""
+        net = DESIGNS[design]()
+        args = (net.K, net.h, net.r, N)
+        sizes = [GRIDS[SCHEMES[s].grid](net.K, net.num_classes, net.r)[0] for s in ("proposed", "cmcnc")]
+        common = set.intersection(*(set(grid_points(n, N)) for n in sizes))
+        for M in grid_points(2 * math.lcm(*sizes), N):
+            cr = comparison_ratios(*args, M)
+            ours, theirs = (formula_rates(s, *args, M) for s in ("proposed", "cmcnc"))
+            if M not in common:
+                assert cr.subpack_ratio_exact is None, M
+                continue
+            assert cr.subpack_ratio_exact == F(ours.subpacketization, theirs.subpacketization), M
+            if M < N:
+                assert cr.r1_ratio == ours.r1 / theirs.r1, M
+                assert cr.r2_ratio == ours.r2 / theirs.r2, M
+
 
 # Every entry point that takes M states one rule: M must lie in 0..N.
 # comb(4,2): K=6, h=4, r=2; N=6 files.
@@ -291,23 +321,18 @@ class TestCrossTopology:
         rep = run_scheme(net, lib, M, distinct_demand(net, n_files), scheme)
         assert rep.decode_ok and rep.formula_match, (scheme, net)
 
-    @given(st.sampled_from(["comb42", "affine3", "two-class-design"]), st.data())
+    @given(st.sampled_from(sorted(DESIGNS)), st.data())
     @settings(max_examples=12, deadline=None)
     def test_relay_relabeling(self, design, data):
         """Renaming the relays by any permutation of [h] keeps every scheme
         decoding and on its closed form at every grid point."""
-        net = {
-            "comb42": lambda: combination_network(4, 2),
-            "affine3": lambda: affine_plane(3),
-            "two-class-design": lambda: custom_network(9, 3, TWO_CLASS_USERS),
-        }[design]()
+        net = DESIGNS[design]()
         perm = data.draw(st.permutations(range(1, net.h + 1)), label="relay map")
         net = custom_network(net.h, net.r, [[perm[i - 1] for i in V] for V in net.users])
         n_files = net.K
         for scheme, spec in SCHEMES.items():
             steps = GRIDS[spec.grid](net.K, net.num_classes, net.r)[0] if spec.grid else net.num_classes
-            for j in range(steps + 1):
-                M = F(j * n_files, steps)
+            for j, M in enumerate(grid_points(steps, n_files)):
                 size = auto_file_bytes(net, n_files, [M], [scheme])
                 lib = random_library(n_files, size, seed=j)
                 rep = run_scheme(net, lib, M, distinct_demand(net, n_files), scheme)
