@@ -19,18 +19,32 @@ XOR and GF(256) coding act byte by byte, so the concatenation of every
 signal's j-th term (or part, or piece) is coded in one call and sliced
 back per signal.
 
+A signal S XORs t'+1 terms, and block q holds, per signal, the term that
+S's q-th member wants.  So the member at position p of S cancels one
+thing, the XOR of every block but block p, and decodes its term from
+X[S] XOR that, X the signals it received.
+:meth:`.plan.PlannedCache.multicast` builds the t'+1 blocks as ints once
+per demand, from the placement's own library, and keeps the XOR of all
+of them, which the server sends, and the t'+1 cancellations, for the
+last demand only.  A decoder reads each cancellation at its own signals
+of that position, :attr:`.plan.Plan.cancelling`, in one single-source
+gather: C(K-1, t') items in all, where reading each term it cancels
+would take t' times as many.  The plan proves once, before any byte is
+read, that every term so cancelled is a subfile the member caches.
+
 Subfiles and pieces are a few bytes at the larger memory points, so each
 batch of reads by index is one :func:`.common.gather`: the server's t'+1
-terms, a decoder's pieces (through :func:`.common.payloads`), each block
-of terms it cancels (through the membership-checked
-:meth:`.plan.PlannedCache.gather`) and its file put back together.  A
-user is its own candidate, so a per-candidate decode table would serve
-one user per demand: the decoder runs :meth:`.plan.Plan.decoding`
-itself.
+term blocks, a decoder's cached subfiles (through
+:meth:`.plan.PlannedCache.cached`), its pieces (through
+:func:`.common.payloads`), its cancellation at each position and its
+file put back together.  A user is its own candidate, so a per-candidate
+decode table would serve one user per demand: the decoder groups its
+signals with :meth:`.plan.Plan.receiving` itself.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Sequence
 
 from ..combinatorics import binomial
@@ -97,14 +111,11 @@ def cmcnc_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
 def cmcnc_deliver(net: Network, cache: PlannedCache, demand: tuple[int, ...]) -> TransmissionLog:
     validate_demand(net, cache.lib.n_files, demand)
     log = TransmissionLog()
-    plan, size = cache.plan, cache.subfile_bytes
+    plan = cache.plan
     if plan.t + 1 > net.K:
         return log
-    part = size // net.r
-    wanted = cache.sources(demand, [1] * len(demand))
-    signals = xor_bytes(
-        *[gather(wanted, users, ranks, size) for users, ranks in zip(plan.member, plan.rest)]
-    )
+    part = cache.subfile_bytes // net.r
+    signals, _ = cache.multicast(demand)
 
     for i, piece in enumerate(mds_encode(cache.code, _split(signals, net.r, part)), 1):
         prefix, names, suffix = _form(i, plan)
@@ -123,25 +134,22 @@ def cmcnc_decode(
     received: Mapping[int, Edge],
 ) -> bytes:
     plan, size = cache.plan, cache.subfile_bytes
-    K, t = net.K, plan.t
-    own = plan.held[user]
-    # Every subfile is copy 1; the user caches those of its file at ``own``.
-    cached = cache.gather(user, (demand[user],), (1,), [0] * len(own), own)
-    if t == K:
-        return cached
+    if plan.t == net.K:
+        return cache.cached(user, demand[user])
+    # The plan's proof that the user caches what it cancels comes first.
+    _, cancels = cache.multicast(demand)
+    cached = cache.cached(user, demand[user])
 
-    mine, blocks, extracted = plan.decoding(user)
+    groups, mine, extracted = plan.receiving(user)
     pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
     signals = _merge(mds_decode(cache.code, pieces), size // net.r)
 
-    # Block x holds the term of each signal's x-th other member, subfile
-    # rest[s] of the file that member[s] demands.
-    ones = (1,) * K
-    coded = xor_bytes(signals, *[cache.gather(user, demand, ones, *block) for block in blocks])
-    both = cached + coded
+    # At position p the user cancels cancels[p] at its signals there, at[p][user].
+    cancel = b"".join([gather([cancels[p]], [0] * len(group), group, size) for p, group, _ in groups])
+    both = cached + xor_bytes(signals, cancel)
 
     # Subfile q of the file is item where[q] of ``both``.
-    where = [0] * binomial(K, t)
-    for j, q in enumerate(own + extracted):
+    where = [0] * binomial(net.K, plan.t)
+    for j, q in enumerate(chain(plan.held[user], extracted)):
         where[q] = j
     return gather([both], [0] * len(where), where, size)

@@ -261,7 +261,12 @@ def all_demands(net: Network, n_files: int) -> Iterator[tuple[int, ...]]:
 
 
 def payloads(
-    user: int, relay: int, received: Mapping[int, Edge], positions: Sequence[int], form: Form
+    user: int,
+    relay: int,
+    received: Mapping[int, Edge],
+    positions: Sequence[int],
+    form: Form,
+    covering: Sequence[int] | None = None,
 ) -> bytes:
     """The payloads of the records at ``positions`` of the label form
     ``form`` in ``relay``'s feed to ``user``, joined in order; the last one,
@@ -270,10 +275,12 @@ def payloads(
     Only parts whose batch has that form answer, so a batch of another
     form, such as another relay's, is never read as this one.  A single
     part answers with one :func:`gather`, or with its buffer itself when a
-    whole batch is read at all of its positions in order.  Raises
-    IndexError for a position outside the form before reading anything,
-    and IncompleteReceptionError naming the label of the first position the
-    relay did not deliver.
+    whole batch is read at all of its positions in order.  Its picks must
+    hold every position, checked on each read unless they are ``covering``
+    itself, picks that the caller's plan proved hold them all once per
+    table (:attr:`.plan.Plan.decoders`).  Raises IndexError for a position
+    outside the form before reading anything, and IncompleteReceptionError
+    naming the label of the first position the relay did not deliver.
     """
     prefix, names, suffix = form
     n = len(names)
@@ -288,7 +295,7 @@ def payloads(
         ((batch, picks),) = parts
         if picks is None and len(positions) == n and list(positions) == list(range(n)):
             return batch.data
-        if picks is None or set(picks).issuperset(positions):
+        if picks is None or picks is covering or set(picks).issuperset(positions):
             return gather([batch.data], [0] * len(positions), positions, batch.part)
     found: dict[int, bytes] = {}
     for batch, picks in parts:

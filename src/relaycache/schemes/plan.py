@@ -7,8 +7,14 @@ honest about what they may read: :meth:`PlannedCache.gather` for the
 coded schemes, and ``PrefixCache.get`` for ``broadcast-mds``.  A coded
 read is checked against one byte row per candidate, :attr:`Plan.holds`,
 by one rule, :func:`holds_all`; a table the plan builds for reading
-(:attr:`Plan.layouts`, :attr:`Plan.decoders`) is checked against the row
-once, when it is built, and its reads skip that scan.
+(:attr:`Plan.held`, :attr:`Plan.layouts`, :attr:`Plan.decoders`) is
+checked against the row once, when it is built, and its reads skip that
+scan.  ``cmcnc`` reads no term one by one: each member of a signal cancels
+the XOR of all its other terms, which :meth:`PlannedCache.multicast`
+builds once per demand and a decoder reads whole at its own signals.  The
+plan proves once, over bitmasks, that every term a member cancels so is
+a subfile it caches (:attr:`Plan.cancelling`), and raises ``KeyError``
+before any byte is read if not.
 
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over the candidates
@@ -23,22 +29,24 @@ relays.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
 
 A placement also keeps the int form of each subfile of every file read
 through :meth:`PlannedCache.int_sources` (:attr:`PlannedCache.ints`), for
-``proposed``'s XOR multicast at large subfiles.  The ints come from the
-placement's own library, so they live on the placement, never on the
-plan, and a decoder reads them only by its checked table
-(:meth:`PlannedCache.cancelled_ints`).
+``proposed``'s XOR multicast at large subfiles, and the signals and
+cancellations of the last demand it served (:attr:`PlannedCache.served`),
+for ``cmcnc``.  Both come from the placement's own library, so they live
+on the placement, never on the plan, and a decoder reads them only by a
+checked table (:meth:`PlannedCache.cancelled_ints`, :attr:`Plan.cancelling`).
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, count, islice, starmap
+from functools import cached_property, reduce
+from itertools import chain, combinations, compress, count, islice, starmap
 from math import comb
-from operator import add, itemgetter, sub
-from typing import Sequence
+from operator import add, itemgetter, sub, xor
+from typing import Callable, Iterable, Sequence
 
 from ..combinatorics import enumerate_subsets
 from ..erasure import ErasureCode
@@ -157,10 +165,22 @@ class Plan:
         return list(map(bytes, rows))
 
     @cached_property
-    def held(self) -> list[list[int]]:
-        """held[c]: ranks of the T that contain c, increasing."""
-        ranks = list(range(comb(self.candidates, self.t)))  # one int object per rank, shared
-        return [list(compress(ranks, row[:: self.copies])) for row in self.holds]
+    def held(self) -> list[array]:
+        """held[c]: ranks of the T that contain c, increasing, for
+        :meth:`PlannedCache.cached`.
+
+        Raises KeyError, once per table, if the item rank(T) * copies of a
+        rank lies outside the row :attr:`holds` of its candidate.
+        """
+        r = self.copies
+        ranks = range(comb(self.candidates, self.t))
+        held = []
+        for c, row in enumerate(self.holds):
+            own = array("I", compress(ranks, row[::r]))
+            if not holds_all(row, own if r == 1 else array("I", map(r.__mul__, own))):
+                raise KeyError(f"the cached ranks of candidate {c + 1} name a subfile it does not cache")
+            held.append(own)
+        return held
 
     @cached_property
     def missing(self) -> list[list[int]]:
@@ -211,48 +231,103 @@ class Plan:
     def at(self) -> list[list[list[int]]]:
         """at[j][c]: every s with C[j] == c, increasing."""
         n, t = self.candidates, self.t
-        # at[j]: the signals stably sorted by C[j], cut where C[j] changes.  C[j]
-        # is c (0-based) in C(c, j) * C(n - 1 - c, t - j) signals: j members of C
-        # lie below c and t - j above.
+        # at[j]: the signals stably sorted by C[j], cut where C[j] changes, as
+        # found in the column: so at[j][c] holds exactly the s with C[j] == c.
         ids = list(range(comb(n, t + 1)))  # so that the at[j] share one int object per s
         at = []
-        for j, column in enumerate(self.member):
+        for column in self.member:
             order = sorted(ids, key=column.__getitem__)
-            cuts = list(accumulate((comb(c, j) * comb(n - 1 - c, t - j) for c in range(n)), initial=0))
+            cuts = [bisect_left(order, c, key=column.__getitem__) for c in range(n + 1)]
             at.append(list(map(order.__getitem__, map(slice, cuts, cuts[1:]))))
         return at
 
-    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
-        """(signals, blocks, delivered) for candidate c.
+    def receiving(self, c: int) -> tuple[list[tuple[int, list[int], Callable]], list[int], list[int]]:
+        """(groups, signals, delivered) for candidate c.
 
+        ``groups``: (p, at[p][c], picker) for every position p that c takes
+        in some C, in order; the picker reads a signal column at at[p][c].
         ``signals``: every s with c in C, grouped by the position of c in C
-        and increasing within each group.
-        ``blocks[x]``: (member, rest) lists giving, per signal, its x-th
-        member other than c and the rank of C minus that member, the term c
-        cancels.  ``delivered``: per signal, the rank of C minus c.
+        and increasing within each group.  ``delivered``: per signal, the
+        rank of C minus c, the T whose subfile c decodes from it.
         """
         # One C-level picker per nonempty group, reused for every column: an
         # itemgetter of the group, or of a one-item slice for a lone signal.
         # Near t = n - 1 most groups are empty and the rest are lone.
-        groups = [(p, at[c]) for p, at in enumerate(self.at) if at[c]]
-        picks = [
-            (p, itemgetter(*group) if len(group) > 1 else itemgetter(slice(group[0], group[0] + 1)))
-            for p, group in groups
+        groups = [
+            (p, group, itemgetter(*group) if len(group) > 1 else itemgetter(slice(group[0], group[0] + 1)))
+            for p, group in ((p, at[c]) for p, at in enumerate(self.at))
+            if group
         ]
+        signals = [s for _, group, _ in groups for s in group]
+        delivered: list[int] = []
+        for p, _, pick in groups:
+            delivered += pick(self.rest[p])
+        return groups, signals, delivered
+
+    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
+        """(signals, blocks, delivered) for candidate c: those of
+        :meth:`receiving`, and ``blocks[x]``, (member, rest) lists giving,
+        per signal, its x-th member other than c and the rank of C minus
+        that member, the term c cancels.
+        """
+        groups, signals, delivered = self.receiving(c)
 
         def column(table: list[list[int]], x: int) -> list[int]:
             """Per signal, table[j][s] for the x-th member j of C other than c."""
             out: list[int] = []
-            for p, pick in picks:
+            for p, _, pick in groups:
                 out += pick(table[x + (x >= p)])
             return out
 
         blocks = [(column(self.member, x), column(self.rest, x)) for x in range(self.t)]
-        signals = [s for _, group in groups for s in group]
-        delivered: list[int] = []
-        for p, pick in picks:
-            delivered += pick(self.rest[p])
         return signals, blocks, delivered
+
+    @cached_property
+    def cancelling(self) -> list[list[list[int]]]:
+        """:attr:`at`, once the plan has proved that member p of every C
+        caches every term of C but its own, for
+        :meth:`PlannedCache.multicast`: a receiver then cancels the XOR of
+        those t terms, read whole from one column per position p.
+
+        The proof is over bitmasks of the candidates, one column of masks of
+        every signal s at a time: for each q, the mask of the T of rank
+        rest[q][s] XOR the bit of member[q][s] is the mask of C, the
+        (t+1)-subset of rank s (so the member lies in C and the T is C minus
+        it: a T holds t bits and C t + 1), and the bits of the t + 1 members
+        XOR to C (so the members are distinct).  Member p of C then lies in
+        the T of every term q != p.  :attr:`at` lists at[p][c] the signals
+        with member[p][s] == c, by its construction from :attr:`member`.  So
+        the shared cancellation needs no check per read.
+
+        Raises KeyError, once per plan, if any of this fails, an index out of
+        range included.
+        """
+        n, t = self.candidates, self.t
+        # Masks of w bytes: the item size of the least array type that holds
+        # n bits, or whole bytes when none does.
+        code = next((code for code in "BHIQ" if 8 * array(code).itemsize >= n), None)
+        w = array(code).itemsize if code else (n + 7) // 8
+
+        def pack(masks: Iterable[int]) -> bytes:
+            return array(code, masks).tobytes() if code else b"".join([m.to_bytes(w, "little") for m in masks])
+
+        bits = [1 << c for c in range(n)]
+        subsets, singles = pack(map(sum, combinations(bits, t))), pack(bits)
+        every = int.from_bytes(pack(map(sum, combinations(bits, t + 1))), "little")  # C by C
+        zeros = [0] * comb(n, t + 1)
+        members = 0
+        for q, (who, ranks) in enumerate(zip(self.member, self.rest)):
+            try:
+                single = int.from_bytes(gather([singles], zeros, who, w), "little")
+                union = int.from_bytes(gather([subsets], zeros, ranks, w), "little") ^ single
+            except (IndexError, ValueError):
+                raise KeyError(f"term {q} of a signal lies outside the plan") from None
+            if union != every:
+                raise KeyError(f"term {q} of a signal is not the subfile of C minus its member")
+            members ^= single
+        if members != every:
+            raise KeyError("the members of a signal are not its t + 1 candidates")
+        return self.at
 
     @cached_property
     def layouts(self) -> list[tuple[array, array]]:
@@ -325,13 +400,17 @@ class Plan:
         :meth:`PlannedCache.cancelled` over a relay's neighbors by candidate.
 
         Raises KeyError, once per table, if an item lies outside the row
-        :attr:`holds` of its candidate: so the reads by these tables need no
-        membership check of their own.
+        :attr:`holds` of its candidate, or a signal outside what a relay
+        forwards to it, :attr:`receives`: so neither the reads by these
+        tables nor their feeds (:func:`.common.payloads` with ``covering``)
+        need a membership check of their own.
         """
         r = self.copies
         decoders = []
         for c, row in enumerate(self.holds):
             signals, blocks, delivered = self.decoding(c)
+            if not set(self.receives[c]).issuperset(signals):
+                raise KeyError(f"the decoder of candidate {c + 1} reads a signal no relay forwards to it")
             order = sorted(range(len(signals)), key=delivered.__getitem__)
             members = (map(member.__getitem__, order) for member, _ in blocks)
             ranks = (map(rest.__getitem__, order) for _, rest in blocks)
@@ -398,6 +477,46 @@ class PlannedCache:
         placement over another library builds its own."""
         return [None] * self.lib.n_files
 
+    @cached_property
+    def served(self) -> list:
+        """[demand, signals, cancels] of the last demand that
+        :meth:`multicast` served, or [None] * 3 before the first.  Built from
+        this placement's library alone: a copy of the placement over another
+        library builds its own."""
+        return [None] * 3
+
+    def multicast(self, demand: Sequence[int]) -> tuple[bytes, list[bytes]]:
+        """(signals, cancels) of the XOR multicast over the candidates, each
+        wanting file demand[c] of a plan of one copy, as on the grid "K".
+
+        Block q holds, per signal s, term q: subfile (n, T, 1) of the file n
+        that member[q][s] wants, T of rank rest[q][s].  ``signals``: the XOR
+        of all t + 1 blocks, signal by signal.  ``cancels[p]``: the XOR of
+        every block but block p, so member p of signal s recovers its term
+        from signal s XOR cancels[p] at s.  The blocks are built as ints once
+        per demand, and both kept for the last demand only (:attr:`served`).
+
+        A decoder reads ``cancels[p]`` only at :attr:`Plan.cancelling`, the
+        positions of the plan's proof that they XOR terms it caches, which
+        raises KeyError before any byte is read.  ValueError for a plan of
+        more than one copy.
+        """
+        served, demand = self.served, tuple(demand)
+        if served[0] != demand:
+            plan, size = self.plan, self.subfile_bytes
+            if plan.copies != 1:
+                raise ValueError(f"a multicast over one copy, not {plan.copies}")
+            plan.cancelling  # the proof comes before any byte is read
+            wanted = self.sources(demand, [1] * len(demand))
+            blocks = [
+                int.from_bytes(gather(wanted, who, ranks, size), "big")
+                for who, ranks in zip(plan.member, plan.rest)
+            ]
+            signals, length = reduce(xor, blocks, 0), len(plan.names) * size
+            cancels = [(signals ^ block).to_bytes(length, "big") for block in blocks]
+            served[:] = demand, signals.to_bytes(length, "big"), cancels
+        return served[1], served[2]
+
     def _pairs(self, files: Sequence[int], copies: Sequence[int]) -> zip:
         """(n, l) for each source; the errors of :meth:`sources`."""
         N, r = self.lib.n_files, self.plan.copies
@@ -454,6 +573,21 @@ class PlannedCache:
         """
         self._check(user, files, copies, which, items, checked=False)
         return gather(self.sources(files, copies), which, items, self.subfile_bytes)
+
+    def cached(self, user: int, n: int) -> bytes:
+        """Subfile (n, T, 1) of every T that the user caches, by increasing
+        rank, joined: one :func:`gather` by the user's :attr:`Plan.held`.
+
+        The plan checked the table's items against the candidate's row when
+        it built the table, so only n is checked here, with the errors of
+        :meth:`gather`.
+        """
+        r = self.plan.copies
+        held = self.plan.held[self.label[user] - 1]
+        items = held if r == 1 else array("I", map(r.__mul__, held))
+        which = [0] * len(items)
+        self._check(user, (n,), (1,), which, items, checked=True)
+        return gather(self.sources((n,), (1,)), which, items, self.subfile_bytes)
 
     def cancelled(self, user: int, files: Sequence[int], copies: Sequence[int]) -> bytes:
         """:meth:`gather` of the items by which the user's candidate decodes,

@@ -33,7 +33,10 @@ the decoded subfiles in one more gather
 (:meth:`.plan.PlannedCache.reassemble`).  The tables those reads use are
 built once per class and plan, held as arrays and checked against the
 class's row of cached subfiles when built, so their reads skip that scan:
-:attr:`.plan.Plan.decoders` and :attr:`.plan.Plan.layouts`.
+:attr:`.plan.Plan.decoders` and :attr:`.plan.Plan.layouts`.  The signals
+of a decoder are checked once, too, against the positions a relay forwards
+to its class, so a feed picked at those very positions is read without the
+per-read check of :func:`.common.payloads`.
 
 Every term of every signal is a library subfile, fixed for the placement,
 so the placement keeps the int form of each subfile of a file once the
@@ -158,14 +161,14 @@ def proposed_decode(
     which it reads in one :meth:`PlannedCache.cancelled` per relay, or
     :meth:`PlannedCache.cancelled_ints` at subfiles of ``_INT_BYTES`` or more.
     """
-    plan = cache.plan
-    signals = plan.decoders[cache.label[user] - 1][0]
+    plan, c = cache.plan, cache.label[user] - 1
+    signals = plan.decoders[c][0]
     size = cache.subfile_bytes
     block = len(signals) * size
     ints = _on_ints(cache)
     decoded = []
     for i in net.users[user]:
-        feed = payloads(user, i, received, signals, _form(i, plan))
+        feed = payloads(user, i, received, signals, _form(i, plan), plan.receives[c])
         if len(feed) != block:
             raise ValueError(
                 f"user {user} received {len(feed)} signal bytes from relay {i}, expected {block}"

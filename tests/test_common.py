@@ -442,6 +442,20 @@ class TestBatchLog:
         with pytest.raises(IncompleteReceptionError, match="did not receive 'a:i=2' from relay 1"):
             payloads(0, 1, log.to_user(0), [0], ("", batch.names, ":i=2"))
 
+    def test_payloads_trust_only_the_covering_picks_themselves(self):
+        # Picks that the caller's plan proved hold the positions skip the
+        # check, by identity; equal picks of another object, other picks and
+        # positions outside the form are checked as without them.
+        log, batch = served_batch()
+        rx = log.to_user(2)
+        ((_, picks),) = rx[1].parts
+        assert payloads(2, 1, rx, [0, 2], batch.form, picks) == b"\x01\x02\x05\x06"
+        for covering in ([2, 0], [0, 1, 2]):
+            with pytest.raises(IncompleteReceptionError, match="did not receive 'b:i=1' from relay 1"):
+                payloads(2, 1, rx, [0, 1], batch.form, covering)
+        with pytest.raises(IndexError, match="position 3 lies outside the 3 records"):
+            payloads(2, 1, rx, [0, 3], batch.form, picks)
+
     def test_a_missing_relay_raises(self):
         log, batch = served_batch()
         rx = log.to_user(2)

@@ -9,6 +9,7 @@ from :func:`enumerate_subsets` and the documented byte offset
 
 import dataclasses
 import gc
+from array import array
 import os
 import re
 import subprocess
@@ -107,6 +108,13 @@ def test_every_key_against_the_oracle(name, topology):
             row = cache.plan.holds[c]
             assert row == bytes(c + 1 in T and l == 0 for T in subsets for l in range(copies))
             assert row.count(1) * copies * N_FILES * size * 8 == M * lib.file_bits
+            held = [q for q, T in enumerate(subsets) if c + 1 in T]
+            assert cache.plan.held[c] == array("I", held)
+        # Each user's own read gives copy 1 of every subfile it caches.
+        for u in range(net.K):
+            for n in range(1, N_FILES + 1):
+                own = [(q * copies) * size for q, T in enumerate(subsets) if label[u] in T]
+                assert cache.cached(u, n) == b"".join(lib.file(n)[a : a + size] for a in own)
         # Every key is read once through gather, by a user whose candidate is
         # its first; at t = 0 no user caches anything.
         reader = {}
@@ -243,6 +251,69 @@ def test_a_decoder_outside_the_cache_is_refused_when_built(flags):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "refused 'the decoder of candidate 1 reads a subfile it does not cache'\n"
+
+
+def test_the_cached_ranks_are_checked_against_the_row_when_built(monkeypatch):
+    # A table of cached ranks one off from the row is refused, once, when
+    # built, so the reads by it need no membership scan.
+    plan_ = cmcnc_place(combination_network(4, 2), random_library(6, 30, seed=1), 2).plan
+    real = plan.compress
+    monkeypatch.setattr(plan, "compress", lambda data, row: real(data, row[1:] + row[:1]))
+    with pytest.raises(KeyError, match="the cached ranks of candidate 1 name a subfile it does not cache"):
+        plan_.held
+
+
+def test_a_decoder_reading_a_signal_no_relay_forwards_is_refused_when_built():
+    # Without one of the positions a relay forwards to class 1, its decoder
+    # could read a feed the relay does not pick for it.
+    plan_ = proposed_place(combination_network(4, 2), random_library(6, 60, seed=1), 2).plan
+    receives = list(plan_.receives)
+    receives[0] = receives[0][1:]
+    plan_.__dict__["receives"] = receives
+    with pytest.raises(KeyError, match="the decoder of candidate 1 reads a signal no relay forwards to it"):
+        plan_.decoders
+
+
+# (candidates, t): both ends of the grid, the middle, the largest plan of the
+# sweep benchmark, and masks wider than any array item.
+CANCELLING = [(6, 0), (6, 1), (6, 2), (6, 5), (15, 6), (70, 2), (70, 68)]
+
+
+@pytest.mark.parametrize("n,t", CANCELLING)
+def test_the_cancellation_proof_holds_and_at_lists_each_members_signals(n, t):
+    p = plan.Plan(n, t, 1)
+    assert p.cancelling is p.at
+    for j, column in enumerate(p.member):
+        assert p.at[j] == [[s for s, m in enumerate(column) if m == c] for c in range(n)]
+
+
+@pytest.mark.parametrize("n,t", [case for case in CANCELLING if 0 < case[1] < case[0] - 1])
+@pytest.mark.parametrize("table", ["member", "rest"])
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("term,signal", [(0, 0), (-1, 0.5), (-1, -1)])
+def test_the_cancellation_proof_refuses_an_entry_one_off(n, t, table, delta, term, signal):
+    # One entry of a built table one off, at the first, a middle or the last
+    # signal, of the first or last term: the plan refuses it, off the table
+    # too, before a decoder could read by it.
+    p = plan.Plan(n, t, 1)
+    p.rest, p.at
+    columns = [list(column) for column in getattr(p, table)]
+    column = columns[term]
+    column[int(signal * len(column)) if signal != -1 else -1] += delta
+    p.__dict__[table] = columns
+    with pytest.raises(KeyError, match="term [0-9]+ of a signal"):
+        p.cancelling
+
+
+def test_the_cancellation_proof_refuses_a_member_twice():
+    # Term 1 made a copy of term 0: every term is still C minus its member,
+    # but the member at position 1 would cancel its own subfile.
+    p = plan.Plan(6, 2, 1)
+    member, rest = p.member, p.rest
+    p.__dict__["member"] = [member[0], list(member[0]), member[2]]
+    p.__dict__["rest"] = [rest[0], list(rest[0]), rest[2]]
+    with pytest.raises(KeyError, match=r"the members of a signal are not its t \+ 1 candidates"):
+        p.cancelling
 
 
 @pytest.mark.parametrize("files", [None, [0, 1, 1], [1, 1, 7]])

@@ -132,6 +132,25 @@ def test_every_user_decodes_from_what_it_caches(scheme, topology):
     assert points >= 2, "fewer than two grid points fit the library cap"
 
 
+# t' of cmcnc at each end of its grid, from K.
+ENDS = {"0": lambda K: 0, "1": lambda K: 1, "K-1": lambda K: K - 1, "K": lambda K: K}
+
+
+@pytest.mark.parametrize("end", ENDS)
+def test_cmcnc_decodes_from_what_it_caches_at_the_ends_of_its_grid(end):
+    # Whatever the library cap: at t' = 0 nothing is cancelled, at t' = 1 one
+    # term, at t' = K - 1 one signal carries every term, and at t' = K
+    # nothing is sent.  Each decode reads its cancellations built over the
+    # poisoned copy's own library.
+    net = NETWORKS["comb:4,2"]()
+    t = ENDS[end](net.K)
+    M = Fraction(t * N_FILES, net.K)
+    file_bytes = harness.auto_file_bytes(net, N_FILES, [M], ["cmcnc"])
+    for poisoned in decode_poisoned("cmcnc", net, M, file_bytes, random.Random(f"ends {t}")):
+        assert poisoned.plan.t == t
+        assert poisoned.served[0] is not None or t == net.K
+
+
 @pytest.mark.parametrize("topology", NETWORKS)
 def test_proposed_decodes_from_what_it_caches_on_the_int_path(topology):
     # Subfiles of _INT_BYTES: every cancelled term is read from the int

@@ -1,5 +1,6 @@
 """CM-CNC baseline: global-subset placement plus MDS piece delivery."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -17,7 +18,12 @@ from relaycache.schemes import (
     random_demand,
     random_library,
 )
+from relaycache.erasure import xor_bytes
+from relaycache.schemes import cmcnc
+from relaycache.schemes import plan as planned
 from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
+from relaycache.schemes.common import gather
+from relaycache.topology import combination_network
 from support import subset_rank
 from test_golden import edge_records
 
@@ -199,6 +205,82 @@ class TestDecode:
         cache = cmcnc_place(comb42, lib30, 6)
         out = cmcnc_decode(comb42, 0, cache, distinct_demand(comb42, 6), {})
         assert out == lib30.file(1)
+
+
+class TestSharedCancellation:
+    """Each member of a signal cancels the XOR of every other term, built
+    once per demand by the placement; the plan proves once that those terms
+    are cached."""
+
+    @pytest.mark.parametrize("table", ["member", "rest"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_plan_entry_one_off_is_refused_before_any_byte_is_read(self, comb42, lib30, table, delta, monkeypatch):
+        demand = distinct_demand(comb42, 6)
+        log = cmcnc_deliver(comb42, cmcnc_place(comb42, lib30, 2), demand)
+        cache = cmcnc_place(comb42, lib30, 2)
+        plan = cache.plan
+        plan.rest, plan.at
+        columns = [list(column) for column in getattr(plan, table)]
+        columns[1][7] += delta
+        plan.__dict__[table] = columns
+        read = []
+        monkeypatch.setattr(planned, "gather", lambda *args: read.append(args) or gather(*args))
+        monkeypatch.setattr(cmcnc, "gather", lambda *args: read.append(args) or gather(*args))
+        views = lambda: [args for args in read if any(isinstance(src, memoryview) for src in args[0])]
+        with pytest.raises(KeyError, match="term 1 of a signal"):
+            cmcnc_deliver(comb42, cache, demand)
+        for u in range(comb42.K):
+            with pytest.raises(KeyError, match="term 1 of a signal"):
+                cmcnc_decode(comb42, u, cache, demand, log.to_user(u))
+        assert "views" not in vars(cache) and not views(), "a byte was read before the plan's check"
+        assert cache.served == [None] * 3
+
+    def test_one_placement_serves_demands_in_turn(self, comb42, lib30):
+        # d1, d2, d1: each demand rebuilds what the last one kept, and every
+        # user decodes each exactly.
+        cache = cmcnc_place(comb42, lib30, 2)
+        d1, d2 = distinct_demand(comb42, 6), (6, 6, 1, 2, 2, 5)
+        for demand in (d1, d2, d1):
+            log = cmcnc_deliver(comb42, cache, demand)
+            assert cache.served[0] == demand
+            for u in range(comb42.K):
+                assert cmcnc_decode(comb42, u, cache, demand, log.to_user(u)) == lib30.file(demand[u])
+
+    def test_a_copy_over_another_library_starts_with_nothing_served(self, comb42, lib30):
+        cache = cmcnc_place(comb42, lib30, 2)
+        demand = distinct_demand(comb42, 6)
+        log = cmcnc_deliver(comb42, cache, demand)
+        assert cache.served[0] == demand
+        other = random_library(6, 30, seed=78)
+        copy = dataclasses.replace(cache, lib=other)
+        assert copy.plan is cache.plan and copy.served == [None] * 3
+        log = cmcnc_deliver(comb42, copy, demand)
+        assert cmcnc_decode(comb42, 0, copy, demand, log.to_user(0)) == other.file(demand[0])
+        assert copy.served[0] == demand and copy.served[1] != cache.served[1]
+
+    def test_the_cancellations_are_the_xor_of_every_other_term(self, comb42, lib30):
+        cache = cmcnc_place(comb42, lib30, 2)
+        demand = (3, 1, 4, 1, 5, 6)
+        signals, cancels = cache.multicast(demand)
+        size, subsets = cache.subfile_bytes, enumerate_subsets(comb42.K, 2)
+        for s, C in enumerate(enumerate_subsets(comb42.K, 3)):
+            terms = [oracle(lib30, comb42.K, 2, [(demand[k - 1], tuple(x for x in C if x != k), 1)]) for k in C]
+            assert signals[s * size : (s + 1) * size] == xor_bytes(*terms)
+            for p in range(3):
+                assert cancels[p][s * size : (s + 1) * size] == xor_bytes(*terms[:p], *terms[p + 1 :])
+        assert len(subsets) * size == lib30.file_bytes
+
+    def test_a_network_of_more_than_64_users(self):
+        # comb(9,3) has 84 users, so the plan's masks are wider than any
+        # array item; at t' = 1 every user still decodes.
+        net = combination_network(9, 3)
+        lib = random_library(2, net.r * net.K, seed=84)
+        cache = cmcnc_place(net, lib, Fraction(2, net.K))
+        assert cache.plan.t == 1
+        demand = tuple(u % 2 + 1 for u in range(net.K))
+        log = cmcnc_deliver(net, cache, demand)
+        for u in range(net.K):
+            assert cmcnc_decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u])
 
 
 @pytest.mark.parametrize("r", [2, 3])
