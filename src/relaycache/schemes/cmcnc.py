@@ -13,33 +13,23 @@ signal.
 :func:`cmcnc_place` builds the one cache of both coded schemes,
 :class:`.plan.PlannedCache`, on the grid "K" of :data:`.plan.GRIDS`, with
 ``code`` the (h, r) MDS code.  The signals are the coded multicast that
-``proposed`` runs per relay, here over the K users, indexed by that plan's
-signal tables.  Both ends work on all signals of one delivery at once.
-XOR and GF(256) coding act byte by byte, so the concatenation of every
-signal's j-th term (or part, or piece) is coded in one call and sliced
-back per signal.
+``proposed`` runs per relay, here once over the K users, through the same
+engine, :meth:`.plan.PlannedCache.multicast`, with one multicast source:
+the demand, in copy 1.  XOR and GF(256) coding act byte by byte, so each
+part and piece of every signal is coded in one call over their
+concatenation and sliced back per signal.
 
-A signal S XORs t'+1 terms, and block q holds, per signal, the term that
-S's q-th member wants.  So the member at position p of S cancels one
-thing, the XOR of every block but block p, and decodes its term from
-X[S] XOR that, X the signals it received.
-:meth:`.plan.PlannedCache.multicast` builds the t'+1 blocks as ints once
-per demand, from the placement's own library, and keeps the XOR of all
-of them, which the server sends, and the t'+1 cancellations, for the
-last demand only.  A decoder reads each cancellation at its own signals
-of that position, :attr:`.plan.Plan.cancelling`, in one single-source
-gather: C(K-1, t') items in all, where reading each term it cancels
-would take t' times as many.  The plan proves once, before any byte is
-read, that every term so cancelled is a subfile the member caches.
-
-Subfiles and pieces are a few bytes at the larger memory points, so each
-batch of reads by index is one :func:`.common.gather`: the server's t'+1
-term blocks, a decoder's cached subfiles (through
-:meth:`.plan.PlannedCache.cached`), its pieces (through
-:func:`.common.payloads`), its cancellation at each position and its
-file put back together.  A user is its own candidate, so a per-candidate
-decode table would serve one user per demand: the decoder groups its
-signals with :meth:`.plan.Plan.receiving` itself.
+A decoder reads its r pieces at the signals of
+:meth:`.plan.Plan.receiving`, grouped by its position in S, in one
+:func:`.common.payloads` each, decodes them into its signals and XORs away
+the cancellations of the engine (:meth:`.plan.PlannedCache.cancel`): one
+per signal, the XOR of every term but its own, where reading each term it
+cancels would take t' reads.  The plan proves once, before any byte is
+read, that every term so cancelled is a subfile the member caches
+(:attr:`.plan.Plan.cancelling`).  Its cached subfiles come in one gather
+(:meth:`.plan.PlannedCache.cached`), and its file is put back together in
+one more, by its own rank order: a user is its own candidate, so a
+per-candidate table would serve one user per demand.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from ..combinatorics import binomial
-from ..erasure import decode as mds_decode, encode as mds_encode, xor_bytes
+from ..erasure import decode as mds_decode, encode as mds_encode
 from ..topology import Network
 from .common import FileLibrary, gather, payloads, relay_code, validate_demand
 from .log import Batch, Edge, TransmissionLog
@@ -103,6 +93,12 @@ def _form(relay: int, plan: Plan) -> tuple[str, list[str], str]:
     return "cm:S=", plan.names, f":p={relay}"
 
 
+def _sources(demand: tuple[int, ...]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The one multicast source, every user wanting its file in copy 1: the
+    ``sources`` of :meth:`PlannedCache.multicast`."""
+    return [(demand, [1] * len(demand))]
+
+
 def cmcnc_place(net: Network, lib: FileLibrary, M) -> PlannedCache:
     """Split files over user subsets: the grid "K"."""
     return place_planned(net, lib, M, "K", relay_code(net))
@@ -115,7 +111,7 @@ def cmcnc_deliver(net: Network, cache: PlannedCache, demand: tuple[int, ...]) ->
     if plan.t + 1 > net.K:
         return log
     part = cache.subfile_bytes // net.r
-    signals, _ = cache.multicast(demand)
+    ((signals, _, _),) = cache.multicast(demand, _sources)
 
     for i, piece in enumerate(mds_encode(cache.code, _split(signals, net.r, part)), 1):
         prefix, names, suffix = _form(i, plan)
@@ -137,16 +133,13 @@ def cmcnc_decode(
     if plan.t == net.K:
         return cache.cached(user, demand[user])
     # The plan's proof that the user caches what it cancels comes first.
-    _, cancels = cache.multicast(demand)
+    (multicast,) = cache.multicast(demand, _sources)
     cached = cache.cached(user, demand[user])
 
     groups, mine, extracted = plan.receiving(user)
     pieces = [(i, payloads(user, i, received, mine, _form(i, plan))) for i in net.users[user]]
     signals = _merge(mds_decode(cache.code, pieces), size // net.r)
-
-    # At position p the user cancels cancels[p] at its signals there, at[p][user].
-    cancel = b"".join([gather([cancels[p]], [0] * len(group), group, size) for p, group, _ in groups])
-    both = cached + xor_bytes(signals, cancel)
+    both = cached + cache.cancel(multicast, groups, signals)
 
     # Subfile q of the file is item where[q] of ``both``.
     where = [0] * binomial(net.K, plan.t)

@@ -19,7 +19,8 @@ Conventions used by every scheme:
   one C-level step per item; other sizes are sliced and joined.  ``cmcnc``,
   ``proposed`` and ``routing`` read through it at both ends, and so does
   :func:`payloads`.  :func:`pick` is the same read by index into a list,
-  for ``proposed``'s int forms of large subfiles.
+  for the int forms of large subfiles in the multicast of both coded
+  schemes.
 
 The transmission log and its wire format are in :mod:`.log`, which imports
 nothing else from the package; the multicast plan and the cache of both
@@ -266,7 +267,6 @@ def payloads(
     received: Mapping[int, Edge],
     positions: Sequence[int],
     form: Form,
-    covering: Sequence[int] | None = None,
 ) -> bytes:
     """The payloads of the records at ``positions`` of the label form
     ``form`` in ``relay``'s feed to ``user``, joined in order; the last one,
@@ -275,12 +275,11 @@ def payloads(
     Only parts whose batch has that form answer, so a batch of another
     form, such as another relay's, is never read as this one.  A single
     part answers with one :func:`gather`, or with its buffer itself when a
-    whole batch is read at all of its positions in order.  Its picks must
-    hold every position, checked on each read unless they are ``covering``
-    itself, picks that the caller's plan proved hold them all once per
-    table (:attr:`.plan.Plan.decoders`).  Raises IndexError for a position
-    outside the form before reading anything, and IncompleteReceptionError
-    naming the label of the first position the relay did not deliver.
+    whole batch is read at all of its positions in order; its picks must
+    hold every position, checked on each read.  Raises IndexError for a
+    position outside the form before reading anything, and
+    IncompleteReceptionError naming the label of the first position the
+    relay did not deliver.
     """
     prefix, names, suffix = form
     n = len(names)
@@ -295,7 +294,7 @@ def payloads(
         ((batch, picks),) = parts
         if picks is None and len(positions) == n and list(positions) == list(range(n)):
             return batch.data
-        if picks is None or picks is covering or set(picks).issuperset(positions):
+        if picks is None or set(picks).issuperset(positions):
             return gather([batch.data], [0] * len(positions), positions, batch.part)
     found: dict[int, bytes] = {}
     for batch, picks in parts:

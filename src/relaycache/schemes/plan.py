@@ -1,39 +1,37 @@
 """The XOR-multicast plan and the one cache of both coded schemes.
 
-Cache objects are lazy views over the library: no subfile is copied.  A
-decoder reads cached bytes through its cache alone, and the read raises
-``KeyError`` for anything the user did not cache, which keeps decoders
-honest about what they may read: :meth:`PlannedCache.gather` for the
-coded schemes, and ``PrefixCache.get`` for ``broadcast-mds``.  A coded
-read is checked against one byte row per candidate, :attr:`Plan.holds`,
-by one rule, :func:`holds_all`; a table the plan builds for reading
-(:attr:`Plan.held`, :attr:`Plan.layouts`, :attr:`Plan.decoders`) is
-checked against the row once, when it is built, and its reads skip that
-scan.  ``cmcnc`` reads no term one by one: each member of a signal cancels
-the XOR of all its other terms, which :meth:`PlannedCache.multicast`
-builds once per demand and a decoder reads whole at its own signals.  The
-plan proves once, over bitmasks, that every term a member cancels so is
-a subfile it caches (:attr:`Plan.cancelling`), and raises ``KeyError``
-before any byte is read if not.
-
 Both coded schemes run the coded multicast of Maddah-Ali and Niesen
 ("Fundamental limits of caching", IEEE Trans. IT 2014) over the candidates
-of their grid in :data:`GRIDS`: ``proposed`` per relay over "Kt", ``cmcnc``
-over "K".  Both place files with :func:`place_planned` into the one cache here,
-:class:`PlannedCache`, keyed by subfile ``(n, T, l)``.  Its :class:`Plan`
-(candidates, t, copies) holds every index table of the multicast, each
-built on first use, and every copy of the placement reads through that one
-plan.  The rest of a placement is data: ``label``, each user's candidate,
-and ``code``, the MDS code that spreads ``cmcnc``'s signals over the
-relays.  ``broadcast-mds`` keys its ``PrefixCache`` by file id.
+of their grid in :data:`GRIDS`: ``proposed`` once per relay over "Kt",
+``cmcnc`` once over "K".  Both place files with :func:`place_planned` into
+the one cache here, :class:`PlannedCache`, keyed by subfile ``(n, T, l)``.
+Its :class:`Plan` (candidates, t, copies) holds every index table of the
+multicast, each built on first use, and every copy of the placement reads
+through that one plan.  The rest of a placement is data: ``label``, each
+user's candidate, and ``code``, the MDS code that spreads ``cmcnc``'s
+signals over the relays.  ``broadcast-mds`` keys its ``PrefixCache`` by
+file id.
 
-A placement also keeps the int form of each subfile of every file read
-through :meth:`PlannedCache.int_sources` (:attr:`PlannedCache.ints`), for
-``proposed``'s XOR multicast at large subfiles, and the signals and
-cancellations of the last demand it served (:attr:`PlannedCache.served`),
-for ``cmcnc``.  Both come from the placement's own library, so they live
-on the placement, never on the plan, and a decoder reads them only by a
-checked table (:meth:`PlannedCache.cancelled_ints`, :attr:`Plan.cancelling`).
+Both schemes send and decode through one engine.  A signal XORs t+1 terms,
+so the member at position p of a signal cancels one thing, the XOR of every
+term but its own.  :meth:`PlannedCache.multicast` builds, per multicast,
+the signals that delivery sends and those cancellations, for the last call
+only; a decoder XORs them away from its feed with
+:meth:`PlannedCache.cancel`.  The plan proves once, over bitmasks, that
+every term a member cancels so is a subfile it caches
+(:attr:`Plan.cancelling`), and raises ``KeyError`` before any byte is read
+if not, so no read is checked one by one.  One constant,
+:data:`_INT_BYTES`, picks the engine's form by subfile size: joined blocks
+below it, and from it on the int forms of the subfiles, which the
+placement keeps (:attr:`PlannedCache.ints`).
+
+Cache objects are lazy views over the library: no subfile is copied.  What
+a candidate caches is one byte row, :attr:`Plan.holds`.  The tables by
+which a decoder reads its cached subfiles (:attr:`Plan.held`,
+:attr:`Plan.layouts`) are checked against the row by one rule,
+:func:`holds_all`, once, when they are built, and their reads skip that
+scan.  The ints and the last multicast come from the placement's own
+library, so they live on the placement, never on the plan.
 """
 
 from __future__ import annotations
@@ -43,13 +41,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, compress, count, islice, starmap
+from itertools import chain, combinations, compress, count, repeat, starmap
 from math import comb
 from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, Sequence
 
 from ..combinatorics import enumerate_subsets
-from ..erasure import ErasureCode
+from ..erasure import ErasureCode, xor_bytes
 from ..topology import BudgetError, Network
 from .common import (
     FileLibrary,
@@ -66,6 +64,22 @@ from .common import (
 # the bytes of its rows (Plan.holds), and at least the entries of each signal
 # table, as (t + 1) * C(n, t + 1) <= n * C(n, t).
 PLAN_SLOTS_CAP = 2**22
+
+
+_INT_BYTES = 256
+"""Subfiles of at least this many bytes are XORed as the placement's int
+forms, one int per subfile; smaller ones as joined blocks.  The one switch
+between the two forms of :meth:`PlannedCache.multicast`, for both schemes.
+
+The int form takes a few Python-level steps per signal, the block form a
+few per multicast plus a conversion of every term on every demand.  Timed
+for ``proposed`` on CPython 3.11 (x86-64) over every grid M of comb(6,2) at
+N = 10 and of comb(9,3) at N = 28 (M = 2, 26), with 20 demands served per
+placement, the int form takes 1.1x-1.3x the time of the blocks at 128
+bytes, 1.04x-1.12x at 192, 0.93x at 256, 0.82x-0.96x at 384 and 0.69x at 4
+kB.  With one demand per placement it breaks even between 384 bytes and 1
+kB.
+"""
 
 
 # What a coded scheme's grid symbol means, from K, Kt and r: (candidates,
@@ -136,27 +150,22 @@ class Plan:
     The tables depend on these three numbers alone, never on the library,
     so every copy of a placement reads through one plan.  Candidates are
     0-based in the tables and 1-based in the subsets.  Each table is built
-    on first use: ``cmcnc`` never builds :attr:`missing`, :attr:`layouts`
-    or :attr:`decoders`, and ``routing`` never builds the signal tables
-    :attr:`names`, :attr:`member`, :attr:`rest` and :attr:`at`.  The
-    tables enumerate the subsets with ``itertools.combinations`` and keep
-    no tuple of them.
+    on first use: ``cmcnc`` never builds :attr:`missing` or
+    :attr:`layouts`, and ``routing`` never builds the signal tables
+    :attr:`names`, :attr:`member`, :attr:`rest`, :attr:`terms` and
+    :attr:`at`.  The tables enumerate the subsets with
+    ``itertools.combinations`` and keep no tuple of them.
     """
 
     candidates: int
     t: int
     copies: int
 
-    def subset(self, q: int) -> tuple[int, ...]:
-        """The T of rank q, 1-based; read only to name a refused subfile."""
-        return next(islice(combinations(range(1, self.candidates + 1), self.t), q, None))
-
     @cached_property
     def holds(self) -> list[bytes]:
         """holds[c]: the row of candidate c, ``copies * C(candidates, t)``
         bytes, 1 at item rank(T) * copies of each T that contains c and 0
-        elsewhere: the items :meth:`PlannedCache.gather` lets its users read,
-        by :func:`holds_all`."""
+        elsewhere: the items its users may read, by :func:`holds_all`."""
         n, t, r = self.candidates, self.t, self.copies
         rows = [bytearray(r * comb(n, t)) for _ in range(n)]
         for k, T in zip(count(0, r), combinations(range(n), t)):  # no tuple kept
@@ -264,24 +273,6 @@ class Plan:
             delivered += pick(self.rest[p])
         return groups, signals, delivered
 
-    def decoding(self, c: int) -> tuple[list[int], list[tuple[list[int], list[int]]], list[int]]:
-        """(signals, blocks, delivered) for candidate c: those of
-        :meth:`receiving`, and ``blocks[x]``, (member, rest) lists giving,
-        per signal, its x-th member other than c and the rank of C minus
-        that member, the term c cancels.
-        """
-        groups, signals, delivered = self.receiving(c)
-
-        def column(table: list[list[int]], x: int) -> list[int]:
-            """Per signal, table[j][s] for the x-th member j of C other than c."""
-            out: list[int] = []
-            for p, _, pick in groups:
-                out += pick(table[x + (x >= p)])
-            return out
-
-        blocks = [(column(self.member, x), column(self.rest, x)) for x in range(self.t)]
-        return signals, blocks, delivered
-
     @cached_property
     def cancelling(self) -> list[list[list[int]]]:
         """:attr:`at`, once the plan has proved that member p of every C
@@ -295,7 +286,8 @@ class Plan:
         (t+1)-subset of rank s (so the member lies in C and the T is C minus
         it: a T holds t bits and C t + 1), and the bits of the t + 1 members
         XOR to C (so the members are distinct).  Member p of C then lies in
-        the T of every term q != p.  :attr:`at` lists at[p][c] the signals
+        the T of every term q != p, and so caches that term in every copy
+        l.  :attr:`at` lists at[p][c] the signals
         with member[p][s] == c, by its construction from :attr:`member`.  So
         the shared cancellation needs no check per read.
 
@@ -368,15 +360,11 @@ class Plan:
         return layouts
 
     @cached_property
-    def signal_terms(self) -> tuple[array, array]:
-        """(which, items) of every signal's terms, as :func:`gather` reads
-        them over the candidates' files: block j gives per signal s its
-        member member[j][s] and rank(C minus that member) * copies."""
+    def terms(self) -> list:
+        """terms[q][s]: rest[q][s] * copies, the item of term q of signal s
+        in the view of its member's file (:meth:`PlannedCache.sources`)."""
         r = self.copies
-        return (
-            array("I", chain.from_iterable(self.member)),
-            array("I", chain.from_iterable(map(r.__mul__, rest) for rest in self.rest)),
-        )
+        return self.rest if r == 1 else [array("I", map(r.__mul__, column)) for column in self.rest]
 
     @cached_property
     def receives(self) -> list[tuple[int, ...]]:
@@ -387,44 +375,6 @@ class Plan:
             tuple(sorted(chain.from_iterable(column[c] for column in at)))
             for c in range(self.candidates)
         ]
-
-    @cached_property
-    def decoders(self) -> list[tuple[array, array, array]]:
-        """decoders[c]: (signals, which, items) by which candidate c decodes.
-
-        ``signals``: the positions c reads on each relay, those of
-        :meth:`decoding` ordered so that c decodes the T it lacks by
-        increasing rank, as :attr:`layouts` expects.  Block x of ``which``
-        and ``items``: per signal, its x-th member other than c and rank(C
-        minus that member) * copies, the term c cancels, for
-        :meth:`PlannedCache.cancelled` over a relay's neighbors by candidate.
-
-        Raises KeyError, once per table, if an item lies outside the row
-        :attr:`holds` of its candidate, or a signal outside what a relay
-        forwards to it, :attr:`receives`: so neither the reads by these
-        tables nor their feeds (:func:`.common.payloads` with ``covering``)
-        need a membership check of their own.
-        """
-        r = self.copies
-        decoders = []
-        for c, row in enumerate(self.holds):
-            signals, blocks, delivered = self.decoding(c)
-            if not set(self.receives[c]).issuperset(signals):
-                raise KeyError(f"the decoder of candidate {c + 1} reads a signal no relay forwards to it")
-            order = sorted(range(len(signals)), key=delivered.__getitem__)
-            members = (map(member.__getitem__, order) for member, _ in blocks)
-            ranks = (map(rest.__getitem__, order) for _, rest in blocks)
-            items = array("I", map(r.__mul__, chain.from_iterable(ranks)))
-            if not holds_all(row, items):
-                raise KeyError(f"the decoder of candidate {c + 1} reads a subfile it does not cache")
-            decoders.append(
-                (
-                    array("I", map(signals.__getitem__, order)),
-                    array("I", chain.from_iterable(members)),
-                    items,
-                )
-            )
-        return decoders
 
 
 @dataclass(frozen=True)
@@ -479,43 +429,77 @@ class PlannedCache:
 
     @cached_property
     def served(self) -> list:
-        """[demand, signals, cancels] of the last demand that
-        :meth:`multicast` served, or [None] * 3 before the first.  Built from
-        this placement's library alone: a copy of the placement over another
-        library builds its own."""
-        return [None] * 3
+        """[demand, multicasts] of the last demand that :meth:`multicast`
+        served, or [None] * 2 before the first.  Built from this placement's
+        library alone: a copy of the placement over another library builds
+        its own."""
+        return [None] * 2
 
-    def multicast(self, demand: Sequence[int]) -> tuple[bytes, list[bytes]]:
-        """(signals, cancels) of the XOR multicast over the candidates, each
-        wanting file demand[c] of a plan of one copy, as on the grid "K".
+    def multicast(
+        self, demand: Sequence[int], sources: Callable[[tuple], list[tuple[Sequence[int], Sequence[int]]]]
+    ) -> list[tuple]:
+        """Per source (files, copies) of ``sources(demand)``: (signals, ints,
+        cancels) of the XOR multicast over the plan's candidates, candidate c
+        wanting file files[c] in copy copies[c].  ``sources`` is a function
+        of the demand alone, the same on every call for a placement.
 
-        Block q holds, per signal s, term q: subfile (n, T, 1) of the file n
-        that member[q][s] wants, T of rank rest[q][s].  ``signals``: the XOR
-        of all t + 1 blocks, signal by signal.  ``cancels[p]``: the XOR of
-        every block but block p, so member p of signal s recovers its term
-        from signal s XOR cancels[p] at s.  The blocks are built as ints once
-        per demand, and both kept for the last demand only (:attr:`served`).
+        Block q holds, per signal s, term q: subfile (n, T, l) of the file n
+        and copy l that member[q][s] wants, T of rank rest[q][s].
+        ``signals``: the XOR of all t + 1 blocks, signal by signal, the bytes
+        that delivery sends.  Member p of signal s recovers its term from
+        signal s XOR its cancellation, the XOR of every block but block p at
+        s, which :meth:`cancel` reads.  Below :data:`_INT_BYTES` ``ints`` is
+        None and ``cancels[p]`` holds those cancellations, joined; from it
+        on, ``ints[s]`` is the int of signal s and ``cancels[p]`` block p as
+        the placement's :attr:`ints`, so the cancellation is ints[s] ^
+        cancels[p][s].
 
-        A decoder reads ``cancels[p]`` only at :attr:`Plan.cancelling`, the
-        positions of the plan's proof that they XOR terms it caches, which
-        raises KeyError before any byte is read.  ValueError for a plan of
-        more than one copy.
+        Only the last demand's multicasts are kept (:attr:`served`), and
+        they are dropped before the next ones are built.  The plan's proof
+        that a member caches every term it cancels (:attr:`Plan.cancelling`)
+        comes first, and raises KeyError before any byte is read; then the
+        errors of :meth:`sources`, for every source before any is read.
         """
         served, demand = self.served, tuple(demand)
         if served[0] != demand:
+            served[:] = None, None
             plan, size = self.plan, self.subfile_bytes
-            if plan.copies != 1:
-                raise ValueError(f"a multicast over one copy, not {plan.copies}")
             plan.cancelling  # the proof comes before any byte is read
-            wanted = self.sources(demand, [1] * len(demand))
-            blocks = [
-                int.from_bytes(gather(wanted, who, ranks, size), "big")
-                for who, ranks in zip(plan.member, plan.rest)
-            ]
-            signals, length = reduce(xor, blocks, 0), len(plan.names) * size
-            cancels = [(signals ^ block).to_bytes(length, "big") for block in blocks]
-            served[:] = demand, signals.to_bytes(length, "big"), cancels
-        return served[1], served[2]
+            wanted = sources(demand)
+            for source in wanted:  # every source is checked before any is read
+                self._pairs(*source)
+            terms = list(zip(plan.member, plan.terms))
+            built = []
+            if size >= _INT_BYTES:
+                for source in wanted:
+                    ints = self.int_sources(*source)
+                    blocks = [pick(ints, who, items) for who, items in terms]
+                    signals = [reduce(xor, column) for column in zip(*blocks)]
+                    built.append((b"".join(map(int.to_bytes, signals, repeat(size), repeat("big"))), signals, blocks))
+            else:
+                length = len(plan.names) * size
+                for source in wanted:
+                    view = self.sources(*source)
+                    blocks = [int.from_bytes(gather(view, who, items, size), "big") for who, items in terms]
+                    signals = reduce(xor, blocks, 0)
+                    cancels = [(signals ^ block).to_bytes(length, "big") for block in blocks]
+                    built.append((signals.to_bytes(length, "big"), None, cancels))
+            served[:] = demand, built
+        return served[1]
+
+    def cancel(self, multicast: tuple, groups: list[tuple[int, list[int], Callable]], feed: bytes) -> bytes:
+        """``feed``, the signals of one :meth:`multicast` that a member
+        received at ``groups`` of :meth:`Plan.receiving`, in their order,
+        XOR the cancellation of each: the terms the member decodes."""
+        _, ints, cancels = multicast
+        size = self.subfile_bytes
+        if ints is None:
+            cancel = [gather([cancels[p]], [0] * len(group), group, size) for p, group, _ in groups]
+            return xor_bytes(feed, b"".join(cancel))
+        view = memoryview(feed)
+        received = (int.from_bytes(view[k : k + size], "big") for k in range(0, len(view), size))
+        known = chain.from_iterable(map(xor, at(ints), at(cancels[p])) for p, _, at in groups)
+        return b"".join([(x ^ y).to_bytes(size, "big") for x, y in zip(received, known)])
 
     def _pairs(self, files: Sequence[int], copies: Sequence[int]) -> zip:
         """(n, l) for each source; the errors of :meth:`sources`."""
@@ -537,7 +521,8 @@ class PlannedCache:
 
     def int_sources(self, files: Sequence[int], copies: Sequence[int]) -> list[list[int]]:
         """:meth:`sources` in int form, for :func:`pick`: item rank(T) *
-        copies of source w is the int of subfile (files[w], T, copies[w]).
+        copies of source w is the int of subfile (files[w], T, copies[w]),
+        for :meth:`multicast` from :data:`_INT_BYTES` on.
 
         The errors of :meth:`sources`, raised before any int is built.  The
         first read of a file converts each of its subfiles once, into
@@ -551,87 +536,18 @@ class PlannedCache:
             ints[n - 1] = [int.from_bytes(view[end - size : end], "big") for end in ends]
         return [ints[n - 1][l - 1 :] for n, l in pairs]
 
-    def gather(
-        self,
-        user: int,
-        files: Sequence[int],
-        copies: Sequence[int],
-        which: Sequence[int],
-        items: Sequence[int],
-    ) -> bytes:
-        """The table-form read: subfile (files[w], T, copies[w]) for every j,
-        where w = which[j] and items[j] = rank(T) * copies, concatenated.
-        That is item items[j] of source w of :meth:`sources` (files, copies).
-
-        Raises ValueError if ``which`` and ``items``, or ``files`` and
-        ``copies``, differ in length, and KeyError, naming the first such
-        (n, T, l), unless the user caches all of them: the row
-        :attr:`Plan.holds` of the user's candidate must hold every item, n
-        lie in 1..N and l in 1..copies.  IndexError for a file or copy out of
-        range that no item reads.  Nothing is read from a file before these
-        checks.
-        """
-        self._check(user, files, copies, which, items, checked=False)
-        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
-
     def cached(self, user: int, n: int) -> bytes:
         """Subfile (n, T, 1) of every T that the user caches, by increasing
         rank, joined: one :func:`gather` by the user's :attr:`Plan.held`.
 
         The plan checked the table's items against the candidate's row when
         it built the table, so only n is checked here, with the errors of
-        :meth:`gather`.
+        :meth:`sources`.
         """
         r = self.plan.copies
         held = self.plan.held[self.label[user] - 1]
         items = held if r == 1 else array("I", map(r.__mul__, held))
-        which = [0] * len(items)
-        self._check(user, (n,), (1,), which, items, checked=True)
-        return gather(self.sources((n,), (1,)), which, items, self.subfile_bytes)
-
-    def cancelled(self, user: int, files: Sequence[int], copies: Sequence[int]) -> bytes:
-        """:meth:`gather` of the items by which the user's candidate decodes,
-        its table :attr:`Plan.decoders`, over the sources (files, copies).
-
-        The plan checked the table's items against the candidate's row when
-        it built the table, so only ``files`` and ``copies`` are checked here,
-        with the errors of :meth:`gather`.
-        """
-        which, items = self._decoder(user, files, copies)
-        return gather(self.sources(files, copies), which, items, self.subfile_bytes)
-
-    def cancelled_ints(self, user: int, files: Sequence[int], copies: Sequence[int]) -> list[int]:
-        """:meth:`cancelled` as the int of each item, from :attr:`ints`, with
-        its checks, made before any int is read or built."""
-        which, items = self._decoder(user, files, copies)
-        return pick(self.int_sources(files, copies), which, items)
-
-    def _decoder(self, user: int, files: Sequence[int], copies: Sequence[int]) -> tuple[array, array]:
-        """(which, items) of the user's table :attr:`Plan.decoders`, once
-        ``files`` and ``copies`` pass the checks of :meth:`gather`."""
-        _, which, items = self.plan.decoders[self.label[user] - 1]
-        self._check(user, files, copies, which, items, checked=True)
-        return which, items
-
-    def _check(self, user, files, copies, which, items, checked: bool) -> None:
-        """The checks of :meth:`gather`; no membership scan if the plan
-        ``checked`` the items."""
-        if len(which) != len(items):
-            raise ValueError(f"{len(which)} sources and {len(items)} items differ in length")
-        if len(files) != len(copies):
-            raise ValueError(f"{len(files)} files and {len(copies)} copies differ in length")
-        plan = self.plan
-        N, r = self.lib.n_files, plan.copies
-        row = plan.holds[self.label[user] - 1]
-        if not ((checked or holds_all(row, items)) and in_range(files, N) and in_range(copies, r)):
-            for w, k in zip(which, items):
-                n, l = files[w], copies[w]
-                if not (holds_all(row, [k]) and 1 <= n <= N and 1 <= l <= r):
-                    q, off = divmod(k, r)
-                    T = f"item {k}" if off else plan.subset(q) if 0 <= k < len(row) else q
-                    raise KeyError(f"user {user} does not cache ({n}, {T}, {l})")
-            # Every item read is cached: a file or copy that none reads is out of range.
-            raise IndexError(f"a file id lies outside 1..{N} or a copy outside 1..{r}")
+        return gather(self.sources((n,), (1,)), [0] * len(items), items, self.subfile_bytes)
 
     def reassemble(self, user: int, n: int, decoded: bytes) -> bytes:
         """File n from the subfiles of it that ``user`` caches and ``decoded``,

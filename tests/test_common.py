@@ -86,22 +86,22 @@ def plan_case(draw):
 class TestSignalPlan:
     @given(plan_case())
     def test_decoding_matches_definition(self, case):
+        # What candidate c decodes by: its signals, grouped by its position
+        # p in C, and per signal the T of C minus c.
         n, t, c = case
         subsets = list(itertools.combinations(range(n), t))
         signals = list(itertools.combinations(range(n), t + 1))
         rank = {T: q for q, T in enumerate(subsets)}
-        mine, blocks, delivered = Plan(n, t, 1).decoding(c)
+        groups, mine, delivered = Plan(n, t, 1).receiving(c)
 
         assert sorted(mine) == [s for s, C in enumerate(signals) if c in C]
-        assert len(blocks) == t and len(delivered) == len(mine)
+        assert mine == [s for _, group, _ in groups for s in group]
+        assert len(delivered) == len(mine)
+        for p, group, pick in groups:
+            assert group and all(signals[s][p] == c for s in group)
+            assert list(pick(list(range(len(signals))))) == group
         for k, s in enumerate(mine):
-            C = signals[s]
-            others = [y for y in C if y != c]
-            assert delivered[k] == rank[tuple(others)]
-            for x, (member, rest) in enumerate(blocks):
-                assert member[k] == others[x]
-                assert rest[k] == rank[tuple(y for y in C if y != others[x])]
-
+            assert delivered[k] == rank[tuple(y for y in signals[s] if y != c)]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_decoding_matches_a_per_signal_listing(self, n):
@@ -113,17 +113,12 @@ class TestSignalPlan:
             rank = {T: q for q, T in enumerate(subsets)}
             plan = Plan(n, t, 1)
             for c in range(n):
-                mine = [s for p in range(t + 1) for s, C in enumerate(signals) if C[p] == c]
-                others = [[y for y in signals[s] if y != c] for s in mine]
-                blocks = [
-                    (
-                        [other[x] for other in others],
-                        [rank[tuple(y for y in signals[s] if y != other[x])] for s, other in zip(mine, others)],
-                    )
-                    for x in range(t)
-                ]
-                delivered = [rank[tuple(other)] for other in others]
-                assert plan.decoding(c) == (mine, blocks, delivered), (n, t, c)
+                at = [[s for s, C in enumerate(signals) if C[p] == c] for p in range(t + 1)]
+                mine = [s for group in at for s in group]
+                delivered = [rank[tuple(y for y in signals[s] if y != c)] for s in mine]
+                groups, got, extracted = plan.receiving(c)
+                assert [(p, group) for p, group, _ in groups] == [(p, g) for p, g in enumerate(at) if g]
+                assert (got, extracted) == (mine, delivered), (n, t, c)
 
     @given(plan_case())
     def test_at_matches_definition(self, case):
@@ -441,20 +436,6 @@ class TestBatchLog:
         assert payloads(0, 1, log.to_user(0), [1], ("", ("a", "b", "c"), ":i=1")) == b"\x03\x04"
         with pytest.raises(IncompleteReceptionError, match="did not receive 'a:i=2' from relay 1"):
             payloads(0, 1, log.to_user(0), [0], ("", batch.names, ":i=2"))
-
-    def test_payloads_trust_only_the_covering_picks_themselves(self):
-        # Picks that the caller's plan proved hold the positions skip the
-        # check, by identity; equal picks of another object, other picks and
-        # positions outside the form are checked as without them.
-        log, batch = served_batch()
-        rx = log.to_user(2)
-        ((_, picks),) = rx[1].parts
-        assert payloads(2, 1, rx, [0, 2], batch.form, picks) == b"\x01\x02\x05\x06"
-        for covering in ([2, 0], [0, 1, 2]):
-            with pytest.raises(IncompleteReceptionError, match="did not receive 'b:i=1' from relay 1"):
-                payloads(2, 1, rx, [0, 1], batch.form, covering)
-        with pytest.raises(IndexError, match="position 3 lies outside the 3 records"):
-            payloads(2, 1, rx, [0, 3], batch.form, picks)
 
     def test_a_missing_relay_raises(self):
         log, batch = served_batch()

@@ -19,9 +19,9 @@ from relaycache.schemes import (
     IncompleteReceptionError,
     TransmissionLog,
     distinct_demand,
-    proposed,
     random_library,
 )
+from relaycache.schemes import plan
 from test_golden import edge_records
 
 M = 2
@@ -179,12 +179,13 @@ def test_flipped_byte_at_sliced_sizes(comb42, scheme, monkeypatch):
 
 # At 6 * _INT_BYTES-byte files, proposed's subfiles on comb(4,2) at M=2 are
 # _INT_BYTES long: its signals XOR the int forms its placement keeps.
-LIB_INT = random_library(6, 6 * proposed._INT_BYTES, seed=11)
+LIB_INT = random_library(6, 6 * plan._INT_BYTES, seed=11)
 
 
 def test_the_int_library_takes_the_int_path(comb42):
-    cache, _, _ = harness._pipeline(comb42, LIB_INT, M, "proposed", None)
-    assert proposed._on_ints(cache)
+    cache, deliver, _ = harness._pipeline(comb42, LIB_INT, M, "proposed", None)
+    deliver(distinct_demand(comb42, 6))
+    assert all(ints is not None for _, ints, _ in cache.served[1])
 
 
 def test_dropped_record_on_the_int_path(comb42):

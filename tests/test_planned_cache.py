@@ -27,6 +27,7 @@ from relaycache.combinatorics import enumerate_subsets
 from relaycache.schemes import (
     FileLibrary,
     GridError,
+    IncompleteReceptionError,
     cmcnc_decode,
     cmcnc_deliver,
     cmcnc_place,
@@ -38,6 +39,7 @@ from relaycache.schemes import (
 )
 from relaycache.schemes import plan, proposed
 from relaycache.topology import BudgetError, affine_plane, combination_network
+from support import checked_read
 
 # placement -> (place, candidates, copies, label): the three facts that
 # define it, read from the network alone.
@@ -115,8 +117,8 @@ def test_every_key_against_the_oracle(name, topology):
             for n in range(1, N_FILES + 1):
                 own = [(q * copies) * size for q, T in enumerate(subsets) if label[u] in T]
                 assert cache.cached(u, n) == b"".join(lib.file(n)[a : a + size] for a in own)
-        # Every key is read once through gather, by a user whose candidate is
-        # its first; at t = 0 no user caches anything.
+        # Every key is read once through the oracle read, by a user whose
+        # candidate is its first; at t = 0 no user caches anything.
         reader = {}
         for u in range(net.K):
             reader.setdefault(label[u], u)
@@ -125,12 +127,12 @@ def test_every_key_against_the_oracle(name, topology):
             for n in range(1, N_FILES + 1):
                 for l in range(1, copies + 1):
                     at = (q * copies + l - 1) * size
-                    got = cache.gather(u, [n], [l], range(1), [q * copies])
+                    got = checked_read(cache, u, [n], [l], range(1), [q * copies])
                     assert got == lib.file(n)[at : at + size]
             # Off the library or the copies, nothing is cached.
             for n, l in [(0, 1), (N_FILES + 1, 1), (1, 0), (1, copies + 1)]:
                 with pytest.raises(KeyError):
-                    cache.gather(u, [n], [l], range(1), [q * copies])
+                    checked_read(cache, u, [n], [l], range(1), [q * copies])
 
 
 def ranks(name, net, t):
@@ -146,22 +148,27 @@ def ranks(name, net, t):
 @pytest.mark.parametrize("name", PLACEMENTS)
 @pytest.mark.parametrize("t", [1, 2])
 def test_an_uncached_read_is_refused_before_any_byte(name, t, monkeypatch):
-    cache, u, held, lacked = ranks(name, combination_network(4, 2), t)
-    views = {id(view) for per_copy in cache.views for view in per_copy}
-    read = []
-    kernel = plan.gather
-
-    def spy(sources, *args):
-        read.extend(id(source) for source in sources if id(source) in views)
-        return kernel(sources, *args)
-
-    monkeypatch.setattr(plan, "gather", spy)
-    assert cache.gather(u, [1], [1], range(1), [held * cache.plan.copies])
-    assert read, "the spy saw no read of a cached subfile"
-    read.clear()
-    with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache (2, ")):
-        cache.gather(u, [1, 2], [1, 1], range(2), [q * cache.plan.copies for q in (held, lacked)])
-    assert not read, "a file was read before the membership check"
+    # Term 1 of signal 0 moved to the first T that lacks member 0's
+    # candidate: that member would cancel a subfile it does not cache.  The
+    # plan refuses before the engine reads a byte; a fresh placement reads.
+    net = combination_network(4, 2)
+    cache, lib, *_ = placed(name, net, t)
+    deliver, decode = PIPELINES[name]
+    demand = tuple(u % N_FILES + 1 for u in range(net.K))
+    log = deliver(net, cache, demand)
+    assert "views" in vars(cache) or "ints" in vars(cache)
+    cache = dataclasses.replace(cache, plan=plan.Plan(*dataclasses.astuple(cache.plan)))
+    p = cache.plan
+    owner = p.member[0][0]
+    rest = [list(column) for column in p.rest]
+    rest[1][0] = next(q for q, row in enumerate(p.holds[owner][:: p.copies]) if not row)
+    p.__dict__["rest"] = rest
+    with pytest.raises(KeyError, match="term 1 of a signal is not the subfile of C minus its member"):
+        deliver(net, cache, demand)
+    for u in range(net.K):
+        with pytest.raises(KeyError, match="term 1 of a signal"):
+            decode(net, u, cache, demand, log.to_user(u))
+    assert "views" not in vars(cache) and "ints" not in vars(cache)
 
 
 @pytest.mark.parametrize("name", PLACEMENTS)
@@ -233,14 +240,19 @@ def test_a_layout_outside_the_cache_is_refused_when_built(flags):
 def test_a_decoder_outside_the_cache_is_refused_when_built(flags):
     # With the two rest columns swapped, each signal's term for the other
     # member is the subfile of C minus the decoder's own class, one it does
-    # not cache; the table must not be built, also under python -O.
+    # not cache; the plan's proof refuses it before any decoder reads, also
+    # under python -O.
     script = (
-        "from relaycache.schemes import proposed_place, random_library\n"
+        "from relaycache.schemes import distinct_demand, proposed_decode, proposed_deliver, proposed_place, random_library\n"
         "from relaycache.topology import combination_network\n"
-        "plan = proposed_place(combination_network(4, 2), random_library(6, 60, seed=1), 2).plan\n"
-        "plan.__dict__['rest'] = plan.rest[::-1]\n"
+        "net = combination_network(4, 2)\n"
+        "lib = random_library(6, 60, seed=1)\n"
+        "demand = distinct_demand(net, 6)\n"
+        "log = proposed_deliver(net, proposed_place(net, lib, 2), demand)\n"
+        "cache = proposed_place(net, lib, 2)\n"
+        "cache.plan.__dict__['rest'] = cache.plan.rest[::-1]\n"
         "try:\n"
-        "    plan.decoders\n"
+        "    proposed_decode(net, 0, cache, demand, log.to_user(0))\n"
         "except KeyError as exc:\n"
         "    print('refused', exc)\n"
     )
@@ -250,7 +262,7 @@ def test_a_decoder_outside_the_cache_is_refused_when_built(flags):
         [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "refused 'the decoder of candidate 1 reads a subfile it does not cache'\n"
+    assert out.stdout == "refused 'term 0 of a signal is not the subfile of C minus its member'\n"
 
 
 def test_the_cached_ranks_are_checked_against_the_row_when_built(monkeypatch):
@@ -263,15 +275,24 @@ def test_the_cached_ranks_are_checked_against_the_row_when_built(monkeypatch):
         plan_.held
 
 
-def test_a_decoder_reading_a_signal_no_relay_forwards_is_refused_when_built():
-    # Without one of the positions a relay forwards to class 1, its decoder
-    # could read a feed the relay does not pick for it.
-    plan_ = proposed_place(combination_network(4, 2), random_library(6, 60, seed=1), 2).plan
-    receives = list(plan_.receives)
-    receives[0] = receives[0][1:]
-    plan_.__dict__["receives"] = receives
-    with pytest.raises(KeyError, match="the decoder of candidate 1 reads a signal no relay forwards to it"):
-        plan_.decoders
+def test_a_decoder_reading_a_signal_no_relay_forwards_is_refused():
+    # Without one of the positions a relay forwards to class 1, its users
+    # would read a signal the relay does not pick for them: each read is
+    # checked against the picks, and the first one missing is named.
+    net = combination_network(4, 2)
+    cache = proposed_place(net, random_library(6, 60, seed=1), 2)
+    receives = list(cache.plan.receives)
+    dropped, receives[0] = receives[0][0], receives[0][1:]
+    cache.plan.__dict__["receives"] = receives
+    demand = distinct_demand(net, 6)
+    log = proposed_deliver(net, cache, demand)
+    for u in range(net.K):
+        if cache.label[u] != 1:
+            assert proposed_decode(net, u, cache, demand, log.to_user(u)) == cache.lib.file(demand[u])
+            continue
+        label = re.escape(f"prop:i={net.users[u][0]}:C={cache.plan.names[dropped]}")
+        with pytest.raises(IncompleteReceptionError, match=f"did not receive '{label}'"):
+            proposed_decode(net, u, cache, demand, log.to_user(u))
 
 
 # (candidates, t): both ends of the grid, the middle, the largest plan of the
@@ -317,24 +338,43 @@ def test_the_cancellation_proof_refuses_a_member_twice():
 
 
 @pytest.mark.parametrize("files", [None, [0, 1, 1], [1, 1, 7]])
-def test_a_decoder_read_checks_its_sources_as_gather_does(files):
-    # The decoder table skips the membership scan, not the file and copy
-    # checks: out of range, it fails exactly as the full check does.
+def test_a_decoder_read_checks_its_sources_as_gather_does(files, monkeypatch):
+    # The engine skips the membership scan, not the file and copy checks:
+    # out of range, it fails as PlannedCache.sources does, before any byte
+    # is read.  In range, each cancellation is the XOR of the terms that the
+    # member reads through the oracle read.
     net = combination_network(4, 2)
     cache = proposed_place(net, random_library(6, 60, seed=1), 2)
     demand = distinct_demand(net, 6)
+    sources = proposed._sources(net, demand)
+    plan_, size = cache.plan, cache.subfile_bytes
+    if files is not None:
+        bad = [*sources[:-1], (files, sources[-1][1])]
+        plan_.cancelling  # the proof reads its own masks, no file
+        read = []
+        monkeypatch.setattr(plan, "gather", lambda *args: read.append(args))
+        with pytest.raises(IndexError) as full:
+            cache.sources(*bad[-1])
+        with pytest.raises(IndexError, match=re.escape(str(full.value))):
+            cache.multicast(demand, lambda demand: bad)
+        assert not read and cache.served == [None] * 2
+        return
+    multicasts = cache.multicast(demand, lambda demand: sources)
     for u in range(net.K):
-        _, which, items = cache.plan.decoders[cache.label[u] - 1]
+        groups, signals, _ = plan_.receiving(cache.label[u] - 1)
         for i in net.users[u]:
-            sources = proposed._neighbors_of(net, demand, i)
-            if files is None:
-                assert cache.cancelled(u, *sources) == cache.gather(u, *sources, which, items)
-                continue
-            sources = (files, sources[1])
-            with pytest.raises((KeyError, IndexError)) as full:
-                cache.gather(u, *sources, which, items)
-            with pytest.raises(full.type, match=re.escape(str(full.value))):
-                cache.cancelled(u, *sources)
+            _, _, cancels = multicasts[i - 1]
+            for p, group, _ in groups:
+                for s in group:
+                    others = [q for q in range(plan_.t + 1) if q != p]
+                    which = [plan_.member[q][s] for q in others]
+                    items = [plan_.rest[q][s] * plan_.copies for q in others]
+                    terms = checked_read(cache, u, *sources[i - 1], which, items)
+                    cancel = int.from_bytes(cancels[p][s * size : (s + 1) * size], "big")
+                    xored = 0
+                    for k in range(0, len(terms), size):
+                        xored ^= int.from_bytes(terms[k : k + size], "big")
+                    assert cancel == xored
 
 
 def test_the_plan_keeps_little_after_a_cmcnc_run():
@@ -372,11 +412,14 @@ def test_the_int_forms_cover_the_demanded_files_and_go_with_the_placement():
     try:
         base, _ = tracemalloc.get_traced_memory()
         cache = proposed_place(net, lib, M)
-        assert proposed._on_ints(cache)
+        assert cache.subfile_bytes >= plan._INT_BYTES
         log = proposed_deliver(net, cache, demand)
         for u in range(net.K):
             assert proposed_decode(net, u, cache, demand, log.to_user(u)) == lib.file(demand[u])
         del log
+        # The last multicast refers to the term ints; it goes first.
+        assert all(ints is not None for _, ints, _ in cache.served[1])
+        del vars(cache)["served"]
         gc.collect()
         with_ints, _ = tracemalloc.get_traced_memory()
         built = [n for n, ints in enumerate(cache.ints, 1) if ints is not None]
@@ -455,8 +498,8 @@ def test_the_slot_cap_is_inclusive():
 # scheme -> the tables of its plan that it never reads, so never builds.
 UNREAD = {
     "proposed": {"missing_names"},
-    "cmcnc": {"missing", "missing_names", "layouts", "decoders"},
-    "routing": {"names", "member", "rest", "at", "signal_terms", "receives", "decoders"},
+    "cmcnc": {"missing", "missing_names", "layouts"},
+    "routing": {"names", "member", "rest", "terms", "at", "receives"},
 }
 
 
@@ -474,18 +517,22 @@ def test_a_scheme_builds_only_the_tables_it_reads(scheme):
 
 
 def test_the_check_survives_optimized_python():
-    # python -O strips assert statements; the check must not be one.
+    # python -O strips assert statements; the plan's proof must not be one.
+    # Term 1 of signal 0 moved to a T without member 0 is refused when
+    # either placement delivers.
     script = (
-        "from relaycache.schemes import cmcnc_place, proposed_place, random_library\n"
+        "from relaycache.schemes import cmcnc_deliver, cmcnc_place, proposed_deliver, proposed_place, random_library\n"
         "from relaycache.topology import combination_network\n"
         "net = combination_network(4, 2)\n"
         "lib = random_library(6, 60, seed=1)\n"
-        "for place in (proposed_place, cmcnc_place):\n"
+        "for place, deliver in ((proposed_place, proposed_deliver), (cmcnc_place, cmcnc_deliver)):\n"
         "    cache = place(net, lib, 2)\n"
-        "    u = net.K - 1\n"
-        "    q = cache.plan.missing[cache.label[u] - 1][0]\n"
+        "    p = cache.plan\n"
+        "    rest = [list(column) for column in p.rest]\n"
+        "    rest[1][0] = p.missing[p.member[0][0]][0]\n"
+        "    p.__dict__['rest'] = rest\n"
         "    try:\n"
-        "        cache.gather(u, [1], [1], range(1), [q * cache.plan.copies])\n"
+        "        deliver(net, cache, (1, 2, 3, 4, 5, 6))\n"
         "    except KeyError as exc:\n"
         "        print('refused', exc)\n"
     )

@@ -30,12 +30,12 @@ from relaycache.schemes import (
     FileLibrary,
     broadcast_decode,
     cmcnc_decode,
-    proposed,
     proposed_decode,
     random_demand,
     random_library,
     routing_decode,
 )
+from relaycache.schemes import plan
 from relaycache.topology import affine_plane, combination_network
 
 N_FILES = 4
@@ -154,17 +154,18 @@ def test_cmcnc_decodes_from_what_it_caches_at_the_ends_of_its_grid(end):
 @pytest.mark.parametrize("topology", NETWORKS)
 def test_proposed_decodes_from_what_it_caches_on_the_int_path(topology):
     # Subfiles of _INT_BYTES: every cancelled term is read from the int
-    # forms of the poisoned copy, which that copy builds from its own library.
+    # forms of the poisoned copy, which that copy builds from its own
+    # library, and every multicast it decodes by takes the int form.
     net = NETWORKS[topology]()
     rng = random.Random(f"ints {topology}")
     points = 0
     for M in grid("proposed", net):
         t = int(M * net.num_classes / N_FILES)
-        file_bytes = net.r * comb(net.num_classes, t) * proposed._INT_BYTES
+        file_bytes = net.r * comb(net.num_classes, t) * plan._INT_BYTES
         if N_FILES * file_bytes > LIBRARY_CAP or not 0 < t < net.num_classes:
             continue
         points += 1
         for poisoned in decode_poisoned("proposed", net, M, file_bytes, rng):
-            assert proposed._on_ints(poisoned)
-            assert any(ints is not None for ints in poisoned.ints), f"M={M} decoded off the int path"
+            assert all(ints is not None for _, ints, _ in poisoned.served[1]), f"M={M} decoded off the int path"
+            assert any(ints is not None for ints in poisoned.ints), f"M={M} read no int form"
     assert points >= 1, "no grid point on the int path fits the library cap"

@@ -19,12 +19,12 @@ from relaycache.schemes import (
     random_library,
 )
 from relaycache.erasure import xor_bytes
-from relaycache.schemes import cmcnc
+from relaycache.schemes import cmcnc, proposed, proposed_decode, proposed_deliver, proposed_place
 from relaycache.schemes import plan as planned
 from relaycache.schemes.cmcnc import _STRIDE_PART, _merge, _split
 from relaycache.schemes.common import gather
 from relaycache.topology import combination_network
-from support import subset_rank
+from support import checked_read, subset_rank
 from test_golden import edge_records
 
 
@@ -37,10 +37,17 @@ def oracle(lib, K, t, keys):
     return b"".join(lib.file(n)[a : a + size] for (n, _, _), a in zip(keys, at))
 
 
+# scheme -> (place, deliver, decode, a signal of its plan at M = 2 on comb(4,2)).
+PIPES = {
+    "cmcnc": (cmcnc_place, cmcnc_deliver, cmcnc_decode, 7),
+    "proposed": (proposed_place, proposed_deliver, proposed_decode, 1),
+}
+
+
 def read(cache, user, key):
     """The gather read of subfile ``key`` (n, S, l)."""
     n, S, l = key
-    return cache.gather(user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.plan.copies])
+    return checked_read(cache, user, [n], [l], range(1), [subset_rank(cache.net.K, S) * cache.plan.copies])
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +81,15 @@ class TestPlacement:
         keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
         files, subsets, copies = zip(*keys)
         ranks = [subset_rank(comb42.K, S) for S in subsets]
-        data = cache.gather(0, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
+        data = checked_read(cache, 0, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
         assert data == oracle(lib30, comb42.K, 2, keys)
-        assert cache.gather(0, [], [], range(0), []) == b""
+        assert checked_read(cache, 0, [], [], range(0), []) == b""
 
     def test_batched_read_refuses_uncached_keys(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         cached, foreign = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (2, 3))
         with pytest.raises(KeyError, match=r"user 0 does not cache \(5, \(2, 3\), 1\)"):
-            cache.gather(0, [1, 5], [1, 1], range(2), [q * cache.plan.copies for q in (cached, foreign)])
+            checked_read(cache, 0, [1, 5], [1, 1], range(2), [q * cache.plan.copies for q in (cached, foreign)])
         with pytest.raises(KeyError):
             read(cache, 0, (5, (2, 3), 1))
 
@@ -110,7 +117,7 @@ class TestPlacement:
         cache = cmcnc_place(comb42, lib30, 2)
         key = f"{named[:-1]}, 1)"
         with pytest.raises(KeyError, match=re.escape(f"user 0 does not cache {key}")):
-            cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
+            checked_read(cache, 0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
 
     def test_read_refuses_lengths_that_differ(self, comb42, lib30):
         # Each of these read one subfile, or a zip() error, before the check.
@@ -118,24 +125,24 @@ class TestPlacement:
         q, other = subset_rank(comb42.K, (1, 2)), subset_rank(comb42.K, (1, 3))
         for files, ranks in [([1, 1, 1], [q]), ([1], [q, other]), ([1], [q, 99])]:
             with pytest.raises(ValueError, match="differ in length"):
-                cache.gather(0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
+                checked_read(cache, 0, files, [1] * len(files), range(len(files)), [q * cache.plan.copies for q in ranks])
         with pytest.raises(ValueError, match="differ in length"):
-            cache.gather(0, [1], [1, 1], range(1), [q * cache.plan.copies])
+            checked_read(cache, 0, [1], [1, 1], range(1), [q * cache.plan.copies])
         with pytest.raises(ValueError, match="differ in length"):
-            cache.gather(0, (1, 2), (1, 1), [0, 1, 1], [q, other])
+            checked_read(cache, 0, (1, 2), (1, 1), [0, 1, 1], [q, other])
 
     def test_gather_reads_through_a_file_table(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         keys = [(3, (1, 4), 1), (1, (1, 2), 1), (6, (1, 4), 1), (3, (1, 4), 1)]
         ranks = [subset_rank(comb42.K, S) for _, S, _ in keys]
-        data = cache.gather(0, (1, 3, 6), (1, 1, 1), [1, 0, 2, 1], ranks)
+        data = checked_read(cache, 0, (1, 3, 6), (1, 1, 1), [1, 0, 2, 1], ranks)
         assert data == oracle(lib30, comb42.K, 2, keys)
         # A file id outside 1..N is refused, named by the key that reads it or,
         # when no key does, as a file id, before any read.
         with pytest.raises(KeyError, match=re.escape("user 0 does not cache (7, (1, 2), 1)")):
-            cache.gather(0, (1, 7), (1, 1), [0, 1], [ranks[1], ranks[1]])
+            checked_read(cache, 0, (1, 7), (1, 1), [0, 1], [ranks[1], ranks[1]])
         with pytest.raises(IndexError, match=re.escape("a file id lies outside 1..6")):
-            cache.gather(0, (1, 7), (1, 1), [0, 0], [ranks[1], ranks[1]])
+            checked_read(cache, 0, (1, 7), (1, 1), [0, 0], [ranks[1], ranks[1]])
 
     def test_subpacketization_on_larger_network(self, comb62):
         # t' = 3 at M=10, N=50: r*C(15,3) units
@@ -214,26 +221,30 @@ class TestSharedCancellation:
 
     @pytest.mark.parametrize("table", ["member", "rest"])
     @pytest.mark.parametrize("delta", [1, -1])
-    def test_a_plan_entry_one_off_is_refused_before_any_byte_is_read(self, comb42, lib30, table, delta, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["cmcnc", "proposed"])
+    def test_a_plan_entry_one_off_is_refused_before_any_byte_is_read(self, comb42, lib30, scheme, table, delta, monkeypatch):
+        # cmcnc at t' = 2 over the 6 users, proposed at t = 1 over the 3
+        # classes of comb(4,2): term 1 of one signal one off.
+        place, deliver, decode, signal = PIPES[scheme]
         demand = distinct_demand(comb42, 6)
-        log = cmcnc_deliver(comb42, cmcnc_place(comb42, lib30, 2), demand)
-        cache = cmcnc_place(comb42, lib30, 2)
+        log = deliver(comb42, place(comb42, lib30, 2), demand)
+        cache = place(comb42, lib30, 2)
         plan = cache.plan
         plan.rest, plan.at
         columns = [list(column) for column in getattr(plan, table)]
-        columns[1][7] += delta
+        columns[1][signal] += delta
         plan.__dict__[table] = columns
         read = []
-        monkeypatch.setattr(planned, "gather", lambda *args: read.append(args) or gather(*args))
-        monkeypatch.setattr(cmcnc, "gather", lambda *args: read.append(args) or gather(*args))
+        for module in (planned, cmcnc, proposed):
+            monkeypatch.setattr(module, "gather", lambda *args: read.append(args) or gather(*args))
         views = lambda: [args for args in read if any(isinstance(src, memoryview) for src in args[0])]
         with pytest.raises(KeyError, match="term 1 of a signal"):
-            cmcnc_deliver(comb42, cache, demand)
+            deliver(comb42, cache, demand)
         for u in range(comb42.K):
             with pytest.raises(KeyError, match="term 1 of a signal"):
-                cmcnc_decode(comb42, u, cache, demand, log.to_user(u))
+                decode(comb42, u, cache, demand, log.to_user(u))
         assert "views" not in vars(cache) and not views(), "a byte was read before the plan's check"
-        assert cache.served == [None] * 3
+        assert cache.served == [None] * 2
 
     def test_one_placement_serves_demands_in_turn(self, comb42, lib30):
         # d1, d2, d1: each demand rebuilds what the last one kept, and every
@@ -253,7 +264,7 @@ class TestSharedCancellation:
         assert cache.served[0] == demand
         other = random_library(6, 30, seed=78)
         copy = dataclasses.replace(cache, lib=other)
-        assert copy.plan is cache.plan and copy.served == [None] * 3
+        assert copy.plan is cache.plan and copy.served == [None] * 2
         log = cmcnc_deliver(comb42, copy, demand)
         assert cmcnc_decode(comb42, 0, copy, demand, log.to_user(0)) == other.file(demand[0])
         assert copy.served[0] == demand and copy.served[1] != cache.served[1]
@@ -261,7 +272,8 @@ class TestSharedCancellation:
     def test_the_cancellations_are_the_xor_of_every_other_term(self, comb42, lib30):
         cache = cmcnc_place(comb42, lib30, 2)
         demand = (3, 1, 4, 1, 5, 6)
-        signals, cancels = cache.multicast(demand)
+        ((signals, ints, cancels),) = cache.multicast(demand, cmcnc._sources)
+        assert ints is None
         size, subsets = cache.subfile_bytes, enumerate_subsets(comb42.K, 2)
         for s, C in enumerate(enumerate_subsets(comb42.K, 3)):
             terms = [oracle(lib30, comb42.K, 2, [(demand[k - 1], tuple(x for x in C if x != k), 1)]) for k in C]

@@ -18,6 +18,9 @@ import relaycache
 from relaycache.combinatorics import binomial, enumerate_subsets
 from relaycache.schemes import (
     GridError,
+    cmcnc_decode,
+    cmcnc_deliver,
+    cmcnc_place,
     IncompleteReceptionError,
     SubpacketizationError,
     all_demands,
@@ -34,7 +37,8 @@ from relaycache.schemes import (
 from relaycache.schemes import common, plan
 from relaycache.schemes.plan import Plan
 from relaycache.topology import affine_plane, combination_network
-from support import relay_neighborhood, user_index
+import support
+from support import checked_read, relay_neighborhood, user_index
 from test_golden import edge_records
 
 
@@ -52,7 +56,7 @@ def read(cache, user, keys):
     rank = {T: q for q, T in enumerate(enumerate_subsets(3, cache.plan.t))}
     files, copies = [n for n, _, _ in keys], [l for _, _, l in keys]
     items = [rank[T] * cache.plan.copies for _, T, _ in keys]
-    return cache.gather(user, files, copies, range(len(keys)), items)
+    return checked_read(cache, user, files, copies, range(len(keys)), items)
 
 
 def cached_keys(cache, user):
@@ -144,7 +148,7 @@ class TestPlacement:
         u = user_index(comb42, (1, 3))
         keys = sorted(cached_keys(cache, u), key=lambda key: (key[2], key[1], -key[0]))
         assert read(cache, u, keys) == oracle(lib6, 2, keys)
-        assert cache.gather(u, [], [], range(0), []) == b""
+        assert checked_read(cache, u, [], [], range(0), []) == b""
 
     @pytest.mark.parametrize(
         "files,ranks,copies,named",
@@ -160,7 +164,7 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.gather(u, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
+            checked_read(cache, u, files, copies, range(len(files)), [q * cache.plan.copies for q in ranks])
 
     @pytest.mark.parametrize(
         "files,ranks,copies",
@@ -197,7 +201,7 @@ class TestPlacement:
         cache = proposed_place(comb42, lib6, 2)
         u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache {named}")):
-            cache.gather(u, [1], copies, range(1), [q * cache.plan.copies for q in ranks])
+            checked_read(cache, u, [1], copies, range(1), [q * cache.plan.copies for q in ranks])
 
     def test_m_zero_empty(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 0)
@@ -322,17 +326,19 @@ class TestDecode:
                 out = proposed_decode(comb42, u, cache, demand, log.to_user(u))
                 assert out == lib.file(demand[u])
 
-    def test_decoding_tables_are_built_once_per_class(self, comb42, lib6, monkeypatch):
-        # comb(4,2): 6 users in 3 classes; two deliveries reuse the tables.
+    def test_the_multicast_is_built_once_per_demand(self, comb42, lib6, monkeypatch):
+        # comb(4,2): 6 users decode each of two demands from the multicast
+        # that its delivery built; no decode builds one of its own.
         calls = []
-        decoding = Plan.decoding
-        monkeypatch.setattr(Plan, "decoding", lambda plan, c: calls.append(c) or decoding(plan, c))
+        sources = proposed._sources
+        monkeypatch.setattr(proposed, "_sources", lambda net, demand: calls.append(demand) or sources(net, demand))
         cache = proposed_place(comb42, lib6, 2)
-        for demand in (distinct_demand(comb42, 6), (1,) * comb42.K):
+        demands = [distinct_demand(comb42, 6), (1,) * comb42.K]
+        for demand in demands:
             log = proposed_deliver(comb42, cache, demand)
             for u in range(comb42.K):
                 assert proposed_decode(comb42, u, cache, demand, log.to_user(u)) == lib6.file(demand[u])
-        assert sorted(calls) == [0, 1, 2]
+        assert calls == demands
 
     def test_cache_only_when_m_equals_n(self, comb42, lib6):
         cache = proposed_place(comb42, lib6, 6)
@@ -431,14 +437,31 @@ class TestGatherPaths:
             decode_everyone(net, cache, lib, random_demand(net, n_files, rng))
 
 
+def cancelled_terms(cache, net, user, relay, demand):
+    """(files, copies, which, items): every term that ``user`` cancels on
+    ``relay``, read from the plan's signal tables at the signals
+    :meth:`Plan.receiving` gives its class.  Per signal, in order, each
+    member of C but the user's class, and rank(C minus that member) * r."""
+    plan = cache.plan
+    files, copies = proposed._neighbors_of(net, demand, relay)
+    groups, _, _ = plan.receiving(cache.label[user] - 1)
+    which, items = [], []
+    for p, group, _ in groups:
+        for s in group:
+            for q in range(plan.t + 1):
+                if q != p:
+                    which.append(plan.member[q][s])
+                    items.append(plan.rest[q][s] * plan.copies)
+    return files, copies, which, items
+
+
 def bad_table(cache, net, user):
-    """(files, copies, which, items, outside): the user's own decoding table
-    on its first relay, with one item moved to the T of rank ``outside``,
+    """(files, copies, which, items, outside): the terms the user cancels on
+    its first relay, with one item moved to the T of rank ``outside``,
     which the user's class does not cache."""
     c = net.class_of[user] - 1
     demand = distinct_demand(net, cache.lib.n_files)
-    files, copies = proposed._neighbors_of(net, demand, net.users[user][0])
-    _, which, items = cache.plan.decoders[c]
+    files, copies, which, items = cancelled_terms(cache, net, user, net.users[user][0], demand)
     outside = cache.plan.missing[c][0]
     items = array("I", items)
     items[len(items) // 2] = outside * net.r
@@ -449,35 +472,37 @@ class TestHonestDecoders:
     """A decoder reads from the library only what its class caches."""
 
     def test_every_decoding_table_passes_the_check(self, comb42, lib6):
+        # Every term that a user cancels, by the plan's signal tables, passes
+        # the oracle read, on each of its relays.
         cache = proposed_place(comb42, lib6, 4)
         demand = distinct_demand(comb42, 6)
         for u in range(comb42.K):
-            _, which, items = cache.plan.decoders[comb42.class_of[u] - 1]
             for i in comb42.users[u]:
-                files, copies = proposed._neighbors_of(comb42, demand, i)
-                assert len(cache.gather(u, files, copies, which, items)) == len(items) * 5
+                files, copies, which, items = cancelled_terms(cache, comb42, u, i, demand)
+                assert items and len(checked_read(cache, u, files, copies, which, items)) == len(items) * 5
 
     @pytest.mark.parametrize("M", [2, 4])
     def test_a_rank_outside_the_class_is_refused_before_any_read(self, comb42, lib6, M, monkeypatch):
         cache = proposed_place(comb42, lib6, M)
         u = user_index(comb42, (1, 3))
         files, copies, which, items, outside = bad_table(cache, comb42, u)
-        T = cache.plan.subset(outside)
+        T = tuple(itertools.combinations(range(1, 4), cache.plan.t))[outside]
         assert comb42.class_of[u] not in T
         views = {id(view) for per_copy in cache.views for view in per_copy}
         read = []
-        kernel = plan.gather
+        kernel = support.gather
 
         def spy(sources, *args):
             read.extend(id(source) for source in sources if id(source) in views)
             return kernel(sources, *args)
 
-        monkeypatch.setattr(plan, "gather", spy)
-        assert cache.gather(u, files, copies, which, cache.plan.decoders[comb42.class_of[u] - 1][2])
+        monkeypatch.setattr(support, "gather", spy)
+        good = cancelled_terms(cache, comb42, u, comb42.users[u][0], distinct_demand(comb42, 6))
+        assert checked_read(cache, u, *good)
         assert read, "the spy saw no read of a cached subfile"
         read.clear()
         with pytest.raises(KeyError, match=re.escape(f"user {u} does not cache")) as info:
-            cache.gather(u, files, copies, which, items)
+            checked_read(cache, u, files, copies, which, items)
         assert str(T) in str(info.value)
         assert not read, "a file was read before the membership check"
 
@@ -491,34 +516,41 @@ class TestHonestDecoders:
         cache = proposed_place(comb42, lib6, 2)
         u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"does not cache (1, {named}, 1)")):
-            cache.gather(u, [1], [1], [0], items)
+            checked_read(cache, u, [1], [1], [0], items)
 
     @pytest.mark.parametrize("files,copies", [([0], [1]), ([7], [1]), ([1], [0]), ([1], [3])])
     def test_sources_off_the_library_are_refused(self, comb42, lib6, files, copies):
         cache = proposed_place(comb42, lib6, 2)
         u = user_index(comb42, (1, 2))
         with pytest.raises(KeyError, match=re.escape(f"({files[0]}, (1,), {copies[0]})")):
-            cache.gather(u, files, copies, [0], [0])
+            checked_read(cache, u, files, copies, [0], [0])
 
     def test_the_check_survives_optimized_python(self):
-        # python -O strips assert statements; the check must not be one.
+        # python -O strips assert statements; the plan's proof must not be
+        # one.  Term 1 of signal 0 is moved to a T without member 0, so that
+        # member would cancel a subfile it does not cache: delivery and every
+        # decode refuse, on both forms of the multicast.
         script = (
-            "from array import array\n"
-            "from relaycache.schemes import distinct_demand, proposed_place, random_library\n"
-            "from relaycache.schemes.proposed import _neighbors_of\n"
+            "from relaycache.schemes import distinct_demand, plan, proposed_decode, proposed_deliver, proposed_place, random_library\n"
             "from relaycache.topology import combination_network\n"
             "net = combination_network(4, 2)\n"
-            "cache = proposed_place(net, random_library(6, 30, seed=1), 2)\n"
-            "u = net.users.index((1, 3))\n"
-            "c = net.class_of[u] - 1\n"
-            "files, copies = _neighbors_of(net, distinct_demand(net, 6), net.users[u][0])\n"
-            "_, which, items = cache.plan.decoders[c]\n"
-            "items = array('I', items)\n"
-            "items[0] = cache.plan.missing[c][0] * net.r\n"
-            "try:\n"
-            "    cache.gather(u, files, copies, which, items)\n"
-            "except KeyError as exc:\n"
-            "    print('refused', exc)\n"
+            "demand = distinct_demand(net, 6)\n"
+            "for size in (5, plan._INT_BYTES):\n"
+            "    lib = random_library(6, 6 * size, seed=1)\n"
+            "    log = proposed_deliver(net, proposed_place(net, lib, 2), demand)\n"
+            "    cache = proposed_place(net, lib, 2)\n"
+            "    p = cache.plan\n"
+            "    rest = [list(column) for column in p.rest]\n"
+            "    rest[1][0] = p.missing[p.member[0][0]][0]\n"
+            "    p.__dict__['rest'] = rest\n"
+            "    for run in [lambda: proposed_deliver(net, cache, demand)] + [\n"
+            "        lambda u=u: proposed_decode(net, u, cache, demand, log.to_user(u)) for u in range(net.K)\n"
+            "    ]:\n"
+            "        try:\n"
+            "            run()\n"
+            "        except KeyError as exc:\n"
+            "            print('refused', exc)\n"
+            "    print('read' if 'views' in vars(cache) else 'unread')\n"
         )
         src = os.path.dirname(os.path.dirname(relaycache.__file__))
         env = {**os.environ, "PYTHONPATH": src}
@@ -526,41 +558,59 @@ class TestHonestDecoders:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("refused"), out.stdout
+        refused = "refused 'term 1 of a signal is not the subfile of C minus its member'"
+        assert out.stdout.splitlines() == ([refused] * (1 + 6) + ["unread"]) * 2, out.stdout
 
 
-RULE = proposed._INT_BYTES
+RULE = plan._INT_BYTES
+
+# scheme -> (place, deliver, decode, candidates of its grid).
+PIPES = {
+    "proposed": (proposed_place, proposed_deliver, proposed_decode, lambda net: net.num_classes),
+    "cmcnc": (cmcnc_place, cmcnc_deliver, cmcnc_decode, lambda net: net.K),
+}
 
 
-def serve(net, cache, demand):
+def serve(net, cache, demand, scheme="proposed"):
     """(digest of the delivery, every user's decoded file)."""
-    log = proposed_deliver(net, cache, demand)
-    return log.digest(), [proposed_decode(net, u, cache, demand, log.to_user(u)) for u in range(net.K)]
+    _, deliver, decode, _ = PIPES[scheme]
+    log = deliver(net, cache, demand)
+    return log.digest(), [decode(net, u, cache, demand, log.to_user(u)) for u in range(net.K)]
 
 
 class TestIntPath:
     """Subfiles of ``_INT_BYTES`` or more are XORed as the int forms that the
-    placement keeps, smaller ones as joined blocks; both give the same bytes."""
+    placement keeps, smaller ones as joined blocks; both give the same bytes,
+    in both coded schemes."""
 
     @pytest.mark.parametrize("size", [1, 3, RULE - 1, RULE, 1001])
     @pytest.mark.parametrize("topology", ["comb:4,2", "comb:6,2"])
     def test_both_paths_give_one_log_and_one_file(self, topology, size, monkeypatch):
         h, r = map(int, topology.split(":")[1].split(","))
         net = combination_network(h, r)
-        kt, n_files = net.num_classes, 3
+        n_files = 3
         rng = random.Random(f"{topology}/{size}")
-        for t in range(kt + 1):
-            lib = random_library(n_files, size * r * math.comb(kt, t), seed=rng.randrange(2**32))
-            demand = random_demand(net, n_files, rng)
-            served = {}
-            for rule in (1, 2**40):  # every size on the int path, then none
-                monkeypatch.setattr(proposed, "_INT_BYTES", rule)
-                cache = proposed_place(net, lib, Fraction(t * n_files, kt))
-                served[rule] = serve(net, cache, demand)
-                built = any(ints is not None for ints in vars(cache).get("ints", []))
-                assert built == (rule == 1 and 0 < t < kt), (rule, t)
-            assert served[1] == served[2**40], (size, t)
-            assert served[1][1] == [lib.file(d) for d in demand]
+        for scheme, (place, _, _, candidates) in PIPES.items():
+            n = candidates(net)
+            # cmcnc splits each subfile into r parts, so its subfiles are
+            # multiples of r; it runs at both ends of its grid, whose middle
+            # on comb(6,2) would take C(15, 7) subfiles per file.
+            unit = size if scheme == "proposed" else r * max(1, size // r)
+            points = range(n + 1) if scheme == "proposed" else sorted({0, 1, 2, n - 2, n - 1, n})
+            for t in points:
+                units = net.r * math.comb(n, t) if scheme == "proposed" else math.comb(n, t)
+                lib = random_library(n_files, unit * units, seed=rng.randrange(2**32))
+                demand = random_demand(net, n_files, rng)
+                served = {}
+                for rule in (1, 2**40):  # every size on the int path, then none
+                    monkeypatch.setattr(plan, "_INT_BYTES", rule)
+                    cache = place(net, lib, Fraction(t * n_files, n))
+                    assert cache.subfile_bytes == unit
+                    served[rule] = serve(net, cache, demand, scheme)
+                    built = any(ints is not None for ints in vars(cache).get("ints", []))
+                    assert built == (rule == 1 and t < n), (scheme, rule, t)
+                assert served[1] == served[2**40], (scheme, size, t)
+                assert served[1][1] == [lib.file(d) for d in demand]
 
     def test_the_rule_picks_the_path(self, comb42):
         # Kt = 3, r = 2, t = 1: six subfiles per file.
@@ -579,13 +629,9 @@ class TestIntPath:
         serve(comb42, cache, demand)
         first = list(map(tuple, cache.ints))
         copy = dataclasses.replace(cache, lib=other)
-        assert "ints" not in vars(copy)
-        for u in range(comb42.K):
-            for i in comb42.users[u]:
-                sources = proposed._neighbors_of(comb42, demand, i)
-                got = copy.cancelled_ints(u, *sources)
-                raw = copy.cancelled(u, *sources)
-                assert got == [int.from_bytes(raw[k : k + RULE], "big") for k in range(0, len(raw), RULE)]
+        assert "ints" not in vars(copy) and "served" not in vars(copy)
+        # The copy serves the demand from its own library, through ints of its own.
+        assert serve(comb42, copy, demand)[1] == [other.file(d) for d in demand]
         assert copy.ints is not cache.ints
         for n, ints in enumerate(copy.ints, 1):
             if ints is not None:
@@ -596,18 +642,19 @@ class TestIntPath:
 
     @pytest.mark.parametrize("files,copies", [([0], [1]), ([4], [1]), ([1], [0]), ([1], [3])])
     def test_a_source_off_the_library_is_refused_before_any_int(self, comb42, files, copies, monkeypatch):
+        # The last relay's source has its last class's file or copy out of
+        # range: every source is checked before any int is built or read.
         lib = random_library(3, 6 * RULE, seed=3)
         cache = proposed_place(comb42, lib, 1)
-        u = user_index(comb42, (1, 2))
-        sources = proposed._neighbors_of(comb42, (1, 2, 3, 1, 2, 3), comb42.users[u][0])
-        sources = ([*sources[0][:-1], *files], [*sources[1][:-1], *copies])
-        with pytest.raises((KeyError, IndexError)) as full:
-            cache.gather(u, *sources, *cache.plan.decoders[cache.label[u] - 1][1:])
+        demand = (1, 2, 3, 1, 2, 3)
+        *good, (f, l) = proposed._sources(comb42, demand)
+        bad = [*good, ([*f[:-1], *files], [*l[:-1], *copies])]
         read = []
         monkeypatch.setattr(plan, "pick", lambda *args: read.append(args))
-        with pytest.raises(full.type, match=re.escape(str(full.value))):
-            cache.cancelled_ints(u, *sources)
+        with pytest.raises(IndexError, match=re.escape("a file id lies outside 1..3 or a copy outside 1..2")):
+            cache.multicast(demand, lambda demand: bad)
         with pytest.raises(IndexError):
             cache.int_sources(files, copies)
         assert not read
         assert all(ints is None for ints in vars(cache).get("ints", []))
+        assert cache.served == [None] * 2
