@@ -34,7 +34,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
@@ -148,9 +148,10 @@ def as_items(buffer, size: int):
 
 def _negative(values: Sequence[int]) -> bool:
     """Whether some value is negative (or 2**64 or more).  An unsigned array
-    refuses such an int in one C-level pass, twice as fast as ``min``.  An
-    array of an unsigned type (an upper-case code) holds none, unscanned."""
-    if isinstance(values, array) and values.typecode.isupper():
+    refuses such an int in one C-level pass, twice as fast as ``min``.
+    ``bytes`` and an array of an unsigned type (an upper-case code) hold
+    none, unscanned."""
+    if isinstance(values, bytes) or (isinstance(values, array) and values.typecode.isupper()):
         return False
     try:
         array("Q", values)
@@ -174,7 +175,7 @@ def holds_all(row: bytes, items: Sequence[int]) -> bool:
     if _negative(items):
         return False
     try:
-        return all(_picker(items)(row))
+        return all(map(getitem, repeat(row), items))  # no tuple of the items' ints
     except IndexError:
         return False
 
@@ -292,7 +293,10 @@ def payloads(
     parts = [part for part in edge.parts if part[0].form == form] if edge else []
     if len(parts) == 1:
         ((batch, picks),) = parts
-        if picks is None and len(positions) == n and list(positions) == list(range(n)):
+        # A range compares in O(1); any other sequence item by item.
+        if picks is None and len(positions) == n and (
+            positions == range(n) if isinstance(positions, range) else list(positions) == list(range(n))
+        ):
             return batch.data
         if picks is None or set(picks).issuperset(positions):
             return gather([batch.data], [0] * len(positions), positions, batch.part)

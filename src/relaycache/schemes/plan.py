@@ -36,22 +36,23 @@ library, so they live on the placement, never on the plan.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, compress, count, repeat, starmap
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, Sequence
 
-from ..combinatorics import enumerate_subsets
 from ..erasure import ErasureCode, xor_bytes
 from ..topology import BudgetError, Network
 from .common import (
     FileLibrary,
     SubpacketizationError,
+    _negative,
     as_items,
     gather,
     holds_all,
@@ -140,6 +141,53 @@ def fmt_subset(subset: tuple[int, ...]) -> str:
     return ".".join(map(str, subset)) if subset else "-"
 
 
+# Each unsigned array type code, by item size, and the least int it cannot hold.
+_LIMITS = [(code, 1 << 8 * array(code).itemsize) for code in "BHIQ"]
+
+
+def column_code(top: int) -> str | None:
+    """The array type code of least item size that holds every int in
+    0..top, of "BHIQ", or None if none does."""
+    return next((code for code, limit in _LIMITS if top < limit), None)
+
+
+def column(top: int, values: Iterable[int]) -> bytes | array:
+    """``values``, each in 0..top, as an unsigned column of the least item
+    size, :func:`column_code`: ``bytes`` at one byte, an array above."""
+    code = column_code(top)
+    if code == "B":
+        return bytes(iter(values))  # of an array, bytes() would copy its raw bytes
+    if code != "H":
+        return array(code, values)
+    # array("H") parses each int three times as slowly as array("I"), so the
+    # items are built at 4 bytes and cut to their low-order halves.
+    halves = memoryview(array("I", values)).cast("B").cast("H")
+    return array("H", halves[sys.byteorder == "big" :: 2].tobytes())
+
+
+def _pack(masks: Iterable[int], n: int) -> bytes:
+    """Bitmasks of n candidates, one item each, little-endian: items of 4
+    or 8 bytes, the fast array types, or whole bytes when neither holds n
+    bits."""
+    code = next((code for code in "IQ" if n <= 8 * array(code).itemsize), None)
+    if code is None:
+        return b"".join([m.to_bytes((n + 7) // 8, "little") for m in masks])
+    items = array(code, masks)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tobytes()
+
+
+def _groups(values: Sequence[int], n: int) -> list[bytes | array]:
+    """groups[c]: every s with values[s] == c, increasing, for c < n, each
+    a :func:`column` of the positions of ``values``."""
+    # The positions stably sorted by value, cut where the value changes.
+    key, top = values.__getitem__, len(values) - 1
+    order = sorted(range(len(values)), key=key)
+    cuts = [bisect_left(order, c, key=key) for c in range(n + 1)]
+    return [column(top, order[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 @dataclass(frozen=True)
 class Plan:
     """Every index table of the uncoded placement over the t-subsets T of
@@ -155,6 +203,15 @@ class Plan:
     :attr:`names`, :attr:`member`, :attr:`rest`, :attr:`terms` and
     :attr:`at`.  The tables enumerate the subsets with
     ``itertools.combinations`` and keep no tuple of them.
+
+    Every integer column is unsigned, of the least item size that holds
+    the largest value it may take, known from binomials before it is
+    built (:func:`column`): candidates go up to n - 1, ranks of T to
+    C(n, t) - 1, signals to C(n, t + 1) - 1 and items of a file to
+    copies * C(n, t) - 1.  Each column is built at C level, with no list
+    of its ints in between, and its reads skip the sign scan
+    (:func:`.common.gather`).  Only the labels, :attr:`names` and
+    :attr:`missing_names`, are lists of str.
     """
 
     candidates: int
@@ -167,36 +224,43 @@ class Plan:
         bytes, 1 at item rank(T) * copies of each T that contains c and 0
         elsewhere: the items its users may read, by :func:`holds_all`."""
         n, t, r = self.candidates, self.t, self.copies
-        rows = [bytearray(r * comb(n, t)) for _ in range(n)]
-        for k, T in zip(count(0, r), combinations(range(n), t)):  # no tuple kept
-            for c in T:
-                rows[c][k] = 1
-        return list(map(bytes, rows))
+        # Bit c of the mask of each T, read from the byte that holds it.
+        masks = _pack(map(sum, combinations([1 << c for c in range(n)], t)), n)
+        w = len(masks) // comb(n, t)
+        bit = [(bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8)]  # bit[b][x]: bit b of x
+        rows = []
+        for c in range(n):
+            row = masks[c // 8 :: w].translate(bit[c % 8])
+            if r > 1:
+                spread = bytearray(r * len(row))
+                spread[::r] = row
+                row = bytes(spread)
+            rows.append(row)
+        return rows
 
     @cached_property
-    def held(self) -> list[array]:
+    def held(self) -> list[bytes | array]:
         """held[c]: ranks of the T that contain c, increasing, for
         :meth:`PlannedCache.cached`.
 
         Raises KeyError, once per table, if the item rank(T) * copies of a
         rank lies outside the row :attr:`holds` of its candidate.
         """
-        r = self.copies
-        ranks = range(comb(self.candidates, self.t))
+        r, ranks = self.copies, comb(self.candidates, self.t)
         held = []
         for c, row in enumerate(self.holds):
-            own = array("I", compress(ranks, row[::r]))
-            if not holds_all(row, own if r == 1 else array("I", map(r.__mul__, own))):
+            own = column(ranks - 1, compress(range(ranks), row[::r]))
+            if not holds_all(row, own if r == 1 else column(r * ranks - 1, map(r.__mul__, own))):
                 raise KeyError(f"the cached ranks of candidate {c + 1} name a subfile it does not cache")
             held.append(own)
         return held
 
     @cached_property
-    def missing(self) -> list[list[int]]:
+    def missing(self) -> list[bytes | array]:
         """missing[c]: ranks of the T without c, increasing."""
-        ranks = list(range(comb(self.candidates, self.t)))
+        ranks = list(range(comb(self.candidates, self.t)))  # one int per rank, for every row
         flip = bytes.maketrans(b"\0\1", b"\1\0")  # a row's held ranks become its missing ones
-        return [list(compress(ranks, row[:: self.copies].translate(flip))) for row in self.holds]
+        return [column(len(ranks) - 1, compress(ranks, row[:: self.copies].translate(flip))) for row in self.holds]
 
     @cached_property
     def missing_names(self) -> list[list[str]]:
@@ -207,50 +271,41 @@ class Plan:
     @cached_property
     def names(self) -> list[str]:
         """names[s]: the C of rank s, 1-based, as written in labels."""
-        n, t = self.candidates, self.t
-        signals = combinations(range(1, n + 1), t + 1)  # enumerate_subsets's order; no list kept
-        return list(starmap(".".join(["{}"] * (t + 1)).format, signals))
+        labels = [str(c) for c in range(1, self.candidates + 1)]
+        return list(map(".".join, combinations(labels, self.t + 1)))
 
     @cached_property
-    def member(self) -> list[list[int]]:
+    def member(self) -> list[bytes | array]:
         """member[j][s]: C[j] of the C of rank s."""
         n, t = self.candidates, self.t
-        signals = enumerate_subsets(n, t + 1) if t < n else []
-        return [[C[j] - 1 for C in signals] for j in range(t + 1)]
+        # Every C in rank order, member by member: column j is every (t+1)-th.
+        flat = column(n - 1, chain.from_iterable(combinations(range(n), t + 1)))
+        return [flat[j :: t + 1] for j in range(t + 1)]
 
     @cached_property
-    def rest(self) -> list[list[int]]:
+    def rest(self) -> list[bytes | array]:
         """rest[j][s]: rank of C minus C[j] among the T."""
         n, t, member = self.candidates, self.t, self.member
-        ranks = list(range(comb(n, t)))  # so that equal ranks share one int object
+        ranks = comb(n, t)
         # The C with first member a (0-based) come in order, and C minus C[0] runs
         # through the t-subsets above a: the last C(n - 1 - a, t) ranks.  C minus
         # C[j + 1] differs from C minus C[j] only at index j, which holds C[j]
         # instead of C[j + 1], and rank(T) = C(n, t) - 1 - sum over m of
         # term[t - m][T[m]], T 0-based.
-        first = chain.from_iterable(ranks[len(ranks) - comb(n - 1 - a, t) :] for a in range(n))
-        rest = [list(first)]
+        first = chain.from_iterable(range(ranks - comb(n - 1 - a, t), ranks) for a in range(n))
+        rest = [column(ranks - 1, first)]
         term = [[comb(n - 1 - c, k) for c in range(n)] for k in range(t + 1)]
         for j in range(t):
             up, down = (map(term[t - j].__getitem__, member[x]) for x in (j + 1, j))
-            rest.append(list(map(sub, map(add, rest[j], up), down)))
-        return rest[:1] + [list(map(ranks.__getitem__, column)) for column in rest[1:]]
+            rest.append(column(ranks - 1, map(sub, map(add, rest[j], up), down)))
+        return rest
 
     @cached_property
-    def at(self) -> list[list[list[int]]]:
+    def at(self) -> list[list[bytes | array]]:
         """at[j][c]: every s with C[j] == c, increasing."""
-        n, t = self.candidates, self.t
-        # at[j]: the signals stably sorted by C[j], cut where C[j] changes, as
-        # found in the column: so at[j][c] holds exactly the s with C[j] == c.
-        ids = list(range(comb(n, t + 1)))  # so that the at[j] share one int object per s
-        at = []
-        for column in self.member:
-            order = sorted(ids, key=column.__getitem__)
-            cuts = [bisect_left(order, c, key=column.__getitem__) for c in range(n + 1)]
-            at.append(list(map(order.__getitem__, map(slice, cuts, cuts[1:]))))
-        return at
+        return [_groups(values, self.candidates) for values in self.member]
 
-    def receiving(self, c: int) -> tuple[list[tuple[int, list[int], Callable]], list[int], list[int]]:
+    def receiving(self, c: int) -> tuple[list[tuple[int, Sequence[int], Callable]], list[int], list[int]]:
         """(groups, signals, delivered) for candidate c.
 
         ``groups``: (p, at[p][c], picker) for every position p that c takes
@@ -274,7 +329,7 @@ class Plan:
         return groups, signals, delivered
 
     @cached_property
-    def cancelling(self) -> list[list[list[int]]]:
+    def cancelling(self) -> list[list[bytes | array]]:
         """:attr:`at`, once the plan has proved that member p of every C
         caches every term of C but its own, for
         :meth:`PlannedCache.multicast`: a receiver then cancels the XOR of
@@ -289,30 +344,32 @@ class Plan:
         the T of every term q != p, and so caches that term in every copy
         l.  :attr:`at` lists at[p][c] the signals
         with member[p][s] == c, by its construction from :attr:`member`.  So
-        the shared cancellation needs no check per read.
+        the shared cancellation needs no check per read.  The columns may
+        be any sequences of ints: a list is scanned for negative entries
+        first, so that no index wraps.
 
         Raises KeyError, once per plan, if any of this fails, an index out of
         range included.
         """
         n, t = self.candidates, self.t
-        # Masks of w bytes: the item size of the least array type that holds
-        # n bits, or whole bytes when none does.
-        code = next((code for code in "BHIQ" if 8 * array(code).itemsize >= n), None)
-        w = array(code).itemsize if code else (n + 7) // 8
-
-        def pack(masks: Iterable[int]) -> bytes:
-            return array(code, masks).tobytes() if code else b"".join([m.to_bytes(w, "little") for m in masks])
-
+        signals = comb(n, t + 1)
         bits = [1 << c for c in range(n)]
-        subsets, singles = pack(map(sum, combinations(bits, t))), pack(bits)
-        every = int.from_bytes(pack(map(sum, combinations(bits, t + 1))), "little")  # C by C
-        zeros = [0] * comb(n, t + 1)
+        subsets = list(map(sum, combinations(bits, t)))  # by rank of T
+
+        def masks(table: list[int], values: Sequence[int]) -> int:
+            # The masks in table at the signals' entries of values, packed
+            # into one int; IndexError outside the table, no index wrapped.
+            if len(values) != signals or _negative(values):
+                raise IndexError
+            return int.from_bytes(_pack(map(table.__getitem__, values), n), "little")
+
+        every = int.from_bytes(_pack(map(sum, combinations(bits, t + 1)), n), "little")  # C by C
         members = 0
         for q, (who, ranks) in enumerate(zip(self.member, self.rest)):
             try:
-                single = int.from_bytes(gather([singles], zeros, who, w), "little")
-                union = int.from_bytes(gather([subsets], zeros, ranks, w), "little") ^ single
-            except (IndexError, ValueError):
+                single = masks(bits, who)
+                union = masks(subsets, ranks) ^ single
+            except IndexError:
                 raise KeyError(f"term {q} of a signal lies outside the plan") from None
             if union != every:
                 raise KeyError(f"term {q} of a signal is not the subfile of C minus its member")
@@ -322,7 +379,7 @@ class Plan:
         return self.at
 
     @cached_property
-    def layouts(self) -> list[tuple[array, array]]:
+    def layouts(self) -> list[tuple[array, bytes | array]]:
         """layouts[c]: (which, index), where candidate c finds a file's slots.
 
         Slot ``rank(T) * copies + l - 1`` of a file is subfile (T, l).  The
@@ -344,11 +401,11 @@ class Plan:
         layouts = []
         for c, (missing, row) in enumerate(zip(self.missing, self.holds)):
             own = bytearray(b"\x01") * ranks  # own[q]: the candidate caches the T of rank q
-            item = array("I", in_file)
+            item = in_file[:]
             for k, q in enumerate(missing):
                 own[q] = 0
                 item[q] = k  # the T's item in a decoded block
-            if not holds_all(row, list(compress(in_file, own))):
+            if not holds_all(row, array("I", compress(in_file, own))):
                 raise KeyError(f"the layout of candidate {c + 1} reads a subfile it does not cache")
             which = array("B", bytes(ranks * r))
             index = item * r  # of the right length; interleaved below
@@ -356,25 +413,22 @@ class Plan:
                 # Copy l + 1 of a T comes from source l if cached, else r + l.
                 which[l::r] = array("B", own.translate(bytes.maketrans(b"\0\1", bytes([r + l, l]))))
                 index[l::r] = item
-            layouts.append((which, index))
+            layouts.append((which, column(ranks * r - 1, index)))  # an item of a file or a block
         return layouts
 
     @cached_property
-    def terms(self) -> list:
+    def terms(self) -> list[bytes | array]:
         """terms[q][s]: rest[q][s] * copies, the item of term q of signal s
         in the view of its member's file (:meth:`PlannedCache.sources`)."""
-        r = self.copies
-        return self.rest if r == 1 else [array("I", map(r.__mul__, column)) for column in self.rest]
+        r, top = self.copies, comb(self.candidates, self.t) * self.copies - 1
+        return self.rest if r == 1 else [column(top, map(r.__mul__, ranks)) for ranks in self.rest]
 
     @cached_property
-    def receives(self) -> list[tuple[int, ...]]:
+    def receives(self) -> list[bytes | array]:
         """receives[c]: every s with c in C, increasing: the signals that a
         relay forwards to its neighbor of candidate c."""
-        at = self.at
-        return [
-            tuple(sorted(chain.from_iterable(column[c] for column in at)))
-            for c in range(self.candidates)
-        ]
+        at, top = self.at, comb(self.candidates, self.t + 1) - 1
+        return [column(top, sorted(chain.from_iterable(groups[c] for groups in at))) for c in range(self.candidates)]
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ class TestSignalPlan:
         assert len(delivered) == len(mine)
         for p, group, pick in groups:
             assert group and all(signals[s][p] == c for s in group)
-            assert list(pick(list(range(len(signals))))) == group
+            assert list(pick(list(range(len(signals))))) == list(group)
         for k, s in enumerate(mine):
             assert delivered[k] == rank[tuple(y for y in signals[s] if y != c)]
 
@@ -117,7 +117,7 @@ class TestSignalPlan:
                 mine = [s for group in at for s in group]
                 delivered = [rank[tuple(y for y in signals[s] if y != c)] for s in mine]
                 groups, got, extracted = plan.receiving(c)
-                assert [(p, group) for p, group, _ in groups] == [(p, g) for p, g in enumerate(at) if g]
+                assert [(p, list(group)) for p, group, _ in groups] == [(p, g) for p, g in enumerate(at) if g]
                 assert (got, extracted) == (mine, delivered), (n, t, c)
 
     @given(plan_case())
@@ -125,7 +125,7 @@ class TestSignalPlan:
         n, t, _ = case
         signals = list(itertools.combinations(range(n), t + 1))
         at = Plan(n, t, 1).at
-        assert at == [
+        assert [list(map(list, groups)) for groups in at] == [
             [[s for s, C in enumerate(signals) if C[j] == c] for c in range(n)] for j in range(t + 1)
         ]
 
